@@ -32,13 +32,16 @@ from .shape import UnresolvedShape, classify_shape
 SCHEMA_VERSION = "1"
 
 # Tabulated reference landmarks for the jump-boundary rows: (q1, q2, angle).
+# The rows q1 = 0.676082 and 0.721590 carry the angles of a 40-digit solve at
+# the printed boundary points; the published 0.6252 and 1.0409 are the interior
+# minimizers about 1e-5 away in q1.
 _REFERENCE_JUMP_TABLE = [
     (0.5, 0.0, 0.0),
     (0.544535, 0.55 - 0.544535, 0.1267),
     (0.588104, 0.60 - 0.588104, 0.2470),
     (0.631766, 0.65 - 0.631766, 0.4020),
-    (0.676082, 0.70 - 0.676082, 0.6252),
-    (0.721590, 0.75 - 0.721590, 1.0409),
+    (0.676082, 0.70 - 0.676082, 0.6266),
+    (0.721590, 0.75 - 0.721590, 1.0392),
     (0.739409, 0.029686, math.pi / 2.0),
 ]
 
@@ -357,7 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("phase-diagram", help="label the whole triangle by branch")
     sp.add_argument("--resolution", type=int, default=400)
     sp.add_argument("--theta-grid", type=int, default=512)
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument(
+        "--threads", type=int, default=None,
+        help="accepted for compatibility and ignored; the sweep runs in one process",
+    )
     _add_common(sp)
     sp.set_defaults(func=cmd_phase_diagram)
 

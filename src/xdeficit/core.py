@@ -125,7 +125,27 @@ def family_spectrum(p: StateParams) -> np.ndarray:
 
 def pre_entropy(p: StateParams) -> float:
     """Entropy in bits of the state before any measurement."""
-    return _entropy_bits((p.q1, p.q2, 1.0 - p.q1 - p.q2))
+    # the expression and order of endpoint_entropy_zero, so that both sums
+    # agree to the last bit on the diagonal, where the deficit is exactly 0
+    return _entropy_bits((1.0 - (p.q1 + p.q2), p.q1, p.q2))
+
+
+def _eigenvalues(q1, q2, theta) -> tuple[np.ndarray, ...]:
+    # the four closed-form eigenvalues; q1, q2 and theta broadcast together
+    a = 1.0 - q1 - q2
+    b = 1.0 - 2.0 * q1 - 2.0 * q2
+    c = q1 - q2
+    ct = np.cos(theta)
+    act = a * ct
+    cst2 = (c * np.sin(theta)) ** 2
+    rad_p = np.sqrt((a + b * ct) ** 2 + cst2)
+    rad_m = np.sqrt((a - b * ct) ** 2 + cst2)
+    return (
+        0.25 * (1.0 + act + rad_p),
+        0.25 * (1.0 + act - rad_p),
+        0.25 * (1.0 - act + rad_m),
+        0.25 * (1.0 - act - rad_m),
+    )
 
 
 def post_spectrum(p: StateParams, theta) -> np.ndarray:
@@ -136,23 +156,7 @@ def post_spectrum(p: StateParams, theta) -> np.ndarray:
     angle does not enter.  The formula extends smoothly to any real theta,
     which the symmetry tests exploit.
     """
-    a = 1.0 - p.q1 - p.q2
-    b = 1.0 - 2.0 * p.q1 - 2.0 * p.q2
-    c = p.q1 - p.q2
-    theta = np.asarray(theta, dtype=float)
-    ct = np.cos(theta)
-    st = np.sin(theta)
-    rad_p = np.sqrt((a + b * ct) ** 2 + (c * st) ** 2)
-    rad_m = np.sqrt((a - b * ct) ** 2 + (c * st) ** 2)
-    return np.stack(
-        [
-            0.25 * (1.0 + a * ct + rad_p),
-            0.25 * (1.0 + a * ct - rad_p),
-            0.25 * (1.0 - a * ct + rad_m),
-            0.25 * (1.0 - a * ct - rad_m),
-        ],
-        axis=-1,
-    )
+    return np.stack(_eigenvalues(p.q1, p.q2, np.asarray(theta, dtype=float)), axis=-1)
 
 
 def _post_entropy_scalar(q1: float, q2: float, theta: float) -> float:
@@ -185,11 +189,24 @@ def post_entropy(p: StateParams, theta) -> float | np.ndarray:
     """
     if np.ndim(theta) == 0:
         return _post_entropy_scalar(p.q1, p.q2, float(theta))
-    lam = post_spectrum(p, theta)
-    lam = np.clip(lam, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(lam > 0.0, -lam * np.log2(np.where(lam > 0.0, lam, 1.0)), 0.0)
-    return terms.sum(axis=-1)
+    return post_entropy_grid(p.q1, p.q2, theta)
+
+
+def post_entropy_grid(q1, q2, theta) -> np.ndarray:
+    """Post-measured entropy in bits with q1, q2 and theta broadcast together.
+
+    The array form of :func:`post_entropy`: column arrays of states against a
+    row of angles give one curve per state, elementwise identical to calling
+    ``post_entropy`` state by state.  The caller keeps (q1, q2) inside the
+    triangle; nothing is validated here.
+    """
+    out = 0.0
+    for lam in _eigenvalues(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float),
+                            np.asarray(theta, dtype=float)):
+        # same rule as _entropy_bits: weights <= 0 (float dust) contribute nothing
+        lam = np.clip(lam, 0.0, 1.0)
+        out = out - lam * np.log2(np.where(lam > 0.0, lam, 1.0))
+    return out
 
 
 def endpoint_entropy_zero(p: StateParams) -> float:

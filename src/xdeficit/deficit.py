@@ -46,6 +46,12 @@ class DeficitResult:
     tie: bool
 
 
+def _endpoint_values(p: StateParams) -> tuple[float, float, float]:
+    # (pre-measurement entropy, delta0, delta_halfpi) from the closed forms
+    s = pre_entropy(p)
+    return s, endpoint_entropy_zero(p) - s, endpoint_entropy_halfpi(p) - s
+
+
 def branch_values(
     p: StateParams, grid_n: int = 512, refine_tol: float = 1e-10
 ) -> tuple[float, float, tuple[float, float] | None]:
@@ -54,19 +60,15 @@ def branch_values(
     ``interior`` is None when the entropy curve has no interior minimum,
     otherwise a (delta, vartheta) pair from the shape analysis.
     """
-    s = pre_entropy(p)
-    delta0 = endpoint_entropy_zero(p) - s
-    delta_halfpi = endpoint_entropy_halfpi(p) - s
+    s, delta0, delta_halfpi = _endpoint_values(p)
     ext = interior_minimum(p, grid_n=grid_n, refine_tol=refine_tol)
     interior = None if ext is None else (ext.value - s, ext.theta)
     return delta0, delta_halfpi, interior
 
 
-def one_way_deficit(
-    p: StateParams, grid_n: int = 512, refine_tol: float = 1e-10
+def _select(
+    delta0: float, delta_halfpi: float, interior: tuple[float, float] | None
 ) -> DeficitResult:
-    """Minimize the measurement-dependent deficit over the three branches."""
-    delta0, delta_halfpi, interior = branch_values(p, grid_n=grid_n, refine_tol=refine_tol)
     candidates = [(delta0, Branch.AT_ZERO, 0.0), (delta_halfpi, Branch.AT_HALF_PI, HALF_PI)]
     if interior is not None:
         candidates.append((interior[0], Branch.INTERIOR, interior[1]))
@@ -75,6 +77,23 @@ def one_way_deficit(
     contenders.sort(key=lambda c: _BRANCH_RANK[c[1]])
     delta, branch, theta = contenders[0]
     return DeficitResult(delta=delta, branch=branch, optimal_theta=theta, tie=len(contenders) > 1)
+
+
+def one_way_deficit(
+    p: StateParams, grid_n: int = 512, refine_tol: float = 1e-10
+) -> DeficitResult:
+    """Minimize the measurement-dependent deficit over the three branches."""
+    return _select(*branch_values(p, grid_n=grid_n, refine_tol=refine_tol))
+
+
+def endpoint_deficit(p: StateParams) -> DeficitResult:
+    """Deficit over the two closed-form endpoint branches alone.
+
+    Equals :func:`one_way_deficit` wherever the entropy curve has no interior
+    minimum, with the same tie rule, at the cost of three closed forms.
+    """
+    _, delta0, delta_halfpi = _endpoint_values(p)
+    return _select(delta0, delta_halfpi, None)
 
 
 def _fd_second_derivative_at_ends(p: StateParams, h: float) -> tuple[float, float]:

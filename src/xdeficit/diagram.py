@@ -1,16 +1,22 @@
 """Triangle sweeps, boundary polylines and trajectory profiles for plotting.
 
-Produces plot-ready data only; rendering stays out of scope.  The sweep is
-embarrassingly parallel across grid rows and merges results by row index, so
-its output is independent of the worker count.
+Produces plot-ready data only; rendering stays out of scope.  The sweep takes
+the triangle one row of cells at a time.  It samples the entropy curves of the
+whole row as one (cells x (theta_grid + 1)) grid and flags in array operations
+the cells whose curve has a slope sign flip or a suspiciously flat slope
+(``shape.needs_refinement``).  Only those, a few percent of the triangle, go
+through the scalar ``one_way_deficit``; every other cell has no interior
+extremum and takes the better closed-form endpoint (``endpoint_deficit``),
+which is what ``one_way_deficit`` returns there.  Each cell thus gets the same
+result as a per-cell ``one_way_deficit`` call, in one process.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .boundaries import (
     BoundaryKind,
@@ -23,8 +29,8 @@ from .boundaries import (
     zero_boundary_axis,
 )
 from .core import StateParams, endpoint_entropy_halfpi, endpoint_entropy_zero
-from .deficit import one_way_deficit
-from .shape import UnresolvedShape
+from .deficit import endpoint_deficit, one_way_deficit
+from .shape import UnresolvedShape, needs_refinement
 
 UNRESOLVED_LABEL = "Unresolved"
 
@@ -59,24 +65,16 @@ class TrajectoryProfile:
     transitions: list[tuple[float, str, str]]  # (q1 midpoint, from, to)
 
 
-def _classify_cell(q1: float, q2: float, theta_grid: int) -> tuple[float, float, str, float, float]:
+def _cell(p: StateParams, theta_grid: int, refine: bool = True) -> PhaseCell:
+    """One labelled cell: the full deficit, or the endpoint branches alone."""
     try:
-        res = one_way_deficit(StateParams(q1, q2), grid_n=theta_grid, refine_tol=1e-8)
-        return q1, q2, res.branch.value, res.delta, res.optimal_theta
+        if refine:
+            res = one_way_deficit(p, grid_n=theta_grid, refine_tol=1e-8)
+        else:
+            res = endpoint_deficit(p)
     except UnresolvedShape:
-        return q1, q2, UNRESOLVED_LABEL, math.nan, math.nan
-
-
-def _sweep_row(args: tuple[int, int, int]) -> list[tuple[float, float, str, float, float]]:
-    i, resolution, theta_grid = args
-    q1 = (i + 0.5) / resolution
-    out = []
-    for j in range(resolution):
-        q2 = (j + 0.5) / resolution
-        if q1 + q2 > 1.0:
-            break  # rows are contiguous inside the triangle
-        out.append(_classify_cell(q1, q2, theta_grid))
-    return out
+        return PhaseCell(p.q1, p.q2, UNRESOLVED_LABEL, math.nan, math.nan)
+    return PhaseCell(p.q1, p.q2, res.branch.value, res.delta, res.optimal_theta)
 
 
 def sweep(resolution: int = 400, theta_grid: int = 512, threads: int | None = None) -> PhaseGrid:
@@ -86,19 +84,21 @@ def sweep(resolution: int = 400, theta_grid: int = 512, threads: int | None = No
     the triangle (center-point membership).  ``area_fraction_interior`` is the
     fraction of in-triangle cells won by the interior branch.  Cells whose
     shape classification fails are labeled separately and counted, never
-    silently folded into a phase.
+    silently folded into a phase.  ``threads`` is accepted for compatibility
+    and ignored: the sweep runs in the calling process.
     """
     if resolution < 100:
         raise ValueError("resolution must be at least 100")
-    jobs = [(i, resolution, theta_grid) for i in range(resolution)]
-    if threads == 1:
-        row_results = [_sweep_row(job) for job in jobs]
-    else:
-        workers = threads if threads is not None else (os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            row_results = list(pool.map(_sweep_row, jobs, chunksize=4))
-
-    cells = [PhaseCell(*tup) for row in row_results for tup in row]
+    if theta_grid < 64:
+        raise ValueError("theta_grid must be at least 64")
+    cells = []
+    for i in range(resolution):
+        q1 = (i + 0.5) / resolution
+        q2s = [q2 for q2 in ((j + 0.5) / resolution for j in range(resolution)) if q1 + q2 <= 1.0]
+        refine = needs_refinement(np.full(len(q2s), q1), np.array(q2s), theta_grid)
+        cells.extend(
+            _cell(StateParams(q1, q2), theta_grid, bool(r)) for q2, r in zip(q2s, refine)
+        )
     interior = sum(1 for c in cells if c.branch == "Interior")
     unresolved = sum(1 for c in cells if c.branch == UNRESOLVED_LABEL)
     return PhaseGrid(
@@ -220,12 +220,7 @@ def trajectory_profile(traj: TrajectorySpec, samples: int = 1000,
     rows = []
     for k in range(samples):
         q1 = lo + (hi - lo) * k / (samples - 1)
-        p = traj.state(q1)
-        try:
-            res = one_way_deficit(p, grid_n=theta_grid, refine_tol=1e-8)
-            rows.append(PhaseCell(p.q1, p.q2, res.branch.value, res.delta, res.optimal_theta))
-        except UnresolvedShape:
-            rows.append(PhaseCell(p.q1, p.q2, UNRESOLVED_LABEL, math.nan, math.nan))
+        rows.append(_cell(traj.state(q1), theta_grid))
     transitions = []
     for a, b in zip(rows, rows[1:]):
         if a.branch != b.branch:

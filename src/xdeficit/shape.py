@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateParams, post_entropy
+from .core import StateParams, post_entropy, post_entropy_grid
 
 HALF_PI = math.pi / 2.0
 
@@ -84,22 +84,57 @@ def golden_minimize(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
 
 
 def _slope_signs(y: np.ndarray) -> np.ndarray:
-    d = np.diff(y)
+    # along the last axis, so that one call serves a single curve or a block
+    d = np.diff(y, axis=-1)
     signs = np.sign(d)
     signs[np.abs(d) < FLAT_SLOPE_TOL] = 0.0
     return signs
 
 
+def _grid_flags(y: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(all_flat, suspicious) per curve sampled along the last axis of ``y``.
+
+    A curve is suspicious when a slope magnitude dips within 10x of the
+    flatness threshold without the whole curve being flat: the fingerprint of
+    an extremum pair right after its birth, which asks for a finer grid.
+    """
+    all_flat = np.all(signs == 0.0, axis=-1)
+    suspicious = np.any(np.abs(np.diff(y, axis=-1)) < 10.0 * FLAT_SLOPE_TOL, axis=-1) & ~all_flat
+    return all_flat, suspicious
+
+
 def _extremum_brackets(theta: np.ndarray, signs: np.ndarray):
     """Brackets (kind, lo, hi) from sign flips between consecutive nonzero slopes."""
-    out = []
-    nz = np.nonzero(signs != 0.0)[0]
-    for i, j in zip(nz[:-1], nz[1:]):
-        if signs[i] > 0.0 and signs[j] < 0.0:
-            out.append(("max", theta[i], theta[j + 1]))
-        elif signs[i] < 0.0 and signs[j] > 0.0:
-            out.append(("min", theta[i], theta[j + 1]))
-    return out
+    nz = np.flatnonzero(signs)
+    s = signs[nz]
+    flips = np.flatnonzero(s[:-1] * s[1:] < 0.0)
+    return [
+        ("max" if s[k] > 0.0 else "min", theta[nz[k]], theta[nz[k + 1] + 1]) for k in flips
+    ]
+
+
+def _angles(n: int) -> np.ndarray:
+    return np.linspace(0.0, HALF_PI, n + 1)
+
+
+def needs_refinement(q1: np.ndarray, q2: np.ndarray, grid_n: int) -> np.ndarray:
+    """Which states :func:`classify_shape` could find an interior extremum for.
+
+    Samples the entropy curves of all states (q1[k], q2[k]) as one
+    ``(len(q1), grid_n + 1)`` grid, on the angles classify_shape starts from.
+    A state is False when its slopes never change sign and none is
+    suspiciously flat: classify_shape then reports no extrema without
+    refining or doubling the grid, so the deficit is an endpoint branch.  A
+    True state (a sign flip, even one that refinement later merges into an
+    endpoint, or a grid that would double) needs the full classification.
+    """
+    q1 = np.asarray(q1, dtype=float)[:, None]
+    q2 = np.asarray(q2, dtype=float)[:, None]
+    y = post_entropy_grid(q1, q2, _angles(grid_n))
+    signs = _slope_signs(y)
+    _, suspicious = _grid_flags(y, signs)
+    has_bracket = np.any(signs > 0.0, axis=-1) & np.any(signs < 0.0, axis=-1)
+    return has_bracket | suspicious
 
 
 def classify_shape(p: StateParams, grid_n: int = 512, refine_tol: float = 1e-10) -> ShapeReport:
@@ -121,12 +156,11 @@ def classify_shape(p: StateParams, grid_n: int = 512, refine_tol: float = 1e-10)
 
     n = grid_n
     while True:
-        theta = np.linspace(0.0, HALF_PI, n + 1)
+        theta = _angles(n)
         y = np.asarray(post_entropy(p, theta))
         signs = _slope_signs(y)
         brackets = _extremum_brackets(theta, signs)
-        all_flat = bool(np.all(signs == 0.0))
-        suspicious = bool(np.any(np.abs(np.diff(y)) < 10.0 * FLAT_SLOPE_TOL)) and not all_flat
+        all_flat, suspicious = _grid_flags(y, signs)
         if not suspicious or n >= MAX_GRID_N:
             break
         n *= 2

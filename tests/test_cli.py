@@ -112,6 +112,11 @@ class TestTable1Command:
         for row in rows:
             assert float(row["dev_q1"]) < 1e-4
 
+    def test_reference_angles_reproduced(self, capsys):
+        _, out, _ = run_cli(capsys, "table1")
+        for row in parse_csv(out):
+            assert float(row["dev_jump_angle_rad"]) < 5e-4
+
     def test_degrees_flag(self, capsys):
         _, out, _ = run_cli(capsys, "table1", "--degrees")
         rows = parse_csv(out)

@@ -20,7 +20,7 @@ from xdeficit import (
     pre_entropy,
     quaternary_entropy,
 )
-from xdeficit.core import s2_halfpi, s2_zero_axis
+from xdeficit.core import post_entropy_grid, s2_halfpi, s2_zero_axis
 
 HALF_PI = math.pi / 2
 
@@ -146,6 +146,16 @@ class TestPostEntropy:
     @given(triangle_states(), st.floats(min_value=0.0, max_value=HALF_PI))
     def test_measurement_cannot_decrease_entropy(self, p, theta):
         assert post_entropy(p, theta) >= pre_entropy(p) - 1e-10
+
+
+    def test_grid_form_matches_each_state(self):
+        # the broadcast form is the same formula: equal to the last bit
+        q = triangle_samples(40, seed=5)
+        thetas = np.linspace(0.0, HALF_PI, 129)
+        grid = post_entropy_grid(q[:, :1], q[:, 1:], thetas)
+        assert grid.shape == (40, 129)
+        for row, (q1, q2) in zip(grid, q):
+            assert np.array_equal(row, post_entropy(StateParams(q1, q2), thetas))
 
 
 class TestEndpointForms:

@@ -75,6 +75,14 @@ class TestOneWayDeficit:
         assert res.delta == pytest.approx(0.0, abs=1e-12)
         assert res.branch is Branch.AT_ZERO
 
+    @pytest.mark.parametrize("q", [0.045, 0.055, 0.105])
+    def test_diagonal_deficit_exactly_zero(self, q):
+        # pre_entropy and the theta = 0 endpoint sum the same weights in the
+        # same order, so no rounding leaves the deficit an ulp below zero
+        res = one_way_deficit(StateParams(q, q))
+        assert res.delta == 0.0
+        assert res.branch is Branch.AT_ZERO
+
     @settings(max_examples=60, deadline=None)
     @given(triangle_states())
     def test_exchange_symmetry(self, p):

@@ -3,17 +3,21 @@ import math
 import numpy as np
 import pytest
 
+import xdeficit.diagram
 from xdeficit import (
     BoundaryKind,
     StateParams,
     TrajectorySpec,
+    classify_shape,
     one_way_deficit,
+    post_entropy,
     solve_halfpi_boundary,
     solve_jump_boundary,
     sweep,
     trace_boundaries,
     trajectory_profile,
 )
+from xdeficit.shape import _angles, _extremum_brackets, _slope_signs, needs_refinement
 
 HALF_PI = math.pi / 2
 RES = 120
@@ -80,6 +84,69 @@ class TestSweep:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             sweep(resolution=50)
+        with pytest.raises(ValueError):
+            sweep(resolution=100, theta_grid=32)
+
+
+class TestBlockRoute:
+    @pytest.mark.parametrize("theta_grid", [128, 512])
+    def test_matches_per_cell_route(self, theta_grid):
+        grid = sweep(resolution=100, theta_grid=theta_grid)
+        assert len(grid.cells) == 5050
+        for cell in grid.cells:
+            res = one_way_deficit(
+                StateParams(cell.q1, cell.q2), grid_n=theta_grid, refine_tol=1e-8
+            )
+            assert (cell.branch, cell.delta, cell.theta_opt) == (
+                res.branch.value, res.delta, res.optimal_theta
+            )
+            assert cell.delta >= 0.0
+
+    def test_scalar_route_only_where_flagged(self, monkeypatch):
+        refined = []
+        full = xdeficit.diagram.one_way_deficit
+
+        def recording(p, **kwargs):
+            refined.append((p.q1, p.q2))
+            return full(p, **kwargs)
+
+        monkeypatch.setattr(xdeficit.diagram, "one_way_deficit", recording)
+        grid = sweep(resolution=100, theta_grid=128)
+        q1 = np.array([c.q1 for c in grid.cells])
+        q2 = np.array([c.q2 for c in grid.cells])
+        flagged = needs_refinement(q1, q2, 128)
+        assert refined == list(zip(q1[flagged], q2[flagged]))
+        assert len(refined) == 142
+        assert {c.branch for c, f in zip(grid.cells, flagged) if not f} == {"AtZero", "AtHalfPi"}
+
+    @staticmethod
+    def _grid_brackets(p, n):
+        theta = _angles(n)
+        return _extremum_brackets(theta, _slope_signs(np.asarray(post_entropy(p, theta))))
+
+    def test_suspicious_grid_takes_scalar_route(self):
+        # just past the axis root of the half-pi boundary the curvature at pi/2
+        # nearly vanishes: no slope flips on the grid, but the last slopes are
+        # flat enough for classify_shape to double the grid
+        root = solve_halfpi_boundary(TrajectorySpec.on_axis()).p.q1
+        p = StateParams(root + 1e-6, 0.0)
+        assert self._grid_brackets(p, 512) == []
+        assert classify_shape(p, grid_n=512).grid_n > 512
+        assert needs_refinement(np.array([p.q1]), np.array([p.q2]), 512).tolist() == [True]
+
+    def test_near_endpoint_bracket_takes_scalar_route(self):
+        # just before that root the grid brackets a minimum at pi/2 that the
+        # scalar classification merges into the endpoint
+        root = solve_halfpi_boundary(TrajectorySpec.on_axis()).p.q1
+        p = StateParams(root - 1e-6, 0.0)
+        assert [b[0] for b in self._grid_brackets(p, 512)] == ["min"]
+        assert classify_shape(p, grid_n=512).extrema == ()
+        assert needs_refinement(np.array([p.q1]), np.array([p.q2]), 512).tolist() == [True]
+
+    def test_monotone_curves_take_endpoint_route(self):
+        q1 = np.array([0.1, 0.375, 0.9, 0.0])
+        q2 = np.array([0.1, 0.375, 0.05, 0.0])
+        assert needs_refinement(q1, q2, 512).tolist() == [False] * 4
 
 
 class TestTrajectoryProfile:

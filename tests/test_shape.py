@@ -14,7 +14,7 @@ from xdeficit import (
     interior_minimum,
     post_entropy,
 )
-from xdeficit.shape import golden_minimize
+from xdeficit.shape import _extremum_brackets, _slope_signs, golden_minimize
 
 HALF_PI = math.pi / 2
 
@@ -82,6 +82,38 @@ class TestClassifyShape:
         for q1, q2 in triangle_samples(300, seed=91):
             report = classify_shape(StateParams(q1, q2))
             assert len(report.extrema) <= 2
+
+
+def loop_brackets(theta, signs):
+    """Reference bracket finder: one pass over consecutive nonzero slopes."""
+    out = []
+    nz = np.nonzero(signs != 0.0)[0]
+    for i, j in zip(nz[:-1], nz[1:]):
+        if signs[i] > 0.0 and signs[j] < 0.0:
+            out.append(("max", theta[i], theta[j + 1]))
+        elif signs[i] < 0.0 and signs[j] > 0.0:
+            out.append(("min", theta[i], theta[j + 1]))
+    return out
+
+
+class TestExtremumBrackets:
+    def test_matches_loop_reference(self):
+        theta = np.linspace(0.0, HALF_PI, 257)
+        states = [tuple(q) for q in triangle_samples(300, seed=77)]
+        states += [(0.7205, 0.0295), (0.55, 0.0), (0.727, 0.023), (1.0, 0.0), (0.0, 0.0)]
+        seen_flips = 0
+        for q1, q2 in states:
+            signs = _slope_signs(np.asarray(post_entropy(StateParams(q1, q2), theta)))
+            expected = loop_brackets(theta, signs)
+            assert _extremum_brackets(theta, signs) == expected
+            seen_flips += len(expected)
+        assert seen_flips > 0
+
+    def test_flat_runs_between_flips(self):
+        theta = np.arange(9.0)
+        signs = np.array([1.0, 0.0, 0.0, -1.0, -1.0, 0.0, 1.0, 0.0])
+        assert _extremum_brackets(theta, signs) == [("max", 0.0, 4.0), ("min", 4.0, 7.0)]
+        assert _extremum_brackets(theta, np.zeros(8)) == []
 
 
 class TestInteriorMinimum:
