@@ -115,6 +115,16 @@ def _bisect(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
     return 0.5 * (a + b)
 
 
+def _brackets(vals: np.ndarray) -> np.ndarray:
+    """Indices i where samples i and i + 1 are both non-NaN and differ in sign.
+
+    A bracket that straddles a NaN sample is never reported.
+    """
+    ok = ~np.isnan(vals)
+    neg = vals < 0.0
+    return np.flatnonzero(ok[:-1] & ok[1:] & (neg[:-1] != neg[1:]))
+
+
 def _last_root(f, lo: float, hi: float, samples: int = SCAN_SAMPLES) -> float | None:
     """Rightmost sign-change root of f on [lo, hi], or None.
 
@@ -123,16 +133,11 @@ def _last_root(f, lo: float, hi: float, samples: int = SCAN_SAMPLES) -> float | 
     """
     qs = np.linspace(lo, hi, samples)
     vals = np.array([f(q) for q in qs], dtype=float)
-    root = None
-    prev_q = prev_v = None
-    for q, v in zip(qs, vals):
-        if math.isnan(v):
-            prev_q = prev_v = None
-            continue
-        if prev_v is not None and (prev_v < 0.0) != (v < 0.0):
-            root = _bisect(f, prev_q, q, prev_v, v, Q1_TOL)
-        prev_q, prev_v = q, v
-    return root
+    idx = _brackets(vals)
+    if idx.size == 0:
+        return None
+    i = idx[-1]
+    return _bisect(f, qs[i], qs[i + 1], vals[i], vals[i + 1], Q1_TOL)
 
 
 def _equal_endpoints_gap(traj: TrajectorySpec):
@@ -207,10 +212,6 @@ def zero_boundary_axis() -> list[BoundaryPoint]:
     return points
 
 
-def _interior_min_exists(p: StateParams, grid_n: int) -> bool:
-    return interior_minimum(p, grid_n=grid_n) is not None
-
-
 def _find_window_probe(traj: TrajectorySpec, upper: float, lo: float,
                        predicate) -> float | None:
     """Point q1 in (lo, upper] where ``predicate`` holds, stepping down from upper."""
@@ -271,7 +272,7 @@ def solve_jump_boundary(traj: TrajectorySpec, grid_n: int = 1024) -> JumpRecord 
         return None
     upper = _window_upper_end(traj)
 
-    exists = lambda p: _interior_min_exists(p, grid_n)
+    exists = lambda p: interior_minimum(p, grid_n=grid_n) is not None
     probe = _find_window_probe(traj, upper, lo, exists)
     if probe is None:
         return None
@@ -365,17 +366,12 @@ def curves_intersection(t_lo: float = 0.70, t_hi: float = 0.80) -> StateParams:
         return eq.p.q1 - hp.p.q1
 
     ts = np.linspace(t_lo, t_hi, 21)
-    vals = [separation(t) for t in ts]
-    bracket = None
-    for (t0, v0), (t1, v1) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
-        if math.isnan(v0) or math.isnan(v1):
-            continue
-        if (v0 < 0.0) != (v1 < 0.0):
-            bracket = (t0, t1, v0, v1)
-            break
-    if bracket is None:
+    vals = np.array([separation(t) for t in ts])
+    idx = _brackets(vals)
+    if idx.size == 0:
         raise ConvergenceError("no sign change of the boundary separation found")
-    t_star = _bisect(separation, *bracket, xtol=1e-8)
+    i = idx[0]
+    t_star = _bisect(separation, ts[i], ts[i + 1], vals[i], vals[i + 1], xtol=1e-8)
     eq = solve_equal_endpoints(TrajectorySpec(t_star))
     if eq is None:
         raise ConvergenceError("equal-endpoint boundary lost at the intersection total")

@@ -26,7 +26,7 @@ from .boundaries import (
 from .core import DomainError, StateParams, family_fidelity, post_entropy, pre_entropy
 from .deficit import one_way_deficit
 from .diagram import sweep, trace_boundaries, trajectory_profile
-from .oracle import oracle_post_entropy
+from .oracle import equivalence_sweep
 from .shape import UnresolvedShape, classify_shape
 
 SCHEMA_VERSION = "1"
@@ -244,34 +244,7 @@ def cmd_phase_diagram(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    phis = (0.0, 1.0, 2.0, 5.0)
-    worst = 0.0
-    count = 0
-    qs = np.linspace(0.0, 1.0, args.grid)
-    thetas = np.linspace(0.0, math.pi / 2.0, 8)
-    for q1 in qs:
-        for q2 in qs:
-            if q1 + q2 > 1.0 + 1e-12:
-                continue
-            p = StateParams(q1, q2)
-            for theta in thetas:
-                closed = post_entropy(p, float(theta))
-                for phi in phis:
-                    dev = abs(closed - oracle_post_entropy(p, float(theta), phi))
-                    worst = max(worst, dev)
-                    count += 1
-    rng = np.random.default_rng(args.seed)
-    for _ in range(args.random):
-        q1 = rng.random()
-        q2 = rng.random()
-        if q1 + q2 > 1.0:
-            q1, q2 = 1.0 - q1, 1.0 - q2
-        p = StateParams(q1, q2)
-        theta = rng.random() * math.pi / 2.0
-        phi = rng.random() * 2.0 * math.pi
-        dev = abs(post_entropy(p, theta) - oracle_post_entropy(p, theta, phi))
-        worst = max(worst, dev)
-        count += 1
+    count, worst = equivalence_sweep(args.grid, args.random, args.seed)
     ok = worst <= args.tol
     rows = [
         {

@@ -139,73 +139,41 @@ def trace_boundaries(resolution: int = 100) -> list[BoundaryCurve]:
     totals = [k / resolution for k in range(1, resolution)]
     p_star = curves_intersection()
     t_star = p_star.q1 + p_star.q2
-
-    curves: list[BoundaryCurve] = []
-
-    axis_eq = solve_equal_endpoints(TrajectorySpec.on_axis())
-    eq_points = [axis_eq] if axis_eq is not None else []
-    for t in totals:
-        bp = solve_equal_endpoints(TrajectorySpec(t))
-        if bp is not None and not bp.degenerate:
-            eq_points.append(bp)
-    eq_points.append(
-        BoundaryPoint(
-            p=StateParams(1.0, 0.0),
-            kind=BoundaryKind.EQUAL_ENDPOINTS,
-            residual=0.0,
-            degenerate=True,
-        )
-    )
-    curves.append(_chain(BoundaryKind.EQUAL_ENDPOINTS, eq_points, resolution))
-    curves.append(
-        _chain(BoundaryKind.EQUAL_ENDPOINTS, [_mirror(bp) for bp in eq_points], resolution)
+    eq, hp, jump = (
+        BoundaryKind.EQUAL_ENDPOINTS,
+        BoundaryKind.HALFPI_BIFURCATION,
+        BoundaryKind.JUMP_BOUNDARY,
     )
 
-    axis_hp = solve_halfpi_boundary(TrajectorySpec.on_axis())
-    hp_points = [axis_hp] if axis_hp is not None else []
-    for t in totals:
-        bp = solve_halfpi_boundary(TrajectorySpec(t))
-        if bp is not None and not bp.degenerate:
-            hp_points.append(bp)
-    hp_points.append(
-        BoundaryPoint(
-            p=StateParams(1.0, 0.0),
-            kind=BoundaryKind.HALFPI_BIFURCATION,
-            residual=0.0,  # analytic limit of the curvature along the axis
-            degenerate=True,
-        )
-    )
-    curves.append(_chain(BoundaryKind.HALFPI_BIFURCATION, hp_points, resolution))
-    curves.append(
-        _chain(BoundaryKind.HALFPI_BIFURCATION, [_mirror(bp) for bp in hp_points], resolution)
-    )
+    def fan(solver) -> list[BoundaryPoint]:
+        """The axis root, then the non-degenerate root of each diagonal path."""
+        axis = solver(TrajectorySpec.on_axis())
+        roots = (solver(TrajectorySpec(t)) for t in totals)
+        points = [] if axis is None else [axis]
+        return points + [bp for bp in roots if bp is not None and not bp.degenerate]
 
-    jump_points = [
-        BoundaryPoint(
-            p=StateParams(0.5, 0.0), kind=BoundaryKind.JUMP_BOUNDARY, residual=0.0
-        )
+    def corner(kind: BoundaryKind) -> BoundaryPoint:
+        # for the half-pi kind, residual 0 is the analytic limit of the
+        # curvature along the axis
+        return BoundaryPoint(p=StateParams(1.0, 0.0), kind=kind, residual=0.0, degenerate=True)
+
+    jumps = (solve_jump_boundary(TrajectorySpec(t)) for t in totals if 0.5 < t < t_star)
+    axis_jump = BoundaryPoint(p=StateParams(0.5, 0.0), kind=jump, residual=0.0)
+    star = BoundaryPoint(
+        p=p_star,
+        kind=jump,
+        residual=abs(endpoint_entropy_zero(p_star) - endpoint_entropy_halfpi(p_star)),
+    )
+    polylines = [
+        (eq, fan(solve_equal_endpoints) + [corner(eq)]),
+        (hp, fan(solve_halfpi_boundary) + [corner(hp)]),
+        (jump, [axis_jump] + [rec.boundary for rec in jumps if rec is not None] + [star]),
     ]
-    for t in totals:
-        if not 0.5 < t < t_star:
-            continue
-        rec = solve_jump_boundary(TrajectorySpec(t))
-        if rec is not None:
-            jump_points.append(rec.boundary)
-    jump_points.append(
-        BoundaryPoint(
-            p=p_star,
-            kind=BoundaryKind.JUMP_BOUNDARY,
-            residual=abs(endpoint_entropy_zero(p_star) - endpoint_entropy_halfpi(p_star)),
-        )
-    )
-    curves.append(_chain(BoundaryKind.JUMP_BOUNDARY, jump_points, resolution))
-    curves.append(
-        _chain(BoundaryKind.JUMP_BOUNDARY, [_mirror(bp) for bp in jump_points], resolution)
-    )
-
-    for bp in zero_boundary_axis():
-        curves.append(BoundaryCurve(kind=bp.kind, points=[bp]))
-
+    curves = []
+    for kind, points in polylines:
+        curves.append(_chain(kind, points, resolution))
+        curves.append(_chain(kind, [_mirror(bp) for bp in points], resolution))
+    curves.extend(BoundaryCurve(kind=bp.kind, points=[bp]) for bp in zero_boundary_axis())
     return curves
 
 

@@ -2,15 +2,12 @@
 
 Instead of the closed forms in :mod:`xdeficit.core`, this module builds the
 4x4 density matrix, applies a rank-1 projective measurement on qubit B by
-matrix multiplication, and diagonalizes the result with a fixed-size cyclic
-Jacobi eigensolver.  It exists to validate the closed forms and to supply
-independently computed expected values for tests; it is a correctness oracle,
-not a fast path.
-
-The eigensolver works on the real symmetric embedding [[A, -B], [B, A]] of a
-complex Hermitian matrix A + iB, whose spectrum is the Hermitian spectrum
-doubled.  A fixed-size Jacobi iteration keeps the oracle bit-reproducible and
-free of external linear-algebra dependencies.
+matrix multiplication, and diagonalizes the result with
+``numpy.linalg.eigvalsh``.  It exists to validate the closed forms and to
+supply independently computed expected values for tests; it is a correctness
+oracle, not a fast path.  Only the state container and the entropy sum come
+from :mod:`xdeficit.core`; :func:`equivalence_sweep` calls the closed form
+solely to compare against it.
 """
 
 from __future__ import annotations
@@ -19,11 +16,11 @@ import math
 
 import numpy as np
 
-from .core import StateParams, quaternary_entropy
+from .core import StateParams, post_entropy, quaternary_entropy
 
 HERMITICITY_TOL = 1e-10
 
-# Jacobi residuals land around 1e-15; anything above this clamp is a real
+# Eigensolver residuals land around 1e-15; anything above this clamp is a real
 # negative eigenvalue and gets rejected upstream.
 EIGENVALUE_CLAMP = 1e-10
 
@@ -75,69 +72,19 @@ def post_measured_state(rho: np.ndarray, theta: float, phi: float) -> np.ndarray
     return out
 
 
-def _jacobi_eigenvalues_symmetric(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a small real symmetric matrix by cyclic Jacobi sweeps.
-
-    Plain-float inner loops; at size 8 they beat array slicing by a wide
-    margin and keep the solver dependency-free.
-    """
-    n = mat.shape[0]
-    a = [[float(mat[i, j]) for j in range(n)] for i in range(n)]
-    for _ in range(60):
-        off = 0.0
-        for i in range(n - 1):
-            row = a[i]
-            for j in range(i + 1, n):
-                off += row[j] * row[j]
-        if off < 1e-30:
-            break
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                aij = a[i][j]
-                if aij == 0.0:
-                    continue
-                # classic stable rotation angle
-                tau = (a[j][j] - a[i][i]) / (2.0 * aij)
-                if abs(tau) > 1e150:
-                    t = 1.0 / (2.0 * tau)
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(tau * tau + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                a[i][i] -= t * aij
-                a[j][j] += t * aij
-                a[i][j] = 0.0
-                a[j][i] = 0.0
-                for k in range(n):
-                    if k != i and k != j:
-                        aki = a[k][i]
-                        akj = a[k][j]
-                        a[k][i] = c * aki - s * akj
-                        a[i][k] = a[k][i]
-                        a[k][j] = s * aki + c * akj
-                        a[j][k] = a[k][j]
-    return np.array([a[i][i] for i in range(n)])
-
-
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Four real eigenvalues of a 4x4 Hermitian matrix, descending.
 
-    Raises ValueError for non-Hermitian input (tolerance 1e-10).  The complex
-    problem is lifted to its 8x8 real symmetric embedding whose spectrum is
-    the wanted one doubled; every second value of the sorted result is kept.
+    Raises ValueError for non-Hermitian input (tolerance 1e-10).  The input is
+    symmetrized before ``numpy.linalg.eigvalsh`` so that rounding-level
+    asymmetry cannot leak into the spectrum.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within 1e-10")
-    a = m.real
-    b = m.imag
-    embed = np.block([[a, -b], [b, a]])
-    embed = 0.5 * (embed + embed.T)
-    vals = _jacobi_eigenvalues_symmetric(embed)
-    vals = np.sort(vals)[::-1]
-    return vals[::2].copy()
+    return np.linalg.eigvalsh(0.5 * (m + m.conj().T))[::-1]
 
 
 def oracle_post_entropy(p: StateParams, theta: float, phi: float) -> float:
@@ -148,3 +95,39 @@ def oracle_post_entropy(p: StateParams, theta: float, phi: float) -> float:
         raise ValueError(f"negative eigenvalue {np.min(vals)} beyond clamp")
     vals = np.clip(vals, 0.0, 1.0)
     return quaternary_entropy(*vals)
+
+
+def equivalence_sweep(grid: int, random: int = 0, seed: int = 42) -> tuple[int, float]:
+    """Compare the closed-form post-measurement entropy with the oracle.
+
+    Covers every state of a ``grid`` x ``grid`` lattice on [0, 1]^2 inside
+    the triangle at 8 polar angles in [0, pi/2] and 4 azimuthal angles, then
+    ``random`` seeded draws of state, polar and azimuthal angle.  Returns the
+    number of comparisons and the largest absolute deviation in bits.
+    """
+    worst = 0.0
+    count = 0
+    qs = np.linspace(0.0, 1.0, grid)
+    thetas = np.linspace(0.0, math.pi / 2.0, 8)
+    for q1 in qs:
+        for q2 in qs:
+            if q1 + q2 > 1.0 + 1e-12:
+                continue
+            p = StateParams(q1, q2)
+            for theta in thetas:
+                closed = post_entropy(p, float(theta))
+                for phi in (0.0, 1.0, 2.0, 5.0):
+                    worst = max(worst, abs(closed - oracle_post_entropy(p, float(theta), phi)))
+                    count += 1
+    rng = np.random.default_rng(seed)
+    for _ in range(random):
+        q1 = rng.random()
+        q2 = rng.random()
+        if q1 + q2 > 1.0:
+            q1, q2 = 1.0 - q1, 1.0 - q2
+        p = StateParams(q1, q2)
+        theta = rng.random() * math.pi / 2.0
+        phi = rng.random() * 2.0 * math.pi
+        worst = max(worst, abs(post_entropy(p, theta) - oracle_post_entropy(p, theta, phi)))
+        count += 1
+    return count, worst

@@ -19,6 +19,7 @@ from xdeficit import (
     curves_intersection,
     endpoint_entropy_halfpi,
     endpoint_entropy_zero,
+    equivalence_sweep,
     family_fidelity,
     interior_minimum,
     jump_angle_table,
@@ -286,19 +287,7 @@ def test_c11_zero_bifurcation_roots():
 
 
 def test_c12_oracle_equivalence_sweep():
-    worst_closed = 0.0
-    qs = np.linspace(0.0, 1.0, 30)
-    thetas = np.linspace(0.0, HALF_PI, 8)
-    for q1 in qs:
-        for q2 in qs:
-            if q1 + q2 > 1.0 + 1e-12:
-                continue
-            p = StateParams(q1, q2)
-            for theta in thetas:
-                closed = post_entropy(p, float(theta))
-                for phi in (0.0, 1.0, 2.0, 5.0):
-                    dev = abs(closed - oracle_post_entropy(p, float(theta), phi))
-                    worst_closed = max(worst_closed, dev)
+    _, worst_closed = equivalence_sweep(30)
 
     worst_phi = 0.0
     rng = np.random.default_rng(42)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from xdeficit import (
@@ -17,9 +18,38 @@ from xdeficit import (
     solve_jump_boundary,
     zero_boundary_axis,
 )
+from xdeficit.boundaries import _brackets
 from xdeficit.core import s2_halfpi, s2_zero_axis
 
 HALF_PI = math.pi / 2
+
+
+def _brackets_loop(vals):
+    """Sign-change scan as a plain loop, kept as the reference for _brackets."""
+    out = []
+    prev = None
+    for i, v in enumerate(vals):
+        if math.isnan(v):
+            prev = None
+            continue
+        if prev is not None and (prev < 0.0) != (v < 0.0):
+            out.append(i - 1)
+        prev = v
+    return out
+
+
+class TestBrackets:
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            vals = rng.normal(size=rng.integers(1, 40))
+            vals[rng.random(vals.size) < 0.2] = math.nan
+            vals[rng.random(vals.size) < 0.1] = 0.0
+            assert _brackets(vals).tolist() == _brackets_loop(vals)
+
+    def test_nan_stretch_breaks_a_bracket(self):
+        vals = np.array([1.0, math.nan, -1.0, -2.0, 3.0, 0.0, -0.0, -1.0])
+        assert _brackets(vals).tolist() == [3, 6]
 
 
 class TestTrajectorySpec:

@@ -246,6 +246,21 @@ class TestTraceBoundaries:
                 if not bp.degenerate and bp.kind is not BoundaryKind.BIMODALITY_BIRTH:
                     assert bp.residual < 1e-6
 
+    def test_curve_order_and_exact_mirrors(self, curves):
+        kinds = (
+            [BoundaryKind.EQUAL_ENDPOINTS] * 2
+            + [BoundaryKind.HALFPI_BIFURCATION] * 2
+            + [BoundaryKind.JUMP_BOUNDARY] * 2
+            + [BoundaryKind.ZERO_BIFURCATION_AXIS] * 4
+        )
+        assert [c.kind for c in curves] == kinds
+        for curve, mirror in zip(curves[0:6:2], curves[1:6:2]):
+            swapped = [(bp.p.q2, bp.p.q1, bp.kind, bp.residual, bp.degenerate)
+                       for bp in curve.points]
+            assert swapped == [(bp.p.q1, bp.p.q2, bp.kind, bp.residual, bp.degenerate)
+                               for bp in mirror.points]
+            assert curve.gaps == mirror.gaps
+
     def test_mirror_curves_are_mirrors(self, curves):
         eq = self._curves_of(curves, BoundaryKind.EQUAL_ENDPOINTS)
         first = [(bp.p.q1, bp.p.q2) for bp in eq[0].points]

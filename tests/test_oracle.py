@@ -7,9 +7,9 @@ from conftest import triangle_samples
 from xdeficit import (
     StateParams,
     build_density,
+    equivalence_sweep,
     hermitian_eigenvalues,
     oracle_post_entropy,
-    post_entropy,
     post_measured_state,
     post_spectrum,
     projectors,
@@ -144,18 +144,21 @@ class TestOraclePostEntropy:
             assert max(values) - min(values) < 1e-10
 
     def test_closed_form_equivalence_grid(self):
-        qs = np.linspace(0.0, 1.0, 10)
-        thetas = np.linspace(0.0, HALF_PI, 5)
-        worst = 0.0
-        for q1 in qs:
-            for q2 in qs:
-                if q1 + q2 > 1.0 + 1e-12:
-                    continue
-                p = StateParams(q1, q2)
-                for theta in thetas:
-                    closed = post_entropy(p, float(theta))
-                    for phi in (0.0, 1.0, 2.0, 5.0):
-                        worst = max(
-                            worst, abs(closed - oracle_post_entropy(p, float(theta), phi))
-                        )
+        samples, worst = equivalence_sweep(10)
+        # 55 lattice states inside the triangle x 8 polar x 4 azimuthal angles
+        assert samples == 55 * 8 * 4
         assert worst < 1e-10
+
+
+class TestEquivalenceSweep:
+    def test_random_draws_add_samples(self):
+        samples, worst = equivalence_sweep(5, random=37)
+        assert samples == 15 * 8 * 4 + 37
+        assert worst < 1e-10
+
+    def test_seeded_draws_repeat(self):
+        assert equivalence_sweep(3, random=40, seed=9) == equivalence_sweep(3, random=40, seed=9)
+
+    def test_seed_changes_the_draws(self):
+        # a one-point grid (the origin) leaves the worst deviation to the draws
+        assert equivalence_sweep(1, random=40, seed=1) != equivalence_sweep(1, random=40, seed=2)
