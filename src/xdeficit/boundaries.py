@@ -5,7 +5,10 @@ q2 = 0 or diagonal trajectories q1 + q2 = const, mirroring how the parameter
 triangle is naturally swept.  Every solve is a bracketing scan followed by
 bisection; no multidimensional solver is involved, because the entropy
 curvature diverges at theta = 0 off the axes and Jacobian-based methods are
-unreliable there.
+unreliable there.  The equal-endpoint and half-pi scans sample the whole path
+as one array through the broadcast endpoint forms of ``core``
+(``TrajectorySpec.states``); only the bisection of the last bracket evaluates
+the scalar forms point by point.
 
 Boundary kinds:
 
@@ -30,8 +33,11 @@ import numpy as np
 from .core import (
     StateParams,
     endpoint_entropy_halfpi,
+    endpoint_entropy_halfpi_grid,
     endpoint_entropy_zero,
+    endpoint_entropy_zero_grid,
     s2_halfpi,
+    s2_halfpi_grid,
     s2_zero_axis,
 )
 from .shape import ShapeClass, classify_shape, interior_minimum
@@ -82,6 +88,15 @@ class TrajectorySpec:
             return StateParams(q1, 0.0)
         return StateParams(q1, self.total - q1)
 
+    def states(self, q1s) -> tuple[np.ndarray, np.ndarray]:
+        """Array form of :meth:`state`: the (q1, q2) arrays of the path points.
+
+        For q1s inside :meth:`q1_range`, where ``StateParams`` neither rejects
+        nor clamps, ``q1[i]`` and ``q2[i]`` equal the fields of ``state(q1s[i])``.
+        """
+        q1 = np.asarray(q1s, dtype=float)
+        return q1, (np.zeros_like(q1) if self.axis else self.total - q1)
+
     def q1_range(self) -> tuple[float, float]:
         if self.axis:
             return 1e-9, 1.0 - 1e-9
@@ -125,27 +140,52 @@ def _brackets(vals: np.ndarray) -> np.ndarray:
     return np.flatnonzero(ok[:-1] & ok[1:] & (neg[:-1] != neg[1:]))
 
 
-def _last_root(f, lo: float, hi: float, samples: int = SCAN_SAMPLES) -> float | None:
-    """Rightmost sign-change root of f on [lo, hi], or None.
+def _last_root(traj: TrajectorySpec, residual, residual_grid, lo: float, hi: float,
+               samples: int = SCAN_SAMPLES) -> float | None:
+    """Rightmost sign-change root on [lo, hi] of a residual along the path, or None.
 
-    NaN samples (degenerate diagnostics) are skipped; brackets that straddle
-    a NaN stretch are discarded rather than guessed at.
+    ``residual`` maps a ``StateParams`` to a float and ``residual_grid`` is its
+    broadcast form over (q1, q2) arrays.  The scan samples the whole path as
+    one array through ``residual_grid``; the last bracket is then bisected
+    with the scalar ``residual``.  NaN samples (degenerate diagnostics) are
+    skipped; brackets that straddle a NaN stretch are discarded rather than
+    guessed at.
     """
     qs = np.linspace(lo, hi, samples)
-    vals = np.array([f(q) for q in qs], dtype=float)
+    vals = residual_grid(*traj.states(qs))
     idx = _brackets(vals)
     if idx.size == 0:
         return None
     i = idx[-1]
+    f = lambda q1: residual(traj.state(q1))
     return _bisect(f, qs[i], qs[i + 1], vals[i], vals[i + 1], Q1_TOL)
 
 
-def _equal_endpoints_gap(traj: TrajectorySpec):
-    def f(q1: float) -> float:
-        p = traj.state(q1)
-        return endpoint_entropy_zero(p) - endpoint_entropy_halfpi(p)
+def _scan_boundary(traj: TrajectorySpec, kind: BoundaryKind, residual, residual_grid,
+                   lo: float, hi: float) -> BoundaryPoint | None:
+    root = _last_root(traj, residual, residual_grid, lo, hi)
+    if root is None:
+        return None
+    p = traj.state(root)
+    return BoundaryPoint(
+        p=p,
+        kind=kind,
+        residual=abs(residual(p)),
+        degenerate=min(1.0 - p.q1, 1.0 - p.q2) < CORNER_TOL,
+    )
 
-    return f
+
+def _equal_endpoints_gap(p: StateParams) -> float:
+    return endpoint_entropy_zero(p) - endpoint_entropy_halfpi(p)
+
+
+def _equal_endpoints_gap_grid(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    return endpoint_entropy_zero_grid(q1, q2) - endpoint_entropy_halfpi_grid(q1, q2)
+
+
+def _halfpi_curvature(p: StateParams) -> float:
+    val = s2_halfpi(p)
+    return math.nan if val is None else val
 
 
 def solve_equal_endpoints(traj: TrajectorySpec) -> BoundaryPoint | None:
@@ -155,40 +195,18 @@ def solve_equal_endpoints(traj: TrajectorySpec) -> BoundaryPoint | None:
     the endpoint entropies alone.  Returns None when the gap does not change
     sign on the scanned range.
     """
-    f = _equal_endpoints_gap(traj)
     lo, hi = traj.q1_range()
-    root = _last_root(f, lo, hi)
-    if root is None:
-        return None
-    p = traj.state(root)
-    return BoundaryPoint(
-        p=p,
-        kind=BoundaryKind.EQUAL_ENDPOINTS,
-        residual=abs(f(root)),
-        degenerate=min(1.0 - p.q1, 1.0 - p.q2) < CORNER_TOL,
-    )
+    return _scan_boundary(traj, BoundaryKind.EQUAL_ENDPOINTS, _equal_endpoints_gap,
+                          _equal_endpoints_gap_grid, lo, hi)
 
 
 def solve_halfpi_boundary(traj: TrajectorySpec) -> BoundaryPoint | None:
     """Root of the theta = pi/2 curvature along the path."""
-
-    def f(q1: float) -> float:
-        val = s2_halfpi(traj.state(q1))
-        return math.nan if val is None else val
-
     lo, hi = traj.q1_range()
     # nudge off degenerate radii at range ends (origin, corners, midpoint of
     # the hypotenuse)
-    root = _last_root(f, lo + 1e-9, hi - 1e-9)
-    if root is None:
-        return None
-    p = traj.state(root)
-    return BoundaryPoint(
-        p=p,
-        kind=BoundaryKind.HALFPI_BIFURCATION,
-        residual=abs(f(root)),
-        degenerate=min(1.0 - p.q1, 1.0 - p.q2) < CORNER_TOL,
-    )
+    return _scan_boundary(traj, BoundaryKind.HALFPI_BIFURCATION, _halfpi_curvature,
+                          s2_halfpi_grid, lo + 1e-9, hi - 1e-9)
 
 
 def zero_boundary_axis() -> list[BoundaryPoint]:
@@ -214,14 +232,25 @@ def zero_boundary_axis() -> list[BoundaryPoint]:
 
 def _find_window_probe(traj: TrajectorySpec, upper: float, lo: float,
                        predicate) -> float | None:
-    """Point q1 in (lo, upper] where ``predicate`` holds, stepping down from upper."""
+    """Point q1 in (lo, upper] where ``predicate`` holds, stepping down from upper.
+
+    When every probe misses, falls back to a uniform 2048-point sweep and logs
+    that at DEBUG level on this module's logger.
+    """
     for off in _PROBE_OFFSETS:
         q = upper - off
         if q <= lo:
             break
         if predicate(traj.state(q)):
             return q
-    # fall back to a uniform sweep of the whole half-trajectory
+    # fall back to a uniform sweep of the whole half-trajectory; logging is
+    # imported only here, which keeps it out of every CLI process's start-up
+    import logging
+
+    logging.getLogger(__name__).debug(
+        "window probes missed on %s below q1 = %r; scanning %d points",
+        traj, upper, SCAN_SAMPLES,
+    )
     for q in np.linspace(upper, lo, SCAN_SAMPLES, endpoint=False):
         if predicate(traj.state(q)):
             return float(q)

@@ -86,6 +86,15 @@ def _entropy_bits(weights) -> float:
     return out
 
 
+def _entropy_bits_grid(*weights) -> np.ndarray:
+    # array form of _entropy_bits: the same terms in the same order, weights
+    # <= 0 (float dust) contribute nothing
+    out = 0.0
+    for w in weights:
+        out = out - np.where(w > 0.0, w, 0.0) * np.log2(np.where(w > 0.0, w, 1.0))
+    return out
+
+
 def binary_entropy(x: float) -> float:
     """Shannon binary entropy -x*log2(x) - (1-x)*log2(1-x) in bits."""
     x = float(x)
@@ -218,6 +227,17 @@ def endpoint_entropy_zero(p: StateParams) -> float:
     return _entropy_bits((1.0 - s, s / 2.0, s / 2.0))
 
 
+def endpoint_entropy_zero_grid(q1, q2) -> np.ndarray:
+    """Array form of :func:`endpoint_entropy_zero`; q1 and q2 broadcast together.
+
+    The same formula in the same order, so it matches the scalar form to an
+    ulp of the logarithm.  The caller keeps (q1, q2) inside the triangle;
+    nothing is validated here.
+    """
+    s = np.asarray(q1, dtype=float) + np.asarray(q2, dtype=float)
+    return _entropy_bits_grid(1.0 - s, s / 2.0, s / 2.0)
+
+
 def aux_radius(p: StateParams) -> float:
     """Radius sqrt((1-q1-q2)^2 + (q1-q2)^2) governing the theta = pi/2 end."""
     return math.hypot(1.0 - p.q1 - p.q2, p.q1 - p.q2)
@@ -228,22 +248,48 @@ def endpoint_entropy_halfpi(p: StateParams) -> float:
     return 1.0 + binary_entropy((1.0 + aux_radius(p)) / 2.0)
 
 
+def endpoint_entropy_halfpi_grid(q1, q2) -> np.ndarray:
+    """Array form of :func:`endpoint_entropy_halfpi`; q1 and q2 broadcast together.
+
+    Unvalidated like :func:`endpoint_entropy_zero_grid`.
+    """
+    q1 = np.asarray(q1, dtype=float)
+    q2 = np.asarray(q2, dtype=float)
+    r = np.hypot(1.0 - q1 - q2, q1 - q2)
+    # binary_entropy clamps its argument to [0, 1] the same way
+    x = np.clip((1.0 + r) / 2.0, 0.0, 1.0)
+    return 1.0 + _entropy_bits_grid(x, 1.0 - x)
+
+
 def s2_halfpi(p: StateParams) -> float | None:
     """Second theta-derivative of the post-measured entropy at theta = pi/2.
 
     Evaluated in natural-log units; only the sign and the zero set are
     contractually meaningful.  Returns None when r is within 1e-9 of 0 or 1
-    (degenerate radius; the value is never needed there).
+    (degenerate radius; the value is never needed there).  The scalar face of
+    :func:`s2_halfpi_grid`, which holds the formula.
     """
-    r = aux_radius(p)
-    if r < RADIUS_DEGENERACY_TOL or r > 1.0 - RADIUS_DEGENERACY_TOL:
-        return None
-    a = 1.0 - p.q1 - p.q2
-    b = 1.0 - 2.0 * p.q1 - 2.0 * p.q2
-    c = p.q1 - p.q2
-    term1 = c * c / (2.0 * r**3) * (r * r - b * b) * math.log((1.0 + r) / (1.0 - r))
+    val = float(s2_halfpi_grid(p.q1, p.q2))
+    return None if math.isnan(val) else val
+
+
+def s2_halfpi_grid(q1, q2) -> np.ndarray:
+    """Second theta-derivative at theta = pi/2 over (q1, q2) arrays broadcast together.
+
+    NaN marks the degenerate radii where :func:`s2_halfpi` returns None.
+    Unvalidated like :func:`endpoint_entropy_zero_grid`.
+    """
+    q1 = np.asarray(q1, dtype=float)
+    q2 = np.asarray(q2, dtype=float)
+    r = np.hypot(1.0 - q1 - q2, q1 - q2)
+    ok = (r >= RADIUS_DEGENERACY_TOL) & (r <= 1.0 - RADIUS_DEGENERACY_TOL)
+    r = np.where(ok, r, 0.5)  # keeps the masked lanes free of 0/0 and log(0)
+    a = 1.0 - q1 - q2
+    b = 1.0 - 2.0 * q1 - 2.0 * q2
+    c = q1 - q2
+    term1 = c * c / (2.0 * r**3) * (r * r - b * b) * np.log((1.0 + r) / (1.0 - r))
     term2 = a * a / (1.0 - r * r) * (1.0 - 2.0 * b * (1.0 - b / (2.0 * r * r)))
-    return term1 - term2
+    return np.where(ok, term1 - term2, np.nan)
 
 
 def s2_zero_axis(q: float) -> float:

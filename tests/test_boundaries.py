@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -18,7 +19,14 @@ from xdeficit import (
     solve_jump_boundary,
     zero_boundary_axis,
 )
-from xdeficit.boundaries import _brackets
+from xdeficit.boundaries import (
+    CORNER_TOL,
+    Q1_TOL,
+    SCAN_SAMPLES,
+    _bisect,
+    _brackets,
+    _find_window_probe,
+)
 from xdeficit.core import s2_halfpi, s2_zero_axis
 
 HALF_PI = math.pi / 2
@@ -68,6 +76,76 @@ class TestTrajectorySpec:
             TrajectorySpec(0.0)
         with pytest.raises(ValueError):
             TrajectorySpec(1.2)
+
+    @pytest.mark.parametrize(
+        "traj", [TrajectorySpec.on_axis(), TrajectorySpec(1.0), TrajectorySpec(0.75)]
+    )
+    def test_states_match_state(self, traj):
+        lo, hi = traj.q1_range()
+        # the range ends and the half-pi scan's nudged ends
+        ends = [lo, hi, lo + 1e-9, hi - 1e-9]
+        qs = np.concatenate([np.linspace(lo, hi, 257), ends])
+        q1, q2 = traj.states(qs)
+        ref = [traj.state(q) for q in qs]
+        assert q1.tolist() == [p.q1 for p in ref]
+        assert q2.tolist() == [p.q2 for p in ref]
+
+
+def _solve_loop(traj, residual, lo, hi):
+    """Boundary scan as a per-sample loop, kept as the reference for the array scan.
+
+    Returns (state, residual, degenerate) of the rightmost root, or None.
+    """
+    f = lambda q1: residual(traj.state(q1))
+    qs = np.linspace(lo, hi, SCAN_SAMPLES)
+    vals = np.array([f(q) for q in qs], dtype=float)
+    idx = _brackets(vals)
+    if idx.size == 0:
+        return None
+    i = idx[-1]
+    root = _bisect(f, qs[i], qs[i + 1], vals[i], vals[i + 1], Q1_TOL)
+    p = traj.state(root)
+    return p, abs(f(root)), min(1.0 - p.q1, 1.0 - p.q2) < CORNER_TOL
+
+
+class TestArrayScan:
+    PATHS = [TrajectorySpec.on_axis()] + [TrajectorySpec(k / 100) for k in range(1, 100)]
+
+    @staticmethod
+    def _as_tuple(bp):
+        return None if bp is None else (bp.p, bp.residual, bp.degenerate)
+
+    def test_equal_endpoints_match_loop(self):
+        gap = lambda p: endpoint_entropy_zero(p) - endpoint_entropy_halfpi(p)
+        for traj in self.PATHS:
+            ref = _solve_loop(traj, gap, *traj.q1_range())
+            assert self._as_tuple(solve_equal_endpoints(traj)) == ref, traj
+
+    def test_halfpi_match_loop(self):
+        def curvature(p):
+            val = s2_halfpi(p)
+            return math.nan if val is None else val
+
+        for traj in self.PATHS:
+            lo, hi = traj.q1_range()
+            ref = _solve_loop(traj, curvature, lo + 1e-9, hi - 1e-9)
+            assert self._as_tuple(solve_halfpi_boundary(traj)) == ref, traj
+
+
+class TestWindowProbeFallback:
+    def test_silent_on_table_totals(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="xdeficit.boundaries")
+        jump_angle_table()
+        assert [r for r in caplog.records if r.name == "xdeficit.boundaries"] == []
+
+    def test_logged_when_probes_miss(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="xdeficit.boundaries")
+        traj = TrajectorySpec(0.75)
+        lo, hi = traj.q1_range()
+        probe = _find_window_probe(traj, hi, lo, lambda p: p.q1 < lo + 0.01)
+        assert lo < probe < lo + 0.01
+        messages = [r.getMessage() for r in caplog.records if r.name == "xdeficit.boundaries"]
+        assert len(messages) == 1 and "scanning 2048 points" in messages[0]
 
 
 class TestEqualEndpoints:

@@ -20,9 +20,41 @@ from xdeficit import (
     pre_entropy,
     quaternary_entropy,
 )
-from xdeficit.core import post_entropy_grid, s2_halfpi, s2_zero_axis
+from xdeficit.core import (
+    endpoint_entropy_halfpi_grid,
+    endpoint_entropy_zero_grid,
+    post_entropy_grid,
+    s2_halfpi,
+    s2_halfpi_grid,
+    s2_zero_axis,
+)
 
 HALF_PI = math.pi / 2
+
+# a weight anywhere in [0, 1], on an edge value, or within 1e-12 of one
+_edge_weights = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([0.0, 1.0]),
+    st.floats(min_value=0.0, max_value=1e-12),
+    st.floats(min_value=1.0 - 1e-12, max_value=1.0),
+)
+
+
+@st.composite
+def closed_triangle_states(draw):
+    """States of the closed triangle, weighted toward its edges and corners.
+
+    Covers the interior, the three edges (the hypotenuse too), the corners and
+    points within 1e-12 of each of them.
+    """
+    q1 = draw(_edge_weights)
+    q2 = draw(st.one_of(
+        _edge_weights,
+        st.floats(min_value=0.0, max_value=1e-12).map(lambda d: max(1.0 - q1 - d, 0.0)),
+    ))
+    if q1 + q2 > 1.0:
+        q2 = max(1.0 - q1, 0.0)
+    return StateParams(q1, q2)
 
 
 class TestStateParams:
@@ -195,6 +227,42 @@ class TestEndpointForms:
             dp = abs(post_entropy(p, HALF_PI + h) - post_entropy(p, HALF_PI - h)) / (2 * h)
             assert d0 < 1e-6
             assert dp < 1e-6
+
+
+class TestGridForms:
+    # numpy's log2, log and hypot may differ from libm's by an ulp, so the
+    # broadcast forms match their scalar forms to rounding, not to the bit
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(closed_triangle_states(), min_size=1, max_size=16))
+    @example([StateParams(0.0, 0.0), StateParams(1.0, 0.0), StateParams(0.0, 1.0),
+              StateParams(0.5, 0.5), StateParams(1.0 - 1e-12, 1e-12),
+              # 4e-8 in q1 from the half-pi root of q1 + q2 = 0.75: s2 = -9e-8
+              StateParams(0.7235826786873963, 0.02641732131260366)])
+    def test_match_scalar_forms(self, states):
+        q1 = np.array([p.q1 for p in states])
+        q2 = np.array([p.q2 for p in states])
+        zero = endpoint_entropy_zero_grid(q1, q2)
+        halfpi = endpoint_entropy_halfpi_grid(q1, q2)
+        s2 = s2_halfpi_grid(q1, q2)
+        assert zero.shape == halfpi.shape == s2.shape == q1.shape
+        for k, p in enumerate(states):
+            assert abs(zero[k] - endpoint_entropy_zero(p)) <= 1e-15
+            assert abs(halfpi[k] - endpoint_entropy_halfpi(p)) <= 1e-15
+            ref = s2_halfpi(p)
+            if ref is None:
+                assert math.isnan(s2[k])
+            else:
+                # s2_halfpi evaluates through s2_halfpi_grid; the tolerance
+                # only allows a one-element and a batched ufunc call to round
+                # differently (term1 - term2 cancels on the zero set)
+                assert s2[k] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+    def test_broadcast_shapes(self):
+        q1 = np.linspace(0.0, 0.5, 4)[:, None]
+        q2 = np.linspace(0.0, 0.5, 3)[None, :]
+        for form in (endpoint_entropy_zero_grid, endpoint_entropy_halfpi_grid, s2_halfpi_grid):
+            assert form(q1, q2).shape == (4, 3)
+        assert np.ndim(endpoint_entropy_zero_grid(0.3, 0.2)) == 0
 
 
 class TestDiagnostics:
