@@ -3,12 +3,14 @@
 All boundaries are found along straight scan paths: either the Cartesian axis
 q2 = 0 or diagonal trajectories q1 + q2 = const, mirroring how the parameter
 triangle is naturally swept.  Every solve is a bracketing scan followed by
-bisection; no multidimensional solver is involved, because the entropy
-curvature diverges at theta = 0 off the axes and Jacobian-based methods are
-unreliable there.  The equal-endpoint and half-pi scans sample the whole path
-as one array through the broadcast endpoint forms of ``core``
-(``TrajectorySpec.states``); only the bisection of the last bracket evaluates
-the scalar forms point by point.
+``shape.find_root``, a bracketed superlinear (Brent) root solver that never
+needs more than a few evaluations beyond bisection.  No residual it solves
+uses the entropy curvature at theta = 0, which diverges off the axes: the
+interior minimum the jump gap needs is a root of dS/dtheta at interior
+theta.  The equal-endpoint and half-pi scans sample the whole path as one
+array through the broadcast endpoint forms of ``core``
+(``TrajectorySpec.states``); only the root solve in the last bracket
+evaluates the scalar forms point by point.
 
 Boundary kinds:
 
@@ -40,7 +42,7 @@ from .core import (
     s2_halfpi_grid,
     s2_zero_axis,
 )
-from .shape import ShapeClass, classify_shape, interior_minimum
+from .shape import ShapeClass, classify_shape, find_root, interior_minimum
 
 SCAN_SAMPLES = 2048
 Q1_TOL = 1e-7
@@ -117,19 +119,6 @@ class JumpRecord:
     jump_angle: float  # optimal angle step from 0 to the interior minimizer
 
 
-def _bisect(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
-    while b - a > xtol:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
-
-
 def _brackets(vals: np.ndarray) -> np.ndarray:
     """Indices i where samples i and i + 1 are both non-NaN and differ in sign.
 
@@ -146,10 +135,10 @@ def _last_root(traj: TrajectorySpec, residual, residual_grid, lo: float, hi: flo
 
     ``residual`` maps a ``StateParams`` to a float and ``residual_grid`` is its
     broadcast form over (q1, q2) arrays.  The scan samples the whole path as
-    one array through ``residual_grid``; the last bracket is then bisected
-    with the scalar ``residual``.  NaN samples (degenerate diagnostics) are
-    skipped; brackets that straddle a NaN stretch are discarded rather than
-    guessed at.
+    one array through ``residual_grid``; the root in the last bracket is then
+    solved with the scalar ``residual``.  NaN samples (degenerate
+    diagnostics) are skipped; brackets that straddle a NaN stretch are
+    discarded rather than guessed at.
     """
     qs = np.linspace(lo, hi, samples)
     vals = residual_grid(*traj.states(qs))
@@ -158,7 +147,7 @@ def _last_root(traj: TrajectorySpec, residual, residual_grid, lo: float, hi: flo
         return None
     i = idx[-1]
     f = lambda q1: residual(traj.state(q1))
-    return _bisect(f, qs[i], qs[i + 1], vals[i], vals[i + 1], Q1_TOL)
+    return find_root(f, qs[i], qs[i + 1], vals[i], vals[i + 1], Q1_TOL)
 
 
 def _scan_boundary(traj: TrajectorySpec, kind: BoundaryKind, residual, residual_grid,
@@ -320,7 +309,7 @@ def solve_jump_boundary(traj: TrajectorySpec, grid_n: int = 1024) -> JumpRecord 
     g_hi = gap(probe)
     if math.isnan(g_lo) or math.isnan(g_hi) or (g_lo < 0.0) == (g_hi < 0.0):
         return None
-    root = _bisect(gap, first_true, probe, g_lo, g_hi, 1e-9)
+    root = find_root(gap, first_true, probe, g_lo, g_hi, 1e-9)
     p = traj.state(root)
     ext = interior_minimum(p, grid_n=2 * grid_n)
     if ext is None:
@@ -379,8 +368,9 @@ def bimodality_birth(traj: TrajectorySpec, grid_n: int = 512) -> BoundaryPoint |
 def curves_intersection(t_lo: float = 0.70, t_hi: float = 0.80) -> StateParams:
     """Intersection of the equal-endpoint and half-pi boundary curves.
 
-    Nested bisection over trajectory totals: at each total both boundaries
-    are solved along the path and their q1 separation is driven to zero.
+    Nested root solve over trajectory totals: at each total both boundaries
+    are solved along the path, and ``find_root`` drives their q1 separation
+    to zero from a 21-point scan of the totals.
     Returns the intersection on the q1 > q2 side; the mirror follows by
     symmetry.  Raises ConvergenceError when no separation sign change is
     bracketed.
@@ -400,7 +390,7 @@ def curves_intersection(t_lo: float = 0.70, t_hi: float = 0.80) -> StateParams:
     if idx.size == 0:
         raise ConvergenceError("no sign change of the boundary separation found")
     i = idx[0]
-    t_star = _bisect(separation, ts[i], ts[i + 1], vals[i], vals[i + 1], xtol=1e-8)
+    t_star = find_root(separation, ts[i], ts[i + 1], vals[i], vals[i + 1], xtol=1e-8)
     eq = solve_equal_endpoints(TrajectorySpec(t_star))
     if eq is None:
         raise ConvergenceError("equal-endpoint boundary lost at the intersection total")

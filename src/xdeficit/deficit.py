@@ -109,33 +109,22 @@ def naive_deficit(p: StateParams, fd_step: float = 1e-3) -> DeficitResult:
 
     If finite-difference estimates of the entropy curvature at both ends are
     negative, the rule takes the interior extremum; otherwise the better
-    endpoint.  Where the curvature at theta = 0 diverges (anywhere off the
-    Cartesian axes), the finite difference picks up the divergence direction
-    at scale ``fd_step``, which is all the rule as published offers.  For
+    endpoint, with the tie rule of :func:`endpoint_deficit`.  Where the
+    curvature at theta = 0 diverges (anywhere off the Cartesian axes), the
+    finite difference picks up the divergence direction at scale
+    ``fd_step``, which is all the rule as published offers.  For
     bimodal curves whose interior minimum undercuts both endpoints, the rule
     keeps the endpoint and overestimates the deficit.
     """
-    s = pre_entropy(p)
     d2_zero, d2_half = _fd_second_derivative_at_ends(p, fd_step)
     if d2_zero < 0.0 and d2_half < 0.0:
         ext = interior_minimum(p)
         if ext is not None:
             return DeficitResult(
-                delta=ext.value - s, branch=Branch.INTERIOR, optimal_theta=ext.theta, tie=False
+                delta=ext.value - pre_entropy(p),
+                branch=Branch.INTERIOR,
+                optimal_theta=ext.theta,
+                tie=False,
             )
-        # rule premise failed to produce an interior extremum; fall through
-    delta0 = endpoint_entropy_zero(p) - s
-    delta_halfpi = endpoint_entropy_halfpi(p) - s
-    if delta0 <= delta_halfpi:
-        return DeficitResult(
-            delta=delta0,
-            branch=Branch.AT_ZERO,
-            optimal_theta=0.0,
-            tie=abs(delta0 - delta_halfpi) < TIE_TOL,
-        )
-    return DeficitResult(
-        delta=delta_halfpi,
-        branch=Branch.AT_HALF_PI,
-        optimal_theta=HALF_PI,
-        tie=False,
-    )
+        # rule premise failed to produce an interior extremum; fall back
+    return endpoint_deficit(p)

@@ -6,9 +6,10 @@ or be bimodal (exactly one interior maximum plus one interior minimum, born
 together from an inflection point).  Locating the interior minimum to high
 precision is what the deficit minimization and all boundary solving hinge on,
 so classification is deliberately conservative: a coarse uniform grid, local
-slope-sign analysis, golden-section refinement of every bracketed extremum,
-and an adaptive resolution-doubling pass wherever slopes are suspiciously
-flat.
+slope-sign analysis, and an adaptive resolution-doubling pass wherever slopes
+are suspiciously flat.  Each bracketed extremum is then refined as a root of
+the closed-form slope dS/dtheta by :func:`find_root`, the bracketed root
+solver that the boundary solves share.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateParams, post_entropy, post_entropy_grid
+from .core import StateParams, post_entropy, post_entropy_grid, post_entropy_slope
 
 HALF_PI = math.pi / 2.0
 
@@ -35,6 +36,14 @@ ENDPOINT_MARGIN = 1e-4
 MAX_GRID_N = 1 << 14
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = np.finfo(float).eps
+
+# Evaluations find_root may spend beyond what bisection would need.
+_SPARE_STEPS = 3
+
+# Both ends of [0, pi/2] are stationary, so a bracket that ends there has its
+# slope probed this fraction of its width inside instead.
+_STATIONARY_INSET = 1e-2
 
 
 class UnresolvedShape(RuntimeError):
@@ -81,6 +90,102 @@ def golden_minimize(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
             fd = f(d)
     x = 0.5 * (a + b)
     return x, f(x)
+
+
+def find_root(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
+    """Root of f in the bracket [a, b], where fa = f(a) and fb = f(b) differ in sign.
+
+    Brent's method: inverse quadratic or secant steps, with a bisection step
+    whenever an interpolated step makes too little progress, and also
+    whenever the bracket has fallen behind the halving schedule of plain
+    bisection with ``_SPARE_STEPS`` evaluations to spare.  It therefore never
+    needs more than that many evaluations beyond bisection, and far fewer on
+    smooth functions.  It stops only once the bracket is at most ``xtol``
+    wide and returns the secant point of that last bracket, which lies
+    inside it: the result is within ``xtol`` of a root, and on a smooth f
+    far closer.  Raises ValueError when [a, b] brackets no sign change or f
+    returns NaN.
+    """
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
+        raise ValueError(f"f({a}) = {fa} and f({b}) = {fb} do not bracket a root")
+    if not xtol > 4.0 * _EPS * max(abs(a), abs(b)):
+        raise ValueError(f"xtol {xtol} is below the float resolution of [{a}, {b}]")
+    tol = 0.5 * xtol
+    # after the k-th evaluation the bracket must be at most xtol * 2**(n - k),
+    # n being bisection's count plus the spare steps; a step that could miss
+    # that bound bisects
+    allowed = xtol * 2.0 ** (max(0, math.ceil(math.log2(abs(b - a) / xtol))) + _SPARE_STEPS)
+    # b is the best estimate, c the far end of the bracket [b, c], a the previous b
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        m = 0.5 * (c - b)
+        if fb == 0.0:
+            return b
+        if abs(m) <= tol:
+            # the secant through the final bracket: no evaluation, and inside it
+            return b - fb * (c - b) / (fc - fb)
+        allowed *= 0.5
+        if abs(e) < tol or abs(fa) <= abs(fb) or 2.0 * abs(m) > allowed:
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        if math.isnan(fb):
+            raise ValueError(f"f({b}) is NaN inside the bracket")
+
+
+def _refine_extremum(p: StateParams, kind: str, lo: float, hi: float, tol: float) -> float:
+    """Angle of the extremum of ``kind`` bracketed by the grid angles [lo, hi].
+
+    The root of dS/dtheta, probed just inside a stationary end of [0, pi/2].
+    When the slope has the same sign at both probes (two extrema in one grid
+    cell, near the birth of a bimodal pair) golden section on S takes over.
+    """
+    inset = _STATIONARY_INSET * (hi - lo)
+    a = lo + inset if lo <= 0.0 else lo
+    b = hi - inset if hi >= HALF_PI else hi
+    slope = lambda t: post_entropy_slope(p, t)
+    sa, sb = slope(a), slope(b)
+    sign = 1.0 if kind == "max" else -1.0
+    if sign * sa > 0.0 > sign * sb:
+        return find_root(slope, a, b, sa, sb, tol)
+    # logging is imported only here, which keeps it out of every CLI
+    # process's start-up
+    import logging
+
+    logging.getLogger(__name__).debug(
+        "slope %.3g, %.3g at both ends of the %s bracket [%.17g, %.17g] at (%r, %r); "
+        "golden section", sa, sb, kind, lo, hi, p.q1, p.q2,
+    )
+    f = lambda t: -sign * post_entropy(p, t)
+    return golden_minimize(f, lo, hi, tol)[0]
 
 
 def _slope_signs(y: np.ndarray) -> np.ndarray:
@@ -141,10 +246,11 @@ def classify_shape(p: StateParams, grid_n: int = 512, refine_tol: float = 1e-10)
     """Classify the entropy curve on [0, pi/2] and refine interior extrema.
 
     Samples ``grid_n + 1`` uniform angles, brackets extrema by slope-sign
-    flips, and polishes each bracket by golden section to ``refine_tol``
-    radians.  Whenever a slope magnitude dips within 10x of the flatness
-    threshold without flipping (the fingerprint of an extremum pair right
-    after its birth), the grid is doubled, up to 2**14 points.
+    flips, and refines each bracket to ``refine_tol`` radians as a root of
+    the closed-form dS/dtheta (golden section on S only for the rare bracket
+    that holds two extrema).  Whenever a slope magnitude dips within 10x of
+    the flatness threshold without flipping (the fingerprint of an extremum
+    pair right after its birth), the grid is doubled, up to 2**14 points.
 
     Raises UnresolvedShape if more than two interior extrema survive
     refinement; two extrema must be one minimum plus one maximum.
@@ -165,16 +271,11 @@ def classify_shape(p: StateParams, grid_n: int = 512, refine_tol: float = 1e-10)
             break
         n *= 2
 
-    f = lambda t: post_entropy(p, t)
     extrema = []
     for kind, lo, hi in brackets:
-        if kind == "min":
-            x, v = golden_minimize(f, lo, hi, refine_tol)
-        else:
-            x, neg = golden_minimize(lambda t: -f(t), lo, hi, refine_tol)
-            v = -neg
+        x = _refine_extremum(p, kind, lo, hi, refine_tol)
         if ENDPOINT_MARGIN < x < HALF_PI - ENDPOINT_MARGIN:
-            extrema.append(Extremum(theta=x, value=v, kind=kind))
+            extrema.append(Extremum(theta=x, value=post_entropy(p, x), kind=kind))
     extrema.sort(key=lambda e: e.theta)
 
     if len(extrema) > 2:

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import mp_reference
 from conftest import triangle_samples
 from xdeficit import (
     StateParams,
@@ -140,46 +141,15 @@ def test_c04_jump_angle_table():
 def test_reference_table_matches_40_digit_solve():
     """Pin every trajectory row of REFERENCE_TABLE to a route free of the package.
 
-    The post-measured spectrum comes from the explicit density matrix: the
-    conditional 2x2 state of qubit A for each projector on qubit B, diagonalized
-    by the quadratic formula.  A 40-digit Newton solve of {dS/dtheta = 0,
-    S(theta) = S(0)} in (q1, theta), seeded at the reference row, then gives the
-    boundary point and its jump angle.
+    The post-measured spectrum comes from the explicit density matrix
+    (``mp_reference``).  A 40-digit Newton solve of {dS/dtheta = 0,
+    S(theta) = S(0)} in (q1, theta), seeded at the reference row, then gives
+    the boundary point and its jump angle.
     """
     mp = pytest.importorskip("mpmath")
 
-    def entropy(q1, q2, theta):
-        rho = [[mp.mpf(0)] * 4 for _ in range(4)]
-        rho[0][0] = 1 - q1 - q2
-        rho[1][1] = rho[2][2] = (q1 + q2) / 2
-        rho[1][2] = rho[2][1] = (q1 - q2) / 2
-        c, s = mp.cos(theta / 2), mp.sin(theta / 2)
-        out = mp.mpf(0)
-        for b in ((c, s), (-s, c)):
-            m = [
-                [
-                    sum(b[k] * rho[2 * i + k][2 * j + l] * b[l] for k in (0, 1) for l in (0, 1))
-                    for j in (0, 1)
-                ]
-                for i in (0, 1)
-            ]
-            half_tr = (m[0][0] + m[1][1]) / 2
-            half_gap = mp.sqrt(((m[0][0] - m[1][1]) / 2) ** 2 + m[0][1] ** 2)
-            for lam in (half_tr + half_gap, half_tr - half_gap):
-                if lam > 0:
-                    out -= lam * mp.log(lam, 2)
-        return out
-
     for total, (ref_q1, ref_angle) in zip(TABLE_TOTALS, REFERENCE_TABLE[1:-1]):
-        with mp.workdps(40):
-            total = mp.mpf(str(total))
-
-            def equations(q1, theta):
-                curve = lambda t: entropy(q1, total - q1, t)
-                return [mp.diff(curve, theta), curve(theta) - curve(0)]
-
-            q1, theta = mp.findroot(equations, (mp.mpf(str(ref_q1)), mp.mpf(str(ref_angle))))
-            curvature = mp.diff(lambda t: entropy(q1, total - q1, t), theta, 2)
+        q1, theta, curvature = mp_reference.jump_point(total, ref_q1, ref_angle)
         assert 0 < theta < mp.pi / 2 and curvature > 0, f"row {ref_q1}: not an interior minimum"
         assert abs(float(q1) - ref_q1) < 1e-6, f"q1 {mp.nstr(q1, 10)} vs reference {ref_q1}"
         assert abs(float(theta) - ref_angle) < 5e-5, (

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import mp_reference
+from test_acceptance import REFERENCE_TABLE, TABLE_TOTALS
 from xdeficit import (
     BoundaryKind,
     StateParams,
@@ -23,11 +25,11 @@ from xdeficit.boundaries import (
     CORNER_TOL,
     Q1_TOL,
     SCAN_SAMPLES,
-    _bisect,
     _brackets,
     _find_window_probe,
 )
 from xdeficit.core import s2_halfpi, s2_zero_axis
+from xdeficit.shape import find_root as _bisect
 
 HALF_PI = math.pi / 2
 
@@ -280,6 +282,13 @@ class TestCurvesIntersection:
         assert abs(endpoint_entropy_zero(p) - endpoint_entropy_halfpi(p)) < 1e-5
         assert abs(s2_halfpi(p)) < 1e-4
 
+    def test_matches_40_digit_solve(self):
+        pytest.importorskip("mpmath")
+        p = curves_intersection()
+        q1, q2 = mp_reference.curves_intersection(0.739409, 0.769095)
+        assert abs(p.q1 - q1) <= 1e-12
+        assert abs(p.q2 - q2) <= 1e-12
+
 
 class TestJumpAngleTable:
     def test_seven_rows_against_reference(self):
@@ -299,3 +308,12 @@ class TestJumpAngleTable:
     def test_boundary_points_satisfy_their_equations(self):
         for rec in jump_angle_table():
             assert rec.boundary.residual < 1e-6
+
+    def test_rows_match_40_digit_solve(self):
+        # the solve of test_reference_table_matches_40_digit_solve, seeded the same way
+        pytest.importorskip("mpmath")
+        rows = jump_angle_table()[1:-1]
+        for total, (ref_q1, ref_angle), rec in zip(TABLE_TOTALS, REFERENCE_TABLE[1:-1], rows):
+            q1, theta, _ = mp_reference.jump_point(total, ref_q1, ref_angle)
+            assert abs(rec.boundary.p.q1 - float(q1)) <= 1e-9, total
+            assert abs(rec.jump_angle - float(theta)) <= 1e-9, total

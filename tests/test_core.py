@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mp_reference
 from conftest import triangle_samples, triangle_states
 from xdeficit import (
     DomainError,
@@ -24,6 +25,7 @@ from xdeficit.core import (
     endpoint_entropy_halfpi_grid,
     endpoint_entropy_zero_grid,
     post_entropy_grid,
+    post_entropy_slope,
     s2_halfpi,
     s2_halfpi_grid,
     s2_zero_axis,
@@ -263,6 +265,46 @@ class TestGridForms:
         for form in (endpoint_entropy_zero_grid, endpoint_entropy_halfpi_grid, s2_halfpi_grid):
             assert form(q1, q2).shape == (4, 3)
         assert np.ndim(endpoint_entropy_zero_grid(0.3, 0.2)) == 0
+
+
+class TestSlope:
+    @settings(max_examples=300, deadline=None)
+    @given(closed_triangle_states(), st.floats(min_value=1e-3, max_value=HALF_PI - 1e-3))
+    @example(StateParams(0.7205, 0.0295), 0.8278086768061)
+    @example(StateParams(1.0, 0.0), 0.3)
+    @example(StateParams(0.5, 0.5), 1.0)
+    def test_matches_central_difference(self, p, theta):
+        # fourth-order stencil: truncation ~(h / theta)^4 where S ~ theta^2 log(theta)
+        # near theta = 0, rounding of S (a few 1e-15 bit) amplified by 1 / h
+        h = min(1e-4, 1e-2 * theta)
+        f = lambda t: post_entropy(p, t)
+        fd = (8.0 * (f(theta + h) - f(theta - h)) - (f(theta + 2 * h) - f(theta - 2 * h))) / (12 * h)
+        assert post_entropy_slope(p, theta) == pytest.approx(fd, rel=1e-7, abs=1e-14 / h)
+
+    @pytest.mark.parametrize("q1,q2,theta", [
+        (0.7205, 0.0295, 0.8278086768061),
+        (0.7205, 0.0295, 0.002),
+        (0.61554, 0.0, 0.6957936574264),
+        (0.5604864260123682, 0.004463497532858741, 1e-5),
+        (0.3, 0.2, 1.2),
+        (0.05, 0.9, 0.4),
+        (1.0 - 1e-9, 0.0, 0.7),
+        (0.4, 1e-12, 1.5),
+    ])
+    def test_matches_mpmath_derivative(self, q1, q2, theta):
+        pytest.importorskip("mpmath")
+        ref = mp_reference.slope(q1, q2, theta)
+        # the smallest eigenvalue (~theta^2) cancels against 1 with a relative
+        # error ~eps / theta^2, which costs ~eps / theta of absolute slope
+        assert post_entropy_slope(StateParams(q1, q2), theta) == pytest.approx(
+            ref, rel=1e-12, abs=1e-14 + 1e-15 / theta
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(closed_triangle_states())
+    def test_stationary_ends(self, p):
+        assert post_entropy_slope(p, 0.0) == 0.0
+        assert abs(post_entropy_slope(p, HALF_PI)) <= 1e-15
 
 
 class TestDiagnostics:

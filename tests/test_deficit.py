@@ -127,6 +127,15 @@ class TestNaiveRule:
         gap = naive_deficit(p).delta - one_way_deficit(p).delta
         assert gap > 1.5e-4
 
+    def test_endpoint_fallback_keeps_tie_rule(self):
+        # q1 = 1e-10 past the equal-endpoint root of total 0.8: the endpoint
+        # deficits differ by 2.8e-10 < TIE_TOL, a tie that AtZero wins
+        q1 = 0.7692692801282028
+        p = StateParams(q1, 0.8 - q1)
+        res = naive_deficit(p)
+        assert res.branch is Branch.AT_ZERO and res.tie
+        assert res == one_way_deficit(p)
+
     def test_certificate_state(self):
         p = StateParams(0.72175, 0.02825)
         gap = naive_deficit(p).delta - one_way_deficit(p).delta

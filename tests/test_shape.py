@@ -1,8 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
+import mp_reference
 from conftest import triangle_samples
 from xdeficit import (
     ShapeClass,
@@ -14,7 +16,15 @@ from xdeficit import (
     interior_minimum,
     post_entropy,
 )
-from xdeficit.shape import _extremum_brackets, _slope_signs, golden_minimize
+from xdeficit.shape import (
+    ENDPOINT_MARGIN,
+    _SPARE_STEPS,
+    _angles,
+    _extremum_brackets,
+    _slope_signs,
+    find_root,
+    golden_minimize,
+)
 
 HALF_PI = math.pi / 2
 
@@ -138,6 +148,123 @@ class TestInteriorMinimum:
         h = 1e-5
         slope = (post_entropy(p, ext.theta + h) - post_entropy(p, ext.theta - h)) / (2 * h)
         assert abs(slope) < 1e-8
+
+
+def _recording(fn):
+    """fn wrapped to record every (x, fn(x)) it is called with."""
+    seen = []
+
+    def f(x):
+        y = fn(x)
+        seen.append((x, y))
+        return y
+
+    return f, seen
+
+
+def _bracket_width(seen):
+    # the tightest sign-change bracket among the evaluated points of an
+    # increasing function
+    return min(x for x, y in seen if y > 0.0) - max(x for x, y in seen if y < 0.0)
+
+
+class TestFindRoot:
+    XTOL = 1e-10
+
+    def _solve(self, fn, a, b):
+        f, seen = _recording(fn)
+        fa, fb = f(a), f(b)
+        x = find_root(f, a, b, fa, fb, self.XTOL)
+        bisection = math.ceil(math.log2((b - a) / self.XTOL))
+        return x, seen, bisection
+
+    def test_linear_function(self):
+        x, seen, _ = self._solve(lambda x: 3.0 * x - 1.0, 0.0, 1.0)
+        assert abs(x - 1.0 / 3.0) <= self.XTOL
+        assert len(seen) <= 2 + 2  # the two ends, one secant step, one tol step
+
+    def test_regula_falsi_stall(self):
+        # convex and increasing: regula falsi keeps the right end forever
+        fn = lambda x: x**10 - 0.5**10
+        a, b = 0.0, 1.3
+        fa, fb = fn(a), fn(b)
+        for _ in range(200):
+            x = a - fa * (b - a) / (fb - fa)
+            fx = fn(x)
+            if fx < 0.0:
+                a, fa = x, fx
+            else:
+                b, fb = x, fx
+        assert b == 1.3 and b - a > 0.5  # plain regula falsi has stalled
+
+        x, seen, bisection = self._solve(fn, 0.0, 1.3)
+        assert _bracket_width(seen) <= self.XTOL
+        assert abs(x - 0.5) <= self.XTOL
+        assert len(seen) - 2 <= bisection + _SPARE_STEPS
+
+    def test_triple_root_needs_no_more_than_bisection(self):
+        # interpolation converges only linearly on a multiple root; the
+        # halving schedule caps the evaluations
+        x, seen, bisection = self._solve(lambda x: x**3, -1.0, 2.0)
+        assert _bracket_width(seen) <= self.XTOL
+        assert abs(x) <= self.XTOL
+        assert len(seen) - 2 <= bisection + _SPARE_STEPS
+
+    def test_rejects_a_non_bracket(self):
+        with pytest.raises(ValueError):
+            find_root(lambda x: x, 1.0, 2.0, 1.0, 2.0, self.XTOL)
+        with pytest.raises(ValueError):
+            find_root(lambda x: math.nan, -1.0, 2.0, -1.0, 2.0, self.XTOL)
+
+
+# states of window_queries (seed 11) whose interior maximum sits within the
+# first grid cell, near theta = 0.002; the slope there is probed just inside
+# the stationary end theta = 0
+NEAR_ZERO_MAXIMA = [
+    (0.5604864260123682, 0.004463497532858741),
+    (0.5367913783753963, 0.00288844267835299),
+    (0.5392489323304814, 0.003084351258499796),
+    (0.5703794218454357, 0.00536344727836154),
+    (0.5721034640882172, 0.005201014292272489),
+    (0.510245992242883, 0.0007726214634004229),
+]
+
+
+class TestSlopeRefinement:
+    @pytest.mark.parametrize("state", [(0.7205, 0.0295), (0.61554, 0.0), "jump 0.75"])
+    def test_minimizer_meets_refine_tol(self, state):
+        pytest.importorskip("mpmath")
+        if state == "jump 0.75":
+            q1, _, _ = mp_reference.jump_point(0.75, 0.721590, 1.0392)
+            state = (float(q1), float(0.75 - q1))
+        p = StateParams(*state)
+        ext = interior_minimum(p)
+        root = mp_reference.slope_root(p.q1, p.q2, ext.theta)
+        assert abs(ext.theta - root) <= 1e-10  # the default refine_tol
+
+    @pytest.mark.parametrize("q1,q2", NEAR_ZERO_MAXIMA)
+    def test_near_zero_maximum_kept(self, q1, q2, caplog):
+        with caplog.at_level(logging.DEBUG, logger="xdeficit.shape"):
+            report = classify_shape(StateParams(q1, q2))
+        assert report.shape_class is ShapeClass.BIMODAL
+        ext = {e.kind: e for e in report.extrema}
+        assert ENDPOINT_MARGIN < ext["max"].theta < 3e-3
+        assert not caplog.records  # found as a slope root, without golden section
+
+    def test_two_extrema_in_one_cell_fall_back_to_golden(self, caplog):
+        # near bimodality birth one max bracket of the 1024 grid also holds
+        # the minimum, so the slope is positive at both of its ends
+        p = StateParams(0.5268753242492676, 0.0031246757507323863)
+        theta = _angles(1024)
+        brackets = _extremum_brackets(theta, _slope_signs(np.asarray(post_entropy(p, theta))))
+        _, lo, hi = next(b for b in brackets if b[0] == "max")
+        with caplog.at_level(logging.DEBUG, logger="xdeficit.shape"):
+            report = classify_shape(p, grid_n=1024)
+        assert report.shape_class is ShapeClass.BIMODAL
+        assert [r.name for r in caplog.records] == ["xdeficit.shape"]
+        assert "golden section" in caplog.records[0].getMessage()
+        golden, _ = golden_minimize(lambda t: -post_entropy(p, t), lo, hi, 1e-10)
+        assert next(e.theta for e in report.extrema if e.kind == "max") == golden
 
 
 class TestEndpointSlopeCheck:
