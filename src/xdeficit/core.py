@@ -128,21 +128,24 @@ def family_spectrum(p: StateParams) -> np.ndarray:
     The order is fixed: |00> weight first, then the two Bell weights, then the
     structural zero.  Fidelity and reporting rely on this order.
     """
-    lam = np.array([1.0 - p.q1 - p.q2, p.q1, p.q2, 0.0])
+    lam = np.array([1.0 - (p.q1 + p.q2), p.q1, p.q2, 0.0])
     return np.clip(lam, 0.0, 1.0)
 
 
 def pre_entropy(p: StateParams) -> float:
     """Entropy in bits of the state before any measurement."""
-    # the expression and order of endpoint_entropy_zero, so that both sums
-    # agree to the last bit on the diagonal, where the deficit is exactly 0
-    return _entropy_bits((1.0 - (p.q1 + p.q2), p.q1, p.q2))
+    # the two Bell weights first, so that the sum does not depend on their
+    # order; and the order of endpoint_entropy_zero, so that both sums agree
+    # to the last bit on the diagonal, where the deficit is exactly 0
+    return _entropy_bits((p.q1, p.q2, 1.0 - (p.q1 + p.q2)))
 
 
 def _eigenvalues(q1, q2, theta) -> tuple[np.ndarray, ...]:
-    # the four closed-form eigenvalues; q1, q2 and theta broadcast together
-    a = 1.0 - q1 - q2
-    b = 1.0 - 2.0 * q1 - 2.0 * q2
+    # the four closed-form eigenvalues; q1, q2 and theta broadcast together.
+    # a and b take q1 + q2 as one sum and c enters only squared, which keeps
+    # every eigenvalue bit-symmetric under the q1 <-> q2 exchange
+    a = 1.0 - (q1 + q2)
+    b = 1.0 - 2.0 * (q1 + q2)
     c = q1 - q2
     ct = np.cos(theta)
     act = a * ct
@@ -169,9 +172,10 @@ def post_spectrum(p: StateParams, theta) -> np.ndarray:
 
 
 def _post_entropy_scalar(q1: float, q2: float, theta: float) -> float:
-    # scalar fast path; hot inner loop of every refinement and sweep
-    a = 1.0 - q1 - q2
-    b = 1.0 - 2.0 * q1 - 2.0 * q2
+    # scalar fast path; hot inner loop of every refinement and sweep.  The
+    # expressions of _eigenvalues, bit-symmetric under q1 <-> q2
+    a = 1.0 - (q1 + q2)
+    b = 1.0 - 2.0 * (q1 + q2)
     c = q1 - q2
     ct = math.cos(theta)
     st = math.sin(theta)
@@ -203,8 +207,8 @@ def post_entropy_slope(p: StateParams, theta: float) -> float:
     # lam_i' comes from differentiating the rad_p and rad_m of
     # _post_entropy_scalar, and weights <= 0 contribute nothing, the limit of
     # lam' log lam
-    a = 1.0 - p.q1 - p.q2
-    b = 1.0 - 2.0 * p.q1 - 2.0 * p.q2
+    a = 1.0 - (p.q1 + p.q2)
+    b = 1.0 - 2.0 * (p.q1 + p.q2)
     c = p.q1 - p.q2
     ct = math.cos(theta)
     st = math.sin(theta)
@@ -233,8 +237,10 @@ def post_entropy_slope(p: StateParams, theta: float) -> float:
 def post_entropy(p: StateParams, theta) -> float | np.ndarray:
     """Entropy in bits of the measurement-averaged state at angle theta.
 
-    Symmetric under theta -> pi - theta and under the q1 <-> q2 exchange.
-    Accepts scalar or ndarray theta.
+    Symmetric under theta -> pi - theta, and under the q1 <-> q2 exchange to
+    the bit: ``post_entropy(p, t) == post_entropy(p.swapped(), t)``, and so
+    are the endpoint forms, the slope and the deficit built on them.  Accepts
+    scalar or ndarray theta.
     """
     if np.ndim(theta) == 0:
         return _post_entropy_scalar(p.q1, p.q2, float(theta))
@@ -264,7 +270,7 @@ def endpoint_entropy_zero(p: StateParams) -> float:
     The spectrum there collapses to (1-s, s/2, s/2, 0) with s = q1 + q2.
     """
     s = p.q1 + p.q2
-    return _entropy_bits((1.0 - s, s / 2.0, s / 2.0))
+    return _entropy_bits((s / 2.0, s / 2.0, 1.0 - s))
 
 
 def endpoint_entropy_zero_grid(q1, q2) -> np.ndarray:
@@ -275,12 +281,12 @@ def endpoint_entropy_zero_grid(q1, q2) -> np.ndarray:
     nothing is validated here.
     """
     s = np.asarray(q1, dtype=float) + np.asarray(q2, dtype=float)
-    return _entropy_bits_grid(1.0 - s, s / 2.0, s / 2.0)
+    return _entropy_bits_grid(s / 2.0, s / 2.0, 1.0 - s)
 
 
 def aux_radius(p: StateParams) -> float:
     """Radius sqrt((1-q1-q2)^2 + (q1-q2)^2) governing the theta = pi/2 end."""
-    return math.hypot(1.0 - p.q1 - p.q2, p.q1 - p.q2)
+    return math.hypot(1.0 - (p.q1 + p.q2), p.q1 - p.q2)
 
 
 def endpoint_entropy_halfpi(p: StateParams) -> float:
@@ -295,7 +301,7 @@ def endpoint_entropy_halfpi_grid(q1, q2) -> np.ndarray:
     """
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
-    r = np.hypot(1.0 - q1 - q2, q1 - q2)
+    r = np.hypot(1.0 - (q1 + q2), q1 - q2)
     # binary_entropy clamps its argument to [0, 1] the same way
     x = np.clip((1.0 + r) / 2.0, 0.0, 1.0)
     return 1.0 + _entropy_bits_grid(x, 1.0 - x)
@@ -321,11 +327,11 @@ def s2_halfpi_grid(q1, q2) -> np.ndarray:
     """
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
-    r = np.hypot(1.0 - q1 - q2, q1 - q2)
+    r = np.hypot(1.0 - (q1 + q2), q1 - q2)
     ok = (r >= RADIUS_DEGENERACY_TOL) & (r <= 1.0 - RADIUS_DEGENERACY_TOL)
     r = np.where(ok, r, 0.5)  # keeps the masked lanes free of 0/0 and log(0)
-    a = 1.0 - q1 - q2
-    b = 1.0 - 2.0 * q1 - 2.0 * q2
+    a = 1.0 - (q1 + q2)
+    b = 1.0 - 2.0 * (q1 + q2)
     c = q1 - q2
     term1 = c * c / (2.0 * r**3) * (r * r - b * b) * np.log((1.0 + r) / (1.0 - r))
     term2 = a * a / (1.0 - r * r) * (1.0 - 2.0 * b * (1.0 - b / (2.0 * r * r)))

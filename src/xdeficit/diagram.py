@@ -1,14 +1,18 @@
 """Triangle sweeps, boundary polylines and trajectory profiles for plotting.
 
-Produces plot-ready data only; rendering stays out of scope.  The sweep takes
-the triangle one row of cells at a time.  It samples the entropy curves of the
-whole row as one (cells x (theta_grid + 1)) grid and flags in array operations
-the cells whose curve has a slope sign flip or a suspiciously flat slope
-(``shape.needs_refinement``).  Only those, a few percent of the triangle, go
-through the scalar ``one_way_deficit``; every other cell has no interior
-extremum and takes the better closed-form endpoint (``endpoint_deficit``),
-which is what ``one_way_deficit`` returns there.  Each cell thus gets the same
-result as a per-cell ``one_way_deficit`` call, in one process.
+Produces plot-ready data only; rendering stays out of scope.  The sweep
+labels each mirror pair of cells once.  The closed forms are bit-symmetric
+under the q1 <-> q2 exchange, so the cell (q2, q1) gets exactly the result of
+(q1, q2): the sweep labels the cells on and below the diagonal (q2 <= q1) and
+emits each cell above it as the exact mirror of its twin.  It samples the
+entropy curves of a block of those cells as one (cells x (theta_grid + 1))
+grid and flags in array operations the cells whose curve has a slope sign flip
+or a suspiciously flat slope (``shape.needs_refinement``).  Only those, a few
+percent of the triangle, go through the scalar ``one_way_deficit``; every
+other cell has no interior extremum and takes the better closed-form endpoint
+(``endpoint_deficit``), which is what ``one_way_deficit`` returns there.  Each
+cell thus gets the same result as a per-cell ``one_way_deficit`` call, in one
+process.
 """
 
 from __future__ import annotations
@@ -81,24 +85,40 @@ def sweep(resolution: int = 400, theta_grid: int = 512, threads: int | None = No
     """Label every triangle cell with its winning deficit branch.
 
     Cells are unit-grid squares of side 1/resolution whose centers lie inside
-    the triangle (center-point membership).  ``area_fraction_interior`` is the
-    fraction of in-triangle cells won by the interior branch.  Cells whose
-    shape classification fails are labeled separately and counted, never
-    silently folded into a phase.  ``threads`` is accepted for compatibility
-    and ignored: the sweep runs in the calling process.
+    the triangle (center-point membership), listed row by row in q1, then
+    q2.  ``area_fraction_interior`` is the fraction of in-triangle cells won
+    by the interior branch.  Cells whose shape classification fails are
+    labeled separately and counted, never silently folded into a phase.
+    Only the cells with q2 <= q1 are labelled, ``resolution`` of them per
+    entropy grid; each cell above the diagonal is its twin with q1 and q2
+    swapped, which is exactly what labelling it would give.  ``threads`` is
+    accepted for compatibility and ignored: the sweep runs in the calling
+    process.
     """
     if resolution < 100:
         raise ValueError("resolution must be at least 100")
     if theta_grid < 64:
         raise ValueError("theta_grid must be at least 64")
+    centers = [(k + 0.5) / resolution for k in range(resolution)]
+    inside = [
+        (i, j) for i in range(resolution) for j in range(resolution)
+        if centers[i] + centers[j] <= 1.0
+    ]
+    lower = [(i, j) for i, j in inside if j <= i]
+    labelled = {}
+    for start in range(0, len(lower), resolution):
+        block = lower[start:start + resolution]
+        q1 = np.array([centers[i] for i, _ in block])
+        q2 = np.array([centers[j] for _, j in block])
+        for (i, j), r in zip(block, needs_refinement(q1, q2, theta_grid)):
+            labelled[i, j] = _cell(StateParams(centers[i], centers[j]), theta_grid, bool(r))
     cells = []
-    for i in range(resolution):
-        q1 = (i + 0.5) / resolution
-        q2s = [q2 for q2 in ((j + 0.5) / resolution for j in range(resolution)) if q1 + q2 <= 1.0]
-        refine = needs_refinement(np.full(len(q2s), q1), np.array(q2s), theta_grid)
-        cells.extend(
-            _cell(StateParams(q1, q2), theta_grid, bool(r)) for q2, r in zip(q2s, refine)
-        )
+    for i, j in inside:
+        if j <= i:
+            cells.append(labelled[i, j])
+        else:
+            c = labelled[j, i]
+            cells.append(PhaseCell(c.q2, c.q1, c.branch, c.delta, c.theta_opt))
     interior = sum(1 for c in cells if c.branch == "Interior")
     unresolved = sum(1 for c in cells if c.branch == UNRESOLVED_LABEL)
     return PhaseGrid(

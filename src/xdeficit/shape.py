@@ -188,24 +188,22 @@ def _refine_extremum(p: StateParams, kind: str, lo: float, hi: float, tol: float
     return golden_minimize(f, lo, hi, tol)[0]
 
 
-def _slope_signs(y: np.ndarray) -> np.ndarray:
-    # along the last axis, so that one call serves a single curve or a block
-    d = np.diff(y, axis=-1)
-    signs = np.sign(d)
-    signs[np.abs(d) < FLAT_SLOPE_TOL] = 0.0
-    return signs
+def _grid_slopes(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(signs, all_flat, suspicious) of the curves sampled along the last axis of ``y``.
 
-
-def _grid_flags(y: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(all_flat, suspicious) per curve sampled along the last axis of ``y``.
-
-    A curve is suspicious when a slope magnitude dips within 10x of the
-    flatness threshold without the whole curve being flat: the fingerprint of
-    an extremum pair right after its birth, which asks for a finer grid.
+    One difference pass serves a single curve or a block of them.  ``signs``
+    holds the sign of each discrete slope, 0 where it is flat.  A curve is
+    suspicious when a slope magnitude dips within 10x of the flatness
+    threshold without the whole curve being flat: the fingerprint of an
+    extremum pair right after its birth, which asks for a finer grid.
     """
+    d = np.diff(y, axis=-1)
+    mag = np.abs(d)
+    signs = np.sign(d)
+    signs[mag < FLAT_SLOPE_TOL] = 0.0
     all_flat = np.all(signs == 0.0, axis=-1)
-    suspicious = np.any(np.abs(np.diff(y, axis=-1)) < 10.0 * FLAT_SLOPE_TOL, axis=-1) & ~all_flat
-    return all_flat, suspicious
+    suspicious = np.any(mag < 10.0 * FLAT_SLOPE_TOL, axis=-1) & ~all_flat
+    return signs, all_flat, suspicious
 
 
 def _extremum_brackets(theta: np.ndarray, signs: np.ndarray):
@@ -235,9 +233,7 @@ def needs_refinement(q1: np.ndarray, q2: np.ndarray, grid_n: int) -> np.ndarray:
     """
     q1 = np.asarray(q1, dtype=float)[:, None]
     q2 = np.asarray(q2, dtype=float)[:, None]
-    y = post_entropy_grid(q1, q2, _angles(grid_n))
-    signs = _slope_signs(y)
-    _, suspicious = _grid_flags(y, signs)
+    signs, _, suspicious = _grid_slopes(post_entropy_grid(q1, q2, _angles(grid_n)))
     has_bracket = np.any(signs > 0.0, axis=-1) & np.any(signs < 0.0, axis=-1)
     return has_bracket | suspicious
 
@@ -264,9 +260,8 @@ def classify_shape(p: StateParams, grid_n: int = 512, refine_tol: float = 1e-10)
     while True:
         theta = _angles(n)
         y = np.asarray(post_entropy(p, theta))
-        signs = _slope_signs(y)
+        signs, all_flat, suspicious = _grid_slopes(y)
         brackets = _extremum_brackets(theta, signs)
-        all_flat, suspicious = _grid_flags(y, signs)
         if not suspicious or n >= MAX_GRID_N:
             break
         n *= 2

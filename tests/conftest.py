@@ -23,3 +23,29 @@ def triangle_states():
         .filter(lambda t: t[0] + t[1] <= 1.0)
         .map(lambda t: StateParams(t[0], t[1]))
     )
+
+
+# a weight anywhere in [0, 1], on an edge value, or within 1e-12 of one
+_edge_weights = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([0.0, 1.0]),
+    st.floats(min_value=0.0, max_value=1e-12),
+    st.floats(min_value=1.0 - 1e-12, max_value=1.0),
+)
+
+
+@st.composite
+def closed_triangle_states(draw):
+    """States of the closed triangle, weighted toward its edges and corners.
+
+    Covers the interior, the three edges (the hypotenuse too), the corners and
+    points within 1e-12 of each of them.
+    """
+    q1 = draw(_edge_weights)
+    q2 = draw(st.one_of(
+        _edge_weights,
+        st.floats(min_value=0.0, max_value=1e-12).map(lambda d: max(1.0 - q1 - d, 0.0)),
+    ))
+    if q1 + q2 > 1.0:
+        q2 = max(1.0 - q1, 0.0)
+    return StateParams(q1, q2)

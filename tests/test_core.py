@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mp_reference
-from conftest import triangle_samples, triangle_states
+from conftest import closed_triangle_states, triangle_samples, triangle_states
 from xdeficit import (
     DomainError,
     StateParams,
@@ -32,32 +32,6 @@ from xdeficit.core import (
 )
 
 HALF_PI = math.pi / 2
-
-# a weight anywhere in [0, 1], on an edge value, or within 1e-12 of one
-_edge_weights = st.one_of(
-    st.floats(min_value=0.0, max_value=1.0),
-    st.sampled_from([0.0, 1.0]),
-    st.floats(min_value=0.0, max_value=1e-12),
-    st.floats(min_value=1.0 - 1e-12, max_value=1.0),
-)
-
-
-@st.composite
-def closed_triangle_states(draw):
-    """States of the closed triangle, weighted toward its edges and corners.
-
-    Covers the interior, the three edges (the hypotenuse too), the corners and
-    points within 1e-12 of each of them.
-    """
-    q1 = draw(_edge_weights)
-    q2 = draw(st.one_of(
-        _edge_weights,
-        st.floats(min_value=0.0, max_value=1e-12).map(lambda d: max(1.0 - q1 - d, 0.0)),
-    ))
-    if q1 + q2 > 1.0:
-        q2 = max(1.0 - q1, 0.0)
-    return StateParams(q1, q2)
-
 
 class TestStateParams:
     def test_valid_construction(self):
@@ -305,6 +279,34 @@ class TestSlope:
     def test_stationary_ends(self, p):
         assert post_entropy_slope(p, 0.0) == 0.0
         assert abs(post_entropy_slope(p, HALF_PI)) <= 1e-15
+
+
+class TestExactExchangeSymmetry:
+    # a and b take q1 + q2 as one sum, q1 - q2 enters only squared or through
+    # hypot, and the entropy sums add the two Bell terms first: the q1 <-> q2
+    # exchange holds to the bit, which lets the sweep mirror its cells
+    @settings(max_examples=300, deadline=None)
+    @given(closed_triangle_states(), st.floats(min_value=0.0, max_value=HALF_PI))
+    @example(StateParams(0.3, 0.1), 0.7)
+    @example(StateParams(1.0 - 1e-12, 0.0), 1e-3)
+    def test_post_entropy_and_slope(self, p, theta):
+        m = p.swapped()
+        assert post_entropy(p, theta) == post_entropy(m, theta)
+        assert post_entropy_slope(p, theta) == post_entropy_slope(m, theta)
+        thetas = np.linspace(0.0, HALF_PI, 65)
+        assert np.array_equal(post_entropy_grid(p.q1, p.q2, thetas),
+                              post_entropy_grid(m.q1, m.q2, thetas))
+
+    @settings(max_examples=300, deadline=None)
+    @given(closed_triangle_states())
+    @example(StateParams(0.3, 0.1))
+    @example(StateParams(0.7235826786873963, 0.02641732131260366))  # s2 near its zero
+    def test_closed_forms(self, p):
+        m = p.swapped()
+        for form in (pre_entropy, endpoint_entropy_zero, endpoint_entropy_halfpi, s2_halfpi):
+            assert form(p) == form(m), form.__name__
+        for form in (endpoint_entropy_zero_grid, endpoint_entropy_halfpi_grid, s2_halfpi_grid):
+            assert np.array_equal(form(p.q1, p.q2), form(m.q1, m.q2), equal_nan=True)
 
 
 class TestDiagnostics:

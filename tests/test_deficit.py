@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from conftest import triangle_samples, triangle_states
+from conftest import closed_triangle_states, triangle_samples, triangle_states
 from xdeficit import (
     Branch,
     StateParams,
@@ -89,6 +89,15 @@ class TestOneWayDeficit:
         a = one_way_deficit(p)
         b = one_way_deficit(p.swapped())
         assert a.delta == pytest.approx(b.delta, abs=1e-10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(closed_triangle_states())
+    @example(StateParams(0.7205, 0.0295))  # interior branch
+    @example(StateParams(0.7692692801282028, 0.8 - 0.7692692801282028))  # endpoint tie
+    def test_exchange_symmetry_exact(self, p):
+        # the closed forms are bit-symmetric, so the grid, the brackets, the
+        # root iterates and the tie rule are too
+        assert one_way_deficit(p) == one_way_deficit(p.swapped())
 
     def test_nonnegative_and_matches_brute_force(self):
         for q1, q2 in triangle_samples(500, seed=2024):

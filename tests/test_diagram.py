@@ -17,7 +17,8 @@ from xdeficit import (
     trace_boundaries,
     trajectory_profile,
 )
-from xdeficit.shape import _angles, _extremum_brackets, _slope_signs, needs_refinement
+from xdeficit.diagram import PhaseCell
+from xdeficit.shape import _angles, _extremum_brackets, _grid_slopes, needs_refinement
 
 HALF_PI = math.pi / 2
 RES = 120
@@ -115,14 +116,38 @@ class TestBlockRoute:
         q1 = np.array([c.q1 for c in grid.cells])
         q2 = np.array([c.q2 for c in grid.cells])
         flagged = needs_refinement(q1, q2, 128)
-        assert refined == list(zip(q1[flagged], q2[flagged]))
-        assert len(refined) == 142
+        assert flagged.sum() == 142
+        # only the labelled half, q2 <= q1, runs the scalar route, in cell order
+        lower = flagged & (q2 <= q1)
+        assert refined == list(zip(q1[lower], q2[lower]))
         assert {c.branch for c, f in zip(grid.cells, flagged) if not f} == {"AtZero", "AtHalfPi"}
+
+    def test_cells_above_diagonal_mirror_their_twins(self):
+        grid = sweep(resolution=100, theta_grid=128)
+        by_point = {(c.q1, c.q2): c for c in grid.cells}
+        upper = [c for c in grid.cells if c.q2 > c.q1]
+        assert len(upper) == sum(1 for c in grid.cells if c.q2 < c.q1) > 0
+        for cell in upper:
+            twin = by_point[cell.q2, cell.q1]
+            assert cell == PhaseCell(twin.q2, twin.q1, twin.branch, twin.delta, twin.theta_opt)
+
+    def test_odd_resolution_matches_per_cell_route(self):
+        # an odd resolution puts the cell (0.5, 0.5) on both the diagonal and
+        # the hypotenuse, beside the other cells with i + j + 1 = resolution,
+        # whose membership rests on the rounding of q1 + q2
+        grid = sweep(resolution=101, theta_grid=128)
+        assert (0.5, 0.5) in {(c.q1, c.q2) for c in grid.cells}
+        assert any(c.q1 + c.q2 == 1.0 and c.q1 != c.q2 for c in grid.cells)
+        for cell in grid.cells:
+            res = one_way_deficit(StateParams(cell.q1, cell.q2), grid_n=128, refine_tol=1e-8)
+            assert (cell.branch, cell.delta, cell.theta_opt) == (
+                res.branch.value, res.delta, res.optimal_theta
+            )
 
     @staticmethod
     def _grid_brackets(p, n):
         theta = _angles(n)
-        return _extremum_brackets(theta, _slope_signs(np.asarray(post_entropy(p, theta))))
+        return _extremum_brackets(theta, _grid_slopes(np.asarray(post_entropy(p, theta)))[0])
 
     def test_suspicious_grid_takes_scalar_route(self):
         # just past the axis root of the half-pi boundary the curvature at pi/2

@@ -21,7 +21,7 @@ from xdeficit.shape import (
     _SPARE_STEPS,
     _angles,
     _extremum_brackets,
-    _slope_signs,
+    _grid_slopes,
     find_root,
     golden_minimize,
 )
@@ -113,7 +113,7 @@ class TestExtremumBrackets:
         states += [(0.7205, 0.0295), (0.55, 0.0), (0.727, 0.023), (1.0, 0.0), (0.0, 0.0)]
         seen_flips = 0
         for q1, q2 in states:
-            signs = _slope_signs(np.asarray(post_entropy(StateParams(q1, q2), theta)))
+            signs = _grid_slopes(np.asarray(post_entropy(StateParams(q1, q2), theta)))[0]
             expected = loop_brackets(theta, signs)
             assert _extremum_brackets(theta, signs) == expected
             seen_flips += len(expected)
@@ -256,7 +256,7 @@ class TestSlopeRefinement:
         # the minimum, so the slope is positive at both of its ends
         p = StateParams(0.5268753242492676, 0.0031246757507323863)
         theta = _angles(1024)
-        brackets = _extremum_brackets(theta, _slope_signs(np.asarray(post_entropy(p, theta))))
+        brackets = _extremum_brackets(theta, _grid_slopes(np.asarray(post_entropy(p, theta)))[0])
         _, lo, hi = next(b for b in brackets if b[0] == "max")
         with caplog.at_level(logging.DEBUG, logger="xdeficit.shape"):
             report = classify_shape(p, grid_n=1024)
