@@ -2,15 +2,18 @@
 
 All boundaries are found along straight scan paths: either the Cartesian axis
 q2 = 0 or diagonal trajectories q1 + q2 = const, mirroring how the parameter
-triangle is naturally swept.  Every solve is a bracketing scan followed by
-``shape.find_root``, a bracketed superlinear (Brent) root solver that never
-needs more than a few evaluations beyond bisection.  No residual it solves
-uses the entropy curvature at theta = 0, which diverges off the axes: the
-interior minimum the jump gap needs is a root of dS/dtheta at interior
-theta.  The equal-endpoint and half-pi scans sample the whole path as one
-array through the broadcast endpoint forms of ``core``
-(``TrajectorySpec.states``); only the root solve in the last bracket
-evaluates the scalar forms point by point.
+triangle is naturally swept.  The equal-endpoint and half-pi boundaries are
+bracketing scans followed by ``shape.find_root``, a bracketed superlinear
+(Brent) root solver that never needs more than a few evaluations beyond
+bisection.  These scans sample the whole path as one array through the
+broadcast endpoint forms of ``core`` (``TrajectorySpec.states``); only the
+root solve in the last bracket evaluates the scalar forms point by point.
+The jump boundary and the intersection of the equal-endpoint and half-pi
+curves are Newton-type solves on the scalar closed forms of ``core``: the
+jump gap is driven to a sign change by Newton steps in q1, tracking the
+interior minimizer as a warm-started root of dS/dtheta, and the
+intersection is one 2x2 Newton system in (q1, q2).  No residual uses the
+entropy curvature at theta = 0, which diverges off the axes.
 
 Boundary kinds:
 
@@ -38,16 +41,35 @@ from .core import (
     endpoint_entropy_halfpi_grid,
     endpoint_entropy_zero,
     endpoint_entropy_zero_grid,
+    post_entropy,
+    post_entropy_slope,
     s2_halfpi,
     s2_halfpi_grid,
     s2_zero_axis,
 )
-from .shape import ShapeClass, classify_shape, find_root, interior_minimum
+from .shape import (
+    ENDPOINT_MARGIN,
+    HALF_PI,
+    ShapeClass,
+    classify_shape,
+    find_root,
+    interior_minimum,
+)
 
 SCAN_SAMPLES = 2048
 Q1_TOL = 1e-7
 BIRTH_Q1_TOL = 1e-5
 CORNER_TOL = 1e-9
+
+# Newton solves of the jump gap and the curve intersection: the step cap,
+# and the step of their central differences.
+_NEWTON_STEPS = 30
+_FD_STEP = 1e-6
+
+# Initial half-width (radians) of the bracket around the previous minimizer
+# in which the jump solve looks for the next one, and the minimizer's tolerance.
+_WALK_WIDTH = 1e-3
+_THETA_TOL = 1e-10
 
 # Probe offsets used when hunting for a point inside the (narrow) window where
 # the interior minimum exists; stepped downward from the window's upper end.
@@ -263,25 +285,80 @@ def _predicate_onset(traj: TrajectorySpec, lo: float, hi_true: float, predicate,
 
 
 def _window_upper_end(traj: TrajectorySpec) -> float:
-    """Upper end of the interior-minimum window: the half-pi boundary if the
-    path crosses it, otherwise the contact point with the Cartesian axis."""
+    """Upper end of the interior-minimum window, where its probes start.
+
+    The contact point with the Cartesian axis, or, if the path crosses the
+    half-pi boundary, the smallest probe offset below that root: on the
+    boundary itself the extremum sits at theta = pi/2, so a probe there
+    always misses, after a classification whose grid doubles to its cap on
+    the vanishing curvature.
+    """
     hp = solve_halfpi_boundary(traj)
     if hp is not None and not hp.degenerate:
-        return hp.p.q1
+        return hp.p.q1 - _PROBE_OFFSETS[1]
     return min(traj.total, 1.0)
+
+
+def _minimizer_near(p: StateParams, theta0: float) -> float:
+    """Interior minimizer of the entropy curve near ``theta0``, or NaN if it is gone.
+
+    The root of dS/dtheta, bracketed by a walk from a small bracket around
+    theta0: while the slope has one sign at both ends, the bracket moves
+    downhill, to the side where the minimum lies, by steps that double.
+    NaN when the bracket holds a maximum instead (slope positive, then
+    negative), or when the walk reaches ``ENDPOINT_MARGIN`` of an end of
+    [0, pi/2], where ``classify_shape`` merges an extremum into the
+    endpoint.  A bracket over which the slope runs from negative to positive
+    holds the one interior minimum of the curve, since the curve carries at
+    most one minimum and one maximum.
+    """
+    lo_end, hi_end = ENDPOINT_MARGIN, HALF_PI - ENDPOINT_MARGIN
+    slope = lambda t: post_entropy_slope(p, t)
+    w = _WALK_WIDTH
+    a, b = max(theta0 - w, lo_end), min(theta0 + w, hi_end)
+    sa, sb = slope(a), slope(b)
+    while not (sa <= 0.0 <= sb and sa < sb):
+        if sa >= 0.0 >= sb:
+            return math.nan
+        w *= 2.0
+        if sb < 0.0:  # falling at both ends: the minimum lies to the right
+            if b == hi_end:
+                return math.nan
+            a, sa = b, sb
+            b = min(b + w, hi_end)
+            sb = slope(b)
+        else:  # rising at both ends: the minimum lies to the left
+            if a == lo_end:
+                return math.nan
+            b, sb = a, sa
+            a = max(a - w, lo_end)
+            sa = slope(a)
+    return find_root(slope, a, b, sa, sb, _THETA_TOL)
 
 
 def solve_jump_boundary(traj: TrajectorySpec, grid_n: int = 1024) -> JumpRecord | None:
     """Boundary where the optimal angle hops from 0 to the interior minimizer.
 
-    Solves delta_0 = delta_interior along the path over the window in which
-    the interior minimum exists.  The window is located by probing downward
-    from its analytic upper end and bisecting the onset of interior-minimum
-    existence; a denser shape grid is used throughout because the minimum is
-    shallow near its birth.  Returns None when the path carries no such
-    window or the gap never changes sign (as happens above the intersection
-    of the equal-endpoint and half-pi boundaries, where the interior phase is
-    absent).
+    Solves the 2x2 system {S'(theta) = 0, S(theta) = S(0)} in (q1, theta)
+    with theta eliminated: the root of the gap g(q1) = S(0) - S(theta*)
+    along the path, theta* being the interior minimizer.  One shape
+    classification finds a window probe just below the window's analytic
+    upper end, where the minimum exists.  Newton steps in q1 then drive g to
+    a sign change, and ``shape.find_root`` polishes the bracket to 1e-9.
+    Each gap evaluation finds theta* with :func:`_minimizer_near`,
+    warm-started from the last one.  By the envelope theorem the Newton
+    slope dg/dq1 is the q1-derivative at fixed theta*, taken as a central
+    difference (S(0) is constant along the path).  A step into the region
+    where the minimum is gone is halved, and no step is shorter than the
+    tolerance, so a one-sided approach still crosses the root.
+
+    Returns None when the path carries no window, when the gap is negative
+    at the probe (it rises through the window; this happens above the
+    intersection of the equal-endpoint and half-pi boundaries, where the
+    interior phase is absent), or when the minimum vanishes before the gap
+    changes sign.  Raises ConvergenceError after a fixed number of Newton
+    steps, or when a classification at twice ``grid_n`` finds no interior
+    minimum at the root.
     """
     if traj.axis:
         raise ValueError("the jump boundary on the axis is the weight-1/2 point")
@@ -290,26 +367,58 @@ def solve_jump_boundary(traj: TrajectorySpec, grid_n: int = 1024) -> JumpRecord 
         return None
     upper = _window_upper_end(traj)
 
-    exists = lambda p: interior_minimum(p, grid_n=grid_n) is not None
+    minima = []  # interior minimum at each window probe; the last is the probe's
+
+    def exists(p: StateParams) -> bool:
+        minima.append(interior_minimum(p, grid_n=grid_n))
+        return minima[-1] is not None
+
     probe = _find_window_probe(traj, upper, lo, exists)
     if probe is None:
         return None
-    if exists(traj.state(lo)):
-        return None  # no onset inside the scanned half; window is malformed
-    _, first_true = _predicate_onset(traj, lo, probe, exists, Q1_TOL)
+    theta = minima[-1].theta
 
     def gap(q1: float) -> float:
-        p = traj.state(q1)
-        ext = interior_minimum(p, grid_n=grid_n)
-        if ext is None:
+        nonlocal theta
+        if not lo < q1 <= hi:
             return math.nan
-        return endpoint_entropy_zero(p) - ext.value
+        p = traj.state(q1)
+        t = _minimizer_near(p, theta)
+        if math.isnan(t):
+            return math.nan
+        theta = t
+        return endpoint_entropy_zero(p) - post_entropy(p, t)
 
-    g_lo = gap(first_true)
-    g_hi = gap(probe)
-    if math.isnan(g_lo) or math.isnan(g_hi) or (g_lo < 0.0) == (g_hi < 0.0):
+    def gap_slope(q1: float) -> float:
+        # d/dq1 of -S(theta*) at the theta* of the last gap evaluation
+        a, b = max(q1 - _FD_STEP, lo), min(q1 + _FD_STEP, hi)
+        return (post_entropy(traj.state(a), theta) - post_entropy(traj.state(b), theta)) / (b - a)
+
+    xtol = 1e-9
+    q, g = probe, gap(probe)
+    if math.isnan(g):
+        raise ConvergenceError(f"interior minimum lost at the window probe q1 = {probe!r} on {traj}")
+    if g < 0.0:
         return None
-    root = find_root(gap, first_true, probe, g_lo, g_hi, 1e-9)
+    for _ in range(_NEWTON_STEPS):
+        # g > 0 here: the probe's gap, or one of the same sign
+        if g == 0.0:
+            root = q
+            break
+        step = -g / gap_slope(q)
+        step = math.copysign(max(abs(step), xtol), step)
+        g_new = gap(q + step)
+        while math.isnan(g_new):
+            step *= 0.5
+            if abs(step) < xtol:
+                return None  # the minimum vanishes before the gap changes sign
+            g_new = gap(q + step)
+        if g_new < 0.0:
+            root = find_root(gap, q, q + step, g, g_new, xtol)
+            break
+        q, g = q + step, g_new
+    else:
+        raise ConvergenceError(f"jump gap on {traj} kept its sign over {_NEWTON_STEPS} Newton steps")
     p = traj.state(root)
     ext = interior_minimum(p, grid_n=2 * grid_n)
     if ext is None:
@@ -340,15 +449,19 @@ def bimodality_birth(traj: TrajectorySpec, grid_n: int = 512) -> BoundaryPoint |
     def is_bimodal(p: StateParams) -> bool:
         return classify_shape(p, grid_n=grid_n).shape_class is ShapeClass.BIMODAL
 
-    candidates = []
-    eq = solve_equal_endpoints(traj)
-    if eq is not None and not eq.degenerate:
-        candidates.append(eq.p.q1)
-    probe = None
-    for q in candidates:
-        if lo < q < upper and is_bimodal(traj.state(q)):
-            probe = q
-            break
+    def candidates():
+        # landmarks that tend to lie in the window, each solved only if the
+        # one before it misses: the equal-endpoint root, then the jump root
+        eq = solve_equal_endpoints(traj)
+        if eq is not None and not eq.degenerate:
+            yield eq.p.q1
+        jump = solve_jump_boundary(traj)
+        if jump is not None:
+            yield jump.boundary.p.q1
+
+    probe = next(
+        (q for q in candidates() if lo < q < upper and is_bimodal(traj.state(q))), None
+    )
     if probe is None:
         probe = _find_window_probe(traj, upper, lo, is_bimodal)
     if probe is None:
@@ -365,36 +478,46 @@ def bimodality_birth(traj: TrajectorySpec, grid_n: int = 512) -> BoundaryPoint |
     )
 
 
+def _intersection_residuals(q: np.ndarray) -> np.ndarray:
+    p = StateParams(q[0], q[1])
+    return np.array([_equal_endpoints_gap(p), _halfpi_curvature(p)])
+
+
 def curves_intersection(t_lo: float = 0.70, t_hi: float = 0.80) -> StateParams:
     """Intersection of the equal-endpoint and half-pi boundary curves.
 
-    Nested root solve over trajectory totals: at each total both boundaries
-    are solved along the path, and ``find_root`` drives their q1 separation
-    to zero from a 21-point scan of the totals.
-    Returns the intersection on the q1 > q2 side; the mirror follows by
-    symmetry.  Raises ConvergenceError when no separation sign change is
-    bracketed.
+    Newton's method on the 2x2 system {S(0) = S(pi/2), S''(pi/2) = 0} in
+    (q1, q2), with a central-difference Jacobian, seeded at the half-pi root
+    of the path q1 + q2 = (t_lo + t_hi) / 2.  Returns the intersection on the
+    q1 > q2 side; the mirror follows by symmetry.  Raises ConvergenceError
+    when the seed path has no half-pi root, an iterate leaves the triangle,
+    the steps have not shrunk below 1e-14 after a fixed number of them, or
+    the result lies on the q1 < q2 side or off the totals [t_lo, t_hi].
     """
-
-    def separation(t: float) -> float:
-        traj = TrajectorySpec(t)
-        eq = solve_equal_endpoints(traj)
-        hp = solve_halfpi_boundary(traj)
-        if eq is None or hp is None:
-            return math.nan
-        return eq.p.q1 - hp.p.q1
-
-    ts = np.linspace(t_lo, t_hi, 21)
-    vals = np.array([separation(t) for t in ts])
-    idx = _brackets(vals)
-    if idx.size == 0:
-        raise ConvergenceError("no sign change of the boundary separation found")
-    i = idx[0]
-    t_star = find_root(separation, ts[i], ts[i + 1], vals[i], vals[i + 1], xtol=1e-8)
-    eq = solve_equal_endpoints(TrajectorySpec(t_star))
-    if eq is None:
-        raise ConvergenceError("equal-endpoint boundary lost at the intersection total")
-    return eq.p
+    seed = solve_halfpi_boundary(TrajectorySpec(0.5 * (t_lo + t_hi)))
+    if seed is None or seed.degenerate:
+        raise ConvergenceError(f"no half-pi root to seed the intersection on [{t_lo}, {t_hi}]")
+    q = np.array([seed.p.q1, seed.p.q2])
+    for _ in range(_NEWTON_STEPS):
+        # the Jacobian's points must lie inside too; written so NaN fails it
+        if not (q.min() >= _FD_STEP and q.sum() <= 1.0 - _FD_STEP):
+            raise ConvergenceError(f"intersection Newton left the triangle at ({q[0]}, {q[1]})")
+        jac = np.column_stack([
+            (_intersection_residuals(q + e) - _intersection_residuals(q - e)) / (2.0 * _FD_STEP)
+            for e in _FD_STEP * np.eye(2)
+        ])
+        dq = np.linalg.solve(jac, _intersection_residuals(q))
+        q = q - dq
+        if np.abs(dq).max() <= 1e-14:
+            break
+    else:
+        raise ConvergenceError(f"intersection Newton did not converge in {_NEWTON_STEPS} steps")
+    p = StateParams(q[0], q[1])
+    if p.q1 < p.q2 or not t_lo <= p.q1 + p.q2 <= t_hi:
+        raise ConvergenceError(
+            f"intersection Newton landed at ({p.q1}, {p.q2}), off q1 >= q2 with total in [{t_lo}, {t_hi}]"
+        )
+    return p
 
 
 _TABLE_TOTALS = (0.55, 0.60, 0.65, 0.70, 0.75)

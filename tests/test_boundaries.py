@@ -6,8 +6,11 @@ import pytest
 
 import mp_reference
 from test_acceptance import REFERENCE_TABLE, TABLE_TOTALS
+import xdeficit.boundaries as boundaries_module
+import xdeficit.shape as shape_module
 from xdeficit import (
     BoundaryKind,
+    ConvergenceError,
     StateParams,
     TrajectorySpec,
     bimodality_birth,
@@ -22,11 +25,13 @@ from xdeficit import (
     zero_boundary_axis,
 )
 from xdeficit.boundaries import (
+    BIRTH_Q1_TOL,
     CORNER_TOL,
     Q1_TOL,
     SCAN_SAMPLES,
     _brackets,
     _find_window_probe,
+    _minimizer_near,
 )
 from xdeficit.core import s2_halfpi, s2_zero_axis
 from xdeficit.shape import find_root as _bisect
@@ -140,6 +145,13 @@ class TestWindowProbeFallback:
         jump_angle_table()
         assert [r for r in caplog.records if r.name == "xdeficit.boundaries"] == []
 
+    @pytest.mark.parametrize("total", TABLE_TOTALS)
+    def test_birth_silent_on_table_totals(self, total, caplog):
+        # 0.55 misses every probe offset; the jump root lies in its window
+        caplog.set_level(logging.DEBUG, logger="xdeficit.boundaries")
+        assert bimodality_birth(TrajectorySpec(total)) is not None
+        assert [r for r in caplog.records if r.name == "xdeficit.boundaries"] == []
+
     def test_logged_when_probes_miss(self, caplog):
         caplog.set_level(logging.DEBUG, logger="xdeficit.boundaries")
         traj = TrajectorySpec(0.75)
@@ -228,6 +240,22 @@ class TestJumpBoundary:
         with pytest.raises(ValueError):
             solve_jump_boundary(TrajectorySpec.on_axis())
 
+    @pytest.mark.parametrize("total", [0.77, 0.8])
+    def test_none_above_intersection(self, total):
+        assert solve_jump_boundary(TrajectorySpec(total)) is None
+
+    @pytest.mark.parametrize("total", [0.52, 0.57, 0.62, 0.68, 0.72, 0.76])
+    def test_fan_matches_40_digit_solve(self, total):
+        # off-table totals of the trace_boundaries fan, below the intersection
+        pytest.importorskip("mpmath")
+        rec = solve_jump_boundary(TrajectorySpec(total))
+        q1, theta, curvature = mp_reference.jump_point(
+            total, rec.boundary.p.q1, rec.jump_angle
+        )
+        assert abs(rec.boundary.p.q1 - float(q1)) <= 1e-10
+        assert abs(rec.jump_angle - float(theta)) <= 1e-8
+        assert curvature > 0
+
     def test_jump_ties_endpoint_and_interior(self):
         rec = solve_jump_boundary(TrajectorySpec(0.75))
         p = rec.boundary.p
@@ -235,7 +263,36 @@ class TestJumpBoundary:
         assert endpoint_entropy_zero(p) == pytest.approx(ext.value, abs=1e-8)
 
 
+class TestMinimizerNear:
+    def test_matches_classification(self):
+        p = StateParams(0.7215, 0.75 - 0.7215)
+        ext = interior_minimum(p, grid_n=2048)
+        # warm starts off by far more than the initial bracket
+        for theta0 in (ext.theta - 0.3, ext.theta, ext.theta + 0.3):
+            assert _minimizer_near(p, theta0) == pytest.approx(ext.theta, abs=1e-9)
+
+    def test_nan_without_interior_minimum(self):
+        p = StateParams(0.6, 0.1)
+        assert interior_minimum(p, grid_n=2048) is None
+        assert math.isnan(_minimizer_near(p, 0.8))
+
+
 class TestBimodalityBirth:
+    # births before the jump root became a window probe candidate
+    @pytest.mark.parametrize(
+        "total,ref_q1",
+        [
+            (0.55, 0.5443710551),
+            (0.60, 0.5876635742),
+            (0.65, 0.6309770255),
+            (0.70, 0.6749171221),
+            (0.75, 0.7200807868),
+        ],
+    )
+    def test_table_totals_stable(self, total, ref_q1):
+        bp = bimodality_birth(TrajectorySpec(total))
+        assert abs(bp.p.q1 - ref_q1) <= BIRTH_Q1_TOL
+
     def test_total_075(self):
         bp = bimodality_birth(TrajectorySpec(0.75))
         assert bp is not None
@@ -282,6 +339,21 @@ class TestCurvesIntersection:
         assert abs(endpoint_entropy_zero(p) - endpoint_entropy_halfpi(p)) < 1e-5
         assert abs(s2_halfpi(p)) < 1e-4
 
+    def test_no_seed_raises(self):
+        with pytest.raises(ConvergenceError):
+            curves_intersection(0.3, 0.4)
+
+    @pytest.mark.parametrize("t_lo,t_hi", [(0.70, 0.76), (0.78, 0.80)])
+    def test_root_off_the_totals_raises(self, t_lo, t_hi):
+        # Newton converges to the intersection at total ~0.7691, outside [t_lo, t_hi]
+        with pytest.raises(ConvergenceError):
+            curves_intersection(t_lo, t_hi)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(boundaries_module, "_NEWTON_STEPS", 2)
+        with pytest.raises(ConvergenceError):
+            curves_intersection()
+
     def test_matches_40_digit_solve(self):
         pytest.importorskip("mpmath")
         p = curves_intersection()
@@ -317,3 +389,33 @@ class TestJumpAngleTable:
             q1, theta, _ = mp_reference.jump_point(total, ref_q1, ref_angle)
             assert abs(rec.boundary.p.q1 - float(q1)) <= 1e-9, total
             assert abs(rec.jump_angle - float(theta)) <= 1e-9, total
+
+
+class TestSolveCost:
+    """Deterministic work counts of the Newton solves."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name, targets):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for target in targets:
+            monkeypatch.setattr(target, name, counted)
+        return calls
+
+    def test_jump_angle_table_classifications(self, monkeypatch):
+        # interior_minimum reaches classify_shape through the shape module
+        calls = self._count(
+            monkeypatch, shape_module, "classify_shape", [shape_module, boundaries_module]
+        )
+        jump_angle_table()
+        assert len(calls) <= 25
+
+    def test_intersection_scans(self, monkeypatch):
+        calls = self._count(monkeypatch, boundaries_module, "_last_root", [boundaries_module])
+        curves_intersection()
+        assert len(calls) <= 2
