@@ -284,19 +284,20 @@ def _predicate_onset(traj: TrajectorySpec, lo: float, hi_true: float, predicate,
     return a, b
 
 
-def _window_upper_end(traj: TrajectorySpec) -> float:
-    """Upper end of the interior-minimum window, where its probes start.
+def _window_upper_end(traj: TrajectorySpec) -> tuple[float, float | None]:
+    """Upper end of the interior-minimum window, where its probes start, and
+    the half-pi root of the path (None if the path does not cross it).
 
-    The contact point with the Cartesian axis, or, if the path crosses the
-    half-pi boundary, the smallest probe offset below that root: on the
-    boundary itself the extremum sits at theta = pi/2, so a probe there
-    always misses, after a classification whose grid doubles to its cap on
-    the vanishing curvature.
+    The upper end is the contact point with the Cartesian axis, or, if the
+    path crosses the half-pi boundary, the smallest probe offset below that
+    root: on the boundary itself the extremum sits at theta = pi/2, so a
+    probe there always misses, after a classification whose grid doubles to
+    its cap on the vanishing curvature.
     """
     hp = solve_halfpi_boundary(traj)
     if hp is not None and not hp.degenerate:
-        return hp.p.q1 - _PROBE_OFFSETS[1]
-    return min(traj.total, 1.0)
+        return hp.p.q1 - _PROBE_OFFSETS[1], hp.p.q1
+    return min(traj.total, 1.0), None
 
 
 def _minimizer_near(p: StateParams, theta0: float) -> float:
@@ -352,20 +353,26 @@ def solve_jump_boundary(traj: TrajectorySpec, grid_n: int = 1024) -> JumpRecord 
     where the minimum is gone is halved, and no step is shorter than the
     tolerance, so a one-sided approach still crosses the root.
 
+    A gap negative at the probe means the root lies above it.  Just below
+    the intersection of the equal-endpoint and half-pi boundaries it lies
+    between the probe and the half-pi root, where the minimizer merges into
+    pi/2 and the gap becomes S(0) - S(pi/2): when that end gap is positive,
+    ``shape.find_root`` solves the bracket directly, with the end gap
+    standing in wherever the minimum has already merged.
+
     Returns None when the path carries no window, when the gap is negative
-    at the probe (it rises through the window; this happens above the
-    intersection of the equal-endpoint and half-pi boundaries, where the
-    interior phase is absent), or when the minimum vanishes before the gap
-    changes sign.  Raises ConvergenceError after a fixed number of Newton
-    steps, or when a classification at twice ``grid_n`` finds no interior
-    minimum at the root.
+    at the probe and not positive at the half-pi root (above the
+    intersection, where the interior phase is absent), or when the minimum
+    vanishes before the gap changes sign.  Raises ConvergenceError after a
+    fixed number of Newton steps, or when a classification at twice
+    ``grid_n`` finds no interior minimum at the root.
     """
     if traj.axis:
         raise ValueError("the jump boundary on the axis is the weight-1/2 point")
     lo, hi = traj.q1_range()
     if traj.total <= 0.5:
         return None
-    upper = _window_upper_end(traj)
+    upper, hp_root = _window_upper_end(traj)
 
     minima = []  # interior minimum at each window probe; the last is the probe's
 
@@ -394,38 +401,47 @@ def solve_jump_boundary(traj: TrajectorySpec, grid_n: int = 1024) -> JumpRecord 
         a, b = max(q1 - _FD_STEP, lo), min(q1 + _FD_STEP, hi)
         return (post_entropy(traj.state(a), theta) - post_entropy(traj.state(b), theta)) / (b - a)
 
+    def gap_to_end(q1: float) -> float:
+        # the gap, continued by S(0) - S(pi/2) where the minimum has merged
+        g = gap(q1)
+        return _equal_endpoints_gap(traj.state(q1)) if math.isnan(g) else g
+
     xtol = 1e-9
     q, g = probe, gap(probe)
     if math.isnan(g):
         raise ConvergenceError(f"interior minimum lost at the window probe q1 = {probe!r} on {traj}")
     if g < 0.0:
-        return None
-    for _ in range(_NEWTON_STEPS):
-        # g > 0 here: the probe's gap, or one of the same sign
-        if g == 0.0:
-            root = q
-            break
-        step = -g / gap_slope(q)
-        step = math.copysign(max(abs(step), xtol), step)
-        g_new = gap(q + step)
-        while math.isnan(g_new):
-            step *= 0.5
-            if abs(step) < xtol:
-                return None  # the minimum vanishes before the gap changes sign
-            g_new = gap(q + step)
-        if g_new < 0.0:
-            root = find_root(gap, q, q + step, g, g_new, xtol)
-            break
-        q, g = q + step, g_new
+        g_end = math.nan if hp_root is None else _equal_endpoints_gap(traj.state(hp_root))
+        if not g_end > 0.0:
+            return None
+        root = find_root(gap_to_end, probe, hp_root, g, g_end, xtol)
     else:
-        raise ConvergenceError(f"jump gap on {traj} kept its sign over {_NEWTON_STEPS} Newton steps")
+        for _ in range(_NEWTON_STEPS):
+            # g > 0 here: the probe's gap, or one of the same sign
+            if g == 0.0:
+                root = q
+                break
+            step = -g / gap_slope(q)
+            step = math.copysign(max(abs(step), xtol), step)
+            g_new = gap(q + step)
+            while math.isnan(g_new):
+                step *= 0.5
+                if abs(step) < xtol:
+                    return None  # the minimum vanishes before the gap changes sign
+                g_new = gap(q + step)
+            if g_new < 0.0:
+                root = find_root(gap, q, q + step, g, g_new, xtol)
+                break
+            q, g = q + step, g_new
+        else:
+            raise ConvergenceError(f"jump gap on {traj} kept its sign over {_NEWTON_STEPS} Newton steps")
     p = traj.state(root)
     ext = interior_minimum(p, grid_n=2 * grid_n)
     if ext is None:
         raise ConvergenceError(f"interior minimum lost at the jump root ({p.q1}, {p.q2})")
     return JumpRecord(
         boundary=BoundaryPoint(
-            p=p, kind=BoundaryKind.JUMP_BOUNDARY, residual=abs(gap(root))
+            p=p, kind=BoundaryKind.JUMP_BOUNDARY, residual=abs(gap_to_end(root))
         ),
         jump_angle=ext.theta,
     )
@@ -444,7 +460,7 @@ def bimodality_birth(traj: TrajectorySpec, grid_n: int = 512) -> BoundaryPoint |
     lo, hi = traj.q1_range()
     if traj.total <= 0.5:
         return None
-    upper = _window_upper_end(traj)
+    upper, _ = _window_upper_end(traj)
 
     def is_bimodal(p: StateParams) -> bool:
         return classify_shape(p, grid_n=grid_n).shape_class is ShapeClass.BIMODAL

@@ -24,6 +24,8 @@ EDGE_TOL = 1e-12
 # degenerate (0/0 mixtures); callers get None instead of garbage.
 RADIUS_DEGENERACY_TOL = 1e-9
 
+_LEAST_SUBNORMAL = 5e-324
+
 
 class DomainError(ValueError):
     """Raised when parameters leave the valid probability domain."""
@@ -134,30 +136,94 @@ def family_spectrum(p: StateParams) -> np.ndarray:
 
 def pre_entropy(p: StateParams) -> float:
     """Entropy in bits of the state before any measurement."""
-    # the two Bell weights first, so that the sum does not depend on their
-    # order; and the order of endpoint_entropy_zero, so that both sums agree
-    # to the last bit on the diagonal, where the deficit is exactly 0
-    return _entropy_bits((p.q1, p.q2, 1.0 - (p.q1 + p.q2)))
+    return _pre_entropy(p.q1, p.q2)
 
 
-def _eigenvalues(q1, q2, theta) -> tuple[np.ndarray, ...]:
-    # the four closed-form eigenvalues; q1, q2 and theta broadcast together.
-    # a and b take q1 + q2 as one sum and c enters only squared, which keeps
-    # every eigenvalue bit-symmetric under the q1 <-> q2 exchange
-    a = 1.0 - (q1 + q2)
-    b = 1.0 - 2.0 * (q1 + q2)
+def _pre_entropy(q1: float, q2: float) -> float:
+    # the float-level body of pre_entropy, for callers that hold no
+    # StateParams.  The two Bell weights first, so that the sum does not
+    # depend on their order; and the order of endpoint_entropy_zero, so that
+    # both sums agree to the last bit on the diagonal, where the deficit is
+    # exactly 0
+    return _entropy_bits((q1, q2, 1.0 - (q1 + q2)))
+
+
+def _spectrum_into(w, q1, q2, ct, st) -> np.ndarray:
+    # the four closed-form eigenvalues at (q1, q2) and the angles whose cosine
+    # and sine are ct and st, all broadcast together, written in place into
+    # w[:4]; w is a float buffer of shape (5, *broadcast shape) and w[4] is
+    # scratch.  a and b take q1 + q2 as one sum and c enters only squared,
+    # which keeps every eigenvalue bit-symmetric under the q1 <-> q2 exchange
+    s = q1 + q2
+    a = 1.0 - s
+    b = 1.0 - 2.0 * s
     c = q1 - q2
-    ct = np.cos(theta)
-    act = a * ct
-    cst2 = (c * np.sin(theta)) ** 2
-    rad_p = np.sqrt((a + b * ct) ** 2 + cst2)
-    rad_m = np.sqrt((a - b * ct) ** 2 + cst2)
-    return (
-        0.25 * (1.0 + act + rad_p),
-        0.25 * (1.0 + act - rad_p),
-        0.25 * (1.0 - act + rad_m),
-        0.25 * (1.0 - act - rad_m),
-    )
+    # w[k, ...] keeps each slot a view, also for 0-d angles
+    lam0, lam1, lam2, lam3, rad_m = (w[k, ...] for k in range(5))
+    np.multiply(c, st, out=lam0)
+    np.square(lam0, out=lam0)  # (c sin theta)^2
+    np.multiply(b, ct, out=rad_m)
+    np.add(a, rad_m, out=lam1)
+    np.subtract(a, rad_m, out=rad_m)
+    np.square(lam1, out=lam1)
+    np.square(rad_m, out=rad_m)
+    np.add(lam1, lam0, out=lam1)
+    np.add(rad_m, lam0, out=rad_m)
+    np.sqrt(lam1, out=lam1)  # rad_p
+    np.sqrt(rad_m, out=rad_m)
+    np.multiply(a, ct, out=lam0)  # a cos theta
+    np.subtract(1.0, lam0, out=lam3)
+    np.add(1.0, lam0, out=lam2)
+    np.add(lam2, lam1, out=lam0)  # 1 + a cos theta + rad_p
+    np.subtract(lam2, lam1, out=lam1)  # 1 + a cos theta - rad_p
+    np.add(lam3, rad_m, out=lam2)  # 1 - a cos theta + rad_m
+    np.subtract(lam3, rad_m, out=lam3)  # 1 - a cos theta - rad_m
+    lam = w[:4]
+    np.multiply(lam, 0.25, out=lam)
+    return lam
+
+
+def curve_workspace(shape) -> np.ndarray:
+    """Scratch buffer for :func:`entropy_curve` over a broadcast ``shape``.
+
+    One buffer serves any number of calls of that shape; reusing it keeps
+    the kernel free of allocations.
+    """
+    return np.empty((9,) + tuple(shape))
+
+
+def entropy_curve(q1, q2, ct, st, work: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Post-measured entropy in bits from the cosine and sine of the angles.
+
+    The kernel behind :func:`post_entropy_grid`: q1, q2, ct = cos(theta) and
+    st = sin(theta) broadcast together.  The four eigenvalues go into one
+    ``(4, ...)`` buffer; clipping, the logarithms and the products run once
+    over it, and the four terms are summed in eigenvalue order.  ``work``,
+    from :func:`curve_workspace` for the broadcast shape, holds every
+    intermediate, and ``out`` receives the result; a call given both
+    allocates nothing.  The caller keeps (q1, q2) inside the triangle;
+    nothing is validated here.
+    """
+    if work is None or out is None:
+        shape = np.broadcast_shapes(np.shape(q1), np.shape(q2), np.shape(ct), np.shape(st))
+        work = curve_workspace(shape) if work is None else work
+        out = np.empty(shape) if out is None else out
+    lam = _spectrum_into(work[:5], q1, q2, ct, st)
+    # clipped to [0, 1] as np.clip does, without its Python-level wrapper
+    np.maximum(lam, 0.0, out=lam)
+    np.minimum(lam, 1.0, out=lam)
+    # same rule as _entropy_bits: weights <= 0 (float dust) contribute
+    # nothing.  Raised to the least subnormal, a zero weight has a finite
+    # logarithm (-1074) and its term 0 * -1074 = -0.0 leaves the sum as it is
+    terms = work[5:]
+    np.maximum(lam, _LEAST_SUBNORMAL, out=terms)
+    np.log2(terms, out=terms)
+    np.multiply(lam, terms, out=terms)
+    np.subtract(0.0, terms[0, ...], out=out)
+    for k in (1, 2, 3):
+        np.subtract(out, terms[k, ...], out=out)
+    return out[()]
 
 
 def post_spectrum(p: StateParams, theta) -> np.ndarray:
@@ -166,14 +232,17 @@ def post_spectrum(p: StateParams, theta) -> np.ndarray:
     Returns the four eigenvalues as the last axis of the result; ``theta``
     may be a scalar or an ndarray of polar angles.  The azimuthal measurement
     angle does not enter.  The formula extends smoothly to any real theta,
-    which the symmetry tests exploit.
+    which the symmetry tests exploit.  The spectrum that :func:`entropy_curve`
+    sums.
     """
-    return np.stack(_eigenvalues(p.q1, p.q2, np.asarray(theta, dtype=float)), axis=-1)
+    theta = np.asarray(theta, dtype=float)
+    lam = _spectrum_into(np.empty((5,) + theta.shape), p.q1, p.q2, np.cos(theta), np.sin(theta))
+    return np.moveaxis(lam, 0, -1).copy()
 
 
 def _post_entropy_scalar(q1: float, q2: float, theta: float) -> float:
     # scalar fast path; hot inner loop of every refinement and sweep.  The
-    # expressions of _eigenvalues, bit-symmetric under q1 <-> q2
+    # expressions of _spectrum_into, bit-symmetric under q1 <-> q2
     a = 1.0 - (q1 + q2)
     b = 1.0 - 2.0 * (q1 + q2)
     c = q1 - q2
@@ -252,16 +321,14 @@ def post_entropy_grid(q1, q2, theta) -> np.ndarray:
 
     The array form of :func:`post_entropy`: column arrays of states against a
     row of angles give one curve per state, elementwise identical to calling
-    ``post_entropy`` state by state.  The caller keeps (q1, q2) inside the
-    triangle; nothing is validated here.
+    ``post_entropy`` state by state.  A thin face of :func:`entropy_curve`,
+    which callers that reuse one set of angles can call with its cosines and
+    sines directly.  The caller keeps (q1, q2) inside the triangle; nothing
+    is validated here.
     """
-    out = 0.0
-    for lam in _eigenvalues(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float),
-                            np.asarray(theta, dtype=float)):
-        # same rule as _entropy_bits: weights <= 0 (float dust) contribute nothing
-        lam = np.clip(lam, 0.0, 1.0)
-        out = out - lam * np.log2(np.where(lam > 0.0, lam, 1.0))
-    return out
+    theta = np.asarray(theta, dtype=float)
+    return entropy_curve(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float),
+                         np.cos(theta), np.sin(theta))
 
 
 def endpoint_entropy_zero(p: StateParams) -> float:
@@ -269,7 +336,12 @@ def endpoint_entropy_zero(p: StateParams) -> float:
 
     The spectrum there collapses to (1-s, s/2, s/2, 0) with s = q1 + q2.
     """
-    s = p.q1 + p.q2
+    return _entropy_zero(p.q1, p.q2)
+
+
+def _entropy_zero(q1: float, q2: float) -> float:
+    # the float-level body of endpoint_entropy_zero
+    s = q1 + q2
     return _entropy_bits((s / 2.0, s / 2.0, 1.0 - s))
 
 
@@ -291,7 +363,13 @@ def aux_radius(p: StateParams) -> float:
 
 def endpoint_entropy_halfpi(p: StateParams) -> float:
     """Post-measured entropy at theta = pi/2: 1 + h((1+r)/2) bits."""
-    return 1.0 + binary_entropy((1.0 + aux_radius(p)) / 2.0)
+    return _entropy_halfpi(p.q1, p.q2)
+
+
+def _entropy_halfpi(q1: float, q2: float) -> float:
+    # the float-level body of endpoint_entropy_halfpi, r being aux_radius
+    r = math.hypot(1.0 - (q1 + q2), q1 - q2)
+    return 1.0 + binary_entropy((1.0 + r) / 2.0)
 
 
 def endpoint_entropy_halfpi_grid(q1, q2) -> np.ndarray:

@@ -18,7 +18,14 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .core import StateParams, endpoint_entropy_halfpi, endpoint_entropy_zero, post_entropy, pre_entropy
+from .core import (
+    StateParams,
+    _entropy_halfpi,
+    _entropy_zero,
+    _pre_entropy,
+    post_entropy,
+    pre_entropy,
+)
 from .shape import interior_minimum
 
 HALF_PI = math.pi / 2.0
@@ -34,10 +41,6 @@ class Branch(enum.Enum):
     AT_HALF_PI = "AtHalfPi"
 
 
-# tie-break preference order
-_BRANCH_RANK = {Branch.AT_ZERO: 0, Branch.AT_HALF_PI: 1, Branch.INTERIOR: 2}
-
-
 @dataclass(frozen=True)
 class DeficitResult:
     delta: float
@@ -46,10 +49,10 @@ class DeficitResult:
     tie: bool
 
 
-def _endpoint_values(p: StateParams) -> tuple[float, float, float]:
+def _endpoint_values(q1: float, q2: float) -> tuple[float, float, float]:
     # (pre-measurement entropy, delta0, delta_halfpi) from the closed forms
-    s = pre_entropy(p)
-    return s, endpoint_entropy_zero(p) - s, endpoint_entropy_halfpi(p) - s
+    s = _pre_entropy(q1, q2)
+    return s, _entropy_zero(q1, q2) - s, _entropy_halfpi(q1, q2) - s
 
 
 def branch_values(
@@ -60,30 +63,51 @@ def branch_values(
     ``interior`` is None when the entropy curve has no interior minimum,
     otherwise a (delta, vartheta) pair from the shape analysis.
     """
-    s, delta0, delta_halfpi = _endpoint_values(p)
+    s, delta0, delta_halfpi = _endpoint_values(p.q1, p.q2)
     ext = interior_minimum(p, grid_n=grid_n, refine_tol=refine_tol)
     interior = None if ext is None else (ext.value - s, ext.theta)
     return delta0, delta_halfpi, interior
 
 
-def _select(
+def _pick(
     delta0: float, delta_halfpi: float, interior: tuple[float, float] | None
-) -> DeficitResult:
-    candidates = [(delta0, Branch.AT_ZERO, 0.0), (delta_halfpi, Branch.AT_HALF_PI, HALF_PI)]
+) -> tuple[float, Branch, float, bool]:
+    """The tie rule: (delta, branch, theta, tie) of the winning branch.
+
+    Every branch within ``TIE_TOL`` of the least deficit contends, and the
+    first contender in the order AtZero, AtHalfPi, Interior wins; ``tie``
+    says whether more than one contended.
+    """
+    best = min(delta0, delta_halfpi)
     if interior is not None:
-        candidates.append((interior[0], Branch.INTERIOR, interior[1]))
-    best_delta = min(c[0] for c in candidates)
-    contenders = [c for c in candidates if c[0] - best_delta < TIE_TOL]
-    contenders.sort(key=lambda c: _BRANCH_RANK[c[1]])
-    delta, branch, theta = contenders[0]
-    return DeficitResult(delta=delta, branch=branch, optimal_theta=theta, tie=len(contenders) > 1)
+        best = min(best, interior[0])
+    at_zero = delta0 - best < TIE_TOL
+    at_half_pi = delta_halfpi - best < TIE_TOL
+    inner = interior is not None and interior[0] - best < TIE_TOL
+    tie = sum((at_zero, at_half_pi, inner)) > 1
+    if at_zero:
+        return delta0, Branch.AT_ZERO, 0.0, tie
+    if at_half_pi:
+        return delta_halfpi, Branch.AT_HALF_PI, HALF_PI, tie
+    return interior[0], Branch.INTERIOR, interior[1], tie
 
 
 def one_way_deficit(
     p: StateParams, grid_n: int = 512, refine_tol: float = 1e-10
 ) -> DeficitResult:
     """Minimize the measurement-dependent deficit over the three branches."""
-    return _select(*branch_values(p, grid_n=grid_n, refine_tol=refine_tol))
+    return DeficitResult(*_pick(*branch_values(p, grid_n=grid_n, refine_tol=refine_tol)))
+
+
+def endpoint_branch(q1: float, q2: float) -> tuple[float, Branch, float, bool]:
+    """:func:`endpoint_deficit` at float level: (delta, branch, theta, tie).
+
+    The same closed forms and tie rule, without building a ``StateParams``
+    or a ``DeficitResult``, for loops over many states.  The caller keeps
+    (q1, q2) inside the triangle; nothing is validated or clamped here.
+    """
+    _, delta0, delta_halfpi = _endpoint_values(q1, q2)
+    return _pick(delta0, delta_halfpi, None)
 
 
 def endpoint_deficit(p: StateParams) -> DeficitResult:
@@ -92,8 +116,7 @@ def endpoint_deficit(p: StateParams) -> DeficitResult:
     Equals :func:`one_way_deficit` wherever the entropy curve has no interior
     minimum, with the same tie rule, at the cost of three closed forms.
     """
-    _, delta0, delta_halfpi = _endpoint_values(p)
-    return _select(delta0, delta_halfpi, None)
+    return DeficitResult(*endpoint_branch(p.q1, p.q2))
 
 
 def _fd_second_derivative_at_ends(p: StateParams, h: float) -> tuple[float, float]:

@@ -4,15 +4,16 @@ Produces plot-ready data only; rendering stays out of scope.  The sweep
 labels each mirror pair of cells once.  The closed forms are bit-symmetric
 under the q1 <-> q2 exchange, so the cell (q2, q1) gets exactly the result of
 (q1, q2): the sweep labels the cells on and below the diagonal (q2 <= q1) and
-emits each cell above it as the exact mirror of its twin.  It samples the
-entropy curves of a block of those cells as one (cells x (theta_grid + 1))
-grid and flags in array operations the cells whose curve has a slope sign flip
-or a suspiciously flat slope (``shape.needs_refinement``).  Only those, a few
-percent of the triangle, go through the scalar ``one_way_deficit``; every
-other cell has no interior extremum and takes the better closed-form endpoint
-(``endpoint_deficit``), which is what ``one_way_deficit`` returns there.  Each
-cell thus gets the same result as a per-cell ``one_way_deficit`` call, in one
-process.
+emits each cell above it as the exact mirror of its twin.  One
+``shape.needs_refinement`` call samples the entropy curves of all those
+cells, a chunk of them at a time, and flags in array operations the cells
+whose curve has a slope sign flip or a suspiciously flat slope.  Only those,
+a few percent of the triangle, go through the scalar ``one_way_deficit``;
+every other cell has no interior extremum and takes the better closed-form
+endpoint from ``deficit.endpoint_branch``, the float-level arithmetic and tie
+rule of ``endpoint_deficit``, which is what ``one_way_deficit`` returns
+there.  Each cell thus gets the same result as a per-cell ``one_way_deficit``
+call, in one process.  Trajectory profiles take the same two routes.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .boundaries import (
     zero_boundary_axis,
 )
 from .core import StateParams, endpoint_entropy_halfpi, endpoint_entropy_zero
-from .deficit import endpoint_deficit, one_way_deficit
+from .deficit import endpoint_branch, one_way_deficit
 from .shape import UnresolvedShape, needs_refinement
 
 UNRESOLVED_LABEL = "Unresolved"
@@ -69,16 +70,33 @@ class TrajectoryProfile:
     transitions: list[tuple[float, str, str]]  # (q1 midpoint, from, to)
 
 
-def _cell(p: StateParams, theta_grid: int, refine: bool = True) -> PhaseCell:
-    """One labelled cell: the full deficit, or the endpoint branches alone."""
+def _cell(p: StateParams, theta_grid: int) -> PhaseCell:
+    """One labelled cell from the full deficit."""
     try:
-        if refine:
-            res = one_way_deficit(p, grid_n=theta_grid, refine_tol=1e-8)
-        else:
-            res = endpoint_deficit(p)
+        res = one_way_deficit(p, grid_n=theta_grid, refine_tol=1e-8)
     except UnresolvedShape:
         return PhaseCell(p.q1, p.q2, UNRESOLVED_LABEL, math.nan, math.nan)
     return PhaseCell(p.q1, p.q2, res.branch.value, res.delta, res.optimal_theta)
+
+
+def _label(q1s: list[float], q2s: list[float], theta_grid: int) -> list[PhaseCell]:
+    """Cells of the in-triangle states (q1s[k], q2s[k]), each as a per-cell
+    :func:`_cell` would label it.
+
+    One flag pass over all states picks those that take the full deficit;
+    the rest take the endpoint branches at float level and build no
+    ``StateParams``, so each (q1, q2) must be one that ``StateParams``
+    keeps unchanged.
+    """
+    cells = []
+    flags = needs_refinement(np.array(q1s), np.array(q2s), theta_grid)
+    for q1, q2, refine in zip(q1s, q2s, flags.tolist()):
+        if refine:
+            cells.append(_cell(StateParams(q1, q2), theta_grid))
+        else:
+            delta, branch, theta, _ = endpoint_branch(q1, q2)
+            cells.append(PhaseCell(q1, q2, branch.value, delta, theta))
+    return cells
 
 
 def sweep(resolution: int = 400, theta_grid: int = 512, threads: int | None = None) -> PhaseGrid:
@@ -89,11 +107,11 @@ def sweep(resolution: int = 400, theta_grid: int = 512, threads: int | None = No
     q2.  ``area_fraction_interior`` is the fraction of in-triangle cells won
     by the interior branch.  Cells whose shape classification fails are
     labeled separately and counted, never silently folded into a phase.
-    Only the cells with q2 <= q1 are labelled, ``resolution`` of them per
-    entropy grid; each cell above the diagonal is its twin with q1 and q2
-    swapped, which is exactly what labelling it would give.  ``threads`` is
-    accepted for compatibility and ignored: the sweep runs in the calling
-    process.
+    Only the cells with q2 <= q1 are labelled, all through one flag pass of
+    ``shape.needs_refinement``; each cell above the diagonal is its twin
+    with q1 and q2 swapped, which is exactly what labelling it would give.
+    ``threads`` is accepted for compatibility and ignored: the sweep runs in
+    the calling process.
     """
     if resolution < 100:
         raise ValueError("resolution must be at least 100")
@@ -105,13 +123,8 @@ def sweep(resolution: int = 400, theta_grid: int = 512, threads: int | None = No
         if centers[i] + centers[j] <= 1.0
     ]
     lower = [(i, j) for i, j in inside if j <= i]
-    labelled = {}
-    for start in range(0, len(lower), resolution):
-        block = lower[start:start + resolution]
-        q1 = np.array([centers[i] for i, _ in block])
-        q2 = np.array([centers[j] for _, j in block])
-        for (i, j), r in zip(block, needs_refinement(q1, q2, theta_grid)):
-            labelled[i, j] = _cell(StateParams(centers[i], centers[j]), theta_grid, bool(r))
+    labelled = dict(zip(lower, _label([centers[i] for i, _ in lower],
+                                      [centers[j] for _, j in lower], theta_grid)))
     cells = []
     for i, j in inside:
         if j <= i:
@@ -199,16 +212,21 @@ def trace_boundaries(resolution: int = 100) -> list[BoundaryCurve]:
 
 def trajectory_profile(traj: TrajectorySpec, samples: int = 1000,
                        theta_grid: int = 512) -> TrajectoryProfile:
-    """Deficit profile along a scan path with branch transitions marked."""
+    """Deficit profile along a scan path with branch transitions marked.
+
+    The samples take the two routes of :func:`sweep`: one flag pass over the
+    whole path, the full deficit on the flagged samples and the endpoint
+    branches on the rest, each equal to a per-sample ``one_way_deficit``.
+    """
     if samples < 100:
         raise ValueError("samples must be at least 100")
     lo, hi = traj.q1_range()
     if traj.axis:
         lo, hi = 0.0, 1.0
-    rows = []
-    for k in range(samples):
-        q1 = lo + (hi - lo) * k / (samples - 1)
-        rows.append(_cell(traj.state(q1), theta_grid))
+    q1s = [lo + (hi - lo) * k / (samples - 1) for k in range(samples)]
+    # the q2 of traj.state(q1); StateParams keeps both fields as they are on the path
+    q2s = [0.0 if traj.axis else traj.total - q1 for q1 in q1s]
+    rows = _label(q1s, q2s, theta_grid)
     transitions = []
     for a, b in zip(rows, rows[1:]):
         if a.branch != b.branch:

@@ -15,12 +15,13 @@ solver that the boundary solves share.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateParams, post_entropy, post_entropy_grid, post_entropy_slope
+from .core import StateParams, curve_workspace, entropy_curve, post_entropy, post_entropy_slope
 
 HALF_PI = math.pi / 2.0
 
@@ -44,6 +45,10 @@ _SPARE_STEPS = 3
 # Both ends of [0, pi/2] are stationary, so a bracket that ends there has its
 # slope probed this fraction of its width inside instead.
 _STATIONARY_INSET = 1e-2
+
+# States per chunk of the flag pass: a chunk's buffers at grid 512 stay
+# within ~64 KB each, so they are reused from cache instead of faulted in.
+_FLAG_CHUNK = 16
 
 
 class UnresolvedShape(RuntimeError):
@@ -216,26 +221,57 @@ def _extremum_brackets(theta: np.ndarray, signs: np.ndarray):
     ]
 
 
+@functools.lru_cache(maxsize=8)
+def _angle_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(theta, cos theta, sin theta) on the ``n + 1`` uniform angles of [0, pi/2].
+
+    Cached per grid size and read-only, so every caller shares one copy.
+    """
+    theta = np.linspace(0.0, HALF_PI, n + 1)
+    table = (theta, np.cos(theta), np.sin(theta))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
 def _angles(n: int) -> np.ndarray:
-    return np.linspace(0.0, HALF_PI, n + 1)
+    return _angle_table(n)[0]
 
 
 def needs_refinement(q1: np.ndarray, q2: np.ndarray, grid_n: int) -> np.ndarray:
     """Which states :func:`classify_shape` could find an interior extremum for.
 
-    Samples the entropy curves of all states (q1[k], q2[k]) as one
-    ``(len(q1), grid_n + 1)`` grid, on the angles classify_shape starts from.
-    A state is False when its slopes never change sign and none is
-    suspiciously flat: classify_shape then reports no extrema without
-    refining or doubling the grid, so the deficit is an endpoint branch.  A
-    True state (a sign flip, even one that refinement later merges into an
-    endpoint, or a grid that would double) needs the full classification.
+    Samples the entropy curve of each state (q1[k], q2[k]) on the
+    ``grid_n + 1`` angles classify_shape starts from, ``_FLAG_CHUNK`` states
+    at a time through one reused workspace.  A state is False when its slopes
+    never change sign and none is suspiciously flat: classify_shape then
+    reports no extrema without refining or doubling the grid, so the deficit
+    is an endpoint branch.  A True state (a sign flip, even one that
+    refinement later merges into an endpoint, or a grid that would double)
+    needs the full classification.  Each chunk's differences reduce to their
+    max, min and least magnitude, which decide the rule of
+    :func:`_grid_slopes` for curves free of NaN.
     """
     q1 = np.asarray(q1, dtype=float)[:, None]
     q2 = np.asarray(q2, dtype=float)[:, None]
-    signs, _, suspicious = _grid_slopes(post_entropy_grid(q1, q2, _angles(grid_n)))
-    has_bracket = np.any(signs > 0.0, axis=-1) & np.any(signs < 0.0, axis=-1)
-    return has_bracket | suspicious
+    _, ct, st = _angle_table(grid_n)
+    rows = max(1, min(len(q1), _FLAG_CHUNK))
+    work = curve_workspace((rows, grid_n + 1))
+    y = np.empty((rows, grid_n + 1))
+    d = np.empty((rows, grid_n))
+    flags = np.empty(len(q1), dtype=bool)
+    for start in range(0, len(q1), rows):
+        k = min(rows, len(q1) - start)
+        yk, dk = y[:k], d[:k]
+        entropy_curve(q1[start:start + k], q2[start:start + k], ct, st, work[:, :k], yk)
+        np.subtract(yk[:, 1:], yk[:, :-1], out=dk)
+        rising = dk.max(axis=-1) >= FLAT_SLOPE_TOL
+        falling = dk.min(axis=-1) <= -FLAT_SLOPE_TOL
+        np.abs(dk, out=dk)
+        near_flat = dk.min(axis=-1) < 10.0 * FLAT_SLOPE_TOL
+        # suspicious: a near-flat slope on a curve that is not flat throughout
+        flags[start:start + k] = (rising & falling) | (near_flat & (rising | falling))
+    return flags
 
 
 def classify_shape(p: StateParams, grid_n: int = 512, refine_tol: float = 1e-10) -> ShapeReport:
@@ -258,8 +294,8 @@ def classify_shape(p: StateParams, grid_n: int = 512, refine_tol: float = 1e-10)
 
     n = grid_n
     while True:
-        theta = _angles(n)
-        y = np.asarray(post_entropy(p, theta))
+        theta, ct, st = _angle_table(n)
+        y = entropy_curve(p.q1, p.q2, ct, st)
         signs, all_flat, suspicious = _grid_slopes(y)
         brackets = _extremum_brackets(theta, signs)
         if not suspicious or n >= MAX_GRID_N:

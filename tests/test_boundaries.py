@@ -244,6 +244,23 @@ class TestJumpBoundary:
     def test_none_above_intersection(self, total):
         assert solve_jump_boundary(TrajectorySpec(total)) is None
 
+    @pytest.mark.parametrize("total", [0.768, 0.769])
+    def test_root_above_probe_just_below_intersection(self, total):
+        # the jump root lies between the window probe, 1e-4 below the half-pi
+        # root, and that root, where the gap S(0) - S(pi/2) is still positive
+        pytest.importorskip("mpmath")
+        traj = TrajectorySpec(total)
+        hp_root = solve_halfpi_boundary(traj).p.q1
+        rec = solve_jump_boundary(traj)
+        assert rec is not None
+        assert hp_root - 1e-4 < rec.boundary.p.q1 < hp_root
+        q1, theta, curvature = mp_reference.jump_point(
+            total, rec.boundary.p.q1, rec.jump_angle
+        )
+        assert abs(rec.boundary.p.q1 - float(q1)) <= 1e-10
+        assert abs(rec.jump_angle - float(theta)) <= 1e-8
+        assert curvature > 0
+
     @pytest.mark.parametrize("total", [0.52, 0.57, 0.62, 0.68, 0.72, 0.76])
     def test_fan_matches_40_digit_solve(self, total):
         # off-table totals of the trace_boundaries fan, below the intersection

@@ -22,8 +22,10 @@ from xdeficit import (
     quaternary_entropy,
 )
 from xdeficit.core import (
+    curve_workspace,
     endpoint_entropy_halfpi_grid,
     endpoint_entropy_zero_grid,
+    entropy_curve,
     post_entropy_grid,
     post_entropy_slope,
     s2_halfpi,
@@ -164,6 +166,68 @@ class TestPostEntropy:
         assert grid.shape == (40, 129)
         for row, (q1, q2) in zip(grid, q):
             assert np.array_equal(row, post_entropy(StateParams(q1, q2), thetas))
+
+
+def _reference_eigenvalues(q1, q2, theta):
+    # the eigenvalues as plain broadcast expressions: the reference whose
+    # operations and order entropy_curve must reproduce to the bit
+    a = 1.0 - (q1 + q2)
+    b = 1.0 - 2.0 * (q1 + q2)
+    c = q1 - q2
+    ct = np.cos(theta)
+    act = a * ct
+    cst2 = (c * np.sin(theta)) ** 2
+    rad_p = np.sqrt((a + b * ct) ** 2 + cst2)
+    rad_m = np.sqrt((a - b * ct) ** 2 + cst2)
+    return (
+        0.25 * (1.0 + act + rad_p),
+        0.25 * (1.0 + act - rad_p),
+        0.25 * (1.0 - act + rad_m),
+        0.25 * (1.0 - act - rad_m),
+    )
+
+
+def _reference_entropy_grid(q1, q2, theta):
+    out = 0.0
+    for lam in _reference_eigenvalues(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float),
+                                      np.asarray(theta, dtype=float)):
+        lam = np.clip(lam, 0.0, 1.0)
+        out = out - lam * np.log2(np.where(lam > 0.0, lam, 1.0))
+    return out
+
+
+class TestEntropyCurveKernel:
+    # the kernel runs the reference's operations in the reference's order on
+    # whole arrays, so it matches to the bit, edges and corners included
+    THETAS = np.concatenate([np.linspace(0.0, HALF_PI, 129), [-0.4, 1e-9, 2.0, math.pi]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(closed_triangle_states(), min_size=1, max_size=20))
+    @example([StateParams(0.0, 0.0), StateParams(1.0, 0.0), StateParams(0.0, 1.0),
+              StateParams(0.5, 0.5), StateParams(1.0 - 1e-12, 1e-12), StateParams(0.0, 5e-324),
+              StateParams(0.3, 0.7), StateParams(1e-12, 1e-12)])
+    def test_matches_reference_grid(self, states):
+        q1 = np.array([[p.q1] for p in states])
+        q2 = np.array([[p.q2] for p in states])
+        ref = _reference_entropy_grid(q1, q2, self.THETAS)
+        assert np.array_equal(post_entropy_grid(q1, q2, self.THETAS), ref)
+        # a reused workspace and output buffer give the same bits
+        shape = ref.shape
+        work, out = curve_workspace(shape), np.empty(shape)
+        for _ in range(2):
+            entropy_curve(q1, q2, np.cos(self.THETAS), np.sin(self.THETAS), work, out)
+            assert np.array_equal(out, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(closed_triangle_states())
+    @example(StateParams(0.0, 0.0))
+    @example(StateParams(1.0, 0.0))
+    @example(StateParams(0.5, 0.5))
+    def test_post_spectrum_unchanged(self, p):
+        lam = post_spectrum(p, self.THETAS)
+        assert lam.shape == (len(self.THETAS), 4)
+        assert np.array_equal(lam, np.stack(_reference_eigenvalues(p.q1, p.q2, self.THETAS), axis=-1))
+        assert post_spectrum(p, 0.3).shape == (4,)
 
 
 class TestEndpointForms:

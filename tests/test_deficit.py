@@ -14,6 +14,7 @@ from xdeficit import (
     post_entropy,
     pre_entropy,
 )
+from xdeficit.deficit import TIE_TOL, _pick, endpoint_branch, endpoint_deficit
 from xdeficit.shape import golden_minimize
 
 HALF_PI = math.pi / 2
@@ -111,6 +112,32 @@ class TestOneWayDeficit:
         q1s = np.arange(0.7195, 0.7245, 1e-4)
         deltas = [one_way_deficit(StateParams(q1, 0.75 - q1)).delta for q1 in q1s]
         assert np.max(np.abs(np.diff(deltas))) < 1e-3
+
+
+class TestTieRule:
+    @staticmethod
+    def _ranked_reference(delta0, delta_halfpi, interior):
+        # the rule as a candidate list sorted by branch preference
+        rank = {Branch.AT_ZERO: 0, Branch.AT_HALF_PI: 1, Branch.INTERIOR: 2}
+        candidates = [(delta0, Branch.AT_ZERO, 0.0), (delta_halfpi, Branch.AT_HALF_PI, HALF_PI)]
+        if interior is not None:
+            candidates.append((interior[0], Branch.INTERIOR, interior[1]))
+        best = min(c[0] for c in candidates)
+        contenders = sorted((c for c in candidates if c[0] - best < TIE_TOL),
+                            key=lambda c: rank[c[1]])
+        return (*contenders[0], len(contenders) > 1)
+
+    def test_matches_ranked_candidates(self):
+        # values on a lattice of TIE_TOL / 2 make ties of every combination
+        rng = np.random.default_rng(4)
+        for d0, dh, di in 0.1 + 0.5 * TIE_TOL * rng.integers(0, 5, (2000, 3)):
+            for interior in (None, (di, 1.2)):
+                assert _pick(d0, dh, interior) == self._ranked_reference(d0, dh, interior)
+
+    def test_endpoint_branch_is_endpoint_deficit(self):
+        for q1, q2 in triangle_samples(300, seed=12):
+            res = endpoint_deficit(StateParams(q1, q2))
+            assert endpoint_branch(q1, q2) == (res.delta, res.branch, res.optimal_theta, res.tie)
 
 
 class TestNaiveRule:

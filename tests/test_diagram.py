@@ -232,6 +232,25 @@ class TestTrajectoryProfile:
         with pytest.raises(ValueError):
             trajectory_profile(TrajectorySpec(0.75), samples=10)
 
+    @pytest.mark.parametrize("traj", [TrajectorySpec(0.75), TrajectorySpec.on_axis()])
+    def test_matches_per_sample_route(self, traj):
+        # one flag pass over the path, the endpoint branches on the unflagged
+        # samples: the same rows as one_way_deficit sample by sample
+        profile = trajectory_profile(traj)
+        lo, hi = (0.0, 1.0) if traj.axis else traj.q1_range()
+        rows = []
+        for k in range(1000):
+            p = traj.state(lo + (hi - lo) * k / 999)
+            res = one_way_deficit(p, grid_n=512, refine_tol=1e-8)
+            rows.append(PhaseCell(p.q1, p.q2, res.branch.value, res.delta, res.optimal_theta))
+        assert profile.rows == rows
+        transitions = [
+            (0.5 * (a.q1 + b.q1), a.branch, b.branch)
+            for a, b in zip(rows, rows[1:]) if a.branch != b.branch
+        ]
+        assert profile.transitions == transitions
+        assert {r.branch for r in rows} >= {"AtZero", "Interior", "AtHalfPi"}
+
 
 class TestTraceBoundaries:
     def _curves_of(self, curves, kind):

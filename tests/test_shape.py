@@ -14,16 +14,21 @@ from xdeficit import (
     endpoint_entropy_zero,
     endpoint_slope_check,
     interior_minimum,
+    TrajectorySpec,
     post_entropy,
+    solve_halfpi_boundary,
 )
+from xdeficit.core import post_entropy_grid
 from xdeficit.shape import (
     ENDPOINT_MARGIN,
     _SPARE_STEPS,
+    _angle_table,
     _angles,
     _extremum_brackets,
     _grid_slopes,
     find_root,
     golden_minimize,
+    needs_refinement,
 )
 
 HALF_PI = math.pi / 2
@@ -124,6 +129,46 @@ class TestExtremumBrackets:
         signs = np.array([1.0, 0.0, 0.0, -1.0, -1.0, 0.0, 1.0, 0.0])
         assert _extremum_brackets(theta, signs) == [("max", 0.0, 4.0), ("min", 4.0, 7.0)]
         assert _extremum_brackets(theta, np.zeros(8)) == []
+
+
+class TestNeedsRefinement:
+    @staticmethod
+    def _states():
+        # random states interleaved with states of the jump window and the
+        # two sides of the axis half-pi root, so that flags of both values
+        # fall in every chunk
+        rng = np.random.default_rng(21)
+        root = solve_halfpi_boundary(TrajectorySpec.on_axis()).p.q1
+        window = [(t - d, d) for t, d in zip(rng.uniform(0.55, 0.77, 48), rng.uniform(0.0, 0.04, 48))]
+        window += [(root + 1e-6, 0.0), (root - 1e-6, 0.0)]
+        mixed = [x for pair in zip(map(tuple, triangle_samples(50, seed=9)), window) for x in pair]
+        q = np.array(mixed)
+        return q[:, 0], q[:, 1]
+
+    @pytest.mark.parametrize("grid_n", [128, 512])
+    @pytest.mark.parametrize("count", [1, 15, 16, 17, 100])
+    def test_matches_grid_slopes_rule(self, grid_n, count):
+        q1, q2 = (a[-count:] for a in self._states())
+        signs, _, suspicious = _grid_slopes(post_entropy_grid(q1[:, None], q2[:, None], _angles(grid_n)))
+        expected = (np.any(signs > 0.0, axis=-1) & np.any(signs < 0.0, axis=-1)) | suspicious
+        flags = needs_refinement(q1, q2, grid_n)
+        assert flags.dtype == bool and flags.shape == (count,)
+        assert np.array_equal(flags, expected)
+        if count == 100:
+            assert 0 < flags.sum() < count
+
+
+class TestAngleTable:
+    def test_cached_and_read_only(self):
+        table = _angle_table(512)
+        assert _angle_table(512) is table
+        theta, ct, st = table
+        assert np.array_equal(theta, np.linspace(0.0, HALF_PI, 513))
+        assert np.array_equal(ct, np.cos(theta)) and np.array_equal(st, np.sin(theta))
+        for a in table:
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        assert _angles(512) is theta
 
 
 class TestInteriorMinimum:
