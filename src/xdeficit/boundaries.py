@@ -8,12 +8,18 @@ bracketing scans followed by ``shape.find_root``, a bracketed superlinear
 bisection.  These scans sample the whole path as one array through the
 broadcast endpoint forms of ``core`` (``TrajectorySpec.states``); only the
 root solve in the last bracket evaluates the scalar forms point by point.
-The jump boundary and the intersection of the equal-endpoint and half-pi
-curves are Newton-type solves on the scalar closed forms of ``core``: the
-jump gap is driven to a sign change by Newton steps in q1, tracking the
-interior minimizer as a warm-started root of dS/dtheta, and the
-intersection is one 2x2 Newton system in (q1, q2).  No residual uses the
-entropy curvature at theta = 0, which diverges off the axes.
+The jump boundary, the bimodality birth and the intersection of the
+equal-endpoint and half-pi curves are Newton-type solves on the scalar
+closed forms of ``core``.  The jump and the birth share one window probe,
+one angle walk and one Newton loop.  The probe is a single shape
+classification at the window's upper end; a path whose probe finds no
+interior minimum carries no window.  From the probe, Newton steps in q1
+drive the jump gap S(0) - S(theta*) to a sign change, tracking the
+interior minimizer theta* as a warm-started root of dS/dtheta, and do the
+same for the fold value S'(theta_i), tracking the inflection theta_i as a
+warm-started root of d2S/dtheta2.  The intersection is one 2x2 Newton
+system in (q1, q2).  No residual uses the entropy curvature at theta = 0,
+which diverges off the axes.
 
 Boundary kinds:
 
@@ -24,12 +30,14 @@ Boundary kinds:
   only on the Cartesian axes.
 * ``JumpBoundary``: the endpoint deficit ties the interior-minimum deficit,
   where the optimal angle hops by a finite step.
-* ``BimodalityBirth``: an extremum pair appears out of an inflection point.
+* ``BimodalityBirth``: an extremum pair appears out of an inflection point,
+  a fold of dS/dtheta where S' = 0 and S'' = 0 hold together.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,7 +58,6 @@ from .core import (
 from .shape import (
     ENDPOINT_MARGIN,
     HALF_PI,
-    ShapeClass,
     classify_shape,
     find_root,
     interior_minimum,
@@ -58,22 +65,18 @@ from .shape import (
 
 SCAN_SAMPLES = 2048
 Q1_TOL = 1e-7
-BIRTH_Q1_TOL = 1e-5
 CORNER_TOL = 1e-9
 
-# Newton solves of the jump gap and the curve intersection: the step cap,
+# Newton solves of the jump gap, the fold and the curve intersection: the step cap,
 # and the step of their central differences.
 _NEWTON_STEPS = 30
 _FD_STEP = 1e-6
 
 # Initial half-width (radians) of the bracket around the previous minimizer
-# in which the jump solve looks for the next one, and the minimizer's tolerance.
+# in which the boundary solves look for the next one, at most half the
+# previous angle, and the minimizer's tolerance.
 _WALK_WIDTH = 1e-3
 _THETA_TOL = 1e-10
-
-# Probe offsets used when hunting for a point inside the (narrow) window where
-# the interior minimum exists; stepped downward from the window's upper end.
-_PROBE_OFFSETS = (0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
 
 
 class ConvergenceError(RuntimeError):
@@ -241,83 +244,48 @@ def zero_boundary_axis() -> list[BoundaryPoint]:
     return points
 
 
-def _find_window_probe(traj: TrajectorySpec, upper: float, lo: float,
-                       predicate) -> float | None:
-    """Point q1 in (lo, upper] where ``predicate`` holds, stepping down from upper.
-
-    When every probe misses, falls back to a uniform 2048-point sweep and logs
-    that at DEBUG level on this module's logger.
-    """
-    for off in _PROBE_OFFSETS:
-        q = upper - off
-        if q <= lo:
-            break
-        if predicate(traj.state(q)):
-            return q
-    # fall back to a uniform sweep of the whole half-trajectory; logging is
-    # imported only here, which keeps it out of every CLI process's start-up
-    import logging
-
-    logging.getLogger(__name__).debug(
-        "window probes missed on %s below q1 = %r; scanning %d points",
-        traj, upper, SCAN_SAMPLES,
-    )
-    for q in np.linspace(upper, lo, SCAN_SAMPLES, endpoint=False):
-        if predicate(traj.state(q)):
-            return float(q)
-    return None
-
-
-def _predicate_onset(traj: TrajectorySpec, lo: float, hi_true: float, predicate,
-                     xtol: float) -> tuple[float, float]:
-    """Bisect the False -> True transition of ``predicate`` on [lo, hi_true].
-
-    Returns the final bracket (last_false, first_true).
-    """
-    a, b = lo, hi_true
-    while b - a > xtol:
-        m = 0.5 * (a + b)
-        if predicate(traj.state(m)):
-            b = m
-        else:
-            a = m
-    return a, b
-
-
 def _window_upper_end(traj: TrajectorySpec) -> tuple[float, float | None]:
-    """Upper end of the interior-minimum window, where its probes start, and
+    """Upper end of the interior-minimum window, where its probe sits, and
     the half-pi root of the path (None if the path does not cross it).
 
     The upper end is the contact point with the Cartesian axis, or, if the
-    path crosses the half-pi boundary, the smallest probe offset below that
-    root: on the boundary itself the extremum sits at theta = pi/2, so a
-    probe there always misses, after a classification whose grid doubles to
-    its cap on the vanishing curvature.
+    path crosses the half-pi boundary, 1e-4 below that root: on the boundary
+    itself the extremum sits at theta = pi/2, so a probe there always
+    misses, after a classification whose grid doubles to its cap on the
+    vanishing curvature.
     """
     hp = solve_halfpi_boundary(traj)
     if hp is not None and not hp.degenerate:
-        return hp.p.q1 - _PROBE_OFFSETS[1], hp.p.q1
+        return hp.p.q1 - 1e-4, hp.p.q1
     return min(traj.total, 1.0), None
 
 
-def _minimizer_near(p: StateParams, theta0: float) -> float:
-    """Interior minimizer of the entropy curve near ``theta0``, or NaN if it is gone.
+def _slope_curvature(p: StateParams, theta: float) -> float:
+    """d2S/dtheta2 at scalar theta, a central difference of the closed-form dS/dtheta."""
+    h = _FD_STEP
+    return (post_entropy_slope(p, theta + h) - post_entropy_slope(p, theta - h)) / (2.0 * h)
 
-    The root of dS/dtheta, bracketed by a walk from a small bracket around
-    theta0: while the slope has one sign at both ends, the bracket moves
-    downhill, to the side where the minimum lies, by steps that double.
-    NaN when the bracket holds a maximum instead (slope positive, then
-    negative), or when the walk reaches ``ENDPOINT_MARGIN`` of an end of
-    [0, pi/2], where ``classify_shape`` merges an extremum into the
-    endpoint.  A bracket over which the slope runs from negative to positive
-    holds the one interior minimum of the curve, since the curve carries at
-    most one minimum and one maximum.
+
+def _minimizer_near(deriv, p: StateParams, theta0: float) -> float:
+    """Interior minimizer near ``theta0`` of a function of the angle, or NaN if it is gone.
+
+    ``deriv(p, theta)`` is the function's derivative at state p; the
+    minimizer is its root, bracketed by a walk from a small bracket around
+    theta0: while the derivative has one sign at both ends, the bracket
+    moves downhill, to the side where the minimum lies, by steps that
+    double.  NaN when the bracket holds a maximum instead (derivative
+    positive, then negative), or when the walk reaches ``ENDPOINT_MARGIN``
+    of an end of [0, pi/2], where ``classify_shape`` merges an extremum into
+    the endpoint.  With ``post_entropy_slope`` as ``deriv`` this tracks the
+    interior minimum of the entropy curve, which carries at most one; with
+    :func:`_slope_curvature` it tracks the inflection at which dS/dtheta is
+    least.
     """
     lo_end, hi_end = ENDPOINT_MARGIN, HALF_PI - ENDPOINT_MARGIN
-    slope = lambda t: post_entropy_slope(p, t)
-    w = _WALK_WIDTH
+    deriv = functools.partial(deriv, p)
+    w = min(_WALK_WIDTH, 0.5 * theta0)
     a, b = max(theta0 - w, lo_end), min(theta0 + w, hi_end)
-    sa, sb = slope(a), slope(b)
+    sa, sb = deriv(a), deriv(b)
     while not (sa <= 0.0 <= sb and sa < sb):
         if sa >= 0.0 >= sb:
             return math.nan
@@ -327,14 +295,42 @@ def _minimizer_near(p: StateParams, theta0: float) -> float:
                 return math.nan
             a, sa = b, sb
             b = min(b + w, hi_end)
-            sb = slope(b)
+            sb = deriv(b)
         else:  # rising at both ends: the minimum lies to the left
             if a == lo_end:
                 return math.nan
             b, sb = a, sa
             a = max(a - w, lo_end)
-            sa = slope(a)
-    return find_root(slope, a, b, sa, sb, _THETA_TOL)
+            sa = deriv(a)
+    return find_root(deriv, a, b, sa, sb, _THETA_TOL)
+
+
+def _newton_root(f, slope, q: float, fq: float, xtol: float, what: str) -> float | None:
+    """Root in q1 of ``f`` by Newton steps from q, where fq = f(q) is not NaN.
+
+    Steps q -= f(q) / slope(q) until f changes sign, then ``shape.find_root``
+    polishes the last step's bracket to ``xtol``.  A step that lands where f
+    is NaN (outside its domain) is halved, and no step is shorter than xtol,
+    so a one-sided approach still crosses the root.  Returns None when the
+    step halves below xtol, that is when f's domain ends before f changes
+    sign; raises ConvergenceError, naming ``what``, when f keeps its sign
+    over a fixed number of steps.
+    """
+    for _ in range(_NEWTON_STEPS):
+        if fq == 0.0:
+            return q
+        step = -fq / slope(q)
+        step = math.copysign(max(abs(step), xtol), step)
+        f_new = f(q + step)
+        while math.isnan(f_new):
+            step *= 0.5
+            if abs(step) < xtol:
+                return None
+            f_new = f(q + step)
+        if (f_new < 0.0) != (fq < 0.0):
+            return find_root(f, q, q + step, fq, f_new, xtol)
+        q, fq = q + step, f_new
+    raise ConvergenceError(f"{what} kept its sign over {_NEWTON_STEPS} Newton steps")
 
 
 def solve_jump_boundary(traj: TrajectorySpec, grid_n: int = 1024) -> JumpRecord | None:
@@ -343,15 +339,14 @@ def solve_jump_boundary(traj: TrajectorySpec, grid_n: int = 1024) -> JumpRecord 
     Solves the 2x2 system {S'(theta) = 0, S(theta) = S(0)} in (q1, theta)
     with theta eliminated: the root of the gap g(q1) = S(0) - S(theta*)
     along the path, theta* being the interior minimizer.  One shape
-    classification finds a window probe just below the window's analytic
-    upper end, where the minimum exists.  Newton steps in q1 then drive g to
-    a sign change, and ``shape.find_root`` polishes the bracket to 1e-9.
-    Each gap evaluation finds theta* with :func:`_minimizer_near`,
-    warm-started from the last one.  By the envelope theorem the Newton
-    slope dg/dq1 is the q1-derivative at fixed theta*, taken as a central
-    difference (S(0) is constant along the path).  A step into the region
-    where the minimum is gone is halved, and no step is shorter than the
-    tolerance, so a one-sided approach still crosses the root.
+    classification at the window's analytic upper end (the window probe)
+    finds the minimum; when it finds none, the path carries no window.
+    Newton steps in q1 (:func:`_newton_root`) then drive g to a sign change,
+    and ``shape.find_root`` polishes the bracket to 1e-9.  Each gap
+    evaluation finds theta* with :func:`_minimizer_near`, warm-started from
+    the last one.  By the envelope theorem the Newton slope dg/dq1 is the
+    q1-derivative at fixed theta*, taken as a central difference (S(0) is
+    constant along the path).
 
     A gap negative at the probe means the root lies above it.  Just below
     the intersection of the equal-endpoint and half-pi boundaries it lies
@@ -372,25 +367,18 @@ def solve_jump_boundary(traj: TrajectorySpec, grid_n: int = 1024) -> JumpRecord 
     lo, hi = traj.q1_range()
     if traj.total <= 0.5:
         return None
-    upper, hp_root = _window_upper_end(traj)
-
-    minima = []  # interior minimum at each window probe; the last is the probe's
-
-    def exists(p: StateParams) -> bool:
-        minima.append(interior_minimum(p, grid_n=grid_n))
-        return minima[-1] is not None
-
-    probe = _find_window_probe(traj, upper, lo, exists)
-    if probe is None:
+    probe, hp_root = _window_upper_end(traj)
+    ext = interior_minimum(traj.state(probe), grid_n=grid_n)
+    if ext is None:
         return None
-    theta = minima[-1].theta
+    theta = ext.theta
 
     def gap(q1: float) -> float:
         nonlocal theta
         if not lo < q1 <= hi:
             return math.nan
         p = traj.state(q1)
-        t = _minimizer_near(p, theta)
+        t = _minimizer_near(post_entropy_slope, p, theta)
         if math.isnan(t):
             return math.nan
         theta = t
@@ -407,7 +395,7 @@ def solve_jump_boundary(traj: TrajectorySpec, grid_n: int = 1024) -> JumpRecord 
         return _equal_endpoints_gap(traj.state(q1)) if math.isnan(g) else g
 
     xtol = 1e-9
-    q, g = probe, gap(probe)
+    g = gap(probe)
     if math.isnan(g):
         raise ConvergenceError(f"interior minimum lost at the window probe q1 = {probe!r} on {traj}")
     if g < 0.0:
@@ -416,25 +404,9 @@ def solve_jump_boundary(traj: TrajectorySpec, grid_n: int = 1024) -> JumpRecord 
             return None
         root = find_root(gap_to_end, probe, hp_root, g, g_end, xtol)
     else:
-        for _ in range(_NEWTON_STEPS):
-            # g > 0 here: the probe's gap, or one of the same sign
-            if g == 0.0:
-                root = q
-                break
-            step = -g / gap_slope(q)
-            step = math.copysign(max(abs(step), xtol), step)
-            g_new = gap(q + step)
-            while math.isnan(g_new):
-                step *= 0.5
-                if abs(step) < xtol:
-                    return None  # the minimum vanishes before the gap changes sign
-                g_new = gap(q + step)
-            if g_new < 0.0:
-                root = find_root(gap, q, q + step, g, g_new, xtol)
-                break
-            q, g = q + step, g_new
-        else:
-            raise ConvergenceError(f"jump gap on {traj} kept its sign over {_NEWTON_STEPS} Newton steps")
+        root = _newton_root(gap, gap_slope, probe, g, xtol, f"jump gap on {traj}")
+        if root is None:
+            return None  # the minimum vanishes before the gap changes sign
     p = traj.state(root)
     ext = interior_minimum(p, grid_n=2 * grid_n)
     if ext is None:
@@ -450,47 +422,69 @@ def solve_jump_boundary(traj: TrajectorySpec, grid_n: int = 1024) -> JumpRecord 
 def bimodality_birth(traj: TrajectorySpec, grid_n: int = 512) -> BoundaryPoint | None:
     """Path point where an extremum pair is born out of an inflection.
 
-    Bisects the onset of the bimodal classification to a resolution-limited
-    tolerance of 1e-5 in q1.  The stored residual is the width of the final
-    onset bracket, since the defining condition is a classification flip
-    rather than an equation value.
+    The birth is a fold of dS/dtheta: S' = 0 and S'' = 0 hold together.
+    It is the root of g(q1) = S'(theta_i) along the path, theta_i being the
+    inflection at which S' is least, between the maximum and the minimum of
+    the pair.  One shape classification at the window's upper end (the
+    window probe of :func:`solve_jump_boundary`) finds the pair; when it
+    finds no interior minimum, the path carries no window.  theta_i is
+    bracketed between the probe's maximum and its minimum.  A maximum within
+    the first grid cell goes unreported; the bracket then starts at the
+    first of theta_min / 2, theta_min / 4, ... at which S' falls, no lower
+    than ``ENDPOINT_MARGIN``.  Newton steps in q1
+    (:func:`_newton_root`) then drive g from negative to a sign change, and
+    ``shape.find_root`` polishes the bracket.  Each evaluation of g finds
+    theta_i with :func:`_minimizer_near` over S'', a central difference of
+    the closed-form slope, warm-started from the last one; by the envelope
+    theorem the Newton slope is the q1-derivative of S' at fixed theta_i.
+    The stored residual is |S'(theta_i)| at the root.
+
+    Returns None when the path carries no window.  Raises ConvergenceError
+    when the probe yields no bracket for theta_i, when the inflection is
+    lost before g changes sign, or after a fixed number of Newton steps.
     """
     if traj.axis:
         return None  # on the axis extrema appear by endpoint bifurcation instead
     lo, hi = traj.q1_range()
     if traj.total <= 0.5:
         return None
-    upper, _ = _window_upper_end(traj)
-
-    def is_bimodal(p: StateParams) -> bool:
-        return classify_shape(p, grid_n=grid_n).shape_class is ShapeClass.BIMODAL
-
-    def candidates():
-        # landmarks that tend to lie in the window, each solved only if the
-        # one before it misses: the equal-endpoint root, then the jump root
-        eq = solve_equal_endpoints(traj)
-        if eq is not None and not eq.degenerate:
-            yield eq.p.q1
-        jump = solve_jump_boundary(traj)
-        if jump is not None:
-            yield jump.boundary.p.q1
-
-    probe = next(
-        (q for q in candidates() if lo < q < upper and is_bimodal(traj.state(q))), None
-    )
-    if probe is None:
-        probe = _find_window_probe(traj, upper, lo, is_bimodal)
-    if probe is None:
+    probe, _ = _window_upper_end(traj)
+    p = traj.state(probe)
+    theta_of = {e.kind: e.theta for e in classify_shape(p, grid_n=grid_n).extrema}
+    if "min" not in theta_of:
         return None
-    if is_bimodal(traj.state(lo)):
-        return None
-    last_false, first_true = _predicate_onset(
-        traj, lo, probe, is_bimodal, BIRTH_Q1_TOL
-    )
+    s2 = functools.partial(_slope_curvature, p)
+    b = theta_of["min"]
+    a = theta_of.get("max", b)
+    while not s2(a) < 0.0:  # no maximum reported: halve toward 0 into the fall of S'
+        a *= 0.5
+        if a < ENDPOINT_MARGIN:
+            raise ConvergenceError(f"no inflection below the minimum at the window probe on {traj}")
+    theta = find_root(s2, a, b, s2(a), s2(b), _THETA_TOL)
+
+    def fold(q1: float) -> float:
+        nonlocal theta
+        if not lo < q1 <= hi:
+            return math.nan
+        p = traj.state(q1)
+        t = _minimizer_near(_slope_curvature, p, theta)
+        if math.isnan(t):
+            return math.nan
+        theta = t
+        return post_entropy_slope(p, t)
+
+    def fold_slope(q1: float) -> float:
+        # d/dq1 of S' at the theta_i of the last evaluation
+        a, b = max(q1 - _FD_STEP, lo), min(q1 + _FD_STEP, hi)
+        s_a, s_b = post_entropy_slope(traj.state(a), theta), post_entropy_slope(traj.state(b), theta)
+        return (s_b - s_a) / (b - a)
+
+    g = post_entropy_slope(p, theta)
+    root = _newton_root(fold, fold_slope, probe, g, 1e-9, f"fold of dS/dtheta on {traj}")
+    if root is None:
+        raise ConvergenceError(f"inflection lost before the fold on {traj}")
     return BoundaryPoint(
-        p=traj.state(first_true),
-        kind=BoundaryKind.BIMODALITY_BIRTH,
-        residual=first_true - last_false,
+        p=traj.state(root), kind=BoundaryKind.BIMODALITY_BIRTH, residual=abs(fold(root))
     )
 
 

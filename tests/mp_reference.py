@@ -84,3 +84,21 @@ def curves_intersection(q1_0: float, total_0: float) -> tuple[float, float]:
 
         q1, total = mp.findroot(equations, (mp.mpf(str(q1_0)), mp.mpf(str(total_0))))
     return float(q1), float(total - q1)
+
+
+def birth_point(total, q1_0, theta0):
+    """(q1, theta) solving {dS/dtheta = 0, d2S/dtheta2 = 0} on q1 + q2 = total.
+
+    The fold of dS/dtheta at which an extremum pair is born out of an
+    inflection: a 40-digit Newton solve in (q1, theta) seeded at
+    (q1_0, theta0).  The values come back as mpmath numbers.
+    """
+    with mp.workdps(DPS):
+        total = mp.mpf(str(total))
+
+        def equations(q1, theta):
+            curve = lambda t: entropy(q1, total - q1, t)
+            return [mp.diff(curve, theta), mp.diff(curve, theta, 2)]
+
+        q1, theta = mp.findroot(equations, (mp.mpf(str(q1_0)), mp.mpf(str(theta0))))
+    return q1, theta

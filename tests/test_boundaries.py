@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -25,18 +24,20 @@ from xdeficit import (
     zero_boundary_axis,
 )
 from xdeficit.boundaries import (
-    BIRTH_Q1_TOL,
     CORNER_TOL,
     Q1_TOL,
     SCAN_SAMPLES,
     _brackets,
-    _find_window_probe,
     _minimizer_near,
 )
-from xdeficit.core import s2_halfpi, s2_zero_axis
+from xdeficit.core import post_entropy_slope, s2_halfpi, s2_zero_axis
 from xdeficit.shape import find_root as _bisect
 
 HALF_PI = math.pi / 2
+
+# the bracket width of the classification-flip births that
+# TestBimodalityBirth::test_table_totals_stable pins as references
+BIRTH_Q1_TOL = 1e-5
 
 
 def _brackets_loop(vals):
@@ -137,29 +138,6 @@ class TestArrayScan:
             lo, hi = traj.q1_range()
             ref = _solve_loop(traj, curvature, lo + 1e-9, hi - 1e-9)
             assert self._as_tuple(solve_halfpi_boundary(traj)) == ref, traj
-
-
-class TestWindowProbeFallback:
-    def test_silent_on_table_totals(self, caplog):
-        caplog.set_level(logging.DEBUG, logger="xdeficit.boundaries")
-        jump_angle_table()
-        assert [r for r in caplog.records if r.name == "xdeficit.boundaries"] == []
-
-    @pytest.mark.parametrize("total", TABLE_TOTALS)
-    def test_birth_silent_on_table_totals(self, total, caplog):
-        # 0.55 misses every probe offset; the jump root lies in its window
-        caplog.set_level(logging.DEBUG, logger="xdeficit.boundaries")
-        assert bimodality_birth(TrajectorySpec(total)) is not None
-        assert [r for r in caplog.records if r.name == "xdeficit.boundaries"] == []
-
-    def test_logged_when_probes_miss(self, caplog):
-        caplog.set_level(logging.DEBUG, logger="xdeficit.boundaries")
-        traj = TrajectorySpec(0.75)
-        lo, hi = traj.q1_range()
-        probe = _find_window_probe(traj, hi, lo, lambda p: p.q1 < lo + 0.01)
-        assert lo < probe < lo + 0.01
-        messages = [r.getMessage() for r in caplog.records if r.name == "xdeficit.boundaries"]
-        assert len(messages) == 1 and "scanning 2048 points" in messages[0]
 
 
 class TestEqualEndpoints:
@@ -286,16 +264,16 @@ class TestMinimizerNear:
         ext = interior_minimum(p, grid_n=2048)
         # warm starts off by far more than the initial bracket
         for theta0 in (ext.theta - 0.3, ext.theta, ext.theta + 0.3):
-            assert _minimizer_near(p, theta0) == pytest.approx(ext.theta, abs=1e-9)
+            assert _minimizer_near(post_entropy_slope, p, theta0) == pytest.approx(ext.theta, abs=1e-9)
 
     def test_nan_without_interior_minimum(self):
         p = StateParams(0.6, 0.1)
         assert interior_minimum(p, grid_n=2048) is None
-        assert math.isnan(_minimizer_near(p, 0.8))
+        assert math.isnan(_minimizer_near(post_entropy_slope, p, 0.8))
 
 
 class TestBimodalityBirth:
-    # births before the jump root became a window probe candidate
+    # grid-512 classification-flip births, which trail the fold by up to 8.1e-6
     @pytest.mark.parametrize(
         "total,ref_q1",
         [
@@ -314,7 +292,8 @@ class TestBimodalityBirth:
         bp = bimodality_birth(TrajectorySpec(0.75))
         assert bp is not None
         assert bp.p.q1 == pytest.approx(0.72008, abs=2e-4)
-        assert bp.residual <= 1e-5 + 1e-12
+        # |dS/dtheta| at the inflection
+        assert bp.residual <= 1e-12
 
     def test_total_065(self):
         bp = bimodality_birth(TrajectorySpec(0.65))
@@ -322,6 +301,39 @@ class TestBimodalityBirth:
 
     def test_no_transition_on_low_total(self):
         assert bimodality_birth(TrajectorySpec(0.4)) is None
+
+    @pytest.mark.parametrize(
+        "total,theta0",
+        [
+            (0.5003, 0.002692),
+            (0.51, 0.02590),
+            (0.55, 0.08947),
+            (0.60, 0.1733),
+            (0.65, 0.2783),
+            # the window probe reports no maximum: it lies in the first grid cell
+            (0.694, 0.4018),
+            (0.70, 0.4220),
+            (0.75, 0.6407),
+            (0.78, 0.8510),
+            (0.803, 1.124),
+        ],
+    )
+    def test_matches_40_digit_fold(self, total, theta0):
+        # theta0: the fold angle to four digits, a seed independent of the package
+        pytest.importorskip("mpmath")
+        bp = bimodality_birth(TrajectorySpec(total))
+        q1, theta = mp_reference.birth_point(total, bp.p.q1, theta0)
+        assert abs(float(theta) - theta0) <= 1e-3
+        assert abs(bp.p.q1 - float(q1)) <= 1e-10
+
+    @pytest.mark.parametrize("total", [0.5001, 0.50005])
+    def test_near_half_total(self, total):
+        # on 0.5001 the window is 5e-6 wide in q1 and the pair is born
+        # 1.4e-3 rad from theta = 0; on 0.50005 the inflection lies within
+        # 1e-3 rad of the maximum of dS/dtheta
+        bp = bimodality_birth(TrajectorySpec(total))
+        assert bp is not None
+        assert bp.residual <= 1e-12
 
     def test_classification_flips_across(self):
         from xdeficit import ShapeClass, classify_shape
@@ -342,6 +354,12 @@ class TestOrderingOnTrajectory:
         jump = solve_jump_boundary(traj).boundary.p.q1
         death = solve_halfpi_boundary(traj).p.q1
         assert birth < jump < death
+
+    @pytest.mark.parametrize("total", [0.5003, 0.501, 0.51])
+    def test_birth_before_jump_near_half(self, total):
+        traj = TrajectorySpec(total)
+        birth = bimodality_birth(traj).p.q1
+        assert birth < solve_jump_boundary(traj).boundary.p.q1
 
 
 class TestCurvesIntersection:
@@ -424,13 +442,30 @@ class TestSolveCost:
             monkeypatch.setattr(target, name, counted)
         return calls
 
-    def test_jump_angle_table_classifications(self, monkeypatch):
+    def _classifications(self, monkeypatch):
         # interior_minimum reaches classify_shape through the shape module
-        calls = self._count(
+        return self._count(
             monkeypatch, shape_module, "classify_shape", [shape_module, boundaries_module]
         )
+
+    def test_jump_angle_table_classifications(self, monkeypatch):
+        calls = self._classifications(monkeypatch)
         jump_angle_table()
         assert len(calls) <= 25
+
+    @pytest.mark.parametrize("total", TABLE_TOTALS)
+    def test_birth_one_classification_on_table_totals(self, monkeypatch, total):
+        calls = self._classifications(monkeypatch)
+        assert bimodality_birth(TrajectorySpec(total)) is not None
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("total", [0.8033, 0.85, 0.95])
+    @pytest.mark.parametrize("solver", [solve_jump_boundary, bimodality_birth], ids=["jump", "birth"])
+    def test_windowless_path_one_classification(self, monkeypatch, solver, total):
+        # the window probe finds no interior minimum, and nothing else is tried
+        calls = self._classifications(monkeypatch)
+        assert solver(TrajectorySpec(total)) is None
+        assert len(calls) == 1
 
     def test_intersection_scans(self, monkeypatch):
         calls = self._count(monkeypatch, boundaries_module, "_last_root", [boundaries_module])
