@@ -4,16 +4,23 @@ Produces plot-ready data only; rendering stays out of scope.  The sweep
 labels each mirror pair of cells once.  The closed forms are bit-symmetric
 under the q1 <-> q2 exchange, so the cell (q2, q1) gets exactly the result of
 (q1, q2): the sweep labels the cells on and below the diagonal (q2 <= q1) and
-emits each cell above it as the exact mirror of its twin.  One
-``shape.needs_refinement`` call samples the entropy curves of all those
-cells, a chunk of them at a time, and flags in array operations the cells
-whose curve has a slope sign flip or a suspiciously flat slope.  Only those,
-a few percent of the triangle, go through the scalar ``one_way_deficit``;
-every other cell has no interior extremum and takes the better closed-form
-endpoint from ``deficit.endpoint_branch``, the float-level arithmetic and tie
-rule of ``endpoint_deficit``, which is what ``one_way_deficit`` returns
-there.  Each cell thus gets the same result as a per-cell ``one_way_deficit``
-call, in one process.  Trajectory profiles take the same two routes.
+emits each cell above it as the exact mirror of its twin.  An interior
+minimum needs S''(pi/2) < 0: off the axes the curve rises from theta = 0, so
+a curve with S''(pi/2) > 0 has an odd number of interior extrema, in this
+family a single maximum.  On each diagonal q1 + q2 = const the minima fill
+one run of cells, from the window's upper end (the half-pi boundary, or the
+axis) down to the bimodality birth.  So the sweep walks each diagonal's
+cells with S''(pi/2) < 0 (or NaN) from the one nearest the axis toward
+q1 = q2, one cell per diagonal per round through one
+``shape.needs_refinement`` call, and stops a diagonal at its first cell whose
+curve has no slope sign flip and no suspiciously flat slope.  Only the
+flagged walked cells, about 1% of the triangle, go through the scalar
+``one_way_deficit``; every other cell takes the better closed-form endpoint
+from ``deficit.endpoint_branch``, the float-level arithmetic and tie rule of
+``endpoint_deficit``, which is what ``one_way_deficit`` returns wherever the
+curve has no interior minimum.  Each cell thus gets the same result as a
+per-cell ``one_way_deficit`` call, in one process.  Trajectory profiles take
+the same two routes after one flag pass over the whole path.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .boundaries import (
     solve_jump_boundary,
     zero_boundary_axis,
 )
-from .core import StateParams, endpoint_entropy_halfpi, endpoint_entropy_zero
+from .core import StateParams, endpoint_entropy_halfpi, endpoint_entropy_zero, s2_halfpi_grid
 from .deficit import endpoint_branch, one_way_deficit
 from .shape import UnresolvedShape, needs_refinement
 
@@ -79,24 +86,50 @@ def _cell(p: StateParams, theta_grid: int) -> PhaseCell:
     return PhaseCell(p.q1, p.q2, res.branch.value, res.delta, res.optimal_theta)
 
 
-def _label(q1s: list[float], q2s: list[float], theta_grid: int) -> list[PhaseCell]:
+def _label(q1s: list[float], q2s: list[float], flags: list[bool],
+           theta_grid: int) -> list[PhaseCell]:
     """Cells of the in-triangle states (q1s[k], q2s[k]), each as a per-cell
     :func:`_cell` would label it.
 
-    One flag pass over all states picks those that take the full deficit;
-    the rest take the endpoint branches at float level and build no
-    ``StateParams``, so each (q1, q2) must be one that ``StateParams``
-    keeps unchanged.
+    The caller's ``flags`` pick the states that take the full deficit, and
+    must cover every state whose curve has an interior minimum; the rest
+    take the endpoint branches at float level and build no ``StateParams``,
+    so each (q1, q2) must be one that ``StateParams`` keeps unchanged.
     """
     cells = []
-    flags = needs_refinement(np.array(q1s), np.array(q2s), theta_grid)
-    for q1, q2, refine in zip(q1s, q2s, flags.tolist()):
+    for q1, q2, refine in zip(q1s, q2s, flags):
         if refine:
             cells.append(_cell(StateParams(q1, q2), theta_grid))
         else:
             delta, branch, theta, _ = endpoint_branch(q1, q2)
             cells.append(PhaseCell(q1, q2, branch.value, delta, theta))
     return cells
+
+
+def _walk_flags(lower: list[tuple[int, int]], q1: np.ndarray, q2: np.ndarray,
+                theta_grid: int) -> np.ndarray:
+    """``needs_refinement`` flags of the cells ``lower`` (grid indices (i, j),
+    j <= i, at the states (q1, q2)), sampled only along each diagonal's run.
+
+    The candidates of a diagonal i + j are its cells with S''(pi/2) < 0 or
+    NaN, walked from the one nearest the axis (least j) toward q1 = q2; the
+    walk stops at its first unflagged candidate.  Cells never walked are
+    False.
+    """
+    runs = {}
+    candidates = np.flatnonzero(~(s2_halfpi_grid(q1, q2) >= 0.0))
+    for k in candidates[::-1].tolist():  # descending i: least j first on each diagonal
+        i, j = lower[k]
+        runs.setdefault(i + j, []).append(k)
+    flags = np.zeros(len(lower), dtype=bool)
+    walking, step = list(runs.values()), 0
+    while walking:
+        ks = [run[step] for run in walking]
+        hits = needs_refinement(q1[ks], q2[ks], theta_grid)
+        flags[ks] = hits
+        step += 1
+        walking = [run for run, hit in zip(walking, hits) if hit and step < len(run)]
+    return flags
 
 
 def sweep(resolution: int = 400, theta_grid: int = 512, threads: int | None = None) -> PhaseGrid:
@@ -107,9 +140,12 @@ def sweep(resolution: int = 400, theta_grid: int = 512, threads: int | None = No
     q2.  ``area_fraction_interior`` is the fraction of in-triangle cells won
     by the interior branch.  Cells whose shape classification fails are
     labeled separately and counted, never silently folded into a phase.
-    Only the cells with q2 <= q1 are labelled, all through one flag pass of
-    ``shape.needs_refinement``; each cell above the diagonal is its twin
-    with q1 and q2 swapped, which is exactly what labelling it would give.
+    Only the cells with q2 <= q1 are labelled; each cell above the diagonal
+    is its twin with q1 and q2 swapped, which is exactly what labelling it
+    would give.  Of the labelled cells, only the run each diagonal walk
+    flags (see the module docstring) is classified; every other cell takes
+    the endpoint branches, so a cell outside those runs can no longer be
+    labelled Unresolved.
     ``threads`` is accepted for compatibility and ignored: the sweep runs in
     the calling process.
     """
@@ -123,8 +159,10 @@ def sweep(resolution: int = 400, theta_grid: int = 512, threads: int | None = No
         if centers[i] + centers[j] <= 1.0
     ]
     lower = [(i, j) for i, j in inside if j <= i]
-    labelled = dict(zip(lower, _label([centers[i] for i, _ in lower],
-                                      [centers[j] for _, j in lower], theta_grid)))
+    q1s = [centers[i] for i, _ in lower]
+    q2s = [centers[j] for _, j in lower]
+    flags = _walk_flags(lower, np.array(q1s), np.array(q2s), theta_grid)
+    labelled = dict(zip(lower, _label(q1s, q2s, flags.tolist(), theta_grid)))
     cells = []
     for i, j in inside:
         if j <= i:
@@ -214,9 +252,10 @@ def trajectory_profile(traj: TrajectorySpec, samples: int = 1000,
                        theta_grid: int = 512) -> TrajectoryProfile:
     """Deficit profile along a scan path with branch transitions marked.
 
-    The samples take the two routes of :func:`sweep`: one flag pass over the
-    whole path, the full deficit on the flagged samples and the endpoint
-    branches on the rest, each equal to a per-sample ``one_way_deficit``.
+    The samples take the two routes of :func:`sweep`, but the flags come from
+    one ``shape.needs_refinement`` pass over the whole path: the full deficit
+    on the flagged samples and the endpoint branches on the rest, each equal
+    to a per-sample ``one_way_deficit``.
     """
     if samples < 100:
         raise ValueError("samples must be at least 100")
@@ -226,7 +265,12 @@ def trajectory_profile(traj: TrajectorySpec, samples: int = 1000,
     q1s = [lo + (hi - lo) * k / (samples - 1) for k in range(samples)]
     # the q2 of traj.state(q1); StateParams keeps both fields as they are on the path
     q2s = [0.0 if traj.axis else traj.total - q1 for q1 in q1s]
-    rows = _label(q1s, q2s, theta_grid)
+    # the full flag pass, not the sweep's walk, whose premise (the curve
+    # rises from theta = 0) fails on the axis: there a walk from q1 = 1 stops
+    # at the corner sample, whose curvature is NaN and whose curve is flat,
+    # and misses all the minima further down the path
+    flags = needs_refinement(np.array(q1s), np.array(q2s), theta_grid)
+    rows = _label(q1s, q2s, flags.tolist(), theta_grid)
     transitions = []
     for a, b in zip(rows, rows[1:]):
         if a.branch != b.branch:

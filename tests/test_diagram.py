@@ -9,6 +9,7 @@ from xdeficit import (
     StateParams,
     TrajectorySpec,
     classify_shape,
+    interior_minimum,
     one_way_deficit,
     post_entropy,
     solve_halfpi_boundary,
@@ -17,6 +18,7 @@ from xdeficit import (
     trace_boundaries,
     trajectory_profile,
 )
+from xdeficit.core import s2_halfpi_grid
 from xdeficit.diagram import PhaseCell
 from xdeficit.shape import _angles, _extremum_brackets, _grid_slopes, needs_refinement
 
@@ -32,6 +34,19 @@ def small_grid():
 @pytest.fixture(scope="module")
 def curves():
     return trace_boundaries(resolution=100)
+
+
+def _recorded_sweep(monkeypatch, resolution, theta_grid):
+    """The sweep and the states it sent to the scalar route, in call order."""
+    refined = []
+    full = xdeficit.diagram.one_way_deficit
+
+    def recording(p, **kwargs):
+        refined.append((p.q1, p.q2))
+        return full(p, **kwargs)
+
+    monkeypatch.setattr(xdeficit.diagram, "one_way_deficit", recording)
+    return sweep(resolution=resolution, theta_grid=theta_grid), refined
 
 
 class TestSweep:
@@ -104,22 +119,15 @@ class TestBlockRoute:
             assert cell.delta >= 0.0
 
     def test_scalar_route_only_where_flagged(self, monkeypatch):
-        refined = []
-        full = xdeficit.diagram.one_way_deficit
-
-        def recording(p, **kwargs):
-            refined.append((p.q1, p.q2))
-            return full(p, **kwargs)
-
-        monkeypatch.setattr(xdeficit.diagram, "one_way_deficit", recording)
-        grid = sweep(resolution=100, theta_grid=128)
+        grid, refined = _recorded_sweep(monkeypatch, 100, 128)
         q1 = np.array([c.q1 for c in grid.cells])
         q2 = np.array([c.q2 for c in grid.cells])
         flagged = needs_refinement(q1, q2, 128)
         assert flagged.sum() == 142
-        # only the labelled half, q2 <= q1, runs the scalar route, in cell order
-        lower = flagged & (q2 <= q1)
-        assert refined == list(zip(q1[lower], q2[lower]))
+        # the walked band: flagged cells of the labelled half, q2 <= q1, whose
+        # curvature at pi/2 is negative (NaN counts too), in cell order
+        band = flagged & ~(s2_halfpi_grid(q1, q2) >= 0.0) & (q2 <= q1)
+        assert refined == list(zip(q1[band], q2[band]))
         assert {c.branch for c, f in zip(grid.cells, flagged) if not f} == {"AtZero", "AtHalfPi"}
 
     def test_cells_above_diagonal_mirror_their_twins(self):
@@ -172,6 +180,53 @@ class TestBlockRoute:
         q1 = np.array([0.1, 0.375, 0.9, 0.0])
         q2 = np.array([0.1, 0.375, 0.05, 0.0])
         assert needs_refinement(q1, q2, 512).tolist() == [False] * 4
+
+
+class TestDiagonalWalk:
+    @pytest.mark.parametrize(
+        "resolution,theta_grid",
+        [(r, g) for r in (100, 101, 160) for g in (128, 256, 512)] + [(400, 512)],
+    )
+    def test_band_covers_every_interior_minimum(self, monkeypatch, resolution, theta_grid):
+        grid, refined = _recorded_sweep(monkeypatch, resolution, theta_grid)
+        lower = [c for c in grid.cells if c.q2 <= c.q1]
+        # reference: the full flag pass over the labelled half, then the
+        # classification of every flagged cell
+        flags = needs_refinement(np.array([c.q1 for c in lower]),
+                                 np.array([c.q2 for c in lower]), theta_grid)
+        minima = [
+            (c.q1, c.q2) for c, f in zip(lower, flags.tolist())
+            if f and interior_minimum(StateParams(c.q1, c.q2), grid_n=theta_grid) is not None
+        ]
+        assert minima
+        assert set(minima) <= set(refined)
+        if resolution == 400:
+            assert grid.unresolved_cells == 0
+
+    def test_positive_halfpi_curvature_has_no_interior_minimum(self):
+        # the walk's premise: off the axes the curve rises from theta = 0, so
+        # S''(pi/2) > 0 leaves room for a single interior maximum only;
+        # states crowd the half-pi boundary and lie within 1e-12 of the edges
+        rng = np.random.default_rng(12)
+        states = []
+        for total in rng.uniform(0.68, 0.999, 40):
+            root = solve_halfpi_boundary(TrajectorySpec(total)).p.q1
+            for q1 in root + 10.0 ** rng.uniform(-12, -2, 4):
+                if q1 < total:
+                    states.append((q1, total - q1))
+        q1 = rng.uniform(0.0, 1.0, 120)
+        tiny = 10.0 ** rng.uniform(-15, -12, 120)
+        states += list(zip(q1 * (1.0 - tiny), tiny))  # beside the axis q2 = 0
+        states += list(zip(q1 * (1.0 - tiny), (1.0 - q1) * (1.0 - tiny)))  # the hypotenuse
+        states += [(b, a) for a, b in states]  # and their mirrors
+        q1s, q2s = np.array(states).T
+        positive = [
+            (a, b) for a, b, s2 in zip(q1s, q2s, s2_halfpi_grid(q1s, q2s))
+            if a > 0.0 and b > 0.0 and s2 > 0.0
+        ]
+        assert len(positive) > 200
+        for a, b in positive:
+            assert interior_minimum(StateParams(a, b)) is None, (a, b)
 
 
 class TestTrajectoryProfile:
