@@ -250,9 +250,8 @@ def _window_upper_end(traj: TrajectorySpec) -> tuple[float, float | None]:
 
     The upper end is the contact point with the Cartesian axis, or, if the
     path crosses the half-pi boundary, 1e-4 below that root: on the boundary
-    itself the extremum sits at theta = pi/2, so a probe there always
-    misses, after a classification whose grid doubles to its cap on the
-    vanishing curvature.
+    itself the extremum sits at theta = pi/2, beyond the last slope sample
+    of ``classify_shape``, so a probe there always misses.
     """
     hp = solve_halfpi_boundary(traj)
     if hp is not None and not hp.degenerate:
@@ -275,8 +274,8 @@ def _minimizer_near(deriv, p: StateParams, theta0: float) -> float:
     moves downhill, to the side where the minimum lies, by steps that
     double.  NaN when the bracket holds a maximum instead (derivative
     positive, then negative), or when the walk reaches ``ENDPOINT_MARGIN``
-    of an end of [0, pi/2], where ``classify_shape`` merges an extremum into
-    the endpoint.  With ``post_entropy_slope`` as ``deriv`` this tracks the
+    of an end of [0, pi/2], where ``classify_shape`` takes its outermost
+    slope samples and an extremum merges into the endpoint.  With ``post_entropy_slope`` as ``deriv`` this tracks the
     interior minimum of the entropy curve, which carries at most one; with
     :func:`_slope_curvature` it tracks the inflection at which dS/dtheta is
     least.
@@ -428,10 +427,10 @@ def bimodality_birth(traj: TrajectorySpec, grid_n: int = 512) -> BoundaryPoint |
     the pair.  One shape classification at the window's upper end (the
     window probe of :func:`solve_jump_boundary`) finds the pair; when it
     finds no interior minimum, the path carries no window.  theta_i is
-    bracketed between the probe's maximum and its minimum.  A maximum within
-    the first grid cell goes unreported; the bracket then starts at the
-    first of theta_min / 2, theta_min / 4, ... at which S' falls, no lower
-    than ``ENDPOINT_MARGIN``.  Newton steps in q1
+    bracketed between the probe's maximum and its minimum.  A maximum below
+    ``ENDPOINT_MARGIN`` merges with the endpoint and goes unreported; the
+    bracket then starts at the first of theta_min / 2, theta_min / 4, ... at
+    which S' falls, no lower than ``ENDPOINT_MARGIN``.  Newton steps in q1
     (:func:`_newton_root`) then drive g from negative to a sign change, and
     ``shape.find_root`` polishes the bracket.  Each evaluation of g finds
     theta_i with :func:`_minimizer_near` over S'', a central difference of

@@ -184,12 +184,13 @@ def _spectrum_into(w, q1, q2, ct, st) -> np.ndarray:
 
 
 def curve_workspace(shape) -> np.ndarray:
-    """Scratch buffer for :func:`entropy_curve` over a broadcast ``shape``.
+    """Scratch buffer for :func:`entropy_curve` or :func:`slope_curve` over a
+    broadcast ``shape``.
 
     One buffer serves any number of calls of that shape; reusing it keeps
-    the kernel free of allocations.
+    the kernels free of allocations.
     """
-    return np.empty((9,) + tuple(shape))
+    return np.empty((11,) + tuple(shape))
 
 
 def entropy_curve(q1, q2, ct, st, work: np.ndarray | None = None,
@@ -216,13 +217,83 @@ def entropy_curve(q1, q2, ct, st, work: np.ndarray | None = None,
     # same rule as _entropy_bits: weights <= 0 (float dust) contribute
     # nothing.  Raised to the least subnormal, a zero weight has a finite
     # logarithm (-1074) and its term 0 * -1074 = -0.0 leaves the sum as it is
-    terms = work[5:]
+    terms = work[5:9]
     np.maximum(lam, _LEAST_SUBNORMAL, out=terms)
     np.log2(terms, out=terms)
     np.multiply(lam, terms, out=terms)
     np.subtract(0.0, terms[0, ...], out=out)
     for k in (1, 2, 3):
         np.subtract(out, terms[k, ...], out=out)
+    return out[()]
+
+
+def slope_curve(q1, q2, ct, st, work: np.ndarray | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """dS/dtheta in bits per radian from the cosine and sine of the angles.
+
+    The array form of :func:`post_entropy_slope`, broadcast and buffered like
+    :func:`entropy_curve`: ``work`` from :func:`curve_workspace` holds every
+    intermediate and ``out`` receives the result, so a call given both
+    allocates nothing.  The spectrum comes from the kernel of
+    :func:`entropy_curve`, and both radii from its gaps,
+    rad_p = 2 (lam0 - lam1) and rad_m = 2 (lam2 - lam3).  The log terms are
+    summed in pairs, so that a radius rounded near zero multiplies the
+    near-zero difference of its two logarithms.  Unvalidated like
+    :func:`entropy_curve`.
+    """
+    if work is None or out is None:
+        shape = np.broadcast_shapes(np.shape(q1), np.shape(q2), np.shape(ct), np.shape(st))
+        work = curve_workspace(shape) if work is None else work
+        out = np.empty(shape) if out is None else out
+    s = q1 + q2
+    a = 1.0 - s
+    b = 1.0 - 2.0 * s
+    c = q1 - q2
+    lam = _spectrum_into(work[:5], q1, q2, ct, st)
+    w0, w1, w2, w3, w4, rad_p, rad_m = (work[k, ...] for k in range(7))
+    np.subtract(lam[0, ...], lam[1, ...], out=rad_p)
+    np.multiply(rad_p, 2.0, out=rad_p)
+    np.subtract(lam[2, ...], lam[3, ...], out=rad_m)
+    np.multiply(rad_m, 2.0, out=rad_m)
+    # log2 of each weight, 0 where the weight is <= 0 (float dust), whose
+    # term the scalar form skips
+    logs = work[7:11]
+    np.maximum(lam, _LEAST_SUBNORMAL, out=logs)
+    np.log2(logs, out=logs)
+    np.greater(lam, 0.0, out=lam)
+    np.multiply(logs, lam, out=logs)
+    l0, l1, l2, l3 = (logs[k, ...] for k in range(4))
+    # with dlam = (rad_p' - a sin, -rad_p' - a sin, rad_m' + a sin,
+    # a sin - rad_m') / 4, -sum(dlam * log2 lam) regroups as
+    # -(rad_p' (l0 - l1) + rad_m' (l2 - l3) + a sin (l2 + l3 - l0 - l1)) / 4
+    np.add(l0, l1, out=w4)
+    np.subtract(l0, l1, out=l0)
+    np.subtract(l2, l3, out=l1)
+    np.add(l2, l3, out=l2)
+    np.subtract(l2, w4, out=l2)  # l0 - l1, l2 - l3, l2 + l3 - l0 - l1 in l0, l1, l2
+    # d(rad)/dtheta as in post_entropy_slope; a radius rounded to 0 has a
+    # numerator of 0 and two equal logarithms, and its floor keeps out 0/0
+    np.multiply(c * c, st, out=w0)
+    np.multiply(w0, ct, out=w0)  # c^2 sin cos
+    np.multiply(b, st, out=w1)
+    np.multiply(b, ct, out=w2)
+    np.add(a, w2, out=w3)
+    np.subtract(a, w2, out=w2)
+    np.multiply(w1, w3, out=w3)
+    np.subtract(w0, w3, out=w3)  # c^2 sin cos - b sin (a + b cos)
+    np.multiply(w1, w2, out=w2)
+    np.add(w0, w2, out=w2)  # c^2 sin cos + b sin (a - b cos)
+    np.maximum(rad_p, _LEAST_SUBNORMAL, out=rad_p)
+    np.divide(w3, rad_p, out=rad_p)  # rad_p'
+    np.maximum(rad_m, _LEAST_SUBNORMAL, out=rad_m)
+    np.divide(w2, rad_m, out=rad_m)  # rad_m'
+    np.multiply(a, st, out=w0)
+    np.multiply(rad_p, l0, out=out)
+    np.multiply(rad_m, l1, out=rad_m)
+    np.add(out, rad_m, out=out)
+    np.multiply(w0, l2, out=w0)
+    np.add(out, w0, out=out)
+    np.multiply(out, -0.25, out=out)
     return out[()]
 
 

@@ -12,8 +12,8 @@ one run of cells, from the window's upper end (the half-pi boundary, or the
 axis) down to the bimodality birth.  So the sweep walks each diagonal's
 cells with S''(pi/2) < 0 (or NaN) from the one nearest the axis toward
 q1 = q2, one cell per diagonal per round through one
-``shape.needs_refinement`` call, and stops a diagonal at its first cell whose
-curve has no slope sign flip and no suspiciously flat slope.  Only the
+``shape.needs_refinement`` call, and stops a diagonal at its first cell
+whose slope samples dS/dtheta never change sign.  Only the
 flagged walked cells, about 1% of the triangle, go through the scalar
 ``one_way_deficit``; every other cell takes the better closed-form endpoint
 from ``deficit.endpoint_branch``, the float-level arithmetic and tie rule of

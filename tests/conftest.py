@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -11,6 +13,32 @@ def triangle_samples(n: int, seed: int) -> np.ndarray:
     flip = q.sum(axis=1) > 1.0
     q[flip] = 1.0 - q[flip]
     return q
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_minimize(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """(x, f(x)) at the golden-section minimum of a unimodal f on [lo, hi].
+
+    A brute-force reference on S itself, free of the slope solver of
+    ``xdeficit.shape``.
+    """
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
 
 
 def triangle_states():

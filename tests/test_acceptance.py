@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mp_reference
-from conftest import triangle_samples
+from conftest import golden_minimize, triangle_samples
 from xdeficit import (
     StateParams,
     TrajectorySpec,
@@ -36,7 +36,6 @@ from xdeficit import (
     sweep,
     zero_boundary_axis,
 )
-from xdeficit.shape import golden_minimize
 
 HALF_PI = math.pi / 2
 

@@ -251,6 +251,20 @@ class TestJumpBoundary:
         assert abs(rec.jump_angle - float(theta)) <= 1e-8
         assert curvature > 0
 
+    @pytest.mark.parametrize("total", [0.5002, 3001 / 6000])
+    def test_near_half_total_matches_40_digit_solve(self, total):
+        # the minimum at ~3e-3 rad lies 1.1e-11 bit below the maximum before
+        # it; the final classification at twice the grid must still see it
+        pytest.importorskip("mpmath")
+        rec = solve_jump_boundary(TrajectorySpec(total))
+        assert rec is not None
+        q1, theta, curvature = mp_reference.jump_point(
+            total, rec.boundary.p.q1, rec.jump_angle
+        )
+        assert abs(rec.boundary.p.q1 - float(q1)) <= 1e-10
+        assert abs(rec.jump_angle - float(theta)) <= 1e-8
+        assert curvature > 0
+
     def test_jump_ties_endpoint_and_interior(self):
         rec = solve_jump_boundary(TrajectorySpec(0.75))
         p = rec.boundary.p
@@ -310,7 +324,7 @@ class TestBimodalityBirth:
             (0.55, 0.08947),
             (0.60, 0.1733),
             (0.65, 0.2783),
-            # the window probe reports no maximum: it lies in the first grid cell
+            # the window probe's maximum lies in the first grid cell
             (0.694, 0.4018),
             (0.70, 0.4220),
             (0.75, 0.6407),

@@ -31,6 +31,7 @@ from xdeficit.core import (
     s2_halfpi,
     s2_halfpi_grid,
     s2_zero_axis,
+    slope_curve,
 )
 
 HALF_PI = math.pi / 2
@@ -343,6 +344,53 @@ class TestSlope:
     def test_stationary_ends(self, p):
         assert post_entropy_slope(p, 0.0) == 0.0
         assert abs(post_entropy_slope(p, HALF_PI)) <= 1e-15
+
+
+class TestSlopeCurve:
+    # the slope samples of shape classification, and angles beside them
+    THETAS = np.concatenate([
+        np.linspace(0.0, HALF_PI, 129)[1:-1], [1e-4, HALF_PI - 1e-4, 1e-3, 0.8278086768061]
+    ])
+    CORNERS = [StateParams(0.0, 0.0), StateParams(1.0, 0.0), StateParams(0.0, 1.0),
+               StateParams(0.5, 0.5), StateParams(1.0 - 1e-12, 1e-12), StateParams(0.0, 5e-324),
+               StateParams(0.3, 0.7), StateParams(1e-12, 1e-12), StateParams(1.67e-13, 1.0 - 1.67e-13)]
+
+    def _check_matches_scalar(self, p):
+        got = slope_curve(p.q1, p.q2, np.cos(self.THETAS), np.sin(self.THETAS))
+        ref = np.array([post_entropy_slope(p, t) for t in self.THETAS])
+        # a few ulp of the terms lam' log2(lam): the largest |log2 lam| scales them
+        lam = post_spectrum(p, self.THETAS)
+        logs = np.abs(np.log2(np.where(lam > 0.0, lam, 1.0))).max(axis=-1)
+        scale = np.maximum(1.0, np.abs(ref)) * np.maximum(1.0, logs)
+        assert np.all(np.abs(got - ref) <= 4.0 * np.finfo(float).eps * scale)
+
+    def test_matches_scalar_slope_on_samples(self):
+        for q1, q2 in triangle_samples(300, seed=31):
+            self._check_matches_scalar(StateParams(q1, q2))
+        for p in self.CORNERS:
+            self._check_matches_scalar(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(closed_triangle_states())
+    def test_matches_scalar_slope_on_edges(self, p):
+        self._check_matches_scalar(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(closed_triangle_states(), min_size=1, max_size=20))
+    def test_exchange_symmetric_and_allocation_free(self, states):
+        q1 = np.array([[p.q1] for p in states])
+        q2 = np.array([[p.q2] for p in states])
+        ct, st_ = np.cos(self.THETAS), np.sin(self.THETAS)
+        ref = slope_curve(q1, q2, ct, st_)
+        assert np.array_equal(slope_curve(q2, q1, ct, st_), ref)
+        # a reused workspace and output buffer give the same bits, row by row too
+        work, out = curve_workspace(ref.shape), np.empty(ref.shape)
+        for _ in range(2):
+            got = slope_curve(q1, q2, ct, st_, work, out)
+            assert np.shares_memory(got, out)
+            assert np.array_equal(out, ref)
+        for k, p in enumerate(states):
+            assert np.array_equal(slope_curve(p.q1, p.q2, ct, st_), ref[k])
 
 
 class TestExactExchangeSymmetry:

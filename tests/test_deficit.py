@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import closed_triangle_states, triangle_samples, triangle_states
+from conftest import closed_triangle_states, golden_minimize, triangle_samples, triangle_states
 from xdeficit import (
     Branch,
     StateParams,
@@ -15,7 +15,6 @@ from xdeficit import (
     pre_entropy,
 )
 from xdeficit.deficit import TIE_TOL, _pick, endpoint_branch, endpoint_deficit
-from xdeficit.shape import golden_minimize
 
 HALF_PI = math.pi / 2
 

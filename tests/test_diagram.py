@@ -6,12 +6,12 @@ import pytest
 import xdeficit.diagram
 from xdeficit import (
     BoundaryKind,
+    ShapeClass,
     StateParams,
     TrajectorySpec,
     classify_shape,
     interior_minimum,
     one_way_deficit,
-    post_entropy,
     solve_halfpi_boundary,
     solve_jump_boundary,
     sweep,
@@ -20,7 +20,7 @@ from xdeficit import (
 )
 from xdeficit.core import s2_halfpi_grid
 from xdeficit.diagram import PhaseCell
-from xdeficit.shape import _angles, _extremum_brackets, _grid_slopes, needs_refinement
+from xdeficit.shape import ENDPOINT_MARGIN, needs_refinement
 
 HALF_PI = math.pi / 2
 RES = 120
@@ -123,7 +123,16 @@ class TestBlockRoute:
         q1 = np.array([c.q1 for c in grid.cells])
         q2 = np.array([c.q2 for c in grid.cells])
         flagged = needs_refinement(q1, q2, 128)
-        assert flagged.sum() == 142
+        assert flagged.sum() == 146
+        # four of the flagged cells carry only a maximum within 2e-3 rad of
+        # theta = 0, and lie where S''(pi/2) > 0, outside the walked band
+        near_zero_maxima = {(0.005, 0.945), (0.005, 0.955), (0.945, 0.005), (0.955, 0.005)}
+        for c in grid.cells:
+            if (c.q1, c.q2) in near_zero_maxima:
+                report = classify_shape(StateParams(c.q1, c.q2), grid_n=128)
+                assert report.shape_class is ShapeClass.INTERIOR_MAXIMUM
+                assert ENDPOINT_MARGIN < report.extrema[0].theta < 2e-3
+                assert s2_halfpi_grid(c.q1, c.q2) > 0.0
         # the walked band: flagged cells of the labelled half, q2 <= q1, whose
         # curvature at pi/2 is negative (NaN counts too), in cell order
         band = flagged & ~(s2_halfpi_grid(q1, q2) >= 0.0) & (q2 <= q1)
@@ -152,28 +161,26 @@ class TestBlockRoute:
                 res.branch.value, res.delta, res.optimal_theta
             )
 
-    @staticmethod
-    def _grid_brackets(p, n):
-        theta = _angles(n)
-        return _extremum_brackets(theta, _grid_slopes(np.asarray(post_entropy(p, theta)))[0])
-
     def test_suspicious_grid_takes_scalar_route(self):
         # just past the axis root of the half-pi boundary the curvature at pi/2
-        # nearly vanishes: no slope flips on the grid, but the last slopes are
-        # flat enough for classify_shape to double the grid
+        # nearly vanishes: the slope keeps its sign up to the last sample, so
+        # the curve is monotone on the requested grid and needs no refinement
         root = solve_halfpi_boundary(TrajectorySpec.on_axis()).p.q1
         p = StateParams(root + 1e-6, 0.0)
-        assert self._grid_brackets(p, 512) == []
-        assert classify_shape(p, grid_n=512).grid_n > 512
-        assert needs_refinement(np.array([p.q1]), np.array([p.q2]), 512).tolist() == [True]
+        report = classify_shape(p, grid_n=512)
+        assert report.grid_n == 512
+        assert (report.shape_class, report.extrema) == (ShapeClass.MONOTONE_DECREASING, ())
+        assert needs_refinement(np.array([p.q1]), np.array([p.q2]), 512).tolist() == [False]
 
     def test_near_endpoint_bracket_takes_scalar_route(self):
-        # just before that root the grid brackets a minimum at pi/2 that the
-        # scalar classification merges into the endpoint
+        # just before that root the minimum sits 3.7e-3 rad below pi/2,
+        # within the last two grid cells and below pi/2 - ENDPOINT_MARGIN
         root = solve_halfpi_boundary(TrajectorySpec.on_axis()).p.q1
         p = StateParams(root - 1e-6, 0.0)
-        assert [b[0] for b in self._grid_brackets(p, 512)] == ["min"]
-        assert classify_shape(p, grid_n=512).extrema == ()
+        report = classify_shape(p, grid_n=512)
+        assert report.grid_n == 512
+        assert report.shape_class is ShapeClass.INTERIOR_MINIMUM
+        assert HALF_PI - 2.0 * HALF_PI / 512 < report.extrema[0].theta < HALF_PI - ENDPOINT_MARGIN
         assert needs_refinement(np.array([p.q1]), np.array([p.q2]), 512).tolist() == [True]
 
     def test_monotone_curves_take_endpoint_route(self):

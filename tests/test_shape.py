@@ -1,11 +1,10 @@
-import logging
 import math
 
 import numpy as np
 import pytest
 
 import mp_reference
-from conftest import triangle_samples
+from conftest import golden_minimize, triangle_samples
 from xdeficit import (
     ShapeClass,
     StateParams,
@@ -18,16 +17,15 @@ from xdeficit import (
     post_entropy,
     solve_halfpi_boundary,
 )
-from xdeficit.core import post_entropy_grid
+from xdeficit.boundaries import _window_upper_end
+from xdeficit.core import post_entropy_slope
 from xdeficit.shape import (
     ENDPOINT_MARGIN,
+    SLOPE_FLOOR,
     _SPARE_STEPS,
     _angle_table,
-    _angles,
     _extremum_brackets,
-    _grid_slopes,
     find_root,
-    golden_minimize,
     needs_refinement,
 )
 
@@ -99,36 +97,39 @@ class TestClassifyShape:
             assert len(report.extrema) <= 2
 
 
-def loop_brackets(theta, signs):
-    """Reference bracket finder: one pass over consecutive nonzero slopes."""
+def _slopes(p, theta):
+    """The scalar dS/dtheta of p at each angle of theta."""
+    return np.array([post_entropy_slope(p, t) for t in theta])
+
+
+def loop_brackets(slopes):
+    """Reference bracket finder: one pass over consecutive signed slopes."""
     out = []
-    nz = np.nonzero(signs != 0.0)[0]
-    for i, j in zip(nz[:-1], nz[1:]):
-        if signs[i] > 0.0 and signs[j] < 0.0:
-            out.append(("max", theta[i], theta[j + 1]))
-        elif signs[i] < 0.0 and signs[j] > 0.0:
-            out.append(("min", theta[i], theta[j + 1]))
+    signed = [k for k, s in enumerate(slopes) if abs(s) >= SLOPE_FLOOR]
+    for i, j in zip(signed[:-1], signed[1:]):
+        if (slopes[i] > 0.0) != (slopes[j] > 0.0):
+            out.append((i, j))
     return out
 
 
 class TestExtremumBrackets:
     def test_matches_loop_reference(self):
-        theta = np.linspace(0.0, HALF_PI, 257)
+        theta = _angle_table(256)[0]
         states = [tuple(q) for q in triangle_samples(300, seed=77)]
         states += [(0.7205, 0.0295), (0.55, 0.0), (0.727, 0.023), (1.0, 0.0), (0.0, 0.0)]
         seen_flips = 0
         for q1, q2 in states:
-            signs = _grid_slopes(np.asarray(post_entropy(StateParams(q1, q2), theta)))[0]
-            expected = loop_brackets(theta, signs)
-            assert _extremum_brackets(theta, signs) == expected
+            slopes = _slopes(StateParams(q1, q2), theta)
+            expected = loop_brackets(slopes)
+            assert _extremum_brackets(slopes) == expected
             seen_flips += len(expected)
         assert seen_flips > 0
 
     def test_flat_runs_between_flips(self):
-        theta = np.arange(9.0)
-        signs = np.array([1.0, 0.0, 0.0, -1.0, -1.0, 0.0, 1.0, 0.0])
-        assert _extremum_brackets(theta, signs) == [("max", 0.0, 4.0), ("min", 4.0, 7.0)]
-        assert _extremum_brackets(theta, np.zeros(8)) == []
+        slopes = np.array([1.0, 0.0, 1e-13, -1.0, -1.0, -1e-13, 1.0, 0.0])
+        assert _extremum_brackets(slopes) == [(0, 3), (4, 6)]
+        assert _extremum_brackets(np.zeros(8)) == []
+        assert _extremum_brackets(np.full(8, 0.5 * SLOPE_FLOOR)) == []
 
 
 class TestNeedsRefinement:
@@ -148,12 +149,16 @@ class TestNeedsRefinement:
     @pytest.mark.parametrize("grid_n", [128, 512])
     @pytest.mark.parametrize("count", [1, 15, 16, 17, 100])
     def test_matches_grid_slopes_rule(self, grid_n, count):
+        # reference: signed scalar slopes of both signs on the sample angles
         q1, q2 = (a[-count:] for a in self._states())
-        signs, _, suspicious = _grid_slopes(post_entropy_grid(q1[:, None], q2[:, None], _angles(grid_n)))
-        expected = (np.any(signs > 0.0, axis=-1) & np.any(signs < 0.0, axis=-1)) | suspicious
+        theta = _angle_table(grid_n)[0]
+        expected = []
+        for a, b in zip(q1, q2):
+            s = _slopes(StateParams(a, b), theta)
+            expected.append(s.max() >= SLOPE_FLOOR and s.min() <= -SLOPE_FLOOR)
         flags = needs_refinement(q1, q2, grid_n)
         assert flags.dtype == bool and flags.shape == (count,)
-        assert np.array_equal(flags, expected)
+        assert flags.tolist() == expected
         if count == 100:
             assert 0 < flags.sum() < count
 
@@ -163,12 +168,13 @@ class TestAngleTable:
         table = _angle_table(512)
         assert _angle_table(512) is table
         theta, ct, st = table
-        assert np.array_equal(theta, np.linspace(0.0, HALF_PI, 513))
+        grid = np.linspace(0.0, HALF_PI, 513)
+        assert np.array_equal(theta[1:-1], grid[1:-1])
+        assert (theta[0], theta[-1]) == (ENDPOINT_MARGIN, HALF_PI - ENDPOINT_MARGIN)
         assert np.array_equal(ct, np.cos(theta)) and np.array_equal(st, np.sin(theta))
         for a in table:
             with pytest.raises(ValueError):
                 a[0] = 1.0
-        assert _angles(512) is theta
 
 
 class TestInteriorMinimum:
@@ -263,8 +269,8 @@ class TestFindRoot:
 
 
 # states of window_queries (seed 11) whose interior maximum sits within the
-# first grid cell, near theta = 0.002; the slope there is probed just inside
-# the stationary end theta = 0
+# first grid cell, near theta = 0.002, above the first slope sample at
+# ENDPOINT_MARGIN
 NEAR_ZERO_MAXIMA = [
     (0.5604864260123682, 0.004463497532858741),
     (0.5367913783753963, 0.00288844267835299),
@@ -288,28 +294,55 @@ class TestSlopeRefinement:
         assert abs(ext.theta - root) <= 1e-10  # the default refine_tol
 
     @pytest.mark.parametrize("q1,q2", NEAR_ZERO_MAXIMA)
-    def test_near_zero_maximum_kept(self, q1, q2, caplog):
-        with caplog.at_level(logging.DEBUG, logger="xdeficit.shape"):
-            report = classify_shape(StateParams(q1, q2))
+    def test_near_zero_maximum_kept(self, q1, q2):
+        report = classify_shape(StateParams(q1, q2))
         assert report.shape_class is ShapeClass.BIMODAL
         ext = {e.kind: e for e in report.extrema}
         assert ENDPOINT_MARGIN < ext["max"].theta < 3e-3
-        assert not caplog.records  # found as a slope root, without golden section
 
-    def test_two_extrema_in_one_cell_fall_back_to_golden(self, caplog):
-        # near bimodality birth one max bracket of the 1024 grid also holds
-        # the minimum, so the slope is positive at both of its ends
+    def test_pair_near_birth_matches_40_digit_roots(self):
+        # near bimodality birth the pair sits 1.8e-3 rad apart, in two
+        # neighbouring cells of the 1024 grid; S differences on that grid
+        # saw both in one cell
+        pytest.importorskip("mpmath")
         p = StateParams(0.5268753242492676, 0.0031246757507323863)
-        theta = _angles(1024)
-        brackets = _extremum_brackets(theta, _grid_slopes(np.asarray(post_entropy(p, theta)))[0])
-        _, lo, hi = next(b for b in brackets if b[0] == "max")
-        with caplog.at_level(logging.DEBUG, logger="xdeficit.shape"):
-            report = classify_shape(p, grid_n=1024)
+        report = classify_shape(p, grid_n=1024)
         assert report.shape_class is ShapeClass.BIMODAL
-        assert [r.name for r in caplog.records] == ["xdeficit.shape"]
-        assert "golden section" in caplog.records[0].getMessage()
-        golden, _ = golden_minimize(lambda t: -post_entropy(p, t), lo, hi, 1e-10)
-        assert next(e.theta for e in report.extrema if e.kind == "max") == golden
+        for e in report.extrema:
+            assert abs(e.theta - mp_reference.slope_root(p.q1, p.q2, e.theta)) <= 1e-10
+
+
+class TestSlopeSigns:
+    def test_states_near_corners_resolve(self):
+        # within ~1e-12 of a corner rounding noise flips the sign of the
+        # near-zero slope; SLOPE_FLOOR keeps those samples unsigned
+        rng = np.random.default_rng(13)
+        d = 10.0 ** rng.uniform(-16, -9, 300)
+        u = rng.uniform(0.0, 1.0, 300)
+        states = list(zip(d * u, d * (1.0 - u))) + list(zip(1.0 - d, d * u)) + list(zip(d * u, 1.0 - d))
+        for q1, q2 in states:
+            report = classify_shape(StateParams(q1, q2))
+            assert len(report.extrema) <= 2
+
+    @pytest.mark.parametrize("total", [0.692, 0.694, 0.6965])
+    def test_first_cell_maximum_of_window_probe(self, total):
+        # the maximum lies below the first grid angle (3.1e-3 rad) and above
+        # ENDPOINT_MARGIN; S differences on the grid missed it
+        pytest.importorskip("mpmath")
+        traj = TrajectorySpec(total)
+        p = traj.state(_window_upper_end(traj)[0])
+        report = classify_shape(p, grid_n=512)
+        assert report.shape_class is ShapeClass.BIMODAL
+        ext = report.extrema[0]
+        assert ext.kind == "max" and ENDPOINT_MARGIN < ext.theta < HALF_PI / 512
+        assert abs(ext.theta - mp_reference.slope_root(p.q1, p.q2, ext.theta)) <= 1e-10
+
+    def test_halfpi_root_keeps_requested_grid(self):
+        # on the half-pi boundary the extremum sits at pi/2, outside the samples
+        p = solve_halfpi_boundary(TrajectorySpec(0.75)).p
+        report = classify_shape(p, grid_n=1024)
+        assert report.grid_n == 1024
+        assert all(e.theta < HALF_PI - ENDPOINT_MARGIN for e in report.extrema)
 
 
 class TestEndpointSlopeCheck:
