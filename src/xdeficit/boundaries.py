@@ -5,15 +5,17 @@ q2 = 0 or diagonal trajectories q1 + q2 = const, mirroring how the parameter
 triangle is naturally swept.  The equal-endpoint and half-pi boundaries are
 bracketing scans followed by ``shape.find_root``, a bracketed superlinear
 (Brent) root solver that never needs more than a few evaluations beyond
-bisection.  These scans sample the whole path as one array through the
-broadcast endpoint forms of ``core`` (``TrajectorySpec.states``); only the
-root solve in the last bracket evaluates the scalar forms point by point.
+bisection.  These scans sample the whole path (``TrajectorySpec.states``)
+as one array: S(0) and S(pi/2) come from the entropy kernel
+``core.post_entropy_grid`` at the two end angles, and the half-pi curvature
+from ``core.s2_halfpi_grid``.  Only the root solve in the last bracket
+evaluates the scalar forms point by point, its two bracket ends included.
 The jump boundary, the bimodality birth and the intersection of the
 equal-endpoint and half-pi curves are Newton-type solves on the scalar
 closed forms of ``core``.  The jump and the birth share one window probe,
-one angle walk and one Newton loop.  The probe is a single shape
-classification at the window's upper end; a path whose probe finds no
-interior minimum carries no window.  From the probe, Newton steps in q1
+one tracked angle (``_tracked``) and one Newton loop.  The probe is a
+single shape classification at the window's upper end; a path whose probe
+finds no interior minimum carries no window.  From the probe, Newton steps in q1
 drive the jump gap S(0) - S(theta*) to a sign change, tracking the
 interior minimizer theta* as a warm-started root of dS/dtheta, and do the
 same for the fold value S'(theta_i), tracking the inflection theta_i as a
@@ -46,12 +48,10 @@ import numpy as np
 from .core import (
     StateParams,
     endpoint_entropy_halfpi,
-    endpoint_entropy_halfpi_grid,
     endpoint_entropy_zero,
-    endpoint_entropy_zero_grid,
     post_entropy,
+    post_entropy_grid,
     post_entropy_slope,
-    s2_halfpi,
     s2_halfpi_grid,
     s2_zero_axis,
 )
@@ -161,18 +161,19 @@ def _last_root(traj: TrajectorySpec, residual, residual_grid, lo: float, hi: flo
     ``residual`` maps a ``StateParams`` to a float and ``residual_grid`` is its
     broadcast form over (q1, q2) arrays.  The scan samples the whole path as
     one array through ``residual_grid``; the root in the last bracket is then
-    solved with the scalar ``residual``.  NaN samples (degenerate
+    solved with the scalar ``residual``, starting from its own values at the
+    two bracket ends, so the root is the one a per-sample scan with
+    ``residual`` finds from the same bracket.  NaN samples (degenerate
     diagnostics) are skipped; brackets that straddle a NaN stretch are
     discarded rather than guessed at.
     """
     qs = np.linspace(lo, hi, samples)
-    vals = residual_grid(*traj.states(qs))
-    idx = _brackets(vals)
+    idx = _brackets(residual_grid(*traj.states(qs)))
     if idx.size == 0:
         return None
-    i = idx[-1]
+    a, b = qs[idx[-1]], qs[idx[-1] + 1]
     f = lambda q1: residual(traj.state(q1))
-    return find_root(f, qs[i], qs[i + 1], vals[i], vals[i + 1], Q1_TOL)
+    return find_root(f, a, b, f(a), f(b), Q1_TOL)
 
 
 def _scan_boundary(traj: TrajectorySpec, kind: BoundaryKind, residual, residual_grid,
@@ -193,13 +194,18 @@ def _equal_endpoints_gap(p: StateParams) -> float:
     return endpoint_entropy_zero(p) - endpoint_entropy_halfpi(p)
 
 
+# the two end angles as a column: post_entropy_grid then returns S(0) and
+# S(pi/2) as two contiguous rows, one per end
+_END_ANGLES = np.array([[0.0], [HALF_PI]])
+
+
 def _equal_endpoints_gap_grid(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    return endpoint_entropy_zero_grid(q1, q2) - endpoint_entropy_halfpi_grid(q1, q2)
+    ends = post_entropy_grid(q1, q2, _END_ANGLES)
+    return ends[0] - ends[1]
 
 
 def _halfpi_curvature(p: StateParams) -> float:
-    val = s2_halfpi(p)
-    return math.nan if val is None else val
+    return float(s2_halfpi_grid(p.q1, p.q2))
 
 
 def solve_equal_endpoints(traj: TrajectorySpec) -> BoundaryPoint | None:
@@ -304,6 +310,42 @@ def _minimizer_near(deriv, p: StateParams, theta0: float) -> float:
     return find_root(deriv, a, b, sa, sb, _THETA_TOL)
 
 
+def _tracked(traj: TrajectorySpec, deriv, value, theta0: float):
+    """A function of q1 along the path, read at an angle tracked from ``theta0``.
+
+    Returns ``(f, slope, theta)``.  ``f(q1) = value(p, t)`` at the path
+    state p, t being the root of ``deriv(p, .)`` that :func:`_minimizer_near`
+    finds warm-started from the last one; f is NaN off (lo, hi] of the path
+    and where t is lost.  By the envelope theorem ``slope(q1)``, the
+    q1-derivative of f, is that of ``value`` at the fixed t of the last
+    evaluation of f, taken as a central difference.  ``theta()`` returns
+    that last t.
+    """
+    lo, hi = traj.q1_range()
+    theta = theta0
+
+    def f(q1: float) -> float:
+        nonlocal theta
+        if not lo < q1 <= hi:
+            return math.nan
+        p = traj.state(q1)
+        t = _minimizer_near(deriv, p, theta)
+        if math.isnan(t):
+            return math.nan
+        theta = t
+        return value(p, t)
+
+    def slope(q1: float) -> float:
+        a, b = max(q1 - _FD_STEP, lo), min(q1 + _FD_STEP, hi)
+        return (value(traj.state(b), theta) - value(traj.state(a), theta)) / (b - a)
+
+    return f, slope, lambda: theta
+
+
+def _jump_gap(p: StateParams, theta: float) -> float:
+    return endpoint_entropy_zero(p) - post_entropy(p, theta)
+
+
 def _newton_root(f, slope, q: float, fq: float, xtol: float, what: str) -> float | None:
     """Root in q1 of ``f`` by Newton steps from q, where fq = f(q) is not NaN.
 
@@ -343,9 +385,9 @@ def solve_jump_boundary(traj: TrajectorySpec, grid_n: int = 1024) -> JumpRecord 
     Newton steps in q1 (:func:`_newton_root`) then drive g to a sign change,
     and ``shape.find_root`` polishes the bracket to 1e-9.  Each gap
     evaluation finds theta* with :func:`_minimizer_near`, warm-started from
-    the last one.  By the envelope theorem the Newton slope dg/dq1 is the
-    q1-derivative at fixed theta*, taken as a central difference (S(0) is
-    constant along the path).
+    the last one, and the Newton slope dg/dq1 is the q1-derivative at fixed
+    theta* (:func:`_tracked`).  The gap at the root is the stored residual,
+    and the theta* it tracks there is the jump angle.
 
     A gap negative at the probe means the root lies above it.  Just below
     the intersection of the equal-endpoint and half-pi boundaries it lies
@@ -358,35 +400,18 @@ def solve_jump_boundary(traj: TrajectorySpec, grid_n: int = 1024) -> JumpRecord 
     at the probe and not positive at the half-pi root (above the
     intersection, where the interior phase is absent), or when the minimum
     vanishes before the gap changes sign.  Raises ConvergenceError after a
-    fixed number of Newton steps, or when a classification at twice
-    ``grid_n`` finds no interior minimum at the root.
+    fixed number of Newton steps, or when the interior minimum is lost at
+    the root.
     """
     if traj.axis:
         raise ValueError("the jump boundary on the axis is the weight-1/2 point")
-    lo, hi = traj.q1_range()
     if traj.total <= 0.5:
         return None
     probe, hp_root = _window_upper_end(traj)
     ext = interior_minimum(traj.state(probe), grid_n=grid_n)
     if ext is None:
         return None
-    theta = ext.theta
-
-    def gap(q1: float) -> float:
-        nonlocal theta
-        if not lo < q1 <= hi:
-            return math.nan
-        p = traj.state(q1)
-        t = _minimizer_near(post_entropy_slope, p, theta)
-        if math.isnan(t):
-            return math.nan
-        theta = t
-        return endpoint_entropy_zero(p) - post_entropy(p, t)
-
-    def gap_slope(q1: float) -> float:
-        # d/dq1 of -S(theta*) at the theta* of the last gap evaluation
-        a, b = max(q1 - _FD_STEP, lo), min(q1 + _FD_STEP, hi)
-        return (post_entropy(traj.state(a), theta) - post_entropy(traj.state(b), theta)) / (b - a)
+    gap, gap_slope, theta = _tracked(traj, post_entropy_slope, _jump_gap, ext.theta)
 
     def gap_to_end(q1: float) -> float:
         # the gap, continued by S(0) - S(pi/2) where the minimum has merged
@@ -407,14 +432,12 @@ def solve_jump_boundary(traj: TrajectorySpec, grid_n: int = 1024) -> JumpRecord 
         if root is None:
             return None  # the minimum vanishes before the gap changes sign
     p = traj.state(root)
-    ext = interior_minimum(p, grid_n=2 * grid_n)
-    if ext is None:
+    g = gap(root)
+    if math.isnan(g):
         raise ConvergenceError(f"interior minimum lost at the jump root ({p.q1}, {p.q2})")
     return JumpRecord(
-        boundary=BoundaryPoint(
-            p=p, kind=BoundaryKind.JUMP_BOUNDARY, residual=abs(gap_to_end(root))
-        ),
-        jump_angle=ext.theta,
+        boundary=BoundaryPoint(p=p, kind=BoundaryKind.JUMP_BOUNDARY, residual=abs(g)),
+        jump_angle=theta(),
     )
 
 
@@ -434,8 +457,8 @@ def bimodality_birth(traj: TrajectorySpec, grid_n: int = 512) -> BoundaryPoint |
     (:func:`_newton_root`) then drive g from negative to a sign change, and
     ``shape.find_root`` polishes the bracket.  Each evaluation of g finds
     theta_i with :func:`_minimizer_near` over S'', a central difference of
-    the closed-form slope, warm-started from the last one; by the envelope
-    theorem the Newton slope is the q1-derivative of S' at fixed theta_i.
+    the closed-form slope, warm-started from the last one, and the Newton
+    slope is the q1-derivative of S' at fixed theta_i (:func:`_tracked`).
     The stored residual is |S'(theta_i)| at the root.
 
     Returns None when the path carries no window.  Raises ConvergenceError
@@ -444,7 +467,6 @@ def bimodality_birth(traj: TrajectorySpec, grid_n: int = 512) -> BoundaryPoint |
     """
     if traj.axis:
         return None  # on the axis extrema appear by endpoint bifurcation instead
-    lo, hi = traj.q1_range()
     if traj.total <= 0.5:
         return None
     probe, _ = _window_upper_end(traj)
@@ -460,24 +482,7 @@ def bimodality_birth(traj: TrajectorySpec, grid_n: int = 512) -> BoundaryPoint |
         if a < ENDPOINT_MARGIN:
             raise ConvergenceError(f"no inflection below the minimum at the window probe on {traj}")
     theta = find_root(s2, a, b, s2(a), s2(b), _THETA_TOL)
-
-    def fold(q1: float) -> float:
-        nonlocal theta
-        if not lo < q1 <= hi:
-            return math.nan
-        p = traj.state(q1)
-        t = _minimizer_near(_slope_curvature, p, theta)
-        if math.isnan(t):
-            return math.nan
-        theta = t
-        return post_entropy_slope(p, t)
-
-    def fold_slope(q1: float) -> float:
-        # d/dq1 of S' at the theta_i of the last evaluation
-        a, b = max(q1 - _FD_STEP, lo), min(q1 + _FD_STEP, hi)
-        s_a, s_b = post_entropy_slope(traj.state(a), theta), post_entropy_slope(traj.state(b), theta)
-        return (s_b - s_a) / (b - a)
-
+    fold, fold_slope, _ = _tracked(traj, _slope_curvature, post_entropy_slope, theta)
     g = post_entropy_slope(p, theta)
     root = _newton_root(fold, fold_slope, probe, g, 1e-9, f"fold of dS/dtheta on {traj}")
     if root is None:

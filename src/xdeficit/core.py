@@ -88,15 +88,6 @@ def _entropy_bits(weights) -> float:
     return out
 
 
-def _entropy_bits_grid(*weights) -> np.ndarray:
-    # array form of _entropy_bits: the same terms in the same order, weights
-    # <= 0 (float dust) contribute nothing
-    out = 0.0
-    for w in weights:
-        out = out - np.where(w > 0.0, w, 0.0) * np.log2(np.where(w > 0.0, w, 1.0))
-    return out
-
-
 def binary_entropy(x: float) -> float:
     """Shannon binary entropy -x*log2(x) - (1-x)*log2(1-x) in bits."""
     x = float(x)
@@ -184,62 +175,27 @@ def _spectrum_into(w, q1, q2, ct, st) -> np.ndarray:
 
 
 def curve_workspace(shape) -> np.ndarray:
-    """Scratch buffer for :func:`entropy_curve` or :func:`slope_curve` over a
-    broadcast ``shape``.
+    """Scratch buffer for :func:`slope_curve` over a broadcast ``shape``.
 
     One buffer serves any number of calls of that shape; reusing it keeps
-    the kernels free of allocations.
+    the kernel free of allocations.
     """
     return np.empty((11,) + tuple(shape))
-
-
-def entropy_curve(q1, q2, ct, st, work: np.ndarray | None = None,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Post-measured entropy in bits from the cosine and sine of the angles.
-
-    The kernel behind :func:`post_entropy_grid`: q1, q2, ct = cos(theta) and
-    st = sin(theta) broadcast together.  The four eigenvalues go into one
-    ``(4, ...)`` buffer; clipping, the logarithms and the products run once
-    over it, and the four terms are summed in eigenvalue order.  ``work``,
-    from :func:`curve_workspace` for the broadcast shape, holds every
-    intermediate, and ``out`` receives the result; a call given both
-    allocates nothing.  The caller keeps (q1, q2) inside the triangle;
-    nothing is validated here.
-    """
-    if work is None or out is None:
-        shape = np.broadcast_shapes(np.shape(q1), np.shape(q2), np.shape(ct), np.shape(st))
-        work = curve_workspace(shape) if work is None else work
-        out = np.empty(shape) if out is None else out
-    lam = _spectrum_into(work[:5], q1, q2, ct, st)
-    # clipped to [0, 1] as np.clip does, without its Python-level wrapper
-    np.maximum(lam, 0.0, out=lam)
-    np.minimum(lam, 1.0, out=lam)
-    # same rule as _entropy_bits: weights <= 0 (float dust) contribute
-    # nothing.  Raised to the least subnormal, a zero weight has a finite
-    # logarithm (-1074) and its term 0 * -1074 = -0.0 leaves the sum as it is
-    terms = work[5:9]
-    np.maximum(lam, _LEAST_SUBNORMAL, out=terms)
-    np.log2(terms, out=terms)
-    np.multiply(lam, terms, out=terms)
-    np.subtract(0.0, terms[0, ...], out=out)
-    for k in (1, 2, 3):
-        np.subtract(out, terms[k, ...], out=out)
-    return out[()]
 
 
 def slope_curve(q1, q2, ct, st, work: np.ndarray | None = None,
                 out: np.ndarray | None = None) -> np.ndarray:
     """dS/dtheta in bits per radian from the cosine and sine of the angles.
 
-    The array form of :func:`post_entropy_slope`, broadcast and buffered like
-    :func:`entropy_curve`: ``work`` from :func:`curve_workspace` holds every
-    intermediate and ``out`` receives the result, so a call given both
-    allocates nothing.  The spectrum comes from the kernel of
-    :func:`entropy_curve`, and both radii from its gaps,
-    rad_p = 2 (lam0 - lam1) and rad_m = 2 (lam2 - lam3).  The log terms are
-    summed in pairs, so that a radius rounded near zero multiplies the
-    near-zero difference of its two logarithms.  Unvalidated like
-    :func:`entropy_curve`.
+    The array form of :func:`post_entropy_slope`: q1, q2, ct = cos(theta)
+    and st = sin(theta) broadcast together.  ``work`` from
+    :func:`curve_workspace` holds every intermediate and ``out`` receives
+    the result, so a call given both allocates nothing.  The spectrum comes
+    from the kernel of :func:`post_entropy_grid`, and both radii from its
+    gaps, rad_p = 2 (lam0 - lam1) and rad_m = 2 (lam2 - lam3).  The log
+    terms are summed in pairs, so that a radius rounded near zero multiplies
+    the near-zero difference of its two logarithms.  Unvalidated like
+    :func:`post_entropy_grid`.
     """
     if work is None or out is None:
         shape = np.broadcast_shapes(np.shape(q1), np.shape(q2), np.shape(ct), np.shape(st))
@@ -303,8 +259,8 @@ def post_spectrum(p: StateParams, theta) -> np.ndarray:
     Returns the four eigenvalues as the last axis of the result; ``theta``
     may be a scalar or an ndarray of polar angles.  The azimuthal measurement
     angle does not enter.  The formula extends smoothly to any real theta,
-    which the symmetry tests exploit.  The spectrum that :func:`entropy_curve`
-    sums.
+    which the symmetry tests exploit.  The spectrum that
+    :func:`post_entropy_grid` sums.
     """
     theta = np.asarray(theta, dtype=float)
     lam = _spectrum_into(np.empty((5,) + theta.shape), p.q1, p.q2, np.cos(theta), np.sin(theta))
@@ -392,14 +348,31 @@ def post_entropy_grid(q1, q2, theta) -> np.ndarray:
 
     The array form of :func:`post_entropy`: column arrays of states against a
     row of angles give one curve per state, elementwise identical to calling
-    ``post_entropy`` state by state.  A thin face of :func:`entropy_curve`,
-    which callers that reuse one set of angles can call with its cosines and
-    sines directly.  The caller keeps (q1, q2) inside the triangle; nothing
-    is validated here.
+    ``post_entropy`` state by state.  The four eigenvalues go into one
+    ``(4, ...)`` buffer; clipping, the logarithms and the products run once
+    over it, and the four terms are summed in eigenvalue order.  The caller
+    keeps (q1, q2) inside the triangle; nothing is validated here.
     """
+    q1 = np.asarray(q1, dtype=float)
+    q2 = np.asarray(q2, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    return entropy_curve(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float),
-                         np.cos(theta), np.sin(theta))
+    shape = np.broadcast_shapes(q1.shape, q2.shape, theta.shape)
+    work, out = np.empty((9,) + shape), np.empty(shape)
+    lam = _spectrum_into(work[:5], q1, q2, np.cos(theta), np.sin(theta))
+    # clipped to [0, 1] as np.clip does, without its Python-level wrapper
+    np.maximum(lam, 0.0, out=lam)
+    np.minimum(lam, 1.0, out=lam)
+    # same rule as _entropy_bits: weights <= 0 (float dust) contribute
+    # nothing.  Raised to the least subnormal, a zero weight has a finite
+    # logarithm (-1074) and its term 0 * -1074 = -0.0 leaves the sum as it is
+    terms = work[5:9]
+    np.maximum(lam, _LEAST_SUBNORMAL, out=terms)
+    np.log2(terms, out=terms)
+    np.multiply(lam, terms, out=terms)
+    np.subtract(0.0, terms[0, ...], out=out)
+    for k in (1, 2, 3):
+        np.subtract(out, terms[k, ...], out=out)
+    return out[()]
 
 
 def endpoint_entropy_zero(p: StateParams) -> float:
@@ -414,17 +387,6 @@ def _entropy_zero(q1: float, q2: float) -> float:
     # the float-level body of endpoint_entropy_zero
     s = q1 + q2
     return _entropy_bits((s / 2.0, s / 2.0, 1.0 - s))
-
-
-def endpoint_entropy_zero_grid(q1, q2) -> np.ndarray:
-    """Array form of :func:`endpoint_entropy_zero`; q1 and q2 broadcast together.
-
-    The same formula in the same order, so it matches the scalar form to an
-    ulp of the logarithm.  The caller keeps (q1, q2) inside the triangle;
-    nothing is validated here.
-    """
-    s = np.asarray(q1, dtype=float) + np.asarray(q2, dtype=float)
-    return _entropy_bits_grid(s / 2.0, s / 2.0, 1.0 - s)
 
 
 def aux_radius(p: StateParams) -> float:
@@ -443,19 +405,6 @@ def _entropy_halfpi(q1: float, q2: float) -> float:
     return 1.0 + binary_entropy((1.0 + r) / 2.0)
 
 
-def endpoint_entropy_halfpi_grid(q1, q2) -> np.ndarray:
-    """Array form of :func:`endpoint_entropy_halfpi`; q1 and q2 broadcast together.
-
-    Unvalidated like :func:`endpoint_entropy_zero_grid`.
-    """
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    r = np.hypot(1.0 - (q1 + q2), q1 - q2)
-    # binary_entropy clamps its argument to [0, 1] the same way
-    x = np.clip((1.0 + r) / 2.0, 0.0, 1.0)
-    return 1.0 + _entropy_bits_grid(x, 1.0 - x)
-
-
 def s2_halfpi(p: StateParams) -> float | None:
     """Second theta-derivative of the post-measured entropy at theta = pi/2.
 
@@ -472,7 +421,7 @@ def s2_halfpi_grid(q1, q2) -> np.ndarray:
     """Second theta-derivative at theta = pi/2 over (q1, q2) arrays broadcast together.
 
     NaN marks the degenerate radii where :func:`s2_halfpi` returns None.
-    Unvalidated like :func:`endpoint_entropy_zero_grid`.
+    Unvalidated like :func:`post_entropy_grid`.
     """
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)

@@ -23,9 +23,6 @@ from xdeficit import (
 )
 from xdeficit.core import (
     curve_workspace,
-    endpoint_entropy_halfpi_grid,
-    endpoint_entropy_zero_grid,
-    entropy_curve,
     post_entropy_grid,
     post_entropy_slope,
     s2_halfpi,
@@ -171,7 +168,7 @@ class TestPostEntropy:
 
 def _reference_eigenvalues(q1, q2, theta):
     # the eigenvalues as plain broadcast expressions: the reference whose
-    # operations and order entropy_curve must reproduce to the bit
+    # operations and order post_entropy_grid must reproduce to the bit
     a = 1.0 - (q1 + q2)
     b = 1.0 - 2.0 * (q1 + q2)
     c = q1 - q2
@@ -212,12 +209,6 @@ class TestEntropyCurveKernel:
         q2 = np.array([[p.q2] for p in states])
         ref = _reference_entropy_grid(q1, q2, self.THETAS)
         assert np.array_equal(post_entropy_grid(q1, q2, self.THETAS), ref)
-        # a reused workspace and output buffer give the same bits
-        shape = ref.shape
-        work, out = curve_workspace(shape), np.empty(shape)
-        for _ in range(2):
-            entropy_curve(q1, q2, np.cos(self.THETAS), np.sin(self.THETAS), work, out)
-            assert np.array_equal(out, ref)
 
     @settings(max_examples=200, deadline=None)
     @given(closed_triangle_states())
@@ -271,8 +262,8 @@ class TestEndpointForms:
 
 
 class TestGridForms:
-    # numpy's log2, log and hypot may differ from libm's by an ulp, so the
-    # broadcast forms match their scalar forms to rounding, not to the bit
+    # numpy's log and hypot may differ from libm's by an ulp, so the
+    # broadcast form matches its scalar form to rounding, not to the bit
     @settings(max_examples=300, deadline=None)
     @given(st.lists(closed_triangle_states(), min_size=1, max_size=16))
     @example([StateParams(0.0, 0.0), StateParams(1.0, 0.0), StateParams(0.0, 1.0),
@@ -282,13 +273,9 @@ class TestGridForms:
     def test_match_scalar_forms(self, states):
         q1 = np.array([p.q1 for p in states])
         q2 = np.array([p.q2 for p in states])
-        zero = endpoint_entropy_zero_grid(q1, q2)
-        halfpi = endpoint_entropy_halfpi_grid(q1, q2)
         s2 = s2_halfpi_grid(q1, q2)
-        assert zero.shape == halfpi.shape == s2.shape == q1.shape
+        assert s2.shape == q1.shape
         for k, p in enumerate(states):
-            assert abs(zero[k] - endpoint_entropy_zero(p)) <= 1e-15
-            assert abs(halfpi[k] - endpoint_entropy_halfpi(p)) <= 1e-15
             ref = s2_halfpi(p)
             if ref is None:
                 assert math.isnan(s2[k])
@@ -301,9 +288,8 @@ class TestGridForms:
     def test_broadcast_shapes(self):
         q1 = np.linspace(0.0, 0.5, 4)[:, None]
         q2 = np.linspace(0.0, 0.5, 3)[None, :]
-        for form in (endpoint_entropy_zero_grid, endpoint_entropy_halfpi_grid, s2_halfpi_grid):
-            assert form(q1, q2).shape == (4, 3)
-        assert np.ndim(endpoint_entropy_zero_grid(0.3, 0.2)) == 0
+        assert s2_halfpi_grid(q1, q2).shape == (4, 3)
+        assert np.ndim(s2_halfpi_grid(0.3, 0.2)) == 0
 
 
 class TestSlope:
@@ -417,8 +403,7 @@ class TestExactExchangeSymmetry:
         m = p.swapped()
         for form in (pre_entropy, endpoint_entropy_zero, endpoint_entropy_halfpi, s2_halfpi):
             assert form(p) == form(m), form.__name__
-        for form in (endpoint_entropy_zero_grid, endpoint_entropy_halfpi_grid, s2_halfpi_grid):
-            assert np.array_equal(form(p.q1, p.q2), form(m.q1, m.q2), equal_nan=True)
+        assert np.array_equal(s2_halfpi_grid(p.q1, p.q2), s2_halfpi_grid(m.q1, m.q2), equal_nan=True)
 
 
 class TestDiagnostics:
