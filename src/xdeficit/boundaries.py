@@ -13,9 +13,10 @@ evaluates the scalar forms point by point, its two bracket ends included.
 The jump boundary, the bimodality birth and the intersection of the
 equal-endpoint and half-pi curves are Newton-type solves on the scalar
 closed forms of ``core``.  The jump and the birth share one window probe,
-one tracked angle (``_tracked``) and one Newton loop.  The probe is a
-single shape classification at the window's upper end; a path whose probe
-finds no interior minimum carries no window.  From the probe, Newton steps in q1
+one tracked angle (``_tracked``) and one Newton loop.  The probe
+(``_window_probe``) is a single shape classification, on one slope grid, at
+the window's upper end; a path whose probe finds no interior minimum
+carries no window.  From the probe, Newton steps in q1
 drive the jump gap S(0) - S(theta*) to a sign change, tracking the
 interior minimizer theta* as a warm-started root of dS/dtheta, and do the
 same for the fold value S'(theta_i), tracking the inflection theta_i as a
@@ -55,13 +56,7 @@ from .core import (
     s2_halfpi_grid,
     s2_zero_axis,
 )
-from .shape import (
-    ENDPOINT_MARGIN,
-    HALF_PI,
-    classify_shape,
-    find_root,
-    interior_minimum,
-)
+from .shape import ENDPOINT_MARGIN, HALF_PI, REFINE_TOL, classify_shape, find_root
 
 SCAN_SAMPLES = 2048
 Q1_TOL = 1e-7
@@ -72,11 +67,17 @@ CORNER_TOL = 1e-9
 _NEWTON_STEPS = 30
 _FD_STEP = 1e-6
 
+# Tolerance in q1 to which find_root polishes the jump and fold roots.
+_ROOT_Q1_TOL = 1e-9
+
+# Slope grid of the window probe, the one classification of the jump and
+# birth solves.
+_PROBE_GRID = 1024
+
 # Initial half-width (radians) of the bracket around the previous minimizer
 # in which the boundary solves look for the next one, at most half the
-# previous angle, and the minimizer's tolerance.
+# previous angle.
 _WALK_WIDTH = 1e-3
-_THETA_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -154,20 +155,19 @@ def _brackets(vals: np.ndarray) -> np.ndarray:
     return np.flatnonzero(ok[:-1] & ok[1:] & (neg[:-1] != neg[1:]))
 
 
-def _last_root(traj: TrajectorySpec, residual, residual_grid, lo: float, hi: float,
-               samples: int = SCAN_SAMPLES) -> float | None:
+def _last_root(traj: TrajectorySpec, residual, residual_grid, lo: float, hi: float) -> float | None:
     """Rightmost sign-change root on [lo, hi] of a residual along the path, or None.
 
     ``residual`` maps a ``StateParams`` to a float and ``residual_grid`` is its
-    broadcast form over (q1, q2) arrays.  The scan samples the whole path as
-    one array through ``residual_grid``; the root in the last bracket is then
-    solved with the scalar ``residual``, starting from its own values at the
-    two bracket ends, so the root is the one a per-sample scan with
-    ``residual`` finds from the same bracket.  NaN samples (degenerate
+    broadcast form over (q1, q2) arrays.  The scan samples the whole path at
+    ``SCAN_SAMPLES`` points as one array through ``residual_grid``; the root
+    in the last bracket is then solved with the scalar ``residual``,
+    starting from its own values at the two bracket ends, so the root is the
+    one a per-sample scan with ``residual`` finds from the same bracket.  NaN samples (degenerate
     diagnostics) are skipped; brackets that straddle a NaN stretch are
     discarded rather than guessed at.
     """
-    qs = np.linspace(lo, hi, samples)
+    qs = np.linspace(lo, hi, SCAN_SAMPLES)
     idx = _brackets(residual_grid(*traj.states(qs)))
     if idx.size == 0:
         return None
@@ -265,6 +265,26 @@ def _window_upper_end(traj: TrajectorySpec) -> tuple[float, float | None]:
     return min(traj.total, 1.0), None
 
 
+def _window_probe(traj: TrajectorySpec) -> tuple[float, float | None, StateParams, dict[str, float]] | None:
+    """The window probe of a diagonal path, or None when the path carries no window.
+
+    One shape classification, on the ``_PROBE_GRID`` slope grid, at the
+    window's upper end (:func:`_window_upper_end`).  Returns the probe's q1,
+    the half-pi root of the path (None if it has none), the probe state and
+    the angles of its refined extrema by kind ("min", "max").  A path with
+    total <= 1/2, or whose probe finds no interior minimum, carries no
+    window.
+    """
+    if traj.total <= 0.5:
+        return None
+    probe, hp_root = _window_upper_end(traj)
+    p = traj.state(probe)
+    theta_of = {e.kind: e.theta for e in classify_shape(p, grid_n=_PROBE_GRID).extrema}
+    if "min" not in theta_of:
+        return None
+    return probe, hp_root, p, theta_of
+
+
 def _slope_curvature(p: StateParams, theta: float) -> float:
     """d2S/dtheta2 at scalar theta, a central difference of the closed-form dS/dtheta."""
     h = _FD_STEP
@@ -307,7 +327,7 @@ def _minimizer_near(deriv, p: StateParams, theta0: float) -> float:
             b, sb = a, sa
             a = max(a - w, lo_end)
             sa = deriv(a)
-    return find_root(deriv, a, b, sa, sb, _THETA_TOL)
+    return find_root(deriv, a, b, sa, sb, REFINE_TOL)
 
 
 def _tracked(traj: TrajectorySpec, deriv, value, theta0: float):
@@ -374,20 +394,21 @@ def _newton_root(f, slope, q: float, fq: float, xtol: float, what: str) -> float
     raise ConvergenceError(f"{what} kept its sign over {_NEWTON_STEPS} Newton steps")
 
 
-def solve_jump_boundary(traj: TrajectorySpec, grid_n: int = 1024) -> JumpRecord | None:
+def solve_jump_boundary(traj: TrajectorySpec) -> JumpRecord | None:
     """Boundary where the optimal angle hops from 0 to the interior minimizer.
 
     Solves the 2x2 system {S'(theta) = 0, S(theta) = S(0)} in (q1, theta)
     with theta eliminated: the root of the gap g(q1) = S(0) - S(theta*)
-    along the path, theta* being the interior minimizer.  One shape
-    classification at the window's analytic upper end (the window probe)
-    finds the minimum; when it finds none, the path carries no window.
+    along the path, theta* being the interior minimizer.  The window probe
+    (:func:`_window_probe`), the one shape classification this solve and
+    :func:`bimodality_birth` share, finds the minimum at the window's
+    analytic upper end; when it finds none, the path carries no window.
     Newton steps in q1 (:func:`_newton_root`) then drive g to a sign change,
-    and ``shape.find_root`` polishes the bracket to 1e-9.  Each gap
-    evaluation finds theta* with :func:`_minimizer_near`, warm-started from
-    the last one, and the Newton slope dg/dq1 is the q1-derivative at fixed
-    theta* (:func:`_tracked`).  The gap at the root is the stored residual,
-    and the theta* it tracks there is the jump angle.
+    and ``shape.find_root`` polishes the bracket to ``_ROOT_Q1_TOL``.  Each
+    gap evaluation finds theta* with :func:`_minimizer_near`, warm-started
+    from the last one, and the Newton slope dg/dq1 is the q1-derivative at
+    fixed theta* (:func:`_tracked`).  The gap at the root is the stored
+    residual, and the theta* it tracks there is the jump angle.
 
     A gap negative at the probe means the root lies above it.  Just below
     the intersection of the equal-endpoint and half-pi boundaries it lies
@@ -405,20 +426,17 @@ def solve_jump_boundary(traj: TrajectorySpec, grid_n: int = 1024) -> JumpRecord 
     """
     if traj.axis:
         raise ValueError("the jump boundary on the axis is the weight-1/2 point")
-    if traj.total <= 0.5:
+    window = _window_probe(traj)
+    if window is None:
         return None
-    probe, hp_root = _window_upper_end(traj)
-    ext = interior_minimum(traj.state(probe), grid_n=grid_n)
-    if ext is None:
-        return None
-    gap, gap_slope, theta = _tracked(traj, post_entropy_slope, _jump_gap, ext.theta)
+    probe, hp_root, _, theta_of = window
+    gap, gap_slope, theta = _tracked(traj, post_entropy_slope, _jump_gap, theta_of["min"])
 
     def gap_to_end(q1: float) -> float:
         # the gap, continued by S(0) - S(pi/2) where the minimum has merged
         g = gap(q1)
         return _equal_endpoints_gap(traj.state(q1)) if math.isnan(g) else g
 
-    xtol = 1e-9
     g = gap(probe)
     if math.isnan(g):
         raise ConvergenceError(f"interior minimum lost at the window probe q1 = {probe!r} on {traj}")
@@ -426,9 +444,9 @@ def solve_jump_boundary(traj: TrajectorySpec, grid_n: int = 1024) -> JumpRecord 
         g_end = math.nan if hp_root is None else _equal_endpoints_gap(traj.state(hp_root))
         if not g_end > 0.0:
             return None
-        root = find_root(gap_to_end, probe, hp_root, g, g_end, xtol)
+        root = find_root(gap_to_end, probe, hp_root, g, g_end, _ROOT_Q1_TOL)
     else:
-        root = _newton_root(gap, gap_slope, probe, g, xtol, f"jump gap on {traj}")
+        root = _newton_root(gap, gap_slope, probe, g, _ROOT_Q1_TOL, f"jump gap on {traj}")
         if root is None:
             return None  # the minimum vanishes before the gap changes sign
     p = traj.state(root)
@@ -441,21 +459,22 @@ def solve_jump_boundary(traj: TrajectorySpec, grid_n: int = 1024) -> JumpRecord 
     )
 
 
-def bimodality_birth(traj: TrajectorySpec, grid_n: int = 512) -> BoundaryPoint | None:
+def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
     """Path point where an extremum pair is born out of an inflection.
 
     The birth is a fold of dS/dtheta: S' = 0 and S'' = 0 hold together.
     It is the root of g(q1) = S'(theta_i) along the path, theta_i being the
     inflection at which S' is least, between the maximum and the minimum of
-    the pair.  One shape classification at the window's upper end (the
-    window probe of :func:`solve_jump_boundary`) finds the pair; when it
-    finds no interior minimum, the path carries no window.  theta_i is
-    bracketed between the probe's maximum and its minimum.  A maximum below
-    ``ENDPOINT_MARGIN`` merges with the endpoint and goes unreported; the
-    bracket then starts at the first of theta_min / 2, theta_min / 4, ... at
-    which S' falls, no lower than ``ENDPOINT_MARGIN``.  Newton steps in q1
-    (:func:`_newton_root`) then drive g from negative to a sign change, and
-    ``shape.find_root`` polishes the bracket.  Each evaluation of g finds
+    the pair.  The window probe (:func:`_window_probe`), the one shape
+    classification this solve and :func:`solve_jump_boundary` share, at the
+    same state on the same grid, finds the pair; when it finds no interior
+    minimum, the path carries no window.  theta_i is bracketed between the
+    probe's maximum and its minimum.  A maximum below ``ENDPOINT_MARGIN``
+    merges with the endpoint and goes unreported; the bracket then starts at
+    the first of theta_min / 2, theta_min / 4, ... at which S' falls, no
+    lower than ``ENDPOINT_MARGIN``.  Newton steps in q1 (:func:`_newton_root`)
+    then drive g from negative to a sign change, and ``shape.find_root``
+    polishes the bracket to ``_ROOT_Q1_TOL``.  Each evaluation of g finds
     theta_i with :func:`_minimizer_near` over S'', a central difference of
     the closed-form slope, warm-started from the last one, and the Newton
     slope is the q1-derivative of S' at fixed theta_i (:func:`_tracked`).
@@ -467,13 +486,10 @@ def bimodality_birth(traj: TrajectorySpec, grid_n: int = 512) -> BoundaryPoint |
     """
     if traj.axis:
         return None  # on the axis extrema appear by endpoint bifurcation instead
-    if traj.total <= 0.5:
+    window = _window_probe(traj)
+    if window is None:
         return None
-    probe, _ = _window_upper_end(traj)
-    p = traj.state(probe)
-    theta_of = {e.kind: e.theta for e in classify_shape(p, grid_n=grid_n).extrema}
-    if "min" not in theta_of:
-        return None
+    probe, _, p, theta_of = window
     s2 = functools.partial(_slope_curvature, p)
     b = theta_of["min"]
     a = theta_of.get("max", b)
@@ -481,10 +497,10 @@ def bimodality_birth(traj: TrajectorySpec, grid_n: int = 512) -> BoundaryPoint |
         a *= 0.5
         if a < ENDPOINT_MARGIN:
             raise ConvergenceError(f"no inflection below the minimum at the window probe on {traj}")
-    theta = find_root(s2, a, b, s2(a), s2(b), _THETA_TOL)
+    theta = find_root(s2, a, b, s2(a), s2(b), REFINE_TOL)
     fold, fold_slope, _ = _tracked(traj, _slope_curvature, post_entropy_slope, theta)
     g = post_entropy_slope(p, theta)
-    root = _newton_root(fold, fold_slope, probe, g, 1e-9, f"fold of dS/dtheta on {traj}")
+    root = _newton_root(fold, fold_slope, probe, g, _ROOT_Q1_TOL, f"fold of dS/dtheta on {traj}")
     if root is None:
         raise ConvergenceError(f"inflection lost before the fold on {traj}")
     return BoundaryPoint(
@@ -534,6 +550,23 @@ def curves_intersection(t_lo: float = 0.70, t_hi: float = 0.80) -> StateParams:
     return p
 
 
+def jump_boundary_ends(p_star: StateParams) -> tuple[JumpRecord, JumpRecord]:
+    """The two analytic ends of the jump boundary, each with its defining residual.
+
+    The axis limit (0.5, 0), where the hop shrinks to zero and the theta = 0
+    axis curvature vanishes, and the intersection ``p_star`` of the
+    equal-endpoint and half-pi curves, where the hop spans the whole quarter
+    turn and the endpoint gap vanishes.
+    """
+    axis = BoundaryPoint(
+        p=StateParams(0.5, 0.0), kind=BoundaryKind.JUMP_BOUNDARY, residual=abs(s2_zero_axis(0.5))
+    )
+    star = BoundaryPoint(
+        p=p_star, kind=BoundaryKind.JUMP_BOUNDARY, residual=abs(_equal_endpoints_gap(p_star))
+    )
+    return JumpRecord(boundary=axis, jump_angle=0.0), JumpRecord(boundary=star, jump_angle=HALF_PI)
+
+
 _TABLE_TOTALS = (0.55, 0.60, 0.65, 0.70, 0.75)
 
 
@@ -542,32 +575,14 @@ def jump_angle_table() -> list[JumpRecord]:
 
     Seven records: the axis limit (0.5, 0) where the hop shrinks to zero,
     five trajectory solves, and the intersection limit where the hop spans
-    the whole quarter turn.  The limit rows are analytic and carry their
-    defining residuals directly.
+    the whole quarter turn.  The limit rows are analytic
+    (:func:`jump_boundary_ends`).
     """
-    rows = [
-        JumpRecord(
-            boundary=BoundaryPoint(
-                p=StateParams(0.5, 0.0),
-                kind=BoundaryKind.JUMP_BOUNDARY,
-                residual=abs(s2_zero_axis(0.5)),
-            ),
-            jump_angle=0.0,
-        )
-    ]
+    rows = []
     for total in _TABLE_TOTALS:
         rec = solve_jump_boundary(TrajectorySpec(total))
         if rec is None:
             raise ConvergenceError(f"no jump boundary found on total {total}")
         rows.append(rec)
-    p_star = curves_intersection()
-    residual = abs(endpoint_entropy_zero(p_star) - endpoint_entropy_halfpi(p_star))
-    rows.append(
-        JumpRecord(
-            boundary=BoundaryPoint(
-                p=p_star, kind=BoundaryKind.JUMP_BOUNDARY, residual=residual
-            ),
-            jump_angle=math.pi / 2.0,
-        )
-    )
-    return rows
+    axis, star = jump_boundary_ends(curves_intersection())
+    return [axis, *rows, star]

@@ -148,8 +148,6 @@ def cmd_shape(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if not 0.0 < args.total <= 1.0:
-        raise DomainError(f"trajectory total must lie in (0, 1], got {args.total}")
     profile = trajectory_profile(TrajectorySpec(args.total), samples=args.samples)
     rows = [
         {

@@ -55,16 +55,14 @@ def _endpoint_values(q1: float, q2: float) -> tuple[float, float, float]:
     return s, _entropy_zero(q1, q2) - s, _entropy_halfpi(q1, q2) - s
 
 
-def branch_values(
-    p: StateParams, grid_n: int = 512, refine_tol: float = 1e-10
-) -> tuple[float, float, tuple[float, float] | None]:
+def branch_values(p: StateParams, grid_n: int = 512) -> tuple[float, float, tuple[float, float] | None]:
     """Candidate deficits (delta0, delta_halfpi, interior) in bits.
 
     ``interior`` is None when the entropy curve has no interior minimum,
     otherwise a (delta, vartheta) pair from the shape analysis.
     """
     s, delta0, delta_halfpi = _endpoint_values(p.q1, p.q2)
-    ext = interior_minimum(p, grid_n=grid_n, refine_tol=refine_tol)
+    ext = interior_minimum(p, grid_n=grid_n)
     interior = None if ext is None else (ext.value - s, ext.theta)
     return delta0, delta_halfpi, interior
 
@@ -92,11 +90,9 @@ def _pick(
     return interior[0], Branch.INTERIOR, interior[1], tie
 
 
-def one_way_deficit(
-    p: StateParams, grid_n: int = 512, refine_tol: float = 1e-10
-) -> DeficitResult:
+def one_way_deficit(p: StateParams, grid_n: int = 512) -> DeficitResult:
     """Minimize the measurement-dependent deficit over the three branches."""
-    return DeficitResult(*_pick(*branch_values(p, grid_n=grid_n, refine_tol=refine_tol)))
+    return DeficitResult(*_pick(*branch_values(p, grid_n=grid_n)))
 
 
 def endpoint_branch(q1: float, q2: float) -> tuple[float, Branch, float, bool]:

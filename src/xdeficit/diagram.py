@@ -35,16 +35,20 @@ from .boundaries import (
     BoundaryPoint,
     TrajectorySpec,
     curves_intersection,
+    jump_boundary_ends,
     solve_equal_endpoints,
     solve_halfpi_boundary,
     solve_jump_boundary,
     zero_boundary_axis,
 )
-from .core import StateParams, endpoint_entropy_halfpi, endpoint_entropy_zero, s2_halfpi_grid
+from .core import StateParams, s2_halfpi_grid
 from .deficit import endpoint_branch, one_way_deficit
 from .shape import UnresolvedShape, needs_refinement
 
 UNRESOLVED_LABEL = "Unresolved"
+
+# Slope grid of the trajectory profiles, and the sweep's default one.
+_THETA_GRID = 512
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,7 @@ class TrajectoryProfile:
 def _cell(p: StateParams, theta_grid: int) -> PhaseCell:
     """One labelled cell from the full deficit."""
     try:
-        res = one_way_deficit(p, grid_n=theta_grid, refine_tol=1e-8)
+        res = one_way_deficit(p, grid_n=theta_grid)
     except UnresolvedShape:
         return PhaseCell(p.q1, p.q2, UNRESOLVED_LABEL, math.nan, math.nan)
     return PhaseCell(p.q1, p.q2, res.branch.value, res.delta, res.optimal_theta)
@@ -132,7 +136,7 @@ def _walk_flags(lower: list[tuple[int, int]], q1: np.ndarray, q2: np.ndarray,
     return flags
 
 
-def sweep(resolution: int = 400, theta_grid: int = 512, threads: int | None = None) -> PhaseGrid:
+def sweep(resolution: int = 400, theta_grid: int = _THETA_GRID, threads: int | None = None) -> PhaseGrid:
     """Label every triangle cell with its winning deficit branch.
 
     Cells are unit-grid squares of side 1/resolution whose centers lie inside
@@ -229,16 +233,11 @@ def trace_boundaries(resolution: int = 100) -> list[BoundaryCurve]:
         return BoundaryPoint(p=StateParams(1.0, 0.0), kind=kind, residual=0.0, degenerate=True)
 
     jumps = (solve_jump_boundary(TrajectorySpec(t)) for t in totals if 0.5 < t < t_star)
-    axis_jump = BoundaryPoint(p=StateParams(0.5, 0.0), kind=jump, residual=0.0)
-    star = BoundaryPoint(
-        p=p_star,
-        kind=jump,
-        residual=abs(endpoint_entropy_zero(p_star) - endpoint_entropy_halfpi(p_star)),
-    )
+    axis_jump, star = jump_boundary_ends(p_star)
     polylines = [
         (eq, fan(solve_equal_endpoints) + [corner(eq)]),
         (hp, fan(solve_halfpi_boundary) + [corner(hp)]),
-        (jump, [axis_jump] + [rec.boundary for rec in jumps if rec is not None] + [star]),
+        (jump, [rec.boundary for rec in (axis_jump, *jumps, star) if rec is not None]),
     ]
     curves = []
     for kind, points in polylines:
@@ -248,14 +247,13 @@ def trace_boundaries(resolution: int = 100) -> list[BoundaryCurve]:
     return curves
 
 
-def trajectory_profile(traj: TrajectorySpec, samples: int = 1000,
-                       theta_grid: int = 512) -> TrajectoryProfile:
+def trajectory_profile(traj: TrajectorySpec, samples: int = 1000) -> TrajectoryProfile:
     """Deficit profile along a scan path with branch transitions marked.
 
-    The samples take the two routes of :func:`sweep`, but the flags come from
-    one ``shape.needs_refinement`` pass over the whole path: the full deficit
-    on the flagged samples and the endpoint branches on the rest, each equal
-    to a per-sample ``one_way_deficit``.
+    The samples take the two routes of :func:`sweep` on its default angle
+    grid, but the flags come from one ``shape.needs_refinement`` pass over
+    the whole path: the full deficit on the flagged samples and the endpoint
+    branches on the rest, each equal to a per-sample ``one_way_deficit``.
     """
     if samples < 100:
         raise ValueError("samples must be at least 100")
@@ -269,8 +267,8 @@ def trajectory_profile(traj: TrajectorySpec, samples: int = 1000,
     # rises from theta = 0) fails on the axis: there a walk from q1 = 1 stops
     # at the corner sample, whose curvature is NaN and whose curve is flat,
     # and misses all the minima further down the path
-    flags = needs_refinement(np.array(q1s), np.array(q2s), theta_grid)
-    rows = _label(q1s, q2s, flags.tolist(), theta_grid)
+    flags = needs_refinement(np.array(q1s), np.array(q2s), _THETA_GRID)
+    rows = _label(q1s, q2s, flags.tolist(), _THETA_GRID)
     transitions = []
     for a, b in zip(rows, rows[1:]):
         if a.branch != b.branch:

@@ -44,6 +44,9 @@ _EPS = np.finfo(float).eps
 # Evaluations find_root may spend beyond what bisection would need.
 _SPARE_STEPS = 3
 
+# Tolerance (radians) to which every extremum and tracked angle is refined.
+REFINE_TOL = 1e-10
+
 # States per chunk of the flag pass: a chunk's buffers at grid 512 stay
 # within ~64 KB each, so they are reused from cache instead of faulted in.
 _FLAG_CHUNK = 16
@@ -197,14 +200,14 @@ def needs_refinement(q1: np.ndarray, q2: np.ndarray, grid_n: int) -> np.ndarray:
     return flags
 
 
-def classify_shape(p: StateParams, grid_n: int = 512, refine_tol: float = 1e-10) -> ShapeReport:
+def classify_shape(p: StateParams, grid_n: int = 512) -> ShapeReport:
     """Classify the entropy curve on [0, pi/2] and refine interior extrema.
 
     Samples dS/dtheta at ``grid_n + 1`` angles: ``ENDPOINT_MARGIN``, the
     interior angles of the uniform grid of [0, pi/2], and
     pi/2 - ``ENDPOINT_MARGIN``.  Each sign change between consecutive
     samples of |dS/dtheta| >= ``SLOPE_FLOOR`` brackets one extremum, refined
-    to ``refine_tol`` radians as a root of the closed-form slope.  With no
+    to ``REFINE_TOL`` radians as a root of the closed-form slope.  With no
     sign change the curve is monotone, or flat when no sample has a sign.
     ``grid_n`` of the report is the requested one.
 
@@ -213,8 +216,6 @@ def classify_shape(p: StateParams, grid_n: int = 512, refine_tol: float = 1e-10)
     """
     if grid_n < 64:
         raise ValueError("grid_n must be at least 64")
-    if refine_tol > 1e-8:
-        raise ValueError("refine_tol must be at most 1e-8")
 
     theta, ct, st = _angle_table(grid_n)
     d = slope_curve(p.q1, p.q2, ct, st)
@@ -227,7 +228,7 @@ def classify_shape(p: StateParams, grid_n: int = 512, refine_tol: float = 1e-10)
     slope = functools.partial(post_entropy_slope, p)
     extrema = []
     for i, j in brackets:
-        x = find_root(slope, theta[i], theta[j], d[i], d[j], refine_tol)
+        x = find_root(slope, theta[i], theta[j], d[i], d[j], REFINE_TOL)
         extrema.append(Extremum(theta=x, value=post_entropy(p, x), kind="max" if d[i] > 0.0 else "min"))
 
     if len(extrema) == 2:
@@ -244,15 +245,13 @@ def classify_shape(p: StateParams, grid_n: int = 512, refine_tol: float = 1e-10)
     return ShapeReport(shape_class=cls, extrema=tuple(extrema), grid_n=grid_n)
 
 
-def interior_minimum(
-    p: StateParams, grid_n: int = 512, refine_tol: float = 1e-10
-) -> Extremum | None:
+def interior_minimum(p: StateParams, grid_n: int = 512) -> Extremum | None:
     """Refined interior minimum of the entropy curve, or None if absent.
 
     For bimodal shapes this is the minimum of the pair; monotone and
     maximum-only shapes yield None.
     """
-    report = classify_shape(p, grid_n=grid_n, refine_tol=refine_tol)
+    report = classify_shape(p, grid_n=grid_n)
     for ext in report.extrema:
         if ext.kind == "min":
             return ext

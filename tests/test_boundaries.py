@@ -483,6 +483,23 @@ class TestSolveCost:
         assert bimodality_birth(TrajectorySpec(total)) is not None
         assert len(calls) == 1
 
+    def test_jump_and_birth_share_the_probe(self, monkeypatch):
+        # one window probe: the same state classified on the same grid
+        probes = []
+        original = shape_module.classify_shape
+
+        def recorded(p, grid_n=512, **kwargs):
+            probes.append((p, grid_n))
+            return original(p, grid_n=grid_n, **kwargs)
+
+        monkeypatch.setattr(shape_module, "classify_shape", recorded)
+        monkeypatch.setattr(boundaries_module, "classify_shape", recorded)
+        traj = TrajectorySpec(0.7)
+        assert solve_jump_boundary(traj) is not None
+        assert bimodality_birth(traj) is not None
+        assert len(probes) == 2
+        assert probes[0] == probes[1]
+
     @pytest.mark.parametrize("total", [0.8033, 0.85, 0.95])
     @pytest.mark.parametrize("solver", [solve_jump_boundary, bimodality_birth], ids=["jump", "birth"])
     def test_windowless_path_one_classification(self, monkeypatch, solver, total):

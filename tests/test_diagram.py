@@ -110,9 +110,7 @@ class TestBlockRoute:
         grid = sweep(resolution=100, theta_grid=theta_grid)
         assert len(grid.cells) == 5050
         for cell in grid.cells:
-            res = one_way_deficit(
-                StateParams(cell.q1, cell.q2), grid_n=theta_grid, refine_tol=1e-8
-            )
+            res = one_way_deficit(StateParams(cell.q1, cell.q2), grid_n=theta_grid)
             assert (cell.branch, cell.delta, cell.theta_opt) == (
                 res.branch.value, res.delta, res.optimal_theta
             )
@@ -156,7 +154,7 @@ class TestBlockRoute:
         assert (0.5, 0.5) in {(c.q1, c.q2) for c in grid.cells}
         assert any(c.q1 + c.q2 == 1.0 and c.q1 != c.q2 for c in grid.cells)
         for cell in grid.cells:
-            res = one_way_deficit(StateParams(cell.q1, cell.q2), grid_n=128, refine_tol=1e-8)
+            res = one_way_deficit(StateParams(cell.q1, cell.q2), grid_n=128)
             assert (cell.branch, cell.delta, cell.theta_opt) == (
                 res.branch.value, res.delta, res.optimal_theta
             )
@@ -303,7 +301,7 @@ class TestTrajectoryProfile:
         rows = []
         for k in range(1000):
             p = traj.state(lo + (hi - lo) * k / 999)
-            res = one_way_deficit(p, grid_n=512, refine_tol=1e-8)
+            res = one_way_deficit(p, grid_n=512)
             rows.append(PhaseCell(p.q1, p.q2, res.branch.value, res.delta, res.optimal_theta))
         assert profile.rows == rows
         transitions = [

@@ -60,8 +60,6 @@ class TestClassifyShape:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             classify_shape(StateParams(0.3, 0.2), grid_n=32)
-        with pytest.raises(ValueError):
-            classify_shape(StateParams(0.3, 0.2), refine_tol=1e-6)
 
     def test_axis_shape_sequence(self):
         # the axis sweep passes monotone-increasing, interior-minimum and
@@ -291,7 +289,7 @@ class TestSlopeRefinement:
         p = StateParams(*state)
         ext = interior_minimum(p)
         root = mp_reference.slope_root(p.q1, p.q2, ext.theta)
-        assert abs(ext.theta - root) <= 1e-10  # the default refine_tol
+        assert abs(ext.theta - root) <= 1e-10  # shape.REFINE_TOL
 
     @pytest.mark.parametrize("q1,q2", NEAR_ZERO_MAXIMA)
     def test_near_zero_maximum_kept(self, q1, q2):
