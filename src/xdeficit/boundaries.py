@@ -3,13 +3,15 @@
 All boundaries are found along straight scan paths: either the Cartesian axis
 q2 = 0 or diagonal trajectories q1 + q2 = const, mirroring how the parameter
 triangle is naturally swept.  The equal-endpoint and half-pi boundaries are
-bracketing scans followed by ``shape.find_root``, a bracketed superlinear
-(Brent) root solver that never needs more than a few evaluations beyond
-bisection.  These scans sample the whole path (``TrajectorySpec.states``)
-as one array: S(0) and S(pi/2) come from the entropy kernel
-``core.post_entropy_grid`` at the two end angles, and the half-pi curvature
-from ``core.s2_halfpi_grid``.  Only the root solve in the last bracket
-evaluates the scalar forms point by point, its two bracket ends included.
+each one bracket over the whole path, solved by ``shape.find_root``, a
+bracketed superlinear (Brent) root solver that never needs more than a few
+evaluations beyond bisection.  Each residual changes sign at most once per
+path, so the two ends of the path bracket its root.  The equal-endpoint gap
+is monotone in q1 on a diagonal by construction (:func:`solve_equal_endpoints`);
+the half-pi curvature on every path, and both residuals on the axis, are
+checked to change sign at most once by sampling: at 4097 points on the
+totals k/1000 in ``tests/test_boundaries.py``, and at 8193 points on the
+totals k/5000 in a CI step.
 The jump boundary, the bimodality birth and the intersection of the
 equal-endpoint and half-pi curves are Newton-type solves on the scalar
 closed forms of ``core``.  The jump and the birth share one window probe,
@@ -51,14 +53,12 @@ from .core import (
     endpoint_entropy_halfpi,
     endpoint_entropy_zero,
     post_entropy,
-    post_entropy_grid,
     post_entropy_slope,
     s2_halfpi_grid,
     s2_zero_axis,
 )
 from .shape import ENDPOINT_MARGIN, HALF_PI, REFINE_TOL, classify_shape, find_root
 
-SCAN_SAMPLES = 2048
 Q1_TOL = 1e-7
 CORNER_TOL = 1e-9
 
@@ -116,15 +116,6 @@ class TrajectorySpec:
             return StateParams(q1, 0.0)
         return StateParams(q1, self.total - q1)
 
-    def states(self, q1s) -> tuple[np.ndarray, np.ndarray]:
-        """Array form of :meth:`state`: the (q1, q2) arrays of the path points.
-
-        For q1s inside :meth:`q1_range`, where ``StateParams`` neither rejects
-        nor clamps, ``q1[i]`` and ``q2[i]`` equal the fields of ``state(q1s[i])``.
-        """
-        q1 = np.asarray(q1s, dtype=float)
-        return q1, (np.zeros_like(q1) if self.axis else self.total - q1)
-
     def q1_range(self) -> tuple[float, float]:
         if self.axis:
             return 1e-9, 1.0 - 1e-9
@@ -145,40 +136,24 @@ class JumpRecord:
     jump_angle: float  # optimal angle step from 0 to the interior minimizer
 
 
-def _brackets(vals: np.ndarray) -> np.ndarray:
-    """Indices i where samples i and i + 1 are both non-NaN and differ in sign.
+def _path_root(traj: TrajectorySpec, residual, lo: float, hi: float) -> float | None:
+    """Root on [lo, hi] of a residual along the path, or None.
 
-    A bracket that straddles a NaN sample is never reported.
+    ``residual`` maps a ``StateParams`` to a float that changes sign at most
+    once on [lo, hi], so the two ends bracket the root if there is one.
+    None when either end is NaN (a degenerate radius) or both ends have
+    the same sign, a zero counting as non-negative.
     """
-    ok = ~np.isnan(vals)
-    neg = vals < 0.0
-    return np.flatnonzero(ok[:-1] & ok[1:] & (neg[:-1] != neg[1:]))
-
-
-def _last_root(traj: TrajectorySpec, residual, residual_grid, lo: float, hi: float) -> float | None:
-    """Rightmost sign-change root on [lo, hi] of a residual along the path, or None.
-
-    ``residual`` maps a ``StateParams`` to a float and ``residual_grid`` is its
-    broadcast form over (q1, q2) arrays.  The scan samples the whole path at
-    ``SCAN_SAMPLES`` points as one array through ``residual_grid``; the root
-    in the last bracket is then solved with the scalar ``residual``,
-    starting from its own values at the two bracket ends, so the root is the
-    one a per-sample scan with ``residual`` finds from the same bracket.  NaN samples (degenerate
-    diagnostics) are skipped; brackets that straddle a NaN stretch are
-    discarded rather than guessed at.
-    """
-    qs = np.linspace(lo, hi, SCAN_SAMPLES)
-    idx = _brackets(residual_grid(*traj.states(qs)))
-    if idx.size == 0:
-        return None
-    a, b = qs[idx[-1]], qs[idx[-1] + 1]
     f = lambda q1: residual(traj.state(q1))
-    return find_root(f, a, b, f(a), f(b), Q1_TOL)
+    fa, fb = f(lo), f(hi)
+    if math.isnan(fa) or math.isnan(fb) or (fa < 0.0) == (fb < 0.0):
+        return None
+    return find_root(f, lo, hi, fa, fb, Q1_TOL)
 
 
-def _scan_boundary(traj: TrajectorySpec, kind: BoundaryKind, residual, residual_grid,
+def _path_boundary(traj: TrajectorySpec, kind: BoundaryKind, residual,
                    lo: float, hi: float) -> BoundaryPoint | None:
-    root = _last_root(traj, residual, residual_grid, lo, hi)
+    root = _path_root(traj, residual, lo, hi)
     if root is None:
         return None
     p = traj.state(root)
@@ -194,30 +169,25 @@ def _equal_endpoints_gap(p: StateParams) -> float:
     return endpoint_entropy_zero(p) - endpoint_entropy_halfpi(p)
 
 
-# the two end angles as a column: post_entropy_grid then returns S(0) and
-# S(pi/2) as two contiguous rows, one per end
-_END_ANGLES = np.array([[0.0], [HALF_PI]])
-
-
-def _equal_endpoints_gap_grid(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    ends = post_entropy_grid(q1, q2, _END_ANGLES)
-    return ends[0] - ends[1]
-
-
 def _halfpi_curvature(p: StateParams) -> float:
     return float(s2_halfpi_grid(p.q1, p.q2))
 
 
 def solve_equal_endpoints(traj: TrajectorySpec) -> BoundaryPoint | None:
-    """Root of delta_0 = delta_halfpi along the path (largest q1 if several).
+    """Root of delta_0 = delta_halfpi along the path.
 
     The pre-measured entropy cancels from the difference, so the solve runs on
-    the endpoint entropies alone.  Returns None when the gap does not change
-    sign on the scanned range.
+    the endpoint entropies alone.  On a diagonal the gap S(0) - S(pi/2) is
+    monotone in q1, so it changes sign at most once: S(0) depends on
+    q1 + q2 alone and is constant along the path, while
+    S(pi/2) = 1 + h((1 + r)/2) with r = hypot(1 - total, 2 q1 - total); on
+    [total/2, total] r rises with q1, and h((1 + r)/2) falls as r rises.
+    On the axis the gap is checked, by sampling, to change sign once.
+    Returns None when the gap does not change sign between the ends of the
+    path.
     """
     lo, hi = traj.q1_range()
-    return _scan_boundary(traj, BoundaryKind.EQUAL_ENDPOINTS, _equal_endpoints_gap,
-                          _equal_endpoints_gap_grid, lo, hi)
+    return _path_boundary(traj, BoundaryKind.EQUAL_ENDPOINTS, _equal_endpoints_gap, lo, hi)
 
 
 def solve_halfpi_boundary(traj: TrajectorySpec) -> BoundaryPoint | None:
@@ -225,8 +195,8 @@ def solve_halfpi_boundary(traj: TrajectorySpec) -> BoundaryPoint | None:
     lo, hi = traj.q1_range()
     # nudge off degenerate radii at range ends (origin, corners, midpoint of
     # the hypotenuse)
-    return _scan_boundary(traj, BoundaryKind.HALFPI_BIFURCATION, _halfpi_curvature,
-                          s2_halfpi_grid, lo + 1e-9, hi - 1e-9)
+    return _path_boundary(traj, BoundaryKind.HALFPI_BIFURCATION, _halfpi_curvature,
+                          lo + 1e-9, hi - 1e-9)
 
 
 def zero_boundary_axis() -> list[BoundaryPoint]:

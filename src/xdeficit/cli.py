@@ -1,10 +1,10 @@
 """Command-line surface: every capability as a subcommand with CSV/JSON output.
 
-Exit codes: 0 success, 1 oracle mismatch, 2 domain error, 3 unresolved shape
-classification, 4 solver non-convergence.  Errors are reported as a single
-JSON object on stderr.  All floating output is printed with a configurable
-number of significant digits (default 6) and is identical between the CSV and
-JSON formats.
+Exit codes: 0 success, 1 oracle mismatch, 2 domain error or an ``--output``
+path that cannot be opened, 3 unresolved shape classification, 4 solver
+non-convergence.  Errors are reported as a single JSON object on stderr.
+All floating output is printed with a configurable number of significant
+digits (default 6) and is identical between the CSV and JSON formats.
 """
 
 from __future__ import annotations
@@ -66,7 +66,10 @@ def _json_safe(value, precision: int):
 
 def _emit(args, command: str, params: dict, header: list[str], rows: list[dict],
           comments: list[str] | None = None, extra: dict | None = None) -> None:
-    out = sys.stdout if args.output == "-" else open(args.output, "w")
+    try:
+        out = sys.stdout if args.output == "-" else open(args.output, "w")
+    except OSError as exc:  # reported by main like any other bad input, exit 2
+        raise ValueError(f"cannot open --output: {exc}") from exc
     try:
         if args.format == "json":
             payload = {

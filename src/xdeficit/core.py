@@ -58,23 +58,6 @@ class StateParams:
         return StateParams(self.q2, self.q1)
 
 
-@dataclass(frozen=True)
-class EndpointDiagnostics:
-    """Curvature diagnostics of the post-measured entropy at the interval ends.
-
-    ``r`` is the auxiliary radius sqrt((1-q1-q2)^2 + (q1-q2)^2).  ``s2_halfpi``
-    is the second derivative of the post-measured entropy at theta = pi/2
-    (natural-log units; None when r is degenerately close to 0 or 1).
-    ``s2_zero_axis`` is the second derivative at theta = 0, which is finite
-    only on the Cartesian axes q1*q2 = 0; off the axes it diverges and the
-    field is None.  Only the signs and zero sets of these values carry meaning.
-    """
-
-    r: float
-    s2_halfpi: float | None
-    s2_zero_axis: float | None
-
-
 def _entropy_bits(weights) -> float:
     """Shannon entropy -sum(w*log2(w)) in bits over the strictly positive weights.
 
@@ -389,18 +372,14 @@ def _entropy_zero(q1: float, q2: float) -> float:
     return _entropy_bits((s / 2.0, s / 2.0, 1.0 - s))
 
 
-def aux_radius(p: StateParams) -> float:
-    """Radius sqrt((1-q1-q2)^2 + (q1-q2)^2) governing the theta = pi/2 end."""
-    return math.hypot(1.0 - (p.q1 + p.q2), p.q1 - p.q2)
-
-
 def endpoint_entropy_halfpi(p: StateParams) -> float:
     """Post-measured entropy at theta = pi/2: 1 + h((1+r)/2) bits."""
     return _entropy_halfpi(p.q1, p.q2)
 
 
 def _entropy_halfpi(q1: float, q2: float) -> float:
-    # the float-level body of endpoint_entropy_halfpi, r being aux_radius
+    # the float-level body of endpoint_entropy_halfpi, r being the radius
+    # sqrt((1-q1-q2)^2 + (q1-q2)^2)
     r = math.hypot(1.0 - (q1 + q2), q1 - q2)
     return 1.0 + binary_entropy((1.0 + r) / 2.0)
 
@@ -454,20 +433,6 @@ def s2_zero_axis(q: float) -> float:
     if q == 0.0:
         return math.inf
     return poly / (2.0 - 3.0 * q) * math.log(2.0 * (1.0 - q) / q)
-
-
-def endpoint_diagnostics(p: StateParams) -> EndpointDiagnostics:
-    """Curvature diagnostics at both ends of the measurement interval.
-
-    ``s2_zero_axis`` is populated only when q1*q2 = 0; off the axes the
-    theta = 0 second derivative diverges and None marks it.
-    """
-    on_axis = min(p.q1, p.q2) <= EDGE_TOL
-    return EndpointDiagnostics(
-        r=aux_radius(p),
-        s2_halfpi=s2_halfpi(p),
-        s2_zero_axis=s2_zero_axis(max(p.q1, p.q2)) if on_axis else None,
-    )
 
 
 def family_fidelity(p: StateParams, p2: StateParams) -> float:

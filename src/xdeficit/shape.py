@@ -256,18 +256,3 @@ def interior_minimum(p: StateParams, grid_n: int = 512) -> Extremum | None:
         if ext.kind == "min":
             return ext
     return None
-
-
-def endpoint_slope_check(p: StateParams, step: float = 1e-5) -> tuple[float, float]:
-    """Stationarity probe at both interval ends.
-
-    Returns the magnitudes of symmetric difference quotients of the entropy
-    curve at theta = 0 and theta = pi/2.  The closed form extends smoothly
-    past both endpoints (even around 0, reflective around pi/2), so the
-    straddling quotients vanish identically up to rounding whenever the
-    endpoint derivatives are zero, which for this family is always.
-    """
-    f = lambda t: post_entropy(p, t)
-    slope0 = abs(f(step) - f(-step)) / (2.0 * step)
-    slope_half = abs(f(HALF_PI + step) - f(HALF_PI - step)) / (2.0 * step)
-    return slope0, slope_half

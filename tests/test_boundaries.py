@@ -26,11 +26,15 @@ from xdeficit import (
 from xdeficit.boundaries import (
     CORNER_TOL,
     Q1_TOL,
-    SCAN_SAMPLES,
-    _brackets,
     _minimizer_near,
 )
-from xdeficit.core import post_entropy_slope, s2_halfpi, s2_zero_axis
+from xdeficit.core import (
+    post_entropy_grid,
+    post_entropy_slope,
+    s2_halfpi,
+    s2_halfpi_grid,
+    s2_zero_axis,
+)
 from xdeficit.shape import find_root as _bisect
 
 HALF_PI = math.pi / 2
@@ -41,7 +45,11 @@ BIRTH_Q1_TOL = 1e-5
 
 
 def _brackets_loop(vals):
-    """Sign-change scan as a plain loop, kept as the reference for _brackets."""
+    """Sign-change scan as a plain loop, the reference scan of TestArrayScan.
+
+    Indices i where samples i and i + 1 are both non-NaN and differ in sign,
+    a zero counting as non-negative.
+    """
     out = []
     prev = None
     for i, v in enumerate(vals):
@@ -52,20 +60,6 @@ def _brackets_loop(vals):
             out.append(i - 1)
         prev = v
     return out
-
-
-class TestBrackets:
-    def test_matches_loop_reference(self):
-        rng = np.random.default_rng(3)
-        for _ in range(300):
-            vals = rng.normal(size=rng.integers(1, 40))
-            vals[rng.random(vals.size) < 0.2] = math.nan
-            vals[rng.random(vals.size) < 0.1] = 0.0
-            assert _brackets(vals).tolist() == _brackets_loop(vals)
-
-    def test_nan_stretch_breaks_a_bracket(self):
-        vals = np.array([1.0, math.nan, -1.0, -2.0, 3.0, 0.0, -0.0, -1.0])
-        assert _brackets(vals).tolist() == [3, 6]
 
 
 class TestTrajectorySpec:
@@ -85,52 +79,44 @@ class TestTrajectorySpec:
         with pytest.raises(ValueError):
             TrajectorySpec(1.2)
 
-    @pytest.mark.parametrize(
-        "traj", [TrajectorySpec.on_axis(), TrajectorySpec(1.0), TrajectorySpec(0.75)]
-    )
-    def test_states_match_state(self, traj):
-        lo, hi = traj.q1_range()
-        # the range ends and the half-pi scan's nudged ends
-        ends = [lo, hi, lo + 1e-9, hi - 1e-9]
-        qs = np.concatenate([np.linspace(lo, hi, 257), ends])
-        q1, q2 = traj.states(qs)
-        ref = [traj.state(q) for q in qs]
-        assert q1.tolist() == [p.q1 for p in ref]
-        assert q2.tolist() == [p.q2 for p in ref]
+
+# samples of the per-sample reference scan
+_LOOP_SAMPLES = 2048
 
 
 def _solve_loop(traj, residual, lo, hi):
-    """Boundary scan as a per-sample loop, kept as the reference for the array scan.
+    """Boundary scan as a per-sample loop, the reference for the one-bracket solvers.
 
-    Returns (state, residual, degenerate) of the rightmost root, or None.
+    Returns (q1, degenerate) of the rightmost root, or None.
     """
     f = lambda q1: residual(traj.state(q1))
-    qs = np.linspace(lo, hi, SCAN_SAMPLES)
-    vals = np.array([f(q) for q in qs], dtype=float)
-    idx = _brackets(vals)
-    if idx.size == 0:
+    qs = np.linspace(lo, hi, _LOOP_SAMPLES)
+    vals = [f(q) for q in qs]
+    idx = _brackets_loop(vals)
+    if not idx:
         return None
     i = idx[-1]
-    root = _bisect(f, qs[i], qs[i + 1], vals[i], vals[i + 1], Q1_TOL)
-    p = traj.state(root)
-    return p, abs(f(root)), min(1.0 - p.q1, 1.0 - p.q2) < CORNER_TOL
+    p = traj.state(_bisect(f, qs[i], qs[i + 1], vals[i], vals[i + 1], Q1_TOL))
+    return p.q1, min(1.0 - p.q1, 1.0 - p.q2) < CORNER_TOL
 
 
 class TestArrayScan:
-    # 0.752 and 0.9102 (paths of trace_boundaries(5000)): a root solve started
-    # from the grid samples lands 1 ulp off the per-sample loop there
+    # 0.752 and 0.9102 are paths of trace_boundaries(5000)
     PATHS = [TrajectorySpec.on_axis()] + [TrajectorySpec(t) for t in
                                           [k / 100 for k in range(1, 100)] + [0.752, 0.9102]]
 
     @staticmethod
-    def _as_tuple(bp):
-        return None if bp is None else (bp.p, bp.residual, bp.degenerate)
+    def _assert_matches(bp, ref, traj):
+        assert (bp is None) == (ref is None), traj
+        if bp is not None:
+            assert bp.degenerate == ref[1], traj
+            assert abs(bp.p.q1 - ref[0]) <= 1e-12, traj
 
     def test_equal_endpoints_match_loop(self):
         gap = lambda p: endpoint_entropy_zero(p) - endpoint_entropy_halfpi(p)
         for traj in self.PATHS:
             ref = _solve_loop(traj, gap, *traj.q1_range())
-            assert self._as_tuple(solve_equal_endpoints(traj)) == ref, traj
+            self._assert_matches(solve_equal_endpoints(traj), ref, traj)
 
     def test_halfpi_match_loop(self):
         def curvature(p):
@@ -140,7 +126,43 @@ class TestArrayScan:
         for traj in self.PATHS:
             lo, hi = traj.q1_range()
             ref = _solve_loop(traj, curvature, lo + 1e-9, hi - 1e-9)
-            assert self._as_tuple(solve_halfpi_boundary(traj)) == ref, traj
+            self._assert_matches(solve_halfpi_boundary(traj), ref, traj)
+
+
+def _sign_changes(vals):
+    vals = vals[~np.isnan(vals)]
+    return int(np.count_nonzero((vals[:-1] < 0.0) != (vals[1:] < 0.0)))
+
+
+def residual_sign_changes(traj, samples):
+    """Sign changes along ``traj`` of the equal-endpoint gap and of the half-pi curvature.
+
+    Each residual is sampled at ``samples`` points over the range its solver
+    brackets, the half-pi one between the 1e-9 nudged ends; NaN samples are
+    skipped.  The equal-endpoint gap is S(0) - S(pi/2) from the entropy
+    kernel at the two end angles.
+    """
+    lo, hi = traj.q1_range()
+
+    def path(a, b):
+        q1 = np.linspace(a, b, samples)
+        return q1, (np.zeros_like(q1) if traj.axis else traj.total - q1)
+
+    s_zero, s_half = post_entropy_grid(*path(lo, hi), np.array([[0.0], [HALF_PI]]))
+    curvature = s2_halfpi_grid(*path(lo + 1e-9, hi - 1e-9))
+    return _sign_changes(s_zero - s_half), _sign_changes(curvature)
+
+
+class TestOneSignChange:
+    """The premise of the one-bracket solves: each residual changes sign at most once per path."""
+
+    def test_axis_once(self):
+        assert residual_sign_changes(TrajectorySpec.on_axis(), 4097) == (1, 1)
+
+    def test_diagonals_at_most_once(self):
+        for k in range(1, 1001):
+            traj = TrajectorySpec(k / 1000)
+            assert max(residual_sign_changes(traj, 4097)) <= 1, traj
 
 
 class TestEqualEndpoints:
@@ -509,6 +531,6 @@ class TestSolveCost:
         assert len(calls) == 1
 
     def test_intersection_scans(self, monkeypatch):
-        calls = self._count(monkeypatch, boundaries_module, "_last_root", [boundaries_module])
+        calls = self._count(monkeypatch, boundaries_module, "_path_root", [boundaries_module])
         curves_intersection()
         assert len(calls) <= 2

@@ -210,3 +210,13 @@ class TestOutputConventions:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("q1,q2,delta_bits")
+
+    def test_unopenable_output_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(capsys, "deficit", "0.3", "0.2", "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["exit_code"] == 2
+        assert str(target) in payload["error"]

@@ -11,7 +11,6 @@ from xdeficit import (
     DomainError,
     StateParams,
     binary_entropy,
-    endpoint_diagnostics,
     endpoint_entropy_halfpi,
     endpoint_entropy_zero,
     family_fidelity,
@@ -435,16 +434,13 @@ class TestDiagnostics:
         assert s2_halfpi(StateParams(0.0, 0.0)) is None  # r = 1
 
     def test_diagnostics_fields(self):
-        d = endpoint_diagnostics(StateParams(0.25, 0.0))
-        assert d.s2_zero_axis == pytest.approx(0.5375278407684164, abs=1e-12)
-        assert 0.0 <= d.r <= 1.0
-        off = endpoint_diagnostics(StateParams(0.3, 0.2))
-        assert off.s2_zero_axis is None  # divergent off the axes
+        assert s2_zero_axis(0.25) == pytest.approx(0.5375278407684164, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(triangle_states())
     def test_radius_in_unit_interval(self, p):
-        assert -1e-15 <= endpoint_diagnostics(p).r <= 1.0 + 1e-15
+        # S(pi/2) = 1 + h((1 + r)/2) bits, in [1, 2] for a radius r in [0, 1]
+        assert 1.0 <= endpoint_entropy_halfpi(p) <= 2.0
 
 
 class TestFidelity:

@@ -11,7 +11,6 @@ from xdeficit import (
     classify_shape,
     endpoint_entropy_halfpi,
     endpoint_entropy_zero,
-    endpoint_slope_check,
     interior_minimum,
     TrajectorySpec,
     post_entropy,
@@ -346,9 +345,12 @@ class TestSlopeSigns:
 class TestEndpointSlopeCheck:
     @pytest.mark.parametrize("q1,q2", [(0.3, 0.2), (0.7217, 0.0283), (1.0, 0.0)])
     def test_stationary_endpoints(self, q1, q2):
-        s0, s1 = endpoint_slope_check(StateParams(q1, q2))
-        assert s0 < 1e-6
-        assert s1 < 1e-6
+        # symmetric difference quotients across both ends: the closed form
+        # extends smoothly past them (even around 0, reflective around pi/2)
+        f = lambda t: post_entropy(StateParams(q1, q2), t)
+        h = 1e-5
+        assert abs(f(h) - f(-h)) / (2.0 * h) < 1e-6
+        assert abs(f(HALF_PI + h) - f(HALF_PI - h)) / (2.0 * h) < 1e-6
 
 
 class TestGlobalMinimumConsistency:
