@@ -12,9 +12,13 @@ the half-pi curvature on every path, and both residuals on the axis, are
 checked to change sign at most once by sampling: at 4097 points on the
 totals k/1000 in ``tests/test_boundaries.py``, and at 8193 points on the
 totals k/5000 in a CI step.
-The jump boundary, the bimodality birth and the intersection of the
-equal-endpoint and half-pi curves are Newton-type solves on the scalar
-closed forms of ``core``.  The jump and the birth share one window probe,
+The intersection of the equal-endpoint and half-pi curves is one more such
+bracket, in the total of the path: the half-pi curvature at the path's
+equal-endpoint root changes sign once between two fixed totals
+(:func:`curves_intersection`).  Every root, in q1 or in the total, is
+solved to the one tolerance ``Q1_TOL``.
+The jump boundary and the bimodality birth are Newton-type solves on the
+scalar closed forms of ``core``.  The jump and the birth share one window probe,
 one tracked angle (``_tracked``) and one Newton loop.  The probe
 (``_window_probe``) is a single shape classification, on one slope grid, at
 the window's upper end; a path whose probe finds no interior minimum
@@ -22,9 +26,8 @@ carries no window.  From the probe, Newton steps in q1
 drive the jump gap S(0) - S(theta*) to a sign change, tracking the
 interior minimizer theta* as a warm-started root of dS/dtheta, and do the
 same for the fold value S'(theta_i), tracking the inflection theta_i as a
-warm-started root of d2S/dtheta2.  The intersection is one 2x2 Newton
-system in (q1, q2).  No residual uses the entropy curvature at theta = 0,
-which diverges off the axes.
+warm-started root of d2S/dtheta2.  No residual uses the entropy
+curvature at theta = 0, which diverges off the axes.
 
 Boundary kinds:
 
@@ -46,8 +49,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     StateParams,
     endpoint_entropy_halfpi,
@@ -59,16 +60,17 @@ from .core import (
 )
 from .shape import ENDPOINT_MARGIN, HALF_PI, REFINE_TOL, classify_shape, find_root
 
-Q1_TOL = 1e-7
+# Tolerance of every boundary root, in q1 and in the total of the curve intersection.
+Q1_TOL = 1e-9
 CORNER_TOL = 1e-9
 
-# Newton solves of the jump gap, the fold and the curve intersection: the step cap,
-# and the step of their central differences.
+# Newton solves of the jump gap and the fold: the step cap, and the step of
+# their central differences.
 _NEWTON_STEPS = 30
 _FD_STEP = 1e-6
 
-# Tolerance in q1 to which find_root polishes the jump and fold roots.
-_ROOT_Q1_TOL = 1e-9
+# Totals that bracket the intersection of the equal-endpoint and half-pi curves.
+_INTERSECTION_TOTALS = (0.70, 0.80)
 
 # Slope grid of the window probe, the one classification of the jump and
 # birth solves.
@@ -336,14 +338,14 @@ def _jump_gap(p: StateParams, theta: float) -> float:
     return endpoint_entropy_zero(p) - post_entropy(p, theta)
 
 
-def _newton_root(f, slope, q: float, fq: float, xtol: float, what: str) -> float | None:
+def _newton_root(f, slope, q: float, fq: float, what: str) -> float | None:
     """Root in q1 of ``f`` by Newton steps from q, where fq = f(q) is not NaN.
 
     Steps q -= f(q) / slope(q) until f changes sign, then ``shape.find_root``
-    polishes the last step's bracket to ``xtol``.  A step that lands where f
-    is NaN (outside its domain) is halved, and no step is shorter than xtol,
+    polishes the last step's bracket to ``Q1_TOL``.  A step that lands where f
+    is NaN (outside its domain) is halved, and no step is shorter than Q1_TOL,
     so a one-sided approach still crosses the root.  Returns None when the
-    step halves below xtol, that is when f's domain ends before f changes
+    step halves below Q1_TOL, that is when f's domain ends before f changes
     sign; raises ConvergenceError, naming ``what``, when f keeps its sign
     over a fixed number of steps.
     """
@@ -351,15 +353,15 @@ def _newton_root(f, slope, q: float, fq: float, xtol: float, what: str) -> float
         if fq == 0.0:
             return q
         step = -fq / slope(q)
-        step = math.copysign(max(abs(step), xtol), step)
+        step = math.copysign(max(abs(step), Q1_TOL), step)
         f_new = f(q + step)
         while math.isnan(f_new):
             step *= 0.5
-            if abs(step) < xtol:
+            if abs(step) < Q1_TOL:
                 return None
             f_new = f(q + step)
         if (f_new < 0.0) != (fq < 0.0):
-            return find_root(f, q, q + step, fq, f_new, xtol)
+            return find_root(f, q, q + step, fq, f_new, Q1_TOL)
         q, fq = q + step, f_new
     raise ConvergenceError(f"{what} kept its sign over {_NEWTON_STEPS} Newton steps")
 
@@ -374,7 +376,7 @@ def solve_jump_boundary(traj: TrajectorySpec) -> JumpRecord | None:
     :func:`bimodality_birth` share, finds the minimum at the window's
     analytic upper end; when it finds none, the path carries no window.
     Newton steps in q1 (:func:`_newton_root`) then drive g to a sign change,
-    and ``shape.find_root`` polishes the bracket to ``_ROOT_Q1_TOL``.  Each
+    and ``shape.find_root`` polishes the bracket to ``Q1_TOL``.  Each
     gap evaluation finds theta* with :func:`_minimizer_near`, warm-started
     from the last one, and the Newton slope dg/dq1 is the q1-derivative at
     fixed theta* (:func:`_tracked`).  The gap at the root is the stored
@@ -414,9 +416,9 @@ def solve_jump_boundary(traj: TrajectorySpec) -> JumpRecord | None:
         g_end = math.nan if hp_root is None else _equal_endpoints_gap(traj.state(hp_root))
         if not g_end > 0.0:
             return None
-        root = find_root(gap_to_end, probe, hp_root, g, g_end, _ROOT_Q1_TOL)
+        root = find_root(gap_to_end, probe, hp_root, g, g_end, Q1_TOL)
     else:
-        root = _newton_root(gap, gap_slope, probe, g, _ROOT_Q1_TOL, f"jump gap on {traj}")
+        root = _newton_root(gap, gap_slope, probe, g, f"jump gap on {traj}")
         if root is None:
             return None  # the minimum vanishes before the gap changes sign
     p = traj.state(root)
@@ -444,7 +446,7 @@ def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
     the first of theta_min / 2, theta_min / 4, ... at which S' falls, no
     lower than ``ENDPOINT_MARGIN``.  Newton steps in q1 (:func:`_newton_root`)
     then drive g from negative to a sign change, and ``shape.find_root``
-    polishes the bracket to ``_ROOT_Q1_TOL``.  Each evaluation of g finds
+    polishes the bracket to ``Q1_TOL``.  Each evaluation of g finds
     theta_i with :func:`_minimizer_near` over S'', a central difference of
     the closed-form slope, warm-started from the last one, and the Newton
     slope is the q1-derivative of S' at fixed theta_i (:func:`_tracked`).
@@ -470,7 +472,7 @@ def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
     theta = find_root(s2, a, b, s2(a), s2(b), REFINE_TOL)
     fold, fold_slope, _ = _tracked(traj, _slope_curvature, post_entropy_slope, theta)
     g = post_entropy_slope(p, theta)
-    root = _newton_root(fold, fold_slope, probe, g, _ROOT_Q1_TOL, f"fold of dS/dtheta on {traj}")
+    root = _newton_root(fold, fold_slope, probe, g, f"fold of dS/dtheta on {traj}")
     if root is None:
         raise ConvergenceError(f"inflection lost before the fold on {traj}")
     return BoundaryPoint(
@@ -478,46 +480,34 @@ def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
     )
 
 
-def _intersection_residuals(q: np.ndarray) -> np.ndarray:
-    p = StateParams(q[0], q[1])
-    return np.array([_equal_endpoints_gap(p), _halfpi_curvature(p)])
-
-
-def curves_intersection(t_lo: float = 0.70, t_hi: float = 0.80) -> StateParams:
+def curves_intersection() -> StateParams:
     """Intersection of the equal-endpoint and half-pi boundary curves.
 
-    Newton's method on the 2x2 system {S(0) = S(pi/2), S''(pi/2) = 0} in
-    (q1, q2), with a central-difference Jacobian, seeded at the half-pi root
-    of the path q1 + q2 = (t_lo + t_hi) / 2.  Returns the intersection on the
-    q1 > q2 side; the mirror follows by symmetry.  Raises ConvergenceError
-    when the seed path has no half-pi root, an iterate leaves the triangle,
-    the steps have not shrunk below 1e-14 after a fixed number of them, or
-    the result lies on the q1 < q2 side or off the totals [t_lo, t_hi].
+    One bracketed root in the total t: h(t) is the half-pi curvature
+    S''(pi/2) at the equal-endpoint root of the path q1 + q2 = t.  That root
+    is unique on each diagonal (the gap is monotone in q1, see
+    :func:`solve_equal_endpoints`), so h is a function of t; it changes sign
+    once over ``_INTERSECTION_TOTALS``, whose ends bracket the root, and
+    ``shape.find_root`` solves it to ``Q1_TOL``.  Returns the intersection on
+    the q1 >= q2 side, where every equal-endpoint root lies; the mirror
+    follows by symmetry.  Raises ConvergenceError when a bracket end has no
+    equal-endpoint root, or h is NaN at an end or has one sign at both.
     """
-    seed = solve_halfpi_boundary(TrajectorySpec(0.5 * (t_lo + t_hi)))
-    if seed is None or seed.degenerate:
-        raise ConvergenceError(f"no half-pi root to seed the intersection on [{t_lo}, {t_hi}]")
-    q = np.array([seed.p.q1, seed.p.q2])
-    for _ in range(_NEWTON_STEPS):
-        # the Jacobian's points must lie inside too; written so NaN fails it
-        if not (q.min() >= _FD_STEP and q.sum() <= 1.0 - _FD_STEP):
-            raise ConvergenceError(f"intersection Newton left the triangle at ({q[0]}, {q[1]})")
-        jac = np.column_stack([
-            (_intersection_residuals(q + e) - _intersection_residuals(q - e)) / (2.0 * _FD_STEP)
-            for e in _FD_STEP * np.eye(2)
-        ])
-        dq = np.linalg.solve(jac, _intersection_residuals(q))
-        q = q - dq
-        if np.abs(dq).max() <= 1e-14:
-            break
-    else:
-        raise ConvergenceError(f"intersection Newton did not converge in {_NEWTON_STEPS} steps")
-    p = StateParams(q[0], q[1])
-    if p.q1 < p.q2 or not t_lo <= p.q1 + p.q2 <= t_hi:
+    def on_equal_endpoints(t: float) -> StateParams:
+        bp = solve_equal_endpoints(TrajectorySpec(t))
+        if bp is None:
+            raise ConvergenceError(f"no equal-endpoint root on total {t}")
+        return bp.p
+
+    h = lambda t: _halfpi_curvature(on_equal_endpoints(t))
+    t_lo, t_hi = _INTERSECTION_TOTALS
+    h_lo, h_hi = h(t_lo), h(t_hi)
+    if math.isnan(h_lo) or math.isnan(h_hi) or (h_lo < 0.0) == (h_hi < 0.0):
         raise ConvergenceError(
-            f"intersection Newton landed at ({p.q1}, {p.q2}), off q1 >= q2 with total in [{t_lo}, {t_hi}]"
+            f"the half-pi curvature on the equal-endpoint curve, {h_lo} at total {t_lo}"
+            f" and {h_hi} at {t_hi}, brackets no intersection"
         )
-    return p
+    return on_equal_endpoints(find_root(h, t_lo, t_hi, h_lo, h_hi, Q1_TOL))
 
 
 def jump_boundary_ends(p_star: StateParams) -> tuple[JumpRecord, JumpRecord]:

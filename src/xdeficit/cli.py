@@ -1,7 +1,9 @@
 """Command-line surface: every capability as a subcommand with CSV/JSON output.
 
-Exit codes: 0 success, 1 oracle mismatch, 2 domain error or an ``--output``
-path that cannot be opened, 3 unresolved shape classification, 4 solver
+Exit codes: 0 success, 1 oracle mismatch, 2 domain error, an invalid
+argument (such as an ``oracle-check`` with a negative or zero sample count,
+or a ``--tol`` that is negative or not finite) or an ``--output`` path that
+cannot be opened, 3 unresolved shape classification, 4 solver
 non-convergence.  Errors are reported as a single JSON object on stderr.
 All floating output is printed with a configurable number of significant
 digits (default 6) and is identical between the CSV and JSON formats.
@@ -245,6 +247,8 @@ def cmd_phase_diagram(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be finite and non-negative, got {args.tol}")
     count, worst = equivalence_sweep(args.grid, args.random, args.seed)
     ok = worst <= args.tol
     rows = [

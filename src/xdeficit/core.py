@@ -384,22 +384,12 @@ def _entropy_halfpi(q1: float, q2: float) -> float:
     return 1.0 + binary_entropy((1.0 + r) / 2.0)
 
 
-def s2_halfpi(p: StateParams) -> float | None:
-    """Second theta-derivative of the post-measured entropy at theta = pi/2.
-
-    Evaluated in natural-log units; only the sign and the zero set are
-    contractually meaningful.  Returns None when r is within 1e-9 of 0 or 1
-    (degenerate radius; the value is never needed there).  The scalar face of
-    :func:`s2_halfpi_grid`, which holds the formula.
-    """
-    val = float(s2_halfpi_grid(p.q1, p.q2))
-    return None if math.isnan(val) else val
-
-
 def s2_halfpi_grid(q1, q2) -> np.ndarray:
     """Second theta-derivative at theta = pi/2 over (q1, q2) arrays broadcast together.
 
-    NaN marks the degenerate radii where :func:`s2_halfpi` returns None.
+    Evaluated in natural-log units; only the sign and the zero set are
+    contractually meaningful.  NaN marks the degenerate radii, r below
+    1e-9 or above 1 - 1e-9, where the value is never needed.
     Unvalidated like :func:`post_entropy_grid`.
     """
     q1 = np.asarray(q1, dtype=float)

@@ -104,7 +104,12 @@ def equivalence_sweep(grid: int, random: int = 0, seed: int = 42) -> tuple[int, 
     the triangle at 8 polar angles in [0, pi/2] and 4 azimuthal angles, then
     ``random`` seeded draws of state, polar and azimuthal angle.  Returns the
     number of comparisons and the largest absolute deviation in bits.
+    Raises ValueError when ``grid`` or ``random`` is negative, or both are 0:
+    a sweep without comparisons checks nothing.
     """
+    if grid < 0 or random < 0 or grid + random == 0:
+        raise ValueError(f"the oracle sweep needs grid >= 0 and random >= 0, not both 0; "
+                         f"got grid {grid}, random {random}")
     worst = 0.0
     count = 0
     qs = np.linspace(0.0, 1.0, grid)

@@ -31,7 +31,6 @@ from xdeficit.boundaries import (
 from xdeficit.core import (
     post_entropy_grid,
     post_entropy_slope,
-    s2_halfpi,
     s2_halfpi_grid,
     s2_zero_axis,
 )
@@ -119,10 +118,7 @@ class TestArrayScan:
             self._assert_matches(solve_equal_endpoints(traj), ref, traj)
 
     def test_halfpi_match_loop(self):
-        def curvature(p):
-            val = s2_halfpi(p)
-            return math.nan if val is None else val
-
+        curvature = lambda p: float(s2_halfpi_grid(p.q1, p.q2))
         for traj in self.PATHS:
             lo, hi = traj.q1_range()
             ref = _solve_loop(traj, curvature, lo + 1e-9, hi - 1e-9)
@@ -153,6 +149,27 @@ def residual_sign_changes(traj, samples):
     return _sign_changes(s_zero - s_half), _sign_changes(curvature)
 
 
+def intersection_sign_changes(samples):
+    """Sign changes of the residual of ``curves_intersection`` over its bracket.
+
+    The residual is the half-pi curvature at the equal-endpoint root of the
+    path q1 + q2 = t, sampled at ``samples`` totals t spanning
+    ``_INTERSECTION_TOTALS``; every sample must have a root and a value.
+    """
+    totals = np.linspace(*boundaries_module._INTERSECTION_TOTALS, samples)
+    roots = [solve_equal_endpoints(TrajectorySpec(t)).p for t in totals]
+    h = s2_halfpi_grid(np.array([p.q1 for p in roots]), np.array([p.q2 for p in roots]))
+    assert not np.isnan(h).any()
+    return _sign_changes(h)
+
+
+def worst_path_residual(totals):
+    """Largest residual of the equal-endpoint and half-pi roots on the paths q1 + q2 = t."""
+    points = [solver(TrajectorySpec(t)) for t in totals
+              for solver in (solve_equal_endpoints, solve_halfpi_boundary)]
+    return max(bp.residual for bp in points if bp is not None)
+
+
 class TestOneSignChange:
     """The premise of the one-bracket solves: each residual changes sign at most once per path."""
 
@@ -163,6 +180,18 @@ class TestOneSignChange:
         for k in range(1, 1001):
             traj = TrajectorySpec(k / 1000)
             assert max(residual_sign_changes(traj, 4097)) <= 1, traj
+
+
+class TestCornerResiduals:
+    """Roots polished to Q1_TOL keep small residuals even where they curve strongly near (1, 0)."""
+
+    def test_near_the_corner(self):
+        totals = np.random.default_rng(5).uniform(0.99999, 1.0, 300)
+        assert worst_path_residual(totals) <= 1e-10
+
+    def test_away_from_the_corner(self):
+        totals = np.random.default_rng(5).uniform(1e-6, 0.99999, 300)
+        assert worst_path_residual(totals) <= 1e-12
 
 
 class TestEqualEndpoints:
@@ -202,7 +231,8 @@ class TestHalfPiBoundary:
 
     def test_mirror_symmetry(self):
         bp = solve_halfpi_boundary(TrajectorySpec(0.75))
-        val = s2_halfpi(bp.p.swapped())
+        m = bp.p.swapped()
+        val = float(s2_halfpi_grid(m.q1, m.q2))
         assert abs(val) == pytest.approx(bp.residual, abs=1e-15)
 
 
@@ -289,6 +319,12 @@ class TestJumpBoundary:
         assert abs(rec.boundary.p.q1 - float(q1)) <= 1e-10
         assert abs(rec.jump_angle - float(theta)) <= 1e-8
         assert curvature > 0
+
+    def test_step_cap_raises(self, monkeypatch):
+        # the solve on 0.7 needs 6 Newton steps
+        monkeypatch.setattr(boundaries_module, "_NEWTON_STEPS", 2)
+        with pytest.raises(ConvergenceError):
+            solve_jump_boundary(TrajectorySpec(0.7))
 
     def test_jump_ties_endpoint_and_interior(self):
         rec = solve_jump_boundary(TrajectorySpec(0.75))
@@ -411,22 +447,24 @@ class TestCurvesIntersection:
     def test_mirrored_intersection_satisfies_both_equations(self):
         p = curves_intersection().swapped()
         assert abs(endpoint_entropy_zero(p) - endpoint_entropy_halfpi(p)) < 1e-5
-        assert abs(s2_halfpi(p)) < 1e-4
+        assert abs(s2_halfpi_grid(p.q1, p.q2)) < 1e-4
 
-    def test_no_seed_raises(self):
-        with pytest.raises(ConvergenceError):
-            curves_intersection(0.3, 0.4)
-
-    @pytest.mark.parametrize("t_lo,t_hi", [(0.70, 0.76), (0.78, 0.80)])
-    def test_root_off_the_totals_raises(self, t_lo, t_hi):
-        # Newton converges to the intersection at total ~0.7691, outside [t_lo, t_hi]
-        with pytest.raises(ConvergenceError):
-            curves_intersection(t_lo, t_hi)
-
-    def test_step_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(boundaries_module, "_NEWTON_STEPS", 2)
+    def test_no_seed_raises(self, monkeypatch):
+        # no equal-endpoint root on total 0.3
+        monkeypatch.setattr(boundaries_module, "_INTERSECTION_TOTALS", (0.3, 0.4))
         with pytest.raises(ConvergenceError):
             curves_intersection()
+
+    @pytest.mark.parametrize("t_lo,t_hi", [(0.70, 0.76), (0.78, 0.80)])
+    def test_root_off_the_totals_raises(self, monkeypatch, t_lo, t_hi):
+        # the intersection lies at total ~0.7691, outside the bracket
+        monkeypatch.setattr(boundaries_module, "_INTERSECTION_TOTALS", (t_lo, t_hi))
+        with pytest.raises(ConvergenceError):
+            curves_intersection()
+
+    def test_one_sign_change_over_the_totals(self):
+        # the premise of the bracketed solve, at 401 totals
+        assert intersection_sign_changes(401) == 1
 
     def test_matches_40_digit_solve(self):
         pytest.importorskip("mpmath")
@@ -531,6 +569,8 @@ class TestSolveCost:
         assert len(calls) == 1
 
     def test_intersection_scans(self, monkeypatch):
+        # equal-endpoint solves only: the bracket's ends, the Brent steps and the root
         calls = self._count(monkeypatch, boundaries_module, "_path_root", [boundaries_module])
         curves_intersection()
-        assert len(calls) <= 2
+        assert len(calls) <= 9
+        assert all(residual is boundaries_module._equal_endpoints_gap for _, residual, _, _ in calls)

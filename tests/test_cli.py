@@ -141,6 +141,22 @@ class TestOracleCheckCommand:
         assert rows[0]["status"] == "pass"
         assert float(rows[0]["max_abs_deviation_bits"]) < 1e-10
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--grid", "0", "--random", "0"),  # no comparison at all
+            ("--grid", "2", "--random", "-3"),
+            ("--grid", "2", "--tol", "nan"),
+            ("--grid", "2", "--tol", "-1"),
+        ],
+        ids=["empty", "negative-random", "nan-tol", "negative-tol"],
+    )
+    def test_meaningless_check_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "oracle-check", *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["exit_code"] == 2
+
 
 class TestBoundariesCommand:
     def test_rows_schema_and_kinds(self, capsys):

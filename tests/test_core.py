@@ -24,7 +24,6 @@ from xdeficit.core import (
     curve_workspace,
     post_entropy_grid,
     post_entropy_slope,
-    s2_halfpi,
     s2_halfpi_grid,
     s2_zero_axis,
     slope_curve,
@@ -275,13 +274,12 @@ class TestGridForms:
         s2 = s2_halfpi_grid(q1, q2)
         assert s2.shape == q1.shape
         for k, p in enumerate(states):
-            ref = s2_halfpi(p)
-            if ref is None:
+            ref = float(s2_halfpi_grid(p.q1, p.q2))
+            if math.isnan(ref):
                 assert math.isnan(s2[k])
             else:
-                # s2_halfpi evaluates through s2_halfpi_grid; the tolerance
-                # only allows a one-element and a batched ufunc call to round
-                # differently (term1 - term2 cancels on the zero set)
+                # the tolerance only allows a 0-d and a batched ufunc call to
+                # round differently (term1 - term2 cancels on the zero set)
                 assert s2[k] == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
     def test_broadcast_shapes(self):
@@ -400,7 +398,7 @@ class TestExactExchangeSymmetry:
     @example(StateParams(0.7235826786873963, 0.02641732131260366))  # s2 near its zero
     def test_closed_forms(self, p):
         m = p.swapped()
-        for form in (pre_entropy, endpoint_entropy_zero, endpoint_entropy_halfpi, s2_halfpi):
+        for form in (pre_entropy, endpoint_entropy_zero, endpoint_entropy_halfpi):
             assert form(p) == form(m), form.__name__
         assert np.array_equal(s2_halfpi_grid(p.q1, p.q2), s2_halfpi_grid(m.q1, m.q2), equal_nan=True)
 
@@ -426,12 +424,12 @@ class TestDiagnostics:
             assert (s2_zero_axis(q) > 0) == expect_positive
 
     def test_halfpi_curvature_near_axis_root(self):
-        val = s2_halfpi(StateParams(0.67515, 0.0))
+        val = float(s2_halfpi_grid(0.67515, 0.0))
         assert val == pytest.approx(0.0, abs=1e-4)
 
     def test_halfpi_degenerate_radius_markers(self):
-        assert s2_halfpi(StateParams(0.5, 0.5)) is None  # r = 0
-        assert s2_halfpi(StateParams(0.0, 0.0)) is None  # r = 1
+        assert math.isnan(s2_halfpi_grid(0.5, 0.5))  # r = 0
+        assert math.isnan(s2_halfpi_grid(0.0, 0.0))  # r = 1
 
     def test_diagnostics_fields(self):
         assert s2_zero_axis(0.25) == pytest.approx(0.5375278407684164, abs=1e-12)

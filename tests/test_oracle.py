@@ -156,6 +156,11 @@ class TestEquivalenceSweep:
         assert samples == 15 * 8 * 4 + 37
         assert worst < 1e-10
 
+    @pytest.mark.parametrize("grid,random", [(0, 0), (-1, 5), (2, -3)])
+    def test_rejects_empty_or_negative_counts(self, grid, random):
+        with pytest.raises(ValueError):
+            equivalence_sweep(grid, random=random)
+
     def test_seeded_draws_repeat(self):
         assert equivalence_sweep(3, random=40, seed=9) == equivalence_sweep(3, random=40, seed=9)
 
