@@ -26,8 +26,10 @@ carries no window.  From the probe, Newton steps in q1
 drive the jump gap S(0) - S(theta*) to a sign change, tracking the
 interior minimizer theta* as a warm-started root of dS/dtheta, and do the
 same for the fold value S'(theta_i), tracking the inflection theta_i as a
-warm-started root of d2S/dtheta2.  No residual uses the entropy
-curvature at theta = 0, which diverges off the axes.
+warm-started root of d2S/dtheta2.  Every d2S/dtheta2 here, in the fold
+and in the half-pi residual S''(pi/2), is the one closed form
+``core.post_entropy_curvature``.  No residual uses the entropy curvature
+at theta = 0, which diverges off the axes.
 
 Boundary kinds:
 
@@ -54,8 +56,8 @@ from .core import (
     endpoint_entropy_halfpi,
     endpoint_entropy_zero,
     post_entropy,
+    post_entropy_curvature,
     post_entropy_slope,
-    s2_halfpi_grid,
     s2_zero_axis,
 )
 from .shape import ENDPOINT_MARGIN, HALF_PI, REFINE_TOL, classify_shape, find_root
@@ -64,9 +66,17 @@ from .shape import ENDPOINT_MARGIN, HALF_PI, REFINE_TOL, classify_shape, find_ro
 Q1_TOL = 1e-9
 CORNER_TOL = 1e-9
 
-# Newton solves of the jump gap and the fold: the step cap, and the step of
-# their central differences.
+# Radii r = hypot(1 - q1 - q2, q1 - q2) closer than this to 0 (the midpoint
+# of the hypotenuse) or to 1 (the corners and the origin) are degenerate for
+# the half-pi residual, which is NaN on them: a path end there brackets
+# nothing.
+RADIUS_DEGENERACY_TOL = 1e-9
+
+# Step cap of the Newton solves of the jump gap and the fold.
 _NEWTON_STEPS = 30
+
+# Step in q1 of the central difference that gives ``_tracked`` its
+# envelope slope.
 _FD_STEP = 1e-6
 
 # Totals that bracket the intersection of the equal-endpoint and half-pi curves.
@@ -172,7 +182,10 @@ def _equal_endpoints_gap(p: StateParams) -> float:
 
 
 def _halfpi_curvature(p: StateParams) -> float:
-    return float(s2_halfpi_grid(p.q1, p.q2))
+    # S''(pi/2) in bits, NaN on the degenerate radii
+    r = math.hypot(1.0 - (p.q1 + p.q2), p.q1 - p.q2)
+    degenerate = not RADIUS_DEGENERACY_TOL <= r <= 1.0 - RADIUS_DEGENERACY_TOL
+    return math.nan if degenerate else post_entropy_curvature(p, HALF_PI)
 
 
 def solve_equal_endpoints(traj: TrajectorySpec) -> BoundaryPoint | None:
@@ -257,12 +270,6 @@ def _window_probe(traj: TrajectorySpec) -> tuple[float, float | None, StateParam
     return probe, hp_root, p, theta_of
 
 
-def _slope_curvature(p: StateParams, theta: float) -> float:
-    """d2S/dtheta2 at scalar theta, a central difference of the closed-form dS/dtheta."""
-    h = _FD_STEP
-    return (post_entropy_slope(p, theta + h) - post_entropy_slope(p, theta - h)) / (2.0 * h)
-
-
 def _minimizer_near(deriv, p: StateParams, theta0: float) -> float:
     """Interior minimizer near ``theta0`` of a function of the angle, or NaN if it is gone.
 
@@ -273,10 +280,11 @@ def _minimizer_near(deriv, p: StateParams, theta0: float) -> float:
     double.  NaN when the bracket holds a maximum instead (derivative
     positive, then negative), or when the walk reaches ``ENDPOINT_MARGIN``
     of an end of [0, pi/2], where ``classify_shape`` takes its outermost
-    slope samples and an extremum merges into the endpoint.  With ``post_entropy_slope`` as ``deriv`` this tracks the
-    interior minimum of the entropy curve, which carries at most one; with
-    :func:`_slope_curvature` it tracks the inflection at which dS/dtheta is
-    least.
+    slope samples and an extremum merges into the endpoint.  With
+    ``post_entropy_slope`` as ``deriv`` this tracks the interior minimum of
+    the entropy curve, which carries at most one; with
+    ``post_entropy_curvature`` it tracks the inflection at which dS/dtheta
+    is least.
     """
     lo_end, hi_end = ENDPOINT_MARGIN, HALF_PI - ENDPOINT_MARGIN
     deriv = functools.partial(deriv, p)
@@ -447,9 +455,10 @@ def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
     lower than ``ENDPOINT_MARGIN``.  Newton steps in q1 (:func:`_newton_root`)
     then drive g from negative to a sign change, and ``shape.find_root``
     polishes the bracket to ``Q1_TOL``.  Each evaluation of g finds
-    theta_i with :func:`_minimizer_near` over S'', a central difference of
-    the closed-form slope, warm-started from the last one, and the Newton
-    slope is the q1-derivative of S' at fixed theta_i (:func:`_tracked`).
+    theta_i with :func:`_minimizer_near` over S'', the closed form
+    ``core.post_entropy_curvature``, warm-started from the last one, and
+    the Newton slope is the q1-derivative of S' at fixed theta_i
+    (:func:`_tracked`).
     The stored residual is |S'(theta_i)| at the root.
 
     Returns None when the path carries no window.  Raises ConvergenceError
@@ -462,7 +471,7 @@ def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
     if window is None:
         return None
     probe, _, p, theta_of = window
-    s2 = functools.partial(_slope_curvature, p)
+    s2 = functools.partial(post_entropy_curvature, p)
     b = theta_of["min"]
     a = theta_of.get("max", b)
     while not s2(a) < 0.0:  # no maximum reported: halve toward 0 into the fall of S'
@@ -470,7 +479,7 @@ def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
         if a < ENDPOINT_MARGIN:
             raise ConvergenceError(f"no inflection below the minimum at the window probe on {traj}")
     theta = find_root(s2, a, b, s2(a), s2(b), REFINE_TOL)
-    fold, fold_slope, _ = _tracked(traj, _slope_curvature, post_entropy_slope, theta)
+    fold, fold_slope, _ = _tracked(traj, post_entropy_curvature, post_entropy_slope, theta)
     g = post_entropy_slope(p, theta)
     root = _newton_root(fold, fold_slope, probe, g, f"fold of dS/dtheta on {traj}")
     if root is None:

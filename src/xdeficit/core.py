@@ -5,7 +5,12 @@ q2, and the product state |00>, with weight 1 - q1 - q2.  The valid parameter
 domain is the triangle q1 >= 0, q2 >= 0, q1 + q2 <= 1.  A projective
 measurement on qubit B is parametrized by a polar angle theta (the azimuthal
 angle drops out for this family), and the spectrum of the measurement-averaged
-state is known in closed form.  All entropies are reported in bits.
+state is known in closed form.  All entropies are reported in bits.  So
+are their theta-derivatives: the slope dS/dtheta (:func:`post_entropy_slope`,
+with its array form :func:`slope_curve`) and the curvature d2S/dtheta2
+(:func:`post_entropy_curvature`), both differentiated from the same
+eigenvalues.  Only the axis curvature :func:`s2_zero_axis` at theta = 0 is
+in natural-log units.
 
 Everything in this module is a pure function of its arguments and safe to call
 from any number of threads.
@@ -19,10 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 EDGE_TOL = 1e-12
-
-# r values closer than this to 0 or 1 make the half-pi curvature formula
-# degenerate (0/0 mixtures); callers get None instead of garbage.
-RADIUS_DEGENERACY_TOL = 1e-9
 
 _LEAST_SUBNORMAL = 5e-324
 
@@ -313,6 +314,60 @@ def post_entropy_slope(p: StateParams, theta: float) -> float:
     return out
 
 
+def post_entropy_curvature(p: StateParams, theta: float) -> float:
+    """Second derivative d2S/dtheta2 of :func:`post_entropy` in bits per rad^2, scalar theta.
+
+    The closed form -sum(lam_i'' log2(lam_i) + lam_i'^2 / (lam_i ln 2)) over
+    the eigenvalues lam_i > 0 of :func:`post_spectrum`, with lam_i' as in
+    :func:`post_entropy_slope`: the package's one S''.  The eigenvalues come
+    in two pairs.  The smaller one of a pair is the pair's product over the
+    larger one, so it keeps its digits where it vanishes like theta^2, near
+    theta = 0 and beside the edges.  The log terms of a pair are summed
+    through the log of their ratio, so they keep theirs where the pair
+    meets, near (1/2, 1/2) at pi/2.  Off the Cartesian axes S'' diverges
+    like log(1/theta) as theta -> 0; at theta = 0 itself the vanishing
+    eigenvalue is skipped, as in the slope, and the value means something
+    on the axes alone, where it is :func:`s2_zero_axis` in bits.
+    """
+    # With t = q1 + q2, each s = +-1 gives the pair L+- / 4, where
+    # L+- = 1 + s a cos +- rad, u = a + s b cos and rad = sqrt(u^2 + (c sin)^2).
+    # rad rad' = sin (c^2 cos - s b u) and rad rad'' = (rad rad')' - rad'^2;
+    # a zero radius takes rad' = rad'' = 0, the slope's kink rule.
+    # w = 1 + s cos is 2 cos^2(theta/2) or 2 sin^2(theta/2), so that
+    # 1 + s a cos = t + a w and u = t + b w carry no cancellation of 1 - cos.
+    # The product L+ L- = 2 a t w^2 + 4 q1 q2 sin^2 is a sum of non-negative
+    # terms: L- = (L+ L-) / L+ and L-' = ((L+ L-)' - L- L+') / L+.
+    # The L'' sum to 0, so S'' = -sum(L'' ln L + L'^2 / L) / (4 ln 2).
+    t, c = p.q1 + p.q2, p.q1 - p.q2
+    a, b = 1.0 - t, 1.0 - 2.0 * t
+    ct, st = math.cos(theta), math.sin(theta)
+    mixed = 4.0 * p.q1 * p.q2 * st  # 4 q1 q2 sin^2 = mixed sin
+    out = 0.0
+    for s, w in ((1.0, 2.0 * math.cos(0.5 * theta) ** 2), (-1.0, 2.0 * math.sin(0.5 * theta) ** 2)):
+        u = t + b * w
+        rad = math.sqrt(u * u + (c * st) ** 2)
+        drad = d2rad = 0.0
+        if rad > 0.0:
+            drad = st * (c * c * ct - s * b * u) / rad
+            d2rad = (c * c * (ct * ct - st * st) + (b * st) ** 2 - s * b * ct * u - drad * drad) / rad
+        big = t + a * w + rad
+        if big > 0.0:
+            log_big = math.log(big)
+            dbig = drad - s * a * st
+            small = (2.0 * a * t * w * w + mixed * st) / big
+            out += dbig * dbig / big
+            if small > 0.0:
+                dsmall = (2.0 * mixed * ct - 4.0 * s * a * t * w * st - small * dbig) / big
+                # log big - log small from big - small = 2 rad: as the pair
+                # meets, rad'' grows like 1 / rad, and so would the rounding
+                # of two separate log terms
+                gap = math.log1p(2.0 * rad / small) if rad < small else log_big - math.log(small)
+                out += d2rad * gap - s * a * ct * (2.0 * log_big - gap) + dsmall * dsmall / small
+            else:
+                out += (d2rad - s * a * ct) * log_big
+    return out / (-4.0 * math.log(2.0))
+
+
 def post_entropy(p: StateParams, theta) -> float | np.ndarray:
     """Entropy in bits of the measurement-averaged state at angle theta.
 
@@ -382,27 +437,6 @@ def _entropy_halfpi(q1: float, q2: float) -> float:
     # sqrt((1-q1-q2)^2 + (q1-q2)^2)
     r = math.hypot(1.0 - (q1 + q2), q1 - q2)
     return 1.0 + binary_entropy((1.0 + r) / 2.0)
-
-
-def s2_halfpi_grid(q1, q2) -> np.ndarray:
-    """Second theta-derivative at theta = pi/2 over (q1, q2) arrays broadcast together.
-
-    Evaluated in natural-log units; only the sign and the zero set are
-    contractually meaningful.  NaN marks the degenerate radii, r below
-    1e-9 or above 1 - 1e-9, where the value is never needed.
-    Unvalidated like :func:`post_entropy_grid`.
-    """
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    r = np.hypot(1.0 - (q1 + q2), q1 - q2)
-    ok = (r >= RADIUS_DEGENERACY_TOL) & (r <= 1.0 - RADIUS_DEGENERACY_TOL)
-    r = np.where(ok, r, 0.5)  # keeps the masked lanes free of 0/0 and log(0)
-    a = 1.0 - (q1 + q2)
-    b = 1.0 - 2.0 * (q1 + q2)
-    c = q1 - q2
-    term1 = c * c / (2.0 * r**3) * (r * r - b * b) * np.log((1.0 + r) / (1.0 - r))
-    term2 = a * a / (1.0 - r * r) * (1.0 - 2.0 * b * (1.0 - b / (2.0 * r * r)))
-    return np.where(ok, term1 - term2, np.nan)
 
 
 def s2_zero_axis(q: float) -> float:

@@ -4,13 +4,17 @@ Produces plot-ready data only; rendering stays out of scope.  The sweep
 labels each mirror pair of cells once.  The closed forms are bit-symmetric
 under the q1 <-> q2 exchange, so the cell (q2, q1) gets exactly the result of
 (q1, q2): the sweep labels the cells on and below the diagonal (q2 <= q1) and
-emits each cell above it as the exact mirror of its twin.  An interior
-minimum needs S''(pi/2) < 0: off the axes the curve rises from theta = 0, so
-a curve with S''(pi/2) > 0 has an odd number of interior extrema, in this
-family a single maximum.  On each diagonal q1 + q2 = const the minima fill
-one run of cells, from the window's upper end (the half-pi boundary, or the
-axis) down to the bimodality birth.  So the sweep walks each diagonal's
-cells with S''(pi/2) < 0 (or NaN) from the one nearest the axis toward
+emits each cell above it as the exact mirror of its twin.  The window of
+the interior minima is read from one slope sample per cell, the outermost
+one ``shape.classify_shape`` reads, at pi/2 - ``ENDPOINT_MARGIN``.  Where
+that sample is signed negative (<= -``SLOPE_FLOOR``), the last extremum
+classify_shape brackets is a maximum; off the axes the curve rises from
+theta = 0 and carries at most two extrema, so no minimum comes before that
+maximum.  On each diagonal q1 + q2 = const the minima fill one run of
+cells, from the window's upper end (the half-pi boundary, or the axis) down
+to the bimodality birth.  So the sweep computes that sample for every
+labelled cell in one ``core.slope_curve`` call, walks each diagonal's cells
+whose sample is not signed negative from the one nearest the axis toward
 q1 = q2, one cell per diagonal per round through one
 ``shape.needs_refinement`` call, and stops a diagonal at its first cell
 whose slope samples dS/dtheta never change sign.  Only the
@@ -41,9 +45,9 @@ from .boundaries import (
     solve_jump_boundary,
     zero_boundary_axis,
 )
-from .core import StateParams, s2_halfpi_grid
+from .core import StateParams, slope_curve
 from .deficit import endpoint_branch, one_way_deficit
-from .shape import UnresolvedShape, needs_refinement
+from .shape import SLOPE_FLOOR, UnresolvedShape, _angle_table, needs_refinement
 
 UNRESOLVED_LABEL = "Unresolved"
 
@@ -115,13 +119,14 @@ def _walk_flags(lower: list[tuple[int, int]], q1: np.ndarray, q2: np.ndarray,
     """``needs_refinement`` flags of the cells ``lower`` (grid indices (i, j),
     j <= i, at the states (q1, q2)), sampled only along each diagonal's run.
 
-    The candidates of a diagonal i + j are its cells with S''(pi/2) < 0 or
-    NaN, walked from the one nearest the axis (least j) toward q1 = q2; the
-    walk stops at its first unflagged candidate.  Cells never walked are
-    False.
+    The candidates of a diagonal i + j are its cells whose outermost slope
+    sample, at pi/2 - ``ENDPOINT_MARGIN``, is not signed negative, walked
+    from the one nearest the axis (least j) toward q1 = q2; the walk stops
+    at its first unflagged candidate.  Cells never walked are False.
     """
+    _, ct, st = _angle_table(theta_grid)
+    candidates = np.flatnonzero(~(slope_curve(q1, q2, ct[-1], st[-1]) <= -SLOPE_FLOOR))
     runs = {}
-    candidates = np.flatnonzero(~(s2_halfpi_grid(q1, q2) >= 0.0))
     for k in candidates[::-1].tolist():  # descending i: least j first on each diagonal
         i, j = lower[k]
         runs.setdefault(i + j, []).append(k)
@@ -265,8 +270,8 @@ def trajectory_profile(traj: TrajectorySpec, samples: int = 1000) -> TrajectoryP
     q2s = [0.0 if traj.axis else traj.total - q1 for q1 in q1s]
     # the full flag pass, not the sweep's walk, whose premise (the curve
     # rises from theta = 0) fails on the axis: there a walk from q1 = 1 stops
-    # at the corner sample, whose curvature is NaN and whose curve is flat,
-    # and misses all the minima further down the path
+    # at the corner sample, whose curve is flat (no slope sample has a
+    # sign), and misses all the minima further down the path
     flags = needs_refinement(np.array(q1s), np.array(q2s), _THETA_GRID)
     rows = _label(q1s, q2s, flags.tolist(), _THETA_GRID)
     transitions = []

@@ -228,7 +228,9 @@ def classify_shape(p: StateParams, grid_n: int = 512) -> ShapeReport:
     slope = functools.partial(post_entropy_slope, p)
     extrema = []
     for i, j in brackets:
-        x = find_root(slope, theta[i], theta[j], d[i], d[j], REFINE_TOL)
+        # Python floats, not numpy scalars: the extrema and every angle
+        # solved from them stay the annotated float
+        x = find_root(slope, theta.item(i), theta.item(j), d.item(i), d.item(j), REFINE_TOL)
         extrema.append(Extremum(theta=x, value=post_entropy(p, x), kind="max" if d[i] > 0.0 else "min"))
 
     if len(extrema) == 2:

@@ -47,6 +47,13 @@ def slope(q1: float, q2: float, theta: float, dps: int = 30) -> float:
         return float(mp.diff(lambda t: entropy(q1, q2, t), mp.mpf(theta)))
 
 
+def curvature(q1: float, q2: float, theta: float, dps: int = 30) -> float:
+    """d2S/dtheta2 at a float state and angle, differentiated at ``dps`` digits."""
+    with mp.workdps(dps):
+        q1, q2 = mp.mpf(q1), mp.mpf(q2)
+        return float(mp.diff(lambda t: entropy(q1, q2, t), mp.mpf(theta), 2))
+
+
 def slope_root(q1: float, q2: float, theta0: float) -> float:
     """Root of dS/dtheta near ``theta0`` at a float state, solved at 40 digits."""
     with mp.workdps(DPS):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mp_reference
+from conftest import triangle_samples
 from test_acceptance import REFERENCE_TABLE, TABLE_TOTALS
 import xdeficit.boundaries as boundaries_module
 import xdeficit.shape as shape_module
@@ -26,12 +27,13 @@ from xdeficit import (
 from xdeficit.boundaries import (
     CORNER_TOL,
     Q1_TOL,
+    RADIUS_DEGENERACY_TOL,
+    _halfpi_curvature,
     _minimizer_near,
 )
 from xdeficit.core import (
     post_entropy_grid,
     post_entropy_slope,
-    s2_halfpi_grid,
     s2_zero_axis,
 )
 from xdeficit.shape import find_root as _bisect
@@ -41,6 +43,28 @@ HALF_PI = math.pi / 2
 # the bracket width of the classification-flip births that
 # TestBimodalityBirth::test_table_totals_stable pins as references
 BIRTH_Q1_TOL = 1e-5
+
+
+def halfpi_curvature_grid(q1, q2):
+    """S''(pi/2) in natural-log units over (q1, q2) arrays broadcast together.
+
+    A closed form of its own, in the radius r = hypot(1 - q1 - q2, q1 - q2),
+    and NaN where ``_halfpi_curvature`` is: the array sampler of the sign
+    scans below, fast enough for the 41M samples of their CI step, which a
+    scalar kernel is not.  ``TestHalfPiSampler`` pins it to
+    ``_halfpi_curvature``.
+    """
+    q1 = np.asarray(q1, dtype=float)
+    q2 = np.asarray(q2, dtype=float)
+    r = np.hypot(1.0 - (q1 + q2), q1 - q2)
+    ok = (r >= RADIUS_DEGENERACY_TOL) & (r <= 1.0 - RADIUS_DEGENERACY_TOL)
+    r = np.where(ok, r, 0.5)  # keeps the masked lanes free of 0/0 and log(0)
+    a = 1.0 - (q1 + q2)
+    b = 1.0 - 2.0 * (q1 + q2)
+    c = q1 - q2
+    term1 = c * c / (2.0 * r**3) * (r * r - b * b) * np.log((1.0 + r) / (1.0 - r))
+    term2 = a * a / (1.0 - r * r) * (1.0 - 2.0 * b * (1.0 - b / (2.0 * r * r)))
+    return np.where(ok, term1 - term2, np.nan)
 
 
 def _brackets_loop(vals):
@@ -118,10 +142,9 @@ class TestArrayScan:
             self._assert_matches(solve_equal_endpoints(traj), ref, traj)
 
     def test_halfpi_match_loop(self):
-        curvature = lambda p: float(s2_halfpi_grid(p.q1, p.q2))
         for traj in self.PATHS:
             lo, hi = traj.q1_range()
-            ref = _solve_loop(traj, curvature, lo + 1e-9, hi - 1e-9)
+            ref = _solve_loop(traj, _halfpi_curvature, lo + 1e-9, hi - 1e-9)
             self._assert_matches(solve_halfpi_boundary(traj), ref, traj)
 
 
@@ -145,7 +168,7 @@ def residual_sign_changes(traj, samples):
         return q1, (np.zeros_like(q1) if traj.axis else traj.total - q1)
 
     s_zero, s_half = post_entropy_grid(*path(lo, hi), np.array([[0.0], [HALF_PI]]))
-    curvature = s2_halfpi_grid(*path(lo + 1e-9, hi - 1e-9))
+    curvature = halfpi_curvature_grid(*path(lo + 1e-9, hi - 1e-9))
     return _sign_changes(s_zero - s_half), _sign_changes(curvature)
 
 
@@ -158,7 +181,7 @@ def intersection_sign_changes(samples):
     """
     totals = np.linspace(*boundaries_module._INTERSECTION_TOTALS, samples)
     roots = [solve_equal_endpoints(TrajectorySpec(t)).p for t in totals]
-    h = s2_halfpi_grid(np.array([p.q1 for p in roots]), np.array([p.q2 for p in roots]))
+    h = halfpi_curvature_grid([p.q1 for p in roots], [p.q2 for p in roots])
     assert not np.isnan(h).any()
     return _sign_changes(h)
 
@@ -168,6 +191,29 @@ def worst_path_residual(totals):
     points = [solver(TrajectorySpec(t)) for t in totals
               for solver in (solve_equal_endpoints, solve_halfpi_boundary)]
     return max(bp.residual for bp in points if bp is not None)
+
+
+class TestHalfPiSampler:
+    def test_matches_the_kernel(self):
+        # the sampler is in nats, the kernel in bits; relative with a floor of
+        # 1, on seeded states, beside the edges and near the degenerate
+        # radii.  Toward the midpoint (1/2, 1/2) of the hypotenuse, where
+        # r -> 0, the sampler's first term cancels and loses ~1e-17 / r,
+        # which the kernel does not (checked against mpmath in test_core)
+        rng = np.random.default_rng(18)
+        q = triangle_samples(2000, 18)
+        d = 10.0 ** rng.uniform(-12, -3, 300)
+        x = rng.random(300)
+        q = np.vstack([q, np.c_[x * (1 - d), d], np.c_[x * (1 - d), (1 - x) * (1 - d)],
+                       np.c_[0.5 + d * (x - 0.5), 0.5 - d * x]])
+        grid = halfpi_curvature_grid(q[:, 0], q[:, 1])
+        for (q1, q2), ref in zip(q, grid):
+            val = _halfpi_curvature(StateParams(q1, q2)) * math.log(2.0)
+            if math.isnan(ref):
+                assert math.isnan(val), (q1, q2)
+            else:
+                r = math.hypot(1.0 - (q1 + q2), q1 - q2)
+                assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref)) + 1e-16 / r, (q1, q2)
 
 
 class TestOneSignChange:
@@ -232,8 +278,7 @@ class TestHalfPiBoundary:
     def test_mirror_symmetry(self):
         bp = solve_halfpi_boundary(TrajectorySpec(0.75))
         m = bp.p.swapped()
-        val = float(s2_halfpi_grid(m.q1, m.q2))
-        assert abs(val) == pytest.approx(bp.residual, abs=1e-15)
+        assert abs(_halfpi_curvature(m)) == pytest.approx(bp.residual, abs=1e-15)
 
 
 class TestZeroBoundaryAxis:
@@ -447,7 +492,7 @@ class TestCurvesIntersection:
     def test_mirrored_intersection_satisfies_both_equations(self):
         p = curves_intersection().swapped()
         assert abs(endpoint_entropy_zero(p) - endpoint_entropy_halfpi(p)) < 1e-5
-        assert abs(s2_halfpi_grid(p.q1, p.q2)) < 1e-4
+        assert abs(_halfpi_curvature(p)) < 1e-4
 
     def test_no_seed_raises(self, monkeypatch):
         # no equal-endpoint root on total 0.3

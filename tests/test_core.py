@@ -20,11 +20,12 @@ from xdeficit import (
     pre_entropy,
     quaternary_entropy,
 )
+from xdeficit.boundaries import _halfpi_curvature
 from xdeficit.core import (
     curve_workspace,
+    post_entropy_curvature,
     post_entropy_grid,
     post_entropy_slope,
-    s2_halfpi_grid,
     s2_zero_axis,
     slope_curve,
 )
@@ -259,36 +260,6 @@ class TestEndpointForms:
             assert dp < 1e-6
 
 
-class TestGridForms:
-    # numpy's log and hypot may differ from libm's by an ulp, so the
-    # broadcast form matches its scalar form to rounding, not to the bit
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(closed_triangle_states(), min_size=1, max_size=16))
-    @example([StateParams(0.0, 0.0), StateParams(1.0, 0.0), StateParams(0.0, 1.0),
-              StateParams(0.5, 0.5), StateParams(1.0 - 1e-12, 1e-12),
-              # 4e-8 in q1 from the half-pi root of q1 + q2 = 0.75: s2 = -9e-8
-              StateParams(0.7235826786873963, 0.02641732131260366)])
-    def test_match_scalar_forms(self, states):
-        q1 = np.array([p.q1 for p in states])
-        q2 = np.array([p.q2 for p in states])
-        s2 = s2_halfpi_grid(q1, q2)
-        assert s2.shape == q1.shape
-        for k, p in enumerate(states):
-            ref = float(s2_halfpi_grid(p.q1, p.q2))
-            if math.isnan(ref):
-                assert math.isnan(s2[k])
-            else:
-                # the tolerance only allows a 0-d and a batched ufunc call to
-                # round differently (term1 - term2 cancels on the zero set)
-                assert s2[k] == pytest.approx(ref, rel=1e-12, abs=1e-15)
-
-    def test_broadcast_shapes(self):
-        q1 = np.linspace(0.0, 0.5, 4)[:, None]
-        q2 = np.linspace(0.0, 0.5, 3)[None, :]
-        assert s2_halfpi_grid(q1, q2).shape == (4, 3)
-        assert np.ndim(s2_halfpi_grid(0.3, 0.2)) == 0
-
-
 class TestSlope:
     @settings(max_examples=300, deadline=None)
     @given(closed_triangle_states(), st.floats(min_value=1e-3, max_value=HALF_PI - 1e-3))
@@ -327,6 +298,36 @@ class TestSlope:
     def test_stationary_ends(self, p):
         assert post_entropy_slope(p, 0.0) == 0.0
         assert abs(post_entropy_slope(p, HALF_PI)) <= 1e-15
+
+
+
+class TestCurvature:
+    def test_matches_mpmath_second_derivative(self):
+        pytest.importorskip("mpmath")
+        # seeded states: 120 uniform in the triangle, 90 within 1e-12 to 1e-3
+        # of an edge, 30 within 1e-12 of a corner, and the corners and the
+        # midpoint of the hypotenuse themselves and 1e-12 from them
+        rng = np.random.default_rng(18)
+        states = [StateParams(*q) for q in triangle_samples(120, 18)]
+        for _ in range(30):
+            x, d = rng.random(), 10.0 ** rng.uniform(-12, -3)
+            states += [StateParams(x * (1 - d), d), StateParams(d, x * (1 - d)),
+                       StateParams(x * (1 - d), (1 - x) * (1 - d))]
+        for _ in range(10):
+            u, v = 1e-12 * rng.random(2)
+            states += [StateParams(u, v), StateParams(1 - 1e-12, u), StateParams(v, 1 - 1e-12)]
+        states += [StateParams(q1, q2) for q1, q2 in
+                   [(0, 0), (1, 0), (0, 1), (0.5, 0.5), (0.5 + 1e-12, 0.5 - 1e-12),
+                    (0.5 - 1e-12, 0.5 - 1e-12), (1 - 1e-12, 0), (1e-12, 1e-12)]]
+        for p in states:
+            # relative with a floor of 1; below theta = 1e-2 the smallest
+            # eigenvalue depends on a = 1 - (q1 + q2), rounded near the
+            # hypotenuse, with a weight ~1 / theta^2
+            for theta, bound in [(rng.uniform(0.05, 1.5), 1e-11), (HALF_PI, 1e-11),
+                                 (10.0 ** rng.uniform(-4, -2), 1e-8)]:
+                ref = mp_reference.curvature(p.q1, p.q2, theta)
+                err = abs(post_entropy_curvature(p, theta) - ref) / max(1.0, abs(ref))
+                assert err <= bound, (p, theta, ref)
 
 
 class TestSlopeCurve:
@@ -400,7 +401,8 @@ class TestExactExchangeSymmetry:
         m = p.swapped()
         for form in (pre_entropy, endpoint_entropy_zero, endpoint_entropy_halfpi):
             assert form(p) == form(m), form.__name__
-        assert np.array_equal(s2_halfpi_grid(p.q1, p.q2), s2_halfpi_grid(m.q1, m.q2), equal_nan=True)
+        for theta in (1e-4, 0.3, 1.2, HALF_PI):
+            assert post_entropy_curvature(p, theta) == post_entropy_curvature(m, theta), theta
 
 
 class TestDiagnostics:
@@ -424,12 +426,12 @@ class TestDiagnostics:
             assert (s2_zero_axis(q) > 0) == expect_positive
 
     def test_halfpi_curvature_near_axis_root(self):
-        val = float(s2_halfpi_grid(0.67515, 0.0))
+        val = _halfpi_curvature(StateParams(0.67515, 0.0))
         assert val == pytest.approx(0.0, abs=1e-4)
 
     def test_halfpi_degenerate_radius_markers(self):
-        assert math.isnan(s2_halfpi_grid(0.5, 0.5))  # r = 0
-        assert math.isnan(s2_halfpi_grid(0.0, 0.0))  # r = 1
+        assert math.isnan(_halfpi_curvature(StateParams(0.5, 0.5)))  # r = 0
+        assert math.isnan(_halfpi_curvature(StateParams(0.0, 0.0)))  # r = 1
 
     def test_diagnostics_fields(self):
         assert s2_zero_axis(0.25) == pytest.approx(0.5375278407684164, abs=1e-12)

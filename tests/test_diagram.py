@@ -18,12 +18,18 @@ from xdeficit import (
     trace_boundaries,
     trajectory_profile,
 )
-from xdeficit.core import s2_halfpi_grid
+from xdeficit.core import slope_curve
 from xdeficit.diagram import PhaseCell
-from xdeficit.shape import ENDPOINT_MARGIN, needs_refinement
+from xdeficit.shape import ENDPOINT_MARGIN, SLOPE_FLOOR, _angle_table, needs_refinement
 
 HALF_PI = math.pi / 2
 RES = 120
+
+
+def outermost_slope(q1, q2):
+    """dS/dtheta at pi/2 - ENDPOINT_MARGIN, the last slope sample of classify_shape."""
+    _, ct, st = _angle_table(128)
+    return slope_curve(q1, q2, ct[-1], st[-1])
 
 
 @pytest.fixture(scope="module")
@@ -123,17 +129,18 @@ class TestBlockRoute:
         flagged = needs_refinement(q1, q2, 128)
         assert flagged.sum() == 146
         # four of the flagged cells carry only a maximum within 2e-3 rad of
-        # theta = 0, and lie where S''(pi/2) > 0, outside the walked band
+        # theta = 0, and fall into pi/2 (outermost slope sample signed
+        # negative), outside the walked band
         near_zero_maxima = {(0.005, 0.945), (0.005, 0.955), (0.945, 0.005), (0.955, 0.005)}
         for c in grid.cells:
             if (c.q1, c.q2) in near_zero_maxima:
                 report = classify_shape(StateParams(c.q1, c.q2), grid_n=128)
                 assert report.shape_class is ShapeClass.INTERIOR_MAXIMUM
                 assert ENDPOINT_MARGIN < report.extrema[0].theta < 2e-3
-                assert s2_halfpi_grid(c.q1, c.q2) > 0.0
+                assert outermost_slope(c.q1, c.q2) <= -SLOPE_FLOOR
         # the walked band: flagged cells of the labelled half, q2 <= q1, whose
-        # curvature at pi/2 is negative (NaN counts too), in cell order
-        band = flagged & ~(s2_halfpi_grid(q1, q2) >= 0.0) & (q2 <= q1)
+        # outermost slope sample is not signed negative, in cell order
+        band = flagged & ~(outermost_slope(q1, q2) <= -SLOPE_FLOOR) & (q2 <= q1)
         assert refined == list(zip(q1[band], q2[band]))
         assert {c.branch for c, f in zip(grid.cells, flagged) if not f} == {"AtZero", "AtHalfPi"}
 
@@ -210,8 +217,10 @@ class TestDiagonalWalk:
 
     def test_positive_halfpi_curvature_has_no_interior_minimum(self):
         # the walk's premise: off the axes the curve rises from theta = 0, so
-        # S''(pi/2) > 0 leaves room for a single interior maximum only;
-        # states crowd the half-pi boundary and lie within 1e-12 of the edges
+        # a curve whose outermost slope sample is signed negative, falling
+        # into pi/2 (S''(pi/2) > 0 beyond the slope floor), leaves room for a
+        # single interior maximum only; states crowd the half-pi boundary and
+        # lie within 1e-12 of the edges
         rng = np.random.default_rng(12)
         states = []
         for total in rng.uniform(0.68, 0.999, 40):
@@ -226,8 +235,8 @@ class TestDiagonalWalk:
         states += [(b, a) for a, b in states]  # and their mirrors
         q1s, q2s = np.array(states).T
         positive = [
-            (a, b) for a, b, s2 in zip(q1s, q2s, s2_halfpi_grid(q1s, q2s))
-            if a > 0.0 and b > 0.0 and s2 > 0.0
+            (a, b) for a, b, d in zip(q1s, q2s, outermost_slope(q1s, q2s))
+            if a > 0.0 and b > 0.0 and d <= -SLOPE_FLOOR
         ]
         assert len(positive) > 200
         for a, b in positive:

@@ -6,15 +6,19 @@ import pytest
 import mp_reference
 from conftest import golden_minimize, triangle_samples
 from xdeficit import (
+    Branch,
     ShapeClass,
     StateParams,
     classify_shape,
     endpoint_entropy_halfpi,
     endpoint_entropy_zero,
     interior_minimum,
+    jump_angle_table,
+    one_way_deficit,
     TrajectorySpec,
     post_entropy,
     solve_halfpi_boundary,
+    sweep,
 )
 from xdeficit.boundaries import _window_upper_end
 from xdeficit.core import post_entropy_slope
@@ -107,6 +111,20 @@ def loop_brackets(slopes):
         if (slopes[i] > 0.0) != (slopes[j] > 0.0):
             out.append((i, j))
     return out
+
+
+class TestFloatResults:
+    def test_angles_are_python_floats(self):
+        # the annotated float, not numpy scalars from the slope grid
+        report = classify_shape(StateParams(0.7225, 0.0275))
+        assert report.shape_class is ShapeClass.BIMODAL
+        for ext in report.extrema:
+            assert type(ext.theta) is float and type(ext.value) is float
+        res = one_way_deficit(StateParams(0.7225, 0.0275))
+        assert res.branch is Branch.INTERIOR and type(res.optimal_theta) is float
+        assert all(type(rec.jump_angle) is float for rec in jump_angle_table())
+        cells = sweep(100, theta_grid=128).cells
+        assert {type(c.theta_opt) for c in cells if c.branch == "Interior"} == {float}
 
 
 class TestExtremumBrackets:
