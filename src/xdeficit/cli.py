@@ -2,11 +2,13 @@
 
 Exit codes: 0 success, 1 oracle mismatch, 2 domain error, an invalid
 argument (such as an ``oracle-check`` with a negative or zero sample count,
-or a ``--tol`` that is negative or not finite) or an ``--output`` path that
-cannot be opened, 3 unresolved shape classification, 4 solver
-non-convergence.  Errors are reported as a single JSON object on stderr.
-All floating output is printed with a configurable number of significant
-digits (default 6) and is identical between the CSV and JSON formats.
+a ``--tol`` that is negative or not finite, or a ``shape --curve-samples``
+below 2) or an ``--output`` path that cannot be opened, 3 unresolved shape
+classification, 4 solver non-convergence, 141 stdout closed by its reader
+(as in ``xdeficit scan 0.75 5000 | head -1``; nothing is written to stderr).
+Every other error is reported as a single JSON object on stderr.  All
+floating output is printed with a configurable number of significant digits
+(1 to 15, default 6) and is identical between the CSV and JSON formats.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -32,6 +36,10 @@ from .oracle import equivalence_sweep
 from .shape import UnresolvedShape, classify_shape
 
 SCHEMA_VERSION = "1"
+
+# Exit code of each error a command may raise, first match wins: DomainError
+# is a ValueError and must come before it.
+_EXIT_CODES = {DomainError: 2, UnresolvedShape: 3, ConvergenceError: 4, ValueError: 2}
 
 # Tabulated reference landmarks for the jump-boundary rows: (q1, q2, angle).
 # The rows q1 = 0.676082 and 0.721590 carry the angles of a 40-digit solve at
@@ -57,186 +65,121 @@ def _fmt(value, precision: int) -> str:
 
 
 def _json_safe(value, precision: int):
-    if isinstance(value, bool):
-        return value
+    """``value`` with every float, at any depth, rounded as ``_fmt`` prints it;
+    NaN and infinities become the strings ``"nan"``, ``"inf"``, ``"-inf"``."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v, precision) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v, precision) for v in value]
     if isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            return str(value)
-        return float(f"{value:.{precision}g}")
+        return float(f"{value:.{precision}g}") if math.isfinite(value) else str(value)
     return value
 
 
-def _emit(args, command: str, params: dict, header: list[str], rows: list[dict],
-          comments: list[str] | None = None, extra: dict | None = None) -> None:
+def _emit(args, command: str, params: dict, header: list[str], rows: list[tuple],
+          comments: Sequence[str] = (), extra: dict | None = None) -> None:
+    """Write ``rows``, tuples in ``header`` order, as CSV (after the ``#``
+    ``comments``) or as JSON (with the ``extra`` top-level fields)."""
     try:
         out = sys.stdout if args.output == "-" else open(args.output, "w")
     except OSError as exc:  # reported by main like any other bad input, exit 2
         raise ValueError(f"cannot open --output: {exc}") from exc
     try:
         if args.format == "json":
-            payload = {
-                "schema_version": SCHEMA_VERSION,
-                "command": command,
-                "params": params,
-                "rows": [
-                    {k: _json_safe(row[k], args.precision) for k in header} for row in rows
-                ],
-            }
-            if extra:
-                payload.update(
-                    {k: _json_safe(v, args.precision) if isinstance(v, float) else v
-                     for k, v in extra.items()}
-                )
+            body = {"rows": [dict(zip(header, row)) for row in rows], **(extra or {})}
+            payload = {"schema_version": SCHEMA_VERSION, "command": command,
+                       "params": params, **_json_safe(body, args.precision)}
             json.dump(payload, out, indent=2)
             out.write("\n")
         else:
-            for line in comments or []:
+            for line in comments:
                 out.write(f"# {line}\n")
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(header)
             for row in rows:
-                writer.writerow([_fmt(row[k], args.precision) for k in header])
+                writer.writerow([_fmt(v, args.precision) for v in row])
     finally:
         if out is not sys.stdout:
             out.close()
 
 
-def _angle(value: float, degrees: bool) -> float:
-    return math.degrees(value) if degrees else value
-
-
 def cmd_deficit(args) -> int:
     p = StateParams(args.q1, args.q2)
     res = one_way_deficit(p, grid_n=args.grid_n)
-    rows = [
-        {
-            "q1": p.q1,
-            "q2": p.q2,
-            "delta_bits": res.delta,
-            "branch": res.branch.value,
-            "theta_opt_rad": res.optimal_theta,
-            "tie": res.tie,
-        }
-    ]
     _emit(args, "deficit", {"q1": p.q1, "q2": p.q2},
-          ["q1", "q2", "delta_bits", "branch", "theta_opt_rad", "tie"], rows)
+          ["q1", "q2", "delta_bits", "branch", "theta_opt_rad", "tie"],
+          [(p.q1, p.q2, res.delta, res.branch.value, res.optimal_theta, res.tie)])
     return 0
 
 
 def cmd_shape(args) -> int:
+    if args.curve_samples < 2:
+        raise ValueError(f"--curve-samples must be at least 2, got {args.curve_samples}")
     p = StateParams(args.q1, args.q2)
     report = classify_shape(p, grid_n=args.grid_n)
     s = pre_entropy(p)
     thetas = np.linspace(0.0, math.pi / 2.0, args.curve_samples)
     entropies = np.asarray(post_entropy(p, thetas))
-    rows = [
-        {"theta_rad": float(t), "post_entropy_bits": float(e), "deficit_bits": float(e - s)}
-        for t, e in zip(thetas, entropies)
-    ]
-    extrema = [
-        {"theta_rad": e.theta, "value_bits": e.value, "kind": e.kind}
-        for e in report.extrema
-    ]
     comments = [f"shape_class={report.shape_class.value}", f"grid_n={report.grid_n}"]
-    for e in report.extrema:
-        comments.append(
-            f"extremum kind={e.kind} theta_rad={_fmt(e.theta, args.precision)} "
-            f"value_bits={_fmt(e.value, args.precision)}"
-        )
+    comments += [f"extremum kind={e.kind} theta_rad={_fmt(e.theta, args.precision)} "
+                 f"value_bits={_fmt(e.value, args.precision)}" for e in report.extrema]
     _emit(args, "shape", {"q1": p.q1, "q2": p.q2, "grid_n": args.grid_n},
-          ["theta_rad", "post_entropy_bits", "deficit_bits"], rows,
+          ["theta_rad", "post_entropy_bits", "deficit_bits"],
+          [(float(t), float(e), float(e - s)) for t, e in zip(thetas, entropies)],
           comments=comments,
           extra={"shape_class": report.shape_class.value,
-                 "extrema": [{k: _json_safe(v, args.precision) for k, v in e.items()}
-                             for e in extrema]})
+                 "extrema": [{"theta_rad": e.theta, "value_bits": e.value, "kind": e.kind}
+                             for e in report.extrema]})
     return 0
 
 
 def cmd_scan(args) -> int:
     profile = trajectory_profile(TrajectorySpec(args.total), samples=args.samples)
-    rows = [
-        {
-            "q1": c.q1,
-            "q2": c.q2,
-            "delta_bits": c.delta,
-            "branch": c.branch,
-            "theta_opt_rad": c.theta_opt,
-        }
-        for c in profile.rows
-    ]
     comments = [f"total={_fmt(args.total, args.precision)}"]
-    transitions = []
-    for q1_mid, frm, to in profile.transitions:
-        comments.append(f"transition q1={_fmt(q1_mid, args.precision)} {frm}->{to}")
-        transitions.append({"q1": _json_safe(q1_mid, args.precision), "from": frm, "to": to})
+    comments += [f"transition q1={_fmt(q1, args.precision)} {frm}->{to}"
+                 for q1, frm, to in profile.transitions]
     _emit(args, "scan", {"total": args.total, "samples": args.samples},
-          ["q1", "q2", "delta_bits", "branch", "theta_opt_rad"], rows,
-          comments=comments, extra={"transitions": transitions})
+          ["q1", "q2", "delta_bits", "branch", "theta_opt_rad"],
+          [(c.q1, c.q2, c.delta, c.branch, c.theta_opt) for c in profile.rows],
+          comments=comments,
+          extra={"transitions": [{"q1": q1, "from": frm, "to": to}
+                                 for q1, frm, to in profile.transitions]})
     return 0
 
 
 def cmd_boundaries(args) -> int:
     curves = trace_boundaries(resolution=args.resolution)
-    rows = []
-    for curve in curves:
-        for bp in curve.points:
-            rows.append(
-                {
-                    "kind": bp.kind.value,
-                    "q1": bp.p.q1,
-                    "q2": bp.p.q2,
-                    "residual": bp.residual,
-                }
-            )
     gaps = sum(len(c.gaps) for c in curves)
     _emit(args, "boundaries", {"resolution": args.resolution},
-          ["kind", "q1", "q2", "residual"], rows,
+          ["kind", "q1", "q2", "residual"],
+          [(bp.kind.value, bp.p.q1, bp.p.q2, bp.residual)
+           for curve in curves for bp in curve.points],
           comments=[f"curves={len(curves)}", f"flagged_gaps={gaps}"],
           extra={"flagged_gaps": gaps})
     return 0
 
 
 def cmd_table1(args) -> int:
-    records = jump_angle_table()
     suffix = "deg" if args.degrees else "rad"
-    header = [
-        "q1", "q2", f"jump_angle_{suffix}",
-        "ref_q1", "ref_q2", f"ref_jump_angle_{suffix}",
-        "dev_q1", f"dev_jump_angle_{suffix}",
+    unit = math.degrees if args.degrees else float
+    rows = [
+        (rec.boundary.p.q1, rec.boundary.p.q2, unit(rec.jump_angle),
+         rq1, rq2, unit(rang),
+         abs(rec.boundary.p.q1 - rq1), abs(unit(rec.jump_angle - rang)))
+        for rec, (rq1, rq2, rang) in zip(jump_angle_table(), _REFERENCE_JUMP_TABLE)
     ]
-    rows = []
-    for rec, (rq1, rq2, rang) in zip(records, _REFERENCE_JUMP_TABLE):
-        rows.append(
-            {
-                "q1": rec.boundary.p.q1,
-                "q2": rec.boundary.p.q2,
-                f"jump_angle_{suffix}": _angle(rec.jump_angle, args.degrees),
-                "ref_q1": rq1,
-                "ref_q2": rq2,
-                f"ref_jump_angle_{suffix}": _angle(rang, args.degrees),
-                "dev_q1": abs(rec.boundary.p.q1 - rq1),
-                f"dev_jump_angle_{suffix}": abs(_angle(rec.jump_angle - rang, args.degrees)),
-            }
-        )
-    _emit(args, "table1", {"degrees": args.degrees}, header, rows)
+    _emit(args, "table1", {"degrees": args.degrees},
+          ["q1", "q2", f"jump_angle_{suffix}", "ref_q1", "ref_q2", f"ref_jump_angle_{suffix}",
+           "dev_q1", f"dev_jump_angle_{suffix}"], rows)
     return 0
 
 
 def cmd_phase_diagram(args) -> int:
     grid = sweep(resolution=args.resolution, theta_grid=args.theta_grid, threads=args.threads)
-    rows = [
-        {
-            "q1": c.q1,
-            "q2": c.q2,
-            "branch": c.branch,
-            "delta_bits": c.delta,
-            "theta_opt_rad": c.theta_opt,
-        }
-        for c in grid.cells
-    ]
     _emit(args, "phase-diagram",
           {"resolution": args.resolution, "theta_grid": args.theta_grid},
-          ["q1", "q2", "branch", "delta_bits", "theta_opt_rad"], rows,
+          ["q1", "q2", "branch", "delta_bits", "theta_opt_rad"],
+          [(c.q1, c.q2, c.branch, c.delta, c.theta_opt) for c in grid.cells],
           comments=[
               f"area_fraction_interior={_fmt(grid.area_fraction_interior, args.precision)}",
               f"unresolved_cells={grid.unresolved_cells}",
@@ -251,40 +194,20 @@ def cmd_oracle_check(args) -> int:
         raise ValueError(f"--tol must be finite and non-negative, got {args.tol}")
     count, worst = equivalence_sweep(args.grid, args.random, args.seed)
     ok = worst <= args.tol
-    rows = [
-        {
-            "check": "closed_form_vs_oracle",
-            "samples": count,
-            "max_abs_deviation_bits": worst,
-            "tolerance_bits": args.tol,
-            "status": "pass" if ok else "fail",
-        }
-    ]
     _emit(args, "oracle-check",
           {"grid": args.grid, "random": args.random, "seed": args.seed, "tol": args.tol},
-          ["check", "samples", "max_abs_deviation_bits", "tolerance_bits", "status"], rows)
-    if not ok:
-        print(json.dumps({"error": f"oracle mismatch {worst} exceeds {args.tol}",
-                          "exit_code": 1}), file=sys.stderr)
-        return 1
-    return 0
+          ["check", "samples", "max_abs_deviation_bits", "tolerance_bits", "status"],
+          [("closed_form_vs_oracle", count, worst, args.tol, "pass" if ok else "fail")])
+    return 0 if ok else _error(f"oracle mismatch {worst} exceeds {args.tol}", 1)
 
 
 def cmd_fidelity(args) -> int:
     p = StateParams(args.q1, args.q2)
     p2 = StateParams(args.q1b, args.q2b)
-    rows = [
-        {
-            "q1": p.q1,
-            "q2": p.q2,
-            "q1b": p2.q1,
-            "q2b": p2.q2,
-            "fidelity": family_fidelity(p, p2),
-        }
-    ]
     _emit(args, "fidelity",
           {"q1": p.q1, "q2": p.q2, "q1b": p2.q1, "q2b": p2.q2},
-          ["q1", "q2", "q1b", "q2b", "fidelity"], rows)
+          ["q1", "q2", "q1b", "q2b", "fidelity"],
+          [(p.q1, p.q2, p2.q1, p2.q2, family_fidelity(p, p2))])
     return 0
 
 
@@ -364,24 +287,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(message: str, code: int) -> int:
+    print(json.dumps({"error": message, "exit_code": code}), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.precision = min(max(args.precision, 1), 15)
     try:
-        return args.func(args)
-    except DomainError as exc:
-        print(json.dumps({"error": str(exc), "exit_code": 2}), file=sys.stderr)
-        return 2
-    except UnresolvedShape as exc:
-        print(json.dumps({"error": str(exc), "exit_code": 3}), file=sys.stderr)
-        return 3
-    except ConvergenceError as exc:
-        print(json.dumps({"error": str(exc), "exit_code": 4}), file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(json.dumps({"error": str(exc), "exit_code": 2}), file=sys.stderr)
-        return 2
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send the rest of stdout, and the flush at exit,
+        # to the null device, and exit as a writer killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except tuple(_EXIT_CODES) as exc:
+        code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        return _error(str(exc), code)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import xdeficit
 from xdeficit.cli import main
 
 
@@ -62,6 +67,16 @@ class TestShapeCommand:
     def test_corner_shape(self, capsys):
         _, out, _ = run_cli(capsys, "shape", "0", "0")
         assert "# shape_class=MonotoneIncreasing" in out
+
+    @pytest.mark.parametrize("samples", ["1", "0", "-1"])
+    def test_too_few_curve_samples_exit_2(self, capsys, samples):
+        code, out, err = run_cli(capsys, "shape", "0.65", "0", "--curve-samples", samples)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["exit_code"] == 2
+        assert "--curve-samples" in payload["error"]
 
     def test_json_has_extrema(self, capsys):
         _, out, _ = run_cli(capsys, "shape", "0.7205", "0.0295", "--format", "json")
@@ -192,15 +207,49 @@ class TestPhaseDiagramCommand:
 
 
 class TestOutputConventions:
-    def test_json_and_csv_values_agree(self, capsys):
-        _, out_csv, _ = run_cli(capsys, "deficit", "0.61554", "0")
-        _, out_json, _ = run_cli(capsys, "deficit", "0.61554", "0", "--format", "json")
-        csv_row = parse_csv(out_csv)[0]
-        json_row = json.loads(out_json)["rows"][0]
-        for key in ("q1", "q2", "delta_bits", "theta_opt_rad"):
-            assert float(csv_row[key]) == json_row[key]
-        assert csv_row["branch"] == json_row["branch"]
-        assert (csv_row["tie"] == "true") == json_row["tie"]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("deficit", "0.61554", "0"),
+            ("shape", "0.7205", "0.0295", "--curve-samples", "17"),
+            ("scan", "0.75", "100"),
+            ("boundaries", "--resolution", "100"),
+            ("table1",),
+            ("phase-diagram", "--resolution", "100", "--theta-grid", "128"),
+            ("oracle-check", "--grid", "3", "--random", "4"),
+            ("fidelity", "0.5", "0", "0.67515", "0"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_json_and_csv_values_agree(self, capsys, argv):
+        code, out_csv, _ = run_cli(capsys, *argv)
+        assert code == 0
+        _, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+        payload = json.loads(out_json)
+
+        def agree(text, value):
+            if isinstance(value, bool):
+                return text == ("true" if value else "false")
+            if isinstance(value, (int, float)):
+                return float(text) == value
+            return text == value  # strings, "nan" and "inf" included
+
+        csv_rows = parse_csv(out_csv)
+        assert csv_rows and len(csv_rows) == len(payload["rows"])
+        header = [ln for ln in out_csv.splitlines() if not ln.startswith("#")][0]
+        assert header.split(",") == list(payload["rows"][0])
+        for csv_row, json_row in zip(csv_rows, payload["rows"]):
+            for key, value in json_row.items():
+                assert agree(csv_row[key], value), (key, csv_row[key], value)
+        # each JSON extra that a CSV comment also carries
+        twins = {"area_fraction_interior", "unresolved_cells", "flagged_gaps", "shape_class"}
+        seen = set()
+        for line in out_csv.splitlines():
+            key, _, text = line.removeprefix("# ").partition("=")
+            if line.startswith("#") and key in twins:
+                assert agree(text, payload[key]), (key, text, payload[key])
+                seen.add(key)
+        assert seen == twins & payload.keys()
 
     def test_json_envelope(self, capsys):
         _, out, _ = run_cli(capsys, "fidelity", "0.3", "0", "0.3", "0", "--format", "json")
@@ -236,3 +285,20 @@ class TestOutputConventions:
         payload = json.loads(err)
         assert payload["exit_code"] == 2
         assert str(target) in payload["error"]
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # the scan writes far more than a pipe buffer holds, so the write
+        # after the reader closes its end must fail
+        src = str(Path(xdeficit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "xdeficit.cli", "scan", "0.75", "5000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"# total=0.75\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
