@@ -26,7 +26,13 @@ carries no window.  From the probe, Newton steps in q1
 drive the jump gap S(0) - S(theta*) to a sign change, tracking the
 interior minimizer theta* as a warm-started root of dS/dtheta, and do the
 same for the fold value S'(theta_i), tracking the inflection theta_i as a
-warm-started root of d2S/dtheta2.  Every d2S/dtheta2 here, in the fold
+warm-started root of d2S/dtheta2.  Over a fan of totals, as
+``diagram.trace_boundaries`` draws the jump boundary, :func:`jump_fan`
+continues each jump solve from the last one instead: q1 predicted on the
+secant through the last two roots, theta* seeded with the last jump angle,
+and the same Newton steps from there, with no probe and no half-pi solve.
+The per-path solve stands in on the first total and wherever that
+continued solve fails.  Every d2S/dtheta2 here, in the fold
 and in the half-pi residual S''(pi/2), is the one closed form
 ``core.post_entropy_curvature``.  No residual uses the entropy curvature
 at theta = 0, which diverges off the axes.
@@ -49,6 +55,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .core import (
@@ -374,6 +381,60 @@ def _newton_root(f, slope, q: float, fq: float, what: str) -> float | None:
     raise ConvergenceError(f"{what} kept its sign over {_NEWTON_STEPS} Newton steps")
 
 
+def _jump_root(traj: TrajectorySpec, q: float, theta0: float,
+               hp_root: float | None = None) -> JumpRecord | None:
+    """The jump record of a diagonal path, solved from q1 = q with theta*
+    tracked from ``theta0``: the tail of :func:`solve_jump_boundary` and of
+    each continued total of :func:`jump_fan`.
+
+    Newton steps in q1 (:func:`_newton_root`) drive the gap
+    g(q1) = S(0) - S(theta*) from q to a sign change, and ``shape.find_root``
+    polishes the bracket to ``Q1_TOL``.  Each gap evaluation finds theta*
+    with :func:`_minimizer_near`, warm-started from the last one, and the
+    Newton slope dg/dq1 is the q1-derivative at fixed theta*
+    (:func:`_tracked`).  The gap at the root is the stored residual, and the
+    theta* it tracks there is the jump angle.
+
+    ``hp_root`` is the path's half-pi root when q is the window probe 1e-4
+    below it.  A gap negative at q then puts the root between the two, where
+    the minimizer merges into pi/2 and the gap becomes S(0) - S(pi/2): when
+    that end gap is positive, ``shape.find_root`` solves the bracket
+    directly, with the end gap standing in wherever the minimum has already
+    merged, and otherwise the path has no root.
+
+    Returns None when the minimum vanishes before the gap changes sign, or
+    when a negative gap at q finds no positive end gap.  Raises
+    ConvergenceError when the interior minimum is lost at q (also when q lies
+    off the path) or at the root, or after a fixed number of Newton steps.
+    """
+    gap, gap_slope, theta = _tracked(traj, post_entropy_slope, _jump_gap, theta0)
+    g = gap(q)
+    if math.isnan(g):
+        raise ConvergenceError(f"interior minimum lost at q1 = {q!r} on {traj}")
+    if g < 0.0 and hp_root is not None:
+        g_end = _equal_endpoints_gap(traj.state(hp_root))
+        if not g_end > 0.0:
+            return None
+
+        def gap_to_end(q1: float) -> float:
+            g = gap(q1)
+            return _equal_endpoints_gap(traj.state(q1)) if math.isnan(g) else g
+
+        root = find_root(gap_to_end, q, hp_root, g, g_end, Q1_TOL)
+    else:
+        root = _newton_root(gap, gap_slope, q, g, f"jump gap on {traj}")
+        if root is None:
+            return None
+    p = traj.state(root)
+    g = gap(root)
+    if math.isnan(g):
+        raise ConvergenceError(f"interior minimum lost at the jump root ({p.q1}, {p.q2})")
+    return JumpRecord(
+        boundary=BoundaryPoint(p=p, kind=BoundaryKind.JUMP_BOUNDARY, residual=abs(g)),
+        jump_angle=theta(),
+    )
+
+
 def solve_jump_boundary(traj: TrajectorySpec) -> JumpRecord | None:
     """Boundary where the optimal angle hops from 0 to the interior minimizer.
 
@@ -383,26 +444,20 @@ def solve_jump_boundary(traj: TrajectorySpec) -> JumpRecord | None:
     (:func:`_window_probe`), the one shape classification this solve and
     :func:`bimodality_birth` share, finds the minimum at the window's
     analytic upper end; when it finds none, the path carries no window.
-    Newton steps in q1 (:func:`_newton_root`) then drive g to a sign change,
-    and ``shape.find_root`` polishes the bracket to ``Q1_TOL``.  Each
-    gap evaluation finds theta* with :func:`_minimizer_near`, warm-started
-    from the last one, and the Newton slope dg/dq1 is the q1-derivative at
-    fixed theta* (:func:`_tracked`).  The gap at the root is the stored
-    residual, and the theta* it tracks there is the jump angle.
-
-    A gap negative at the probe means the root lies above it.  Just below
-    the intersection of the equal-endpoint and half-pi boundaries it lies
-    between the probe and the half-pi root, where the minimizer merges into
-    pi/2 and the gap becomes S(0) - S(pi/2): when that end gap is positive,
-    ``shape.find_root`` solves the bracket directly, with the end gap
-    standing in wherever the minimum has already merged.
+    From the probe and its minimizer, Newton steps in q1 then drive g to a
+    sign change (:func:`_jump_root`).  A gap negative at the probe means the
+    root lies above it: just below the intersection of the equal-endpoint
+    and half-pi boundaries it lies between the probe and the half-pi root,
+    and that bracket is solved directly.  On a path with no half-pi root,
+    where the probe is the path's upper end, the Newton steps start from
+    either sign.
 
     Returns None when the path carries no window, when the gap is negative
     at the probe and not positive at the half-pi root (above the
     intersection, where the interior phase is absent), or when the minimum
     vanishes before the gap changes sign.  Raises ConvergenceError after a
     fixed number of Newton steps, or when the interior minimum is lost at
-    the root.
+    the probe or at the root.
     """
     if traj.axis:
         raise ValueError("the jump boundary on the axis is the weight-1/2 point")
@@ -410,33 +465,43 @@ def solve_jump_boundary(traj: TrajectorySpec) -> JumpRecord | None:
     if window is None:
         return None
     probe, hp_root, _, theta_of = window
-    gap, gap_slope, theta = _tracked(traj, post_entropy_slope, _jump_gap, theta_of["min"])
+    return _jump_root(traj, probe, theta_of["min"], hp_root)
 
-    def gap_to_end(q1: float) -> float:
-        # the gap, continued by S(0) - S(pi/2) where the minimum has merged
-        g = gap(q1)
-        return _equal_endpoints_gap(traj.state(q1)) if math.isnan(g) else g
 
-    g = gap(probe)
-    if math.isnan(g):
-        raise ConvergenceError(f"interior minimum lost at the window probe q1 = {probe!r} on {traj}")
-    if g < 0.0:
-        g_end = math.nan if hp_root is None else _equal_endpoints_gap(traj.state(hp_root))
-        if not g_end > 0.0:
-            return None
-        root = find_root(gap_to_end, probe, hp_root, g, g_end, Q1_TOL)
-    else:
-        root = _newton_root(gap, gap_slope, probe, g, f"jump gap on {traj}")
-        if root is None:
-            return None  # the minimum vanishes before the gap changes sign
-    p = traj.state(root)
-    g = gap(root)
-    if math.isnan(g):
-        raise ConvergenceError(f"interior minimum lost at the jump root ({p.q1}, {p.q2})")
-    return JumpRecord(
-        boundary=BoundaryPoint(p=p, kind=BoundaryKind.JUMP_BOUNDARY, residual=abs(g)),
-        jump_angle=theta(),
-    )
+def jump_fan(totals: Iterable[float]) -> list[JumpRecord | None]:
+    """:func:`solve_jump_boundary` on the paths q1 + q2 = t of a fan of totals,
+    each solved by continuation from the last.
+
+    Natural-parameter continuation in the total (Allgower and Georg,
+    *Introduction to Numerical Continuation Methods*).  The predictor puts
+    q1 on the secant through the last two jump roots in (t, q1), or, after
+    a single root, holds q2 at its value there, and seeds theta* with the
+    last jump angle.  The corrector is the per-path solve's Newton walk from
+    that point (:func:`_jump_root`), with no window probe and no half-pi
+    solve.  The per-path :func:`solve_jump_boundary` stands in, and what it
+    returns or raises stands, on the first total, on the first after a None,
+    and wherever the corrector fails: the prediction lies off the path, the
+    interior minimum is lost at the prediction or at the root, it vanishes
+    before the gap changes sign, or the Newton steps reach their cap.
+    """
+    records = []
+    roots = []  # (total, q1, jump angle) of the last two roots since a None
+    for t in totals:
+        traj = TrajectorySpec(t)
+        rec = None
+        if roots:
+            t1, q1, theta = roots[-1]
+            # dq1/dt on the secant, or 1 (q2 held) after a single root
+            slope = (q1 - roots[0][1]) / (t1 - roots[0][0]) if len(roots) == 2 else 1.0
+            try:
+                rec = _jump_root(traj, q1 + slope * (t - t1), theta)
+            except ConvergenceError:
+                pass
+        if rec is None:
+            rec = solve_jump_boundary(traj)
+        records.append(rec)
+        roots = [] if rec is None else [*roots[-1:], (t, rec.boundary.p.q1, rec.jump_angle)]
+    return records
 
 
 def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:

@@ -1,11 +1,13 @@
 """Command-line surface: every capability as a subcommand with CSV/JSON output.
 
-Exit codes: 0 success, 1 oracle mismatch, 2 domain error, an invalid
-argument (such as an ``oracle-check`` with a negative or zero sample count,
-a ``--tol`` that is negative or not finite, or a ``shape --curve-samples``
-below 2) or an ``--output`` path that cannot be opened, 3 unresolved shape
-classification, 4 solver non-convergence, 141 stdout closed by its reader
-(as in ``xdeficit scan 0.75 5000 | head -1``; nothing is written to stderr).
+Exit codes: 0 success, 1 oracle mismatch, 2 domain error, a command line
+the parser rejects (a value of the wrong type, an unknown option, a missing
+subcommand), an invalid argument (such as an ``oracle-check`` with a
+negative or zero sample count, a ``--tol`` that is negative or not finite,
+or a ``shape --curve-samples`` below 2) or an ``--output`` path that cannot
+be opened, 3 unresolved shape classification, 4 solver non-convergence,
+141 stdout closed by its reader (as in ``xdeficit scan 0.75 5000 | head -1``;
+nothing is written to stderr).
 Every other error is reported as a single JSON object on stderr.  All
 floating output is printed with a configurable number of significant digits
 (1 to 15, default 6) and is identical between the CSV and JSON formats.
@@ -211,6 +213,15 @@ def cmd_fidelity(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line (a value of the
+    wrong type, an unknown option, a missing subcommand) as the one-line
+    JSON error on stderr, exit 2.  Subparsers are built from the same class."""
+
+    def error(self, message: str):
+        raise SystemExit(_error(f"{self.prog}: {message}", 2))
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", default="-", help="output path, '-' for stdout")
@@ -219,7 +230,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xdeficit",
         description="One-way quantum deficit toolkit for a two-parameter "
                     "two-qubit X-state family",

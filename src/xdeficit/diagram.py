@@ -40,9 +40,9 @@ from .boundaries import (
     TrajectorySpec,
     curves_intersection,
     jump_boundary_ends,
+    jump_fan,
     solve_equal_endpoints,
     solve_halfpi_boundary,
-    solve_jump_boundary,
     zero_boundary_axis,
 )
 from .core import StateParams, slope_curve
@@ -212,7 +212,11 @@ def trace_boundaries(resolution: int = 100) -> list[BoundaryCurve]:
     boundary kind, and anchors each curve with its exact axis landmarks.  The
     two mirror images of each curve are emitted separately so the output maps
     directly onto the phase-diagram figures.  The jump boundary is traced
-    below the intersection point only, where the interior phase exists.
+    below the intersection point only, where the interior phase exists, by
+    ``boundaries.jump_fan``: each total's solve starts from the previous
+    total's root, with no window probe, and falls back to the per-path
+    ``solve_jump_boundary`` on the first total, after a total with no root,
+    and wherever the continued solve fails.
     """
     if resolution < 100:
         raise ValueError("resolution must be at least 100")
@@ -237,7 +241,7 @@ def trace_boundaries(resolution: int = 100) -> list[BoundaryCurve]:
         # curvature along the axis
         return BoundaryPoint(p=StateParams(1.0, 0.0), kind=kind, residual=0.0, degenerate=True)
 
-    jumps = (solve_jump_boundary(TrajectorySpec(t)) for t in totals if 0.5 < t < t_star)
+    jumps = jump_fan(t for t in totals if 0.5 < t < t_star)
     axis_jump, star = jump_boundary_ends(p_star)
     polylines = [
         (eq, fan(solve_equal_endpoints) + [corner(eq)]),

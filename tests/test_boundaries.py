@@ -22,6 +22,7 @@ from xdeficit import (
     solve_equal_endpoints,
     solve_halfpi_boundary,
     solve_jump_boundary,
+    trace_boundaries,
     zero_boundary_axis,
 )
 from xdeficit.boundaries import (
@@ -30,6 +31,7 @@ from xdeficit.boundaries import (
     RADIUS_DEGENERACY_TOL,
     _halfpi_curvature,
     _minimizer_near,
+    jump_fan,
 )
 from xdeficit.core import (
     post_entropy_grid,
@@ -191,6 +193,35 @@ def worst_path_residual(totals):
     points = [solver(TrajectorySpec(t)) for t in totals
               for solver in (solve_equal_endpoints, solve_halfpi_boundary)]
     return max(bp.residual for bp in points if bp is not None)
+
+
+def jump_fan_deviation(resolution):
+    """The continued jump fan of ``trace_boundaries`` against the per-path solve.
+
+    On every total k/resolution in (0.5, t*), t* the total of the curve
+    intersection, runs ``jump_fan`` and ``solve_jump_boundary`` and asserts
+    that both return None on the same totals.  Returns the number of per-path
+    fallbacks the fan took and the largest differences in q1 and in jump
+    angle over the totals with a root.
+    """
+    p_star = curves_intersection()
+    t_star = p_star.q1 + p_star.q2
+    totals = [k / resolution for k in range(1, resolution) if 0.5 < k / resolution < t_star]
+    reference = [solve_jump_boundary(TrajectorySpec(t)) for t in totals]
+    fallbacks = []
+    per_path = boundaries_module.solve_jump_boundary
+    boundaries_module.solve_jump_boundary = lambda traj: (fallbacks.append(traj), per_path(traj))[1]
+    try:
+        fan = jump_fan(totals)
+    finally:
+        boundaries_module.solve_jump_boundary = per_path
+    assert [rec is None for rec in fan] == [rec is None for rec in reference]
+    pairs = [(a, b) for a, b in zip(fan, reference) if b is not None]
+    return (
+        len(fallbacks),
+        max(abs(a.boundary.p.q1 - b.boundary.p.q1) for a, b in pairs),
+        max(abs(a.jump_angle - b.jump_angle) for a, b in pairs),
+    )
 
 
 class TestHalfPiSampler:
@@ -370,6 +401,15 @@ class TestJumpBoundary:
         monkeypatch.setattr(boundaries_module, "_NEWTON_STEPS", 2)
         with pytest.raises(ConvergenceError):
             solve_jump_boundary(TrajectorySpec(0.7))
+
+    def test_continued_fan_matches_per_path(self):
+        # every jump total of trace_boundaries(1000): the same None pattern,
+        # q1 within the root tolerance and the angle within the 1e-7 rad of
+        # C04/C05 against the 40-digit reference
+        fallbacks, dq1, dangle = jump_fan_deviation(1000)
+        assert fallbacks == 1
+        assert dq1 <= Q1_TOL
+        assert dangle <= 1e-7
 
     def test_jump_ties_endpoint_and_interior(self):
         rec = solve_jump_boundary(TrajectorySpec(0.75))
@@ -612,6 +652,41 @@ class TestSolveCost:
         calls = self._classifications(monkeypatch)
         assert solver(TrajectorySpec(total)) is None
         assert len(calls) == 1
+
+    def test_trace_one_probe_one_fallback(self, monkeypatch):
+        # the continued jump fan: only its first total runs the per-path
+        # solve and its window probe; the 25 others start from the last root
+        calls = self._classifications(monkeypatch)
+        fallbacks = self._count(
+            monkeypatch, boundaries_module, "solve_jump_boundary", [boundaries_module]
+        )
+        trace_boundaries(100)
+        assert len(calls) == 1
+        assert len(fallbacks) == 1
+
+    def test_fan_falls_back_where_the_gap_is_nan(self, monkeypatch):
+        # the first gap evaluation on total 0.6 (the continued solve's, at
+        # its prediction) is NaN: the per-path solve stands in there
+        target = 0.6
+        totals = [k / 100 for k in range(51, 77)]
+        expected = solve_jump_boundary(TrajectorySpec(target))
+        original = boundaries_module._jump_gap
+        forced = []
+
+        def gap(p, theta):
+            if not forced and abs(p.q1 + p.q2 - target) < 1e-12:
+                forced.append(p)
+                return math.nan
+            return original(p, theta)
+
+        monkeypatch.setattr(boundaries_module, "_jump_gap", gap)
+        fallbacks = self._count(
+            monkeypatch, boundaries_module, "solve_jump_boundary", [boundaries_module]
+        )
+        records = jump_fan(totals)
+        assert len(forced) == 1
+        assert [traj.total for traj, in fallbacks] == [totals[0], target]
+        assert records[totals.index(target)] == expected
 
     def test_intersection_scans(self, monkeypatch):
         # equal-endpoint solves only: the bracket's ends, the Brent steps and the root

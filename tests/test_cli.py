@@ -286,6 +286,35 @@ class TestOutputConventions:
         assert payload["exit_code"] == 2
         assert str(target) in payload["error"]
 
+    @pytest.mark.parametrize(
+        "argv,fragment",
+        [
+            (("deficit", "abc", "0"), "invalid float value: 'abc'"),
+            (("deficit", "0.3", "0.2", "--bogus"), "unrecognized arguments: --bogus"),
+            ((), "required: command"),
+        ],
+        ids=["bad-float", "unknown-option", "no-subcommand"],
+    )
+    def test_bad_command_line_is_one_json_line(self, capsys, argv, fragment):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        payload = json.loads(captured.err)
+        assert payload["exit_code"] == 2
+        assert fragment in payload["error"]
+
+    @pytest.mark.parametrize("argv", [("--help",), ("deficit", "--help"), ("--version",)])
+    def test_help_and_version_exit_0_on_stdout(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 0
+        assert captured.out != ""
+        assert captured.err == ""
+
     def test_closed_stdout_exits_141_quietly(self):
         # the scan writes far more than a pipe buffer holds, so the write
         # after the reader closes its end must fail
