@@ -18,6 +18,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     StateParams,
     _entropy_halfpi,
@@ -95,15 +97,50 @@ def one_way_deficit(p: StateParams, grid_n: int = 512) -> DeficitResult:
     return DeficitResult(*_pick(*branch_values(p, grid_n=grid_n)))
 
 
-def endpoint_branch(q1: float, q2: float) -> tuple[float, Branch, float, bool]:
-    """:func:`endpoint_deficit` at float level: (delta, branch, theta, tie).
+def _log2(x: np.ndarray) -> np.ndarray:
+    # math.log2 per element: np.log2 is not correctly rounded, and differs
+    # from it in the last bit on ~0.2% of inputs
+    return np.fromiter(map(math.log2, x.tolist()), float, x.size)
 
-    The same closed forms and tie rule, without building a ``StateParams``
-    or a ``DeficitResult``, for loops over many states.  The caller keeps
-    (q1, q2) inside the triangle; nothing is validated or clamped here.
+
+def _plogp(w: np.ndarray) -> np.ndarray:
+    # the terms w*log2(w) that core._entropy_bits subtracts; a weight <= 0
+    # takes 1*log2(1) = 0.0, which leaves the sum as skipping it does
+    w = np.where(w > 0.0, w, 1.0)
+    return w * _log2(w)
+
+
+def endpoint_columns(q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`endpoint_deficit` over the states (q1[k], q2[k]), as columns.
+
+    Returns (delta, at_zero, theta, tie): the winning delta, True where
+    AtZero wins (AtHalfPi elsewhere), its angle and the tie flag.  Each
+    entry is ``==`` to ``endpoint_deficit`` of that state: the closed forms
+    run the same float operations in the same order, add, subtract,
+    multiply and divide in numpy (IEEE-exact), and ``math.log2`` and
+    ``math.hypot`` per element, because ``np.log2`` and ``np.hypot`` differ
+    from them in the last bit on a fraction of inputs.  The caller keeps
+    the 1-d float arrays inside the triangle; nothing is validated or
+    clamped here.
     """
-    _, delta0, delta_halfpi = _endpoint_values(q1, q2)
-    return _pick(delta0, delta_halfpi, None)
+    s = q1 + q2
+    rest = _plogp(1.0 - s)
+    half = _plogp(s / 2.0)
+    pre = 0.0 - _plogp(q1) - _plogp(q2) - rest
+    r = np.fromiter(map(math.hypot, (1.0 - s).tolist(), (q1 - q2).tolist()), float, s.size)
+    # binary_entropy((1 + r)/2), which is 0 from x = 1 on
+    x = np.minimum((1.0 + r) / 2.0, 1.0)
+    inside = x < 1.0
+    x_in = np.where(inside, x, 0.5)
+    h = np.where(inside, -x_in * _log2(x_in) - (1.0 - x_in) * _log2(1.0 - x_in), 0.0)
+    delta0 = 0.0 - half - half - rest - pre
+    delta_halfpi = 1.0 + h - pre
+    # the tie rule of _pick over the two endpoint branches
+    best = np.where(delta_halfpi < delta0, delta_halfpi, delta0)
+    at_zero = delta0 - best < TIE_TOL
+    tie = at_zero & (delta_halfpi - best < TIE_TOL)
+    return (np.where(at_zero, delta0, delta_halfpi), at_zero,
+            np.where(at_zero, 0.0, HALF_PI), tie)
 
 
 def endpoint_deficit(p: StateParams) -> DeficitResult:
@@ -112,7 +149,7 @@ def endpoint_deficit(p: StateParams) -> DeficitResult:
     Equals :func:`one_way_deficit` wherever the entropy curve has no interior
     minimum, with the same tie rule, at the cost of three closed forms.
     """
-    return DeficitResult(*endpoint_branch(p.q1, p.q2))
+    return DeficitResult(*_pick(*_endpoint_values(p.q1, p.q2)[1:], None))
 
 
 def _fd_second_derivative_at_ends(p: StateParams, h: float) -> tuple[float, float]:

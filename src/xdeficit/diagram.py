@@ -1,35 +1,40 @@
 """Triangle sweeps, boundary polylines and trajectory profiles for plotting.
 
 Produces plot-ready data only; rendering stays out of scope.  The sweep
-labels each mirror pair of cells once.  The closed forms are bit-symmetric
-under the q1 <-> q2 exchange, so the cell (q2, q1) gets exactly the result of
-(q1, q2): the sweep labels the cells on and below the diagonal (q2 <= q1) and
-emits each cell above it as the exact mirror of its twin.  The window of
-the interior minima is read from one slope sample per cell, the outermost
-one ``shape.classify_shape`` reads, at pi/2 - ``ENDPOINT_MARGIN``.  Where
-that sample is signed negative (<= -``SLOPE_FLOOR``), the last extremum
-classify_shape brackets is a maximum; off the axes the curve rises from
-theta = 0 and carries at most two extrema, so no minimum comes before that
-maximum.  On each diagonal q1 + q2 = const the minima fill one run of
-cells, from the window's upper end (the half-pi boundary, or the axis) down
-to the bimodality birth.  So the sweep computes that sample for every
-labelled cell in one ``core.slope_curve`` call, walks each diagonal's cells
-whose sample is not signed negative from the one nearest the axis toward
+runs on numpy columns, one row per cell, and builds its ``PhaseCell``
+objects once at the end.  Its index is one ``np.nonzero`` over the grid of
+cell centers, row by row in q1, then q2.  The closed forms are
+bit-symmetric under the q1 <-> q2 exchange, so the cell (q2, q1) gets
+exactly the result of (q1, q2): the sweep labels the cells on and below
+the diagonal (q2 <= q1), and each cell above it takes its twin's labels by
+one fancy index into that half.  The window of the interior minima is read
+from one slope sample per cell, the outermost one ``shape.classify_shape``
+reads, at pi/2 - ``ENDPOINT_MARGIN``.  Where that sample is signed
+negative (<= -``SLOPE_FLOOR``), the last extremum classify_shape brackets
+is a maximum; off the axes the curve rises from theta = 0 and carries at
+most two extrema, so no minimum comes before that maximum.  On each
+diagonal q1 + q2 = const the minima fill one run of cells, from the
+window's upper end (the half-pi boundary, or the axis) down to the
+bimodality birth.  So the sweep computes that sample for every labelled
+cell in one ``core.slope_curve`` call, walks each diagonal's cells whose
+sample is not signed negative from the one nearest the axis toward
 q1 = q2, one cell per diagonal per round through one
 ``shape.needs_refinement`` call, and stops a diagonal at its first cell
-whose slope samples dS/dtheta never change sign.  Only the
-flagged walked cells, about 1% of the triangle, go through the scalar
-``one_way_deficit``; every other cell takes the better closed-form endpoint
-from ``deficit.endpoint_branch``, the float-level arithmetic and tie rule of
-``endpoint_deficit``, which is what ``one_way_deficit`` returns wherever the
-curve has no interior minimum.  Each cell thus gets the same result as a
-per-cell ``one_way_deficit`` call, in one process.  Trajectory profiles take
-the same two routes after one flag pass over the whole path.
+whose slope samples dS/dtheta never change sign.  Every labelled cell
+first takes the better closed-form endpoint from
+``deficit.endpoint_columns``, which is ``==`` to ``endpoint_deficit``
+state by state and is what ``one_way_deficit`` returns wherever the curve
+has no interior minimum.  The flagged walked cells, about 1% of the
+triangle, then overwrite their rows with the scalar ``one_way_deficit``.
+Each cell thus gets the same result as a per-cell ``one_way_deficit``
+call, in one process.  Trajectory profiles take the same two routes after
+one flag pass over the whole path.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +51,7 @@ from .boundaries import (
     zero_boundary_axis,
 )
 from .core import StateParams, slope_curve
-from .deficit import endpoint_branch, one_way_deficit
+from .deficit import Branch, endpoint_columns, one_way_deficit
 from .shape import SLOPE_FLOOR, UnresolvedShape, _angle_table, needs_refinement
 
 UNRESOLVED_LABEL = "Unresolved"
@@ -94,43 +99,44 @@ def _cell(p: StateParams, theta_grid: int) -> PhaseCell:
     return PhaseCell(p.q1, p.q2, res.branch.value, res.delta, res.optimal_theta)
 
 
-def _label(q1s: list[float], q2s: list[float], flags: list[bool],
-           theta_grid: int) -> list[PhaseCell]:
-    """Cells of the in-triangle states (q1s[k], q2s[k]), each as a per-cell
-    :func:`_cell` would label it.
+def _columns(q1: np.ndarray, q2: np.ndarray, flags: np.ndarray,
+             theta_grid: int) -> tuple[np.ndarray, ...]:
+    """(q1, q2, branch, delta, theta) columns of the in-triangle states
+    (q1[k], q2[k]), each row the fields of the cell :func:`_cell` gives it.
 
     The caller's ``flags`` pick the states that take the full deficit, and
-    must cover every state whose curve has an interior minimum; the rest
-    take the endpoint branches at float level and build no ``StateParams``,
-    so each (q1, q2) must be one that ``StateParams`` keeps unchanged.
+    must cover every state whose curve has an interior minimum; their rows
+    come from ``_cell``, whose ``StateParams`` clamps float dust off the
+    edges.  The rest take ``deficit.endpoint_columns`` and keep (q1, q2) as
+    given.  ``branch`` holds the label strings as objects.
     """
-    cells = []
-    for q1, q2, refine in zip(q1s, q2s, flags):
-        if refine:
-            cells.append(_cell(StateParams(q1, q2), theta_grid))
-        else:
-            delta, branch, theta, _ = endpoint_branch(q1, q2)
-            cells.append(PhaseCell(q1, q2, branch.value, delta, theta))
-    return cells
+    q1, q2 = q1.copy(), q2.copy()
+    delta, at_zero, theta, _ = endpoint_columns(q1, q2)
+    branch = np.where(at_zero, Branch.AT_ZERO.value, Branch.AT_HALF_PI.value).astype(object)
+    for k in np.flatnonzero(flags).tolist():
+        c = _cell(StateParams(q1[k], q2[k]), theta_grid)
+        q1[k], q2[k], branch[k], delta[k], theta[k] = c.q1, c.q2, c.branch, c.delta, c.theta_opt
+    return q1, q2, branch, delta, theta
 
 
-def _walk_flags(lower: list[tuple[int, int]], q1: np.ndarray, q2: np.ndarray,
+def _walk_flags(diagonal: np.ndarray, q1: np.ndarray, q2: np.ndarray,
                 theta_grid: int) -> np.ndarray:
-    """``needs_refinement`` flags of the cells ``lower`` (grid indices (i, j),
-    j <= i, at the states (q1, q2)), sampled only along each diagonal's run.
+    """``needs_refinement`` flags of the states (q1, q2), listed row by row
+    in q1 and then q2 (``diagonal`` is each one's i + j on the sweep grid),
+    sampled only along each diagonal's run.
 
-    The candidates of a diagonal i + j are its cells whose outermost slope
+    The candidates of a diagonal are its cells whose outermost slope
     sample, at pi/2 - ``ENDPOINT_MARGIN``, is not signed negative, walked
-    from the one nearest the axis (least j) toward q1 = q2; the walk stops
+    from the one nearest the axis (least q2) toward q1 = q2; the walk stops
     at its first unflagged candidate.  Cells never walked are False.
     """
     _, ct, st = _angle_table(theta_grid)
-    candidates = np.flatnonzero(~(slope_curve(q1, q2, ct[-1], st[-1]) <= -SLOPE_FLOOR))
+    candidates = np.flatnonzero(~(slope_curve(q1, q2, ct[-1], st[-1]) <= -SLOPE_FLOOR))[::-1]
     runs = {}
-    for k in candidates[::-1].tolist():  # descending i: least j first on each diagonal
-        i, j = lower[k]
-        runs.setdefault(i + j, []).append(k)
-    flags = np.zeros(len(lower), dtype=bool)
+    # descending rows: least q2 first on each diagonal
+    for k, d in zip(candidates.tolist(), diagonal[candidates].tolist()):
+        runs.setdefault(d, []).append(k)
+    flags = np.zeros(len(q1), dtype=bool)
     walking, step = list(runs.values()), 0
     while walking:
         ks = [run[step] for run in walking]
@@ -149,43 +155,39 @@ def sweep(resolution: int = 400, theta_grid: int = _THETA_GRID, threads: int | N
     q2.  ``area_fraction_interior`` is the fraction of in-triangle cells won
     by the interior branch.  Cells whose shape classification fails are
     labeled separately and counted, never silently folded into a phase.
-    Only the cells with q2 <= q1 are labelled; each cell above the diagonal
-    is its twin with q1 and q2 swapped, which is exactly what labelling it
-    would give.  Of the labelled cells, only the run each diagonal walk
-    flags (see the module docstring) is classified; every other cell takes
-    the endpoint branches, so a cell outside those runs can no longer be
-    labelled Unresolved.
-    ``threads`` is accepted for compatibility and ignored: the sweep runs in
-    the calling process.
+    The sweep runs on numpy columns (see the module docstring): the cells
+    with q2 <= q1 are labelled, and each cell above the diagonal copies
+    the row of its twin, which is exactly what labelling it would give.
+    Of the labelled cells, only the run each diagonal walk flags is
+    classified; every other cell takes the endpoint branches, so a cell
+    outside those runs can no longer be labelled Unresolved.
+    ``resolution`` and ``theta_grid`` must be integers (TypeError
+    otherwise).  ``threads`` is accepted for compatibility and ignored: the
+    sweep runs in the calling process.
     """
+    resolution, theta_grid = operator.index(resolution), operator.index(theta_grid)
     if resolution < 100:
         raise ValueError("resolution must be at least 100")
     if theta_grid < 64:
         raise ValueError("theta_grid must be at least 64")
-    centers = [(k + 0.5) / resolution for k in range(resolution)]
-    inside = [
-        (i, j) for i in range(resolution) for j in range(resolution)
-        if centers[i] + centers[j] <= 1.0
-    ]
-    lower = [(i, j) for i, j in inside if j <= i]
-    q1s = [centers[i] for i, _ in lower]
-    q2s = [centers[j] for _, j in lower]
-    flags = _walk_flags(lower, np.array(q1s), np.array(q2s), theta_grid)
-    labelled = dict(zip(lower, _label(q1s, q2s, flags.tolist(), theta_grid)))
-    cells = []
-    for i, j in inside:
-        if j <= i:
-            cells.append(labelled[i, j])
-        else:
-            c = labelled[j, i]
-            cells.append(PhaseCell(c.q2, c.q1, c.branch, c.delta, c.theta_opt))
-    interior = sum(1 for c in cells if c.branch == "Interior")
-    unresolved = sum(1 for c in cells if c.branch == UNRESOLVED_LABEL)
+    centers = (np.arange(resolution) + 0.5) / resolution
+    i, j = np.nonzero(centers[:, None] + centers <= 1.0)  # row-major: row by row
+    lower = j <= i
+    li, lj = i[lower], j[lower]
+    q1, q2 = centers[li], centers[lj]
+    # the centers keep their values in StateParams, so only the labels vary
+    _, _, *labels = _columns(q1, q2, _walk_flags(li + lj, q1, q2, theta_grid), theta_grid)
+    # the labelled row of each cell's twin (max(i, j), min(i, j)): the
+    # labelled cells of row i are j = 0, 1, ..., listed from the row's
+    # first entry on
+    twin = np.searchsorted(li, np.maximum(i, j)) + np.minimum(i, j)
+    branch, delta, theta = (column[twin].tolist() for column in labels)
+    cells = list(map(PhaseCell, centers[i].tolist(), centers[j].tolist(), branch, delta, theta))
     return PhaseGrid(
         resolution=resolution,
         cells=cells,
-        area_fraction_interior=interior / len(cells),
-        unresolved_cells=unresolved,
+        area_fraction_interior=branch.count(Branch.INTERIOR.value) / len(cells),
+        unresolved_cells=branch.count(UNRESOLVED_LABEL),
     )
 
 
@@ -261,23 +263,26 @@ def trajectory_profile(traj: TrajectorySpec, samples: int = 1000) -> TrajectoryP
 
     The samples take the two routes of :func:`sweep` on its default angle
     grid, but the flags come from one ``shape.needs_refinement`` pass over
-    the whole path: the full deficit on the flagged samples and the endpoint
-    branches on the rest, each equal to a per-sample ``one_way_deficit``.
+    the whole path: the full deficit on the flagged samples and the
+    endpoint columns on the rest, each equal to a per-sample
+    ``one_way_deficit``.  ``samples`` must be an integer (TypeError
+    otherwise).
     """
+    samples = operator.index(samples)
     if samples < 100:
         raise ValueError("samples must be at least 100")
     lo, hi = traj.q1_range()
     if traj.axis:
         lo, hi = 0.0, 1.0
-    q1s = [lo + (hi - lo) * k / (samples - 1) for k in range(samples)]
+    q1 = lo + (hi - lo) * np.arange(samples) / (samples - 1)
     # the q2 of traj.state(q1); StateParams keeps both fields as they are on the path
-    q2s = [0.0 if traj.axis else traj.total - q1 for q1 in q1s]
+    q2 = np.zeros(samples) if traj.axis else traj.total - q1
     # the full flag pass, not the sweep's walk, whose premise (the curve
     # rises from theta = 0) fails on the axis: there a walk from q1 = 1 stops
     # at the corner sample, whose curve is flat (no slope sample has a
     # sign), and misses all the minima further down the path
-    flags = needs_refinement(np.array(q1s), np.array(q2s), _THETA_GRID)
-    rows = _label(q1s, q2s, flags.tolist(), _THETA_GRID)
+    flags = needs_refinement(q1, q2, _THETA_GRID)
+    rows = list(map(PhaseCell, *(c.tolist() for c in _columns(q1, q2, flags, _THETA_GRID))))
     transitions = []
     for a, b in zip(rows, rows[1:]):
         if a.branch != b.branch:

@@ -14,7 +14,7 @@ from xdeficit import (
     post_entropy,
     pre_entropy,
 )
-from xdeficit.deficit import TIE_TOL, _pick, endpoint_branch, endpoint_deficit
+from xdeficit.deficit import TIE_TOL, _pick, endpoint_columns, endpoint_deficit
 
 HALF_PI = math.pi / 2
 
@@ -133,10 +133,56 @@ class TestTieRule:
             for interior in (None, (di, 1.2)):
                 assert _pick(d0, dh, interior) == self._ranked_reference(d0, dh, interior)
 
-    def test_endpoint_branch_is_endpoint_deficit(self):
-        for q1, q2 in triangle_samples(300, seed=12):
-            res = endpoint_deficit(StateParams(q1, q2))
-            assert endpoint_branch(q1, q2) == (res.delta, res.branch, res.optimal_theta, res.tie)
+
+def closed_triangle_columns(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q1, q2) of seeded states over the closed triangle, as ``StateParams``
+    keeps them: the interior, the axes, the hypotenuse and the diagonal, the
+    corners, states within 1e-12 of each edge, and q2 from 1e-3 down to the
+    least subnormal beside the axis."""
+    rng = np.random.default_rng(seed)
+    u = rng.random(n)
+    d = 1e-12 * rng.random(n)
+    tiny = 10.0 ** rng.uniform(-323.3, -3.0, n)
+    interior = triangle_samples(n, seed)
+    pairs = [
+        (interior[:, 0], interior[:, 1]),
+        (u, 0.0 * u), (0.0 * u, u),  # the axes
+        (u, 1.0 - u),  # the hypotenuse
+        (u / 2.0, u / 2.0),  # the diagonal
+        (u * (1.0 - d), d), (d, u * (1.0 - d)),  # beside the axes
+        (u, np.maximum(1.0 - u - d, 0.0)),  # beside the hypotenuse
+        (u / 2.0, u / 2.0 * (1.0 - d)),  # beside the diagonal
+        (u * (1.0 - tiny), tiny), (np.array([5e-324, 1.0, 1.0 - 5e-324]), np.array([5e-324] * 3)),
+        (np.array([0.0, 1.0, 0.0, 1e-12, 1.0 - 1e-12, 0.0]),
+         np.array([0.0, 0.0, 1.0, 0.0, 1e-12, 1.0 - 1e-12])),  # corners
+    ]
+    states = [StateParams(a, b) for q1, q2 in pairs for a, b in zip(q1.tolist(), q2.tolist())]
+    return np.array([p.q1 for p in states]), np.array([p.q2 for p in states])
+
+
+def endpoint_column_mismatches(q1: np.ndarray, q2: np.ndarray) -> list[tuple[float, float]]:
+    """The states (q1[k], q2[k]) where a row of ``endpoint_columns`` is not
+    ``==`` to ``endpoint_deficit`` in delta, branch, angle and tie."""
+    delta, at_zero, theta, tie = endpoint_columns(q1, q2)
+    rows = zip(delta.tolist(), at_zero.tolist(), theta.tolist(), tie.tolist())
+    bad = []
+    for a, b, (d, z, t, tied) in zip(q1.tolist(), q2.tolist(), rows):
+        res = endpoint_deficit(StateParams(a, b))
+        branch = Branch.AT_ZERO if z else Branch.AT_HALF_PI
+        if (d, branch, t, tied) != (res.delta, res.branch, res.optimal_theta, res.tie):
+            bad.append((a, b))
+    return bad
+
+
+class TestEndpointColumns:
+    def test_equal_to_endpoint_deficit(self):
+        # math.log2 and math.hypot per element keep every entry ==; numpy's
+        # forms differ in the last bit on a fraction of the states
+        q1, q2 = closed_triangle_columns(2000, seed=12)
+        assert endpoint_column_mismatches(q1, q2) == []
+        # on the diagonal both entropies agree to the last bit: delta is 0
+        diagonal = q1 == q2
+        assert diagonal.sum() > 2000 and not endpoint_columns(q1[diagonal], q2[diagonal])[0].any()
 
 
 class TestNaiveRule:

@@ -109,6 +109,33 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(resolution=100, theta_grid=32)
 
+    def test_integer_arguments(self):
+        # a float would otherwise pass the range checks and size a wrong grid
+        with pytest.raises(TypeError):
+            sweep(100.0)
+        with pytest.raises(TypeError):
+            sweep(100, theta_grid=128.0)
+        with pytest.raises(TypeError):
+            trajectory_profile(TrajectorySpec(0.75), samples=100.0)
+        assert len(trajectory_profile(TrajectorySpec(0.75), samples=np.int64(100)).rows) == 100
+
+    @pytest.mark.parametrize("n", [100, 101, 137])
+    def test_cell_order_and_field_types(self, n):
+        # the CLI writes its CSV and JSON rows in cell order; np.float64
+        # fields would change their repr under numpy 2 and fail json.dumps
+        grid = sweep(n, theta_grid=128)
+        centers = [(k + 0.5) / n for k in range(n)]
+        inside = [
+            (centers[i], centers[j]) for i in range(n) for j in range(n)
+            if centers[i] + centers[j] <= 1.0
+        ]
+        assert [(c.q1, c.q2) for c in grid.cells] == inside
+        for c in grid.cells:
+            assert (type(c.q1), type(c.q2), type(c.branch), type(c.delta), type(c.theta_opt)) == (
+                float, float, str, float, float
+            )
+        assert type(grid.area_fraction_interior) is float and type(grid.unresolved_cells) is int
+
 
 class TestBlockRoute:
     @pytest.mark.parametrize("theta_grid", [128, 512])
