@@ -24,18 +24,23 @@ one tracked angle (``_tracked``) and one Newton loop.  The probe
 the window's upper end; a path whose probe finds no interior minimum
 carries no window.  From the probe, Newton steps in q1
 drive the jump gap S(0) - S(theta*) to a sign change, tracking the
-interior minimizer theta* as a warm-started root of dS/dtheta, and do the
-same for the fold value S'(theta_i), tracking the inflection theta_i as a
-warm-started root of d2S/dtheta2.  Over a fan of totals, as
+interior minimizer theta* as a warm-started root of the deflated slope
+S'(theta) / cos(theta) (``_deflated_slope``), and do the same for the fold
+value S'(theta_i), tracking the inflection theta_i as a warm-started root
+of d2S/dtheta2.  The deflated slope is finite and signed at pi/2, where S'
+vanishes for every state, so theta* is tracked up to pi/2 itself: just
+below the intersection of the equal-endpoint and half-pi curves the jump
+angle closes on pi/2, inside the margin that the probe's slope grid keeps
+from that end.  Over a fan of totals, as
 ``diagram.trace_boundaries`` draws the jump boundary, :func:`jump_fan`
 continues each jump solve from the last one instead: q1 predicted on the
 secant through the last two roots, theta* seeded with the last jump angle,
 and the same Newton steps from there, with no probe and no half-pi solve.
 The per-path solve stands in on the first total and wherever that
-continued solve fails.  Every d2S/dtheta2 here, in the fold
-and in the half-pi residual S''(pi/2), is the one closed form
-``core.post_entropy_curvature``.  No residual uses the entropy curvature
-at theta = 0, which diverges off the axes.
+continued solve fails.  Every d2S/dtheta2 here, in the fold, in the
+half-pi residual S''(pi/2) and in the deflated slope beside pi/2, is the
+one closed form ``core.post_entropy_curvature``.  No residual uses the
+entropy curvature at theta = 0, which diverges off the axes.
 
 Boundary kinds:
 
@@ -97,6 +102,13 @@ _PROBE_GRID = 1024
 # in which the boundary solves look for the next one, at most half the
 # previous angle.
 _WALK_WIDTH = 1e-3
+
+# Within this distance (radians) of pi/2 the deflated slope S'/cos theta is a
+# quadrature of S'' instead of the quotient, whose two factors vanish there.
+_DEFLATION_BAND = 1e-2
+
+# The 3-point Gauss-Legendre rule on [0, 1]: (node, weight) pairs.
+_GAUSS_3 = ((0.5 - 0.15**0.5, 5.0 / 18.0), (0.5, 4.0 / 9.0), (0.5 + 0.15**0.5, 5.0 / 18.0))
 
 
 class ConvergenceError(RuntimeError):
@@ -242,58 +254,82 @@ def zero_boundary_axis() -> list[BoundaryPoint]:
     return points
 
 
-def _window_upper_end(traj: TrajectorySpec) -> tuple[float, float | None]:
-    """Upper end of the interior-minimum window, where its probe sits, and
-    the half-pi root of the path (None if the path does not cross it).
+def _window_upper_end(traj: TrajectorySpec) -> float:
+    """Upper end of the interior-minimum window of a diagonal path, where its probe sits.
 
-    The upper end is the contact point with the Cartesian axis, or, if the
-    path crosses the half-pi boundary, 1e-4 below that root: on the boundary
-    itself the extremum sits at theta = pi/2, beyond the last slope sample
-    of ``classify_shape``, so a probe there always misses.
+    The contact point with the Cartesian axis, or, if the path crosses the
+    half-pi boundary, 1e-4 below that root: on the boundary itself the
+    extremum sits at theta = pi/2, beyond the last slope sample of
+    ``classify_shape``, so a probe there always misses.  The jump solve
+    tracks its minimizer up to pi/2 itself (:func:`_minimizer_near`); only
+    the probe's classification keeps this margin.
     """
     hp = solve_halfpi_boundary(traj)
     if hp is not None and not hp.degenerate:
-        return hp.p.q1 - 1e-4, hp.p.q1
-    return min(traj.total, 1.0), None
+        return hp.p.q1 - 1e-4
+    return min(traj.total, 1.0)
 
 
-def _window_probe(traj: TrajectorySpec) -> tuple[float, float | None, StateParams, dict[str, float]] | None:
+def _window_probe(traj: TrajectorySpec) -> tuple[float, dict[str, float]] | None:
     """The window probe of a diagonal path, or None when the path carries no window.
 
     One shape classification, on the ``_PROBE_GRID`` slope grid, at the
-    window's upper end (:func:`_window_upper_end`).  Returns the probe's q1,
-    the half-pi root of the path (None if it has none), the probe state and
-    the angles of its refined extrema by kind ("min", "max").  A path with
-    total <= 1/2, or whose probe finds no interior minimum, carries no
+    window's upper end (:func:`_window_upper_end`).  Returns the probe's q1
+    and the angles of its refined extrema by kind ("min", "max").  A path
+    with total <= 1/2, or whose probe finds no interior minimum, carries no
     window.
     """
     if traj.total <= 0.5:
         return None
-    probe, hp_root = _window_upper_end(traj)
-    p = traj.state(probe)
-    theta_of = {e.kind: e.theta for e in classify_shape(p, grid_n=_PROBE_GRID).extrema}
+    probe = _window_upper_end(traj)
+    report = classify_shape(traj.state(probe), grid_n=_PROBE_GRID)
+    theta_of = {e.kind: e.theta for e in report.extrema}
     if "min" not in theta_of:
         return None
-    return probe, hp_root, p, theta_of
+    return probe, theta_of
+
+
+def _deflated_slope(p: StateParams, theta: float) -> float:
+    """The deflated slope D = S'(theta) / cos(theta), finite and signed up to pi/2.
+
+    S' is odd about pi/2, so it carries the factor cos theta, and D keeps
+    the sign of S' on (0, pi/2) while its end value D(pi/2) = -S''(pi/2)
+    is the half-pi curvature with its sign flipped: an interior minimum
+    merges into pi/2 exactly where D(pi/2) changes sign.  Beyond
+    ``_DEFLATION_BAND`` of pi/2, D is the quotient itself.
+    Inside it, where S' and cos theta both vanish, D comes from S'' alone:
+    S'(pi/2) = 0 gives S'(theta) = -x * integral of S''(pi/2 - u x) over
+    u in [0, 1], with x = pi/2 - theta and cos theta = sin x, and a 3-point
+    Gauss-Legendre rule takes the integral of the even, smooth S''.
+    """
+    x = HALF_PI - theta
+    if x >= _DEFLATION_BAND:
+        return post_entropy_slope(p, theta) / math.cos(theta)
+    if x == 0.0:
+        return -post_entropy_curvature(p, HALF_PI)
+    mean = sum(w * post_entropy_curvature(p, HALF_PI - u * x) for u, w in _GAUSS_3)
+    return -x / math.sin(x) * mean
 
 
 def _minimizer_near(deriv, p: StateParams, theta0: float) -> float:
     """Interior minimizer near ``theta0`` of a function of the angle, or NaN if it is gone.
 
-    ``deriv(p, theta)`` is the function's derivative at state p; the
-    minimizer is its root, bracketed by a walk from a small bracket around
-    theta0: while the derivative has one sign at both ends, the bracket
-    moves downhill, to the side where the minimum lies, by steps that
-    double.  NaN when the bracket holds a maximum instead (derivative
-    positive, then negative), or when the walk reaches ``ENDPOINT_MARGIN``
-    of an end of [0, pi/2], where ``classify_shape`` takes its outermost
-    slope samples and an extremum merges into the endpoint.  With
-    ``post_entropy_slope`` as ``deriv`` this tracks the interior minimum of
-    the entropy curve, which carries at most one; with
-    ``post_entropy_curvature`` it tracks the inflection at which dS/dtheta
-    is least.
+    ``deriv(p, theta)`` has the sign of the function's derivative at state
+    p; the minimizer is its root, bracketed by a walk from a small bracket
+    around theta0: while deriv has one sign at both ends, the bracket moves
+    downhill, to the side where the minimum lies, by steps that double.  The
+    walk reaches pi/2 itself, so deriv must be finite and signed there:
+    :func:`_deflated_slope` is, and S' is not, since it vanishes at pi/2 for
+    every state.  NaN when the bracket holds a maximum instead (deriv
+    positive, then negative), when the walk reaches pi/2 still falling (the
+    minimum has merged into that endpoint), or when it reaches
+    ``ENDPOINT_MARGIN`` above 0, where S' loses its sign off the axes and
+    an extremum merges into theta = 0.  With ``_deflated_slope`` as deriv
+    this tracks the interior minimum of the entropy curve, which carries at
+    most one; with ``post_entropy_curvature`` it tracks the inflection at
+    which dS/dtheta is least.
     """
-    lo_end, hi_end = ENDPOINT_MARGIN, HALF_PI - ENDPOINT_MARGIN
+    lo_end, hi_end = ENDPOINT_MARGIN, HALF_PI
     deriv = functools.partial(deriv, p)
     w = min(_WALK_WIDTH, 0.5 * theta0)
     a, b = max(theta0 - w, lo_end), min(theta0 + w, hi_end)
@@ -381,50 +417,35 @@ def _newton_root(f, slope, q: float, fq: float, what: str) -> float | None:
     raise ConvergenceError(f"{what} kept its sign over {_NEWTON_STEPS} Newton steps")
 
 
-def _jump_root(traj: TrajectorySpec, q: float, theta0: float,
-               hp_root: float | None = None) -> JumpRecord | None:
+def _jump_root(traj: TrajectorySpec, q: float, theta0: float) -> JumpRecord | None:
     """The jump record of a diagonal path, solved from q1 = q with theta*
     tracked from ``theta0``: the tail of :func:`solve_jump_boundary` and of
     each continued total of :func:`jump_fan`.
 
     Newton steps in q1 (:func:`_newton_root`) drive the gap
     g(q1) = S(0) - S(theta*) from q to a sign change, and ``shape.find_root``
-    polishes the bracket to ``Q1_TOL``.  Each gap evaluation finds theta*
-    with :func:`_minimizer_near`, warm-started from the last one, and the
-    Newton slope dg/dq1 is the q1-derivative at fixed theta*
-    (:func:`_tracked`).  The gap at the root is the stored residual, and the
-    theta* it tracks there is the jump angle.
+    polishes the bracket to ``Q1_TOL``.  Each gap evaluation finds theta* as
+    the root of the deflated slope (:func:`_deflated_slope`) with
+    :func:`_minimizer_near`, warm-started from the last one, so theta* is
+    followed up to pi/2 itself: just below the intersection of the
+    equal-endpoint and half-pi curves the root lies above the window probe,
+    with theta* within ~4 sqrt(t* - total) of pi/2.  The Newton slope dg/dq1
+    is the q1-derivative at fixed theta* (:func:`_tracked`).  The gap at the
+    root is the stored residual, and the theta* it tracks there is the jump
+    angle.
 
-    ``hp_root`` is the path's half-pi root when q is the window probe 1e-4
-    below it.  A gap negative at q then puts the root between the two, where
-    the minimizer merges into pi/2 and the gap becomes S(0) - S(pi/2): when
-    that end gap is positive, ``shape.find_root`` solves the bracket
-    directly, with the end gap standing in wherever the minimum has already
-    merged, and otherwise the path has no root.
-
-    Returns None when the minimum vanishes before the gap changes sign, or
-    when a negative gap at q finds no positive end gap.  Raises
-    ConvergenceError when the interior minimum is lost at q (also when q lies
-    off the path) or at the root, or after a fixed number of Newton steps.
+    Returns None when the minimum vanishes, into 0 or into pi/2, before the
+    gap changes sign.  Raises ConvergenceError when the interior minimum is
+    lost at q (also when q lies off the path) or at the root, or after a
+    fixed number of Newton steps.
     """
-    gap, gap_slope, theta = _tracked(traj, post_entropy_slope, _jump_gap, theta0)
+    gap, gap_slope, theta = _tracked(traj, _deflated_slope, _jump_gap, theta0)
     g = gap(q)
     if math.isnan(g):
         raise ConvergenceError(f"interior minimum lost at q1 = {q!r} on {traj}")
-    if g < 0.0 and hp_root is not None:
-        g_end = _equal_endpoints_gap(traj.state(hp_root))
-        if not g_end > 0.0:
-            return None
-
-        def gap_to_end(q1: float) -> float:
-            g = gap(q1)
-            return _equal_endpoints_gap(traj.state(q1)) if math.isnan(g) else g
-
-        root = find_root(gap_to_end, q, hp_root, g, g_end, Q1_TOL)
-    else:
-        root = _newton_root(gap, gap_slope, q, g, f"jump gap on {traj}")
-        if root is None:
-            return None
+    root = _newton_root(gap, gap_slope, q, g, f"jump gap on {traj}")
+    if root is None:
+        return None
     p = traj.state(root)
     g = gap(root)
     if math.isnan(g):
@@ -445,27 +466,26 @@ def solve_jump_boundary(traj: TrajectorySpec) -> JumpRecord | None:
     :func:`bimodality_birth` share, finds the minimum at the window's
     analytic upper end; when it finds none, the path carries no window.
     From the probe and its minimizer, Newton steps in q1 then drive g to a
-    sign change (:func:`_jump_root`).  A gap negative at the probe means the
-    root lies above it: just below the intersection of the equal-endpoint
-    and half-pi boundaries it lies between the probe and the half-pi root,
-    and that bracket is solved directly.  On a path with no half-pi root,
-    where the probe is the path's upper end, the Newton steps start from
-    either sign.
+    sign change from either sign (:func:`_jump_root`), with theta* tracked
+    up to pi/2.  A gap negative at the probe means the root lies above it:
+    just below the intersection of the equal-endpoint and half-pi
+    boundaries it lies between the probe and the half-pi root, where the
+    jump angle approaches pi/2.
 
-    Returns None when the path carries no window, when the gap is negative
-    at the probe and not positive at the half-pi root (above the
-    intersection, where the interior phase is absent), or when the minimum
-    vanishes before the gap changes sign.  Raises ConvergenceError after a
-    fixed number of Newton steps, or when the interior minimum is lost at
-    the probe or at the root.
+    Returns None when the path carries no window, or when the minimum
+    vanishes before the gap changes sign: above the intersection, where the
+    interior phase is absent, it merges into pi/2 at the half-pi root with
+    the gap still negative.  Raises ConvergenceError after a fixed number of
+    Newton steps, or when the interior minimum is lost at the probe or at
+    the root.
     """
     if traj.axis:
         raise ValueError("the jump boundary on the axis is the weight-1/2 point")
     window = _window_probe(traj)
     if window is None:
         return None
-    probe, hp_root, _, theta_of = window
-    return _jump_root(traj, probe, theta_of["min"], hp_root)
+    probe, theta_of = window
+    return _jump_root(traj, probe, theta_of["min"])
 
 
 def jump_fan(totals: Iterable[float]) -> list[JumpRecord | None]:
@@ -513,21 +533,19 @@ def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
     the pair.  The window probe (:func:`_window_probe`), the one shape
     classification this solve and :func:`solve_jump_boundary` share, at the
     same state on the same grid, finds the pair; when it finds no interior
-    minimum, the path carries no window.  theta_i is bracketed between the
-    probe's maximum and its minimum.  A maximum below ``ENDPOINT_MARGIN``
-    merges with the endpoint and goes unreported; the bracket then starts at
-    the first of theta_min / 2, theta_min / 4, ... at which S' falls, no
-    lower than ``ENDPOINT_MARGIN``.  Newton steps in q1 (:func:`_newton_root`)
-    then drive g from negative to a sign change, and ``shape.find_root``
-    polishes the bracket to ``Q1_TOL``.  Each evaluation of g finds
+    minimum, the path carries no window.  Each evaluation of g finds
     theta_i with :func:`_minimizer_near` over S'', the closed form
-    ``core.post_entropy_curvature``, warm-started from the last one, and
-    the Newton slope is the q1-derivative of S' at fixed theta_i
-    (:func:`_tracked`).
+    ``core.post_entropy_curvature``, warm-started from the last one: at the
+    probe, from its maximum, or from half the minimum's angle where a
+    maximum below ``ENDPOINT_MARGIN`` merges with the endpoint and goes
+    unreported.  Newton steps in q1 (:func:`_newton_root`) then drive g
+    from negative to a sign change, and ``shape.find_root`` polishes the
+    bracket to ``Q1_TOL``; the Newton slope is the q1-derivative of S' at
+    fixed theta_i (:func:`_tracked`).
     The stored residual is |S'(theta_i)| at the root.
 
     Returns None when the path carries no window.  Raises ConvergenceError
-    when the probe yields no bracket for theta_i, when the inflection is
+    when the walk finds no inflection at the probe, when the inflection is
     lost before g changes sign, or after a fixed number of Newton steps.
     """
     if traj.axis:
@@ -535,17 +553,12 @@ def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
     window = _window_probe(traj)
     if window is None:
         return None
-    probe, _, p, theta_of = window
-    s2 = functools.partial(post_entropy_curvature, p)
-    b = theta_of["min"]
-    a = theta_of.get("max", b)
-    while not s2(a) < 0.0:  # no maximum reported: halve toward 0 into the fall of S'
-        a *= 0.5
-        if a < ENDPOINT_MARGIN:
-            raise ConvergenceError(f"no inflection below the minimum at the window probe on {traj}")
-    theta = find_root(s2, a, b, s2(a), s2(b), REFINE_TOL)
-    fold, fold_slope, _ = _tracked(traj, post_entropy_curvature, post_entropy_slope, theta)
-    g = post_entropy_slope(p, theta)
+    probe, theta_of = window
+    seed = theta_of.get("max", 0.5 * theta_of["min"])
+    fold, fold_slope, _ = _tracked(traj, post_entropy_curvature, post_entropy_slope, seed)
+    g = fold(probe)
+    if math.isnan(g):
+        raise ConvergenceError(f"no inflection below the minimum at the window probe on {traj}")
     root = _newton_root(fold, fold_slope, probe, g, f"fold of dS/dtheta on {traj}")
     if root is None:
         raise ConvergenceError(f"inflection lost before the fold on {traj}")

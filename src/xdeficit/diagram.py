@@ -275,6 +275,7 @@ def trajectory_profile(traj: TrajectorySpec, samples: int = 1000) -> TrajectoryP
     if traj.axis:
         lo, hi = 0.0, 1.0
     q1 = lo + (hi - lo) * np.arange(samples) / (samples - 1)
+    q1[-1] = hi  # the formula can round one ulp past hi, and q2 below 0
     # the q2 of traj.state(q1); StateParams keeps both fields as they are on the path
     q2 = np.zeros(samples) if traj.axis else traj.total - q1
     # the full flag pass, not the sweep's walk, whose premise (the curve

@@ -29,15 +29,17 @@ from xdeficit.boundaries import (
     CORNER_TOL,
     Q1_TOL,
     RADIUS_DEGENERACY_TOL,
+    _deflated_slope,
     _halfpi_curvature,
     _minimizer_near,
     jump_fan,
 )
 from xdeficit.core import (
+    post_entropy_curvature,
     post_entropy_grid,
-    post_entropy_slope,
     s2_zero_axis,
 )
+from xdeficit.shape import ENDPOINT_MARGIN
 from xdeficit.shape import find_root as _bisect
 
 HALF_PI = math.pi / 2
@@ -193,6 +195,42 @@ def worst_path_residual(totals):
     points = [solver(TrajectorySpec(t)) for t in totals
               for solver in (solve_equal_endpoints, solve_halfpi_boundary)]
     return max(bp.residual for bp in points if bp is not None)
+
+
+# distances x below pi/2 at which the deflated slope is checked: the
+# quotient route, both sides of the band edge 1e-2, the quadrature band
+# down to the float nearest pi/2, and pi/2 itself
+DEFLATION_OFFSETS = (0.3, 1e-2, 1e-2 * (1 - 1e-15), 3e-3, 1e-5, 1e-8, 1e-12, 0.0)
+
+
+def deflation_states(n, seed):
+    """``n`` seeded states of the triangle, then states on and within 1e-12 of
+    its edges, its corners and the midpoint of the hypotenuse, and the curve
+    intersection, where the deflated slope vanishes at pi/2."""
+    rng = np.random.default_rng(seed)
+    states = [StateParams(*q) for q in triangle_samples(n, seed)]
+    x = rng.random(3)
+    states += [StateParams(x[0], 1e-12), StateParams(1e-12, x[1]),
+               StateParams(x[2] * (1 - 1e-12), (1 - x[2]) * (1 - 1e-12))]
+    states += [StateParams(q1, q2) for q1, q2 in
+               [(0.5, 0.5), (0.5 + 1e-12, 0.5 - 1e-12), (0.5 - 1e-12, 0.5 - 1e-12),
+                (0, 0), (1, 0), (1 - 1e-12, 0), (1e-12, 1e-12), (0.3, 0)]]
+    return states + [curves_intersection()]
+
+
+def deflated_slope_error(states):
+    """Largest error of ``_deflated_slope`` against a 40-digit S'/cos theta.
+
+    Relative with a floor of 1, over ``states`` and every angle
+    pi/2 - x of ``DEFLATION_OFFSETS``.  Returns (error, state, x).
+    """
+    worst = (0.0, None, None)
+    for p in states:
+        for x in DEFLATION_OFFSETS:
+            ref = mp_reference.deflated_slope(p.q1, p.q2, HALF_PI - x)
+            err = abs(_deflated_slope(p, HALF_PI - x) - ref) / max(1.0, abs(ref))
+            worst = max(worst, (err, p, x), key=lambda w: w[0])
+    return worst
 
 
 def jump_fan_deviation(resolution):
@@ -356,7 +394,7 @@ class TestJumpBoundary:
     @pytest.mark.parametrize("total", [0.768, 0.769])
     def test_root_above_probe_just_below_intersection(self, total):
         # the jump root lies between the window probe, 1e-4 below the half-pi
-        # root, and that root, where the gap S(0) - S(pi/2) is still positive
+        # root, and that root, where the minimizer merges into pi/2
         pytest.importorskip("mpmath")
         traj = TrajectorySpec(total)
         hp_root = solve_halfpi_boundary(traj).p.q1
@@ -369,6 +407,40 @@ class TestJumpBoundary:
         assert abs(rec.boundary.p.q1 - float(q1)) <= 1e-10
         assert abs(rec.jump_angle - float(theta)) <= 1e-8
         assert curvature > 0
+
+    @pytest.mark.parametrize("k", range(9, 15))
+    def test_reaches_the_intersection(self, k):
+        # on t* - 10^-k the jump angle lies 3.96 * 10^(-k/2) below pi/2,
+        # inside the ENDPOINT_MARGIN of the slope grid from k = 10 on; the
+        # minimum there is so flat (S'' ~ 6 * 10^-(k+1)) that the angle is
+        # only good to ~2e-8
+        pytest.importorskip("mpmath")
+        p_star = curves_intersection()
+        total = p_star.q1 + p_star.q2 - 10.0 ** -k
+        rec = solve_jump_boundary(TrajectorySpec(total))
+        assert rec is not None
+        q1, theta, curvature = mp_reference.jump_point(
+            total, rec.boundary.p.q1, rec.jump_angle
+        )
+        assert abs(rec.boundary.p.q1 - float(q1)) <= 1e-12
+        assert abs(rec.jump_angle - float(theta)) <= 1e-7
+        assert curvature > 0
+
+    def test_every_total_near_the_intersection_solves(self):
+        # 201 log-spaced distances d below t*: the jump angle closes on pi/2
+        # like sqrt(d), with a ratio near 3.96
+        p_star = curves_intersection()
+        for d in np.logspace(-4, -14, 201):
+            rec = solve_jump_boundary(TrajectorySpec(p_star.q1 + p_star.q2 - d))
+            assert rec is not None, d
+            assert 3.5 <= (HALF_PI - rec.jump_angle) / math.sqrt(d) <= 4.5, d
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-12])
+    def test_none_from_the_intersection_up(self, offset):
+        # on t* itself and just above, the minimum merges into pi/2 before
+        # the gap changes sign
+        p_star = curves_intersection()
+        assert solve_jump_boundary(TrajectorySpec(p_star.q1 + p_star.q2 + offset)) is None
 
     @pytest.mark.parametrize("total", [0.52, 0.57, 0.62, 0.68, 0.72, 0.76])
     def test_fan_matches_40_digit_solve(self, total):
@@ -424,12 +496,45 @@ class TestMinimizerNear:
         ext = interior_minimum(p, grid_n=2048)
         # warm starts off by far more than the initial bracket
         for theta0 in (ext.theta - 0.3, ext.theta, ext.theta + 0.3):
-            assert _minimizer_near(post_entropy_slope, p, theta0) == pytest.approx(ext.theta, abs=1e-9)
+            assert _minimizer_near(_deflated_slope, p, theta0) == pytest.approx(ext.theta, abs=1e-9)
 
     def test_nan_without_interior_minimum(self):
         p = StateParams(0.6, 0.1)
         assert interior_minimum(p, grid_n=2048) is None
-        assert math.isnan(_minimizer_near(post_entropy_slope, p, 0.8))
+        assert math.isnan(_minimizer_near(_deflated_slope, p, 0.8))
+
+    def test_minimum_beside_half_pi(self):
+        # the jump root on total t* - 1e-12 (40-digit solve, rounded): its
+        # minimum lies 4.0e-6 below pi/2, beyond the slope grid's
+        # ENDPOINT_MARGIN; it is so flat there (S'' ~ 6e-13) that the
+        # rounding of D alone moves the root by ~1e-9
+        pytest.importorskip("mpmath")
+        p = StateParams(0.739409091903172, 0.029686451640762113)
+        ref = mp_reference.slope_root(p.q1, p.q2, HALF_PI - 4e-6)
+        assert 3.9e-6 < HALF_PI - ref < ENDPOINT_MARGIN
+        for theta0 in (ref - 0.3, ref - 1e-3, HALF_PI):
+            assert abs(_minimizer_near(_deflated_slope, p, theta0) - ref) <= 1e-8
+
+    def test_nan_where_the_minimum_merged_into_half_pi(self):
+        # 1e-6 in q1 above the half-pi root of total 0.8, S''(pi/2) > 0: the
+        # curve falls all the way into pi/2, and the walk ends there
+        p = solve_halfpi_boundary(TrajectorySpec(0.8)).p
+        p = StateParams(p.q1 + 1e-6, 0.8 - (p.q1 + 1e-6))
+        assert _deflated_slope(p, HALF_PI) < 0.0
+        assert math.isnan(_minimizer_near(_deflated_slope, p, 1.5))
+
+
+class TestDeflatedSlope:
+    def test_matches_40_digit_quotient(self):
+        # 120 evaluations: three seeded states and the edge, corner, midpoint
+        # and intersection states, at each offset below pi/2
+        pytest.importorskip("mpmath")
+        err, p, x = deflated_slope_error(deflation_states(3, 22))
+        assert err <= 1e-12, (p, x)
+
+    def test_end_value_is_the_half_pi_curvature(self):
+        for p in deflation_states(40, 23):
+            assert _deflated_slope(p, HALF_PI) == -post_entropy_curvature(p, HALF_PI)
 
 
 class TestBimodalityBirth:

@@ -328,6 +328,36 @@ class TestTrajectoryProfile:
         with pytest.raises(ValueError):
             trajectory_profile(TrajectorySpec(0.75), samples=10)
 
+    def test_last_sample_is_the_path_end(self):
+        # lo + (hi - lo) * (n - 1) / (n - 1) rounds one ulp past hi on ~3% of
+        # (total, samples) pairs, which put q2 = total - q1 below 0; the scan
+        # of 0.49382384283175956 at 100 samples is one.  The last sample is hi
+        # itself, with the row one_way_deficit gives, on either route: paths
+        # with totals in (0.501, 0.675) end on axis states the flag pass
+        # refines, the others mostly on states it does not
+        rng = np.random.default_rng(22)
+        pairs = [(0.49382384283175956, 100)]
+        for a, b in ((0.05, 1.0), (0.501, 0.675)):
+            found = []
+            while len(found) < 12:
+                total, n = rng.uniform(a, b), int(rng.integers(100, 400))
+                lo, hi = TrajectorySpec(total).q1_range()
+                if lo + (hi - lo) * (n - 1) / (n - 1) > hi:
+                    found.append((total, n))
+            pairs += found
+        totals = np.array([total for total, _ in pairs])
+        flagged = needs_refinement(totals, np.zeros_like(totals), 512)
+        assert 0 < np.count_nonzero(flagged) < len(pairs)
+        for total, n in pairs:
+            traj = TrajectorySpec(total)
+            rows = trajectory_profile(traj, samples=n).rows
+            hi = traj.q1_range()[1]
+            assert rows[-1].q1 == hi, (total, n)
+            assert min(r.q2 for r in rows) >= 0.0, (total, n)
+            p = traj.state(hi)
+            res = one_way_deficit(p, grid_n=512)
+            assert rows[-1] == PhaseCell(p.q1, p.q2, res.branch.value, res.delta, res.optimal_theta)
+
     @pytest.mark.parametrize("traj", [TrajectorySpec(0.75), TrajectorySpec.on_axis()])
     def test_matches_per_sample_route(self, traj):
         # one flag pass over the path, the endpoint branches on the unflagged
