@@ -5,9 +5,10 @@ the parser rejects (a value of the wrong type, an unknown option, a missing
 subcommand), an invalid argument (such as an ``oracle-check`` with a
 negative or zero sample count, a ``--tol`` that is negative or not finite,
 or a ``shape --curve-samples`` below 2) or an ``--output`` path that cannot
-be opened, 3 unresolved shape classification, 4 solver non-convergence,
-141 stdout closed by its reader (as in ``xdeficit scan 0.75 5000 | head -1``;
-nothing is written to stderr).
+be opened, or an argument too large to allocate (such as a ``--grid-n`` or
+a ``scan`` sample count of 10**12), 3 unresolved shape classification,
+4 solver non-convergence, 141 stdout closed by its reader (as in
+``xdeficit scan 0.75 5000 | head -1``; nothing is written to stderr).
 Every other error is reported as a single JSON object on stderr.  All
 floating output is printed with a configurable number of significant digits
 (1 to 15, default 6) and is identical between the CSV and JSON formats.
@@ -40,8 +41,10 @@ from .shape import UnresolvedShape, classify_shape
 SCHEMA_VERSION = "1"
 
 # Exit code of each error a command may raise, first match wins: DomainError
-# is a ValueError and must come before it.
-_EXIT_CODES = {DomainError: 2, UnresolvedShape: 3, ConvergenceError: 4, ValueError: 2}
+# is a ValueError and must come before it.  A MemoryError is an argument too
+# large to allocate.
+_EXIT_CODES = {DomainError: 2, UnresolvedShape: 3, ConvergenceError: 4, ValueError: 2,
+               MemoryError: 2}
 
 # Tabulated reference landmarks for the jump-boundary rows: (q1, q2, angle).
 # The rows q1 = 0.676082 and 0.721590 carry the angles of a 40-digit solve at

@@ -126,33 +126,31 @@ def _pre_entropy(q1: float, q2: float) -> float:
 def _spectrum_into(w, q1, q2, ct, st) -> np.ndarray:
     # the four closed-form eigenvalues at (q1, q2) and the angles whose cosine
     # and sine are ct and st, all broadcast together, written in place into
-    # w[:4]; w is a float buffer of shape (5, *broadcast shape) and w[4] is
-    # scratch.  a and b take q1 + q2 as one sum and c enters only squared,
-    # which keeps every eigenvalue bit-symmetric under the q1 <-> q2 exchange
+    # w[:4]; w is a float buffer of shape (8, *broadcast shape).  The two
+    # eigenvalue pairs run as (2, ...) blocks: w[4:6] ends holding the radii
+    # [rad_p, rad_m] and w[6:8] the pair [a + b cos, a - b cos], where
+    # a - x is a + (-x), the same rounding.  a and b take q1 + q2 as one sum
+    # and c enters only squared, which keeps every eigenvalue bit-symmetric
+    # under the q1 <-> q2 exchange
     s = q1 + q2
     a = 1.0 - s
     b = 1.0 - 2.0 * s
     c = q1 - q2
     # w[k, ...] keeps each slot a view, also for 0-d angles
-    lam0, lam1, lam2, lam3, rad_m = (w[k, ...] for k in range(5))
-    np.multiply(c, st, out=lam0)
-    np.square(lam0, out=lam0)  # (c sin theta)^2
-    np.multiply(b, ct, out=rad_m)
-    np.add(a, rad_m, out=lam1)
-    np.subtract(a, rad_m, out=rad_m)
-    np.square(lam1, out=lam1)
-    np.square(rad_m, out=rad_m)
-    np.add(lam1, lam0, out=lam1)
-    np.add(rad_m, lam0, out=rad_m)
-    np.sqrt(lam1, out=lam1)  # rad_p
-    np.sqrt(rad_m, out=rad_m)
-    np.multiply(a, ct, out=lam0)  # a cos theta
-    np.subtract(1.0, lam0, out=lam3)
-    np.add(1.0, lam0, out=lam2)
-    np.add(lam2, lam1, out=lam0)  # 1 + a cos theta + rad_p
-    np.subtract(lam2, lam1, out=lam1)  # 1 + a cos theta - rad_p
-    np.add(lam3, rad_m, out=lam2)  # 1 - a cos theta + rad_m
-    np.subtract(lam3, rad_m, out=lam3)  # 1 - a cos theta - rad_m
+    cst2, rad, u, base = w[0, ...], w[4:6], w[6:8], w[1:4:2]
+    np.multiply(c, st, out=cst2)
+    np.square(cst2, out=cst2)  # (c sin theta)^2
+    np.multiply(b, ct, out=w[6, ...])
+    np.negative(w[6, ...], out=w[7, ...])
+    np.add(a, u, out=u)
+    np.square(u, out=rad)
+    np.add(rad, cst2, out=rad)
+    np.sqrt(rad, out=rad)
+    np.multiply(a, ct, out=w[1, ...])
+    np.negative(w[1, ...], out=w[3, ...])
+    np.add(1.0, base, out=base)  # 1 + a cos theta, 1 - a cos theta
+    np.add(base, rad, out=w[0:4:2])  # lam0 and lam2: base + rad
+    np.subtract(base, rad, out=base)  # lam1 and lam3: base - rad
     lam = w[:4]
     np.multiply(lam, 0.25, out=lam)
     return lam
@@ -164,7 +162,7 @@ def curve_workspace(shape) -> np.ndarray:
     One buffer serves any number of calls of that shape; reusing it keeps
     the kernel free of allocations.
     """
-    return np.empty((11,) + tuple(shape))
+    return np.empty((10,) + tuple(shape))
 
 
 def slope_curve(q1, q2, ct, st, work: np.ndarray | None = None,
@@ -178,61 +176,55 @@ def slope_curve(q1, q2, ct, st, work: np.ndarray | None = None,
     from the kernel of :func:`post_entropy_grid`, and both radii from its
     gaps, rad_p = 2 (lam0 - lam1) and rad_m = 2 (lam2 - lam3).  The log
     terms are summed in pairs, so that a radius rounded near zero multiplies
-    the near-zero difference of its two logarithms.  Unvalidated like
+    the near-zero difference of its two logarithms.  The two eigenvalue
+    pairs run as (2, ...) blocks, from the radii to their derivatives and
+    the log sums and differences, one numpy call per block; each element
+    goes through the operations of the scalar form in its order, a - x
+    taken as a + (-x) with an exact negation.  Unvalidated like
     :func:`post_entropy_grid`.
     """
     if work is None or out is None:
-        shape = np.broadcast_shapes(np.shape(q1), np.shape(q2), np.shape(ct), np.shape(st))
+        shape = np.broadcast(q1, q2, ct, st).shape
         work = curve_workspace(shape) if work is None else work
         out = np.empty(shape) if out is None else out
     s = q1 + q2
     a = 1.0 - s
     b = 1.0 - 2.0 * s
     c = q1 - q2
-    lam = _spectrum_into(work[:5], q1, q2, ct, st)
-    w0, w1, w2, w3, w4, rad_p, rad_m = (work[k, ...] for k in range(7))
-    np.subtract(lam[0, ...], lam[1, ...], out=rad_p)
-    np.multiply(rad_p, 2.0, out=rad_p)
-    np.subtract(lam[2, ...], lam[3, ...], out=rad_m)
-    np.multiply(rad_m, 2.0, out=rad_m)
+    lam = _spectrum_into(work, q1, q2, ct, st)
+    rad, num, num0, tmp = work[4:6], work[6:8], work[6, ...], work[8, ...]
+    np.subtract(lam[0::2], lam[1::2], out=rad)
+    np.multiply(rad, 2.0, out=rad)  # rad_p, rad_m from the gaps
+    # d(rad)/dtheta as in post_entropy_slope, from num = [a + b cos,
+    # a - b cos]; a radius rounded to 0 has a numerator of 0 and two equal
+    # logarithms, and its floor keeps out 0/0
+    np.multiply(b, st, out=tmp)
+    np.negative(num0, out=num0)
+    np.multiply(num, tmp, out=num)  # -b sin (a + b cos), b sin (a - b cos)
+    np.multiply(c * c, st, out=tmp)
+    np.multiply(tmp, ct, out=tmp)  # c^2 sin cos
+    np.add(tmp, num, out=num)
+    np.maximum(rad, _LEAST_SUBNORMAL, out=rad)
+    np.divide(num, rad, out=rad)  # rad_p', rad_m'
     # log2 of each weight, 0 where the weight is <= 0 (float dust), whose
     # term the scalar form skips
-    logs = work[7:11]
+    logs = work[6:10]
     np.maximum(lam, _LEAST_SUBNORMAL, out=logs)
     np.log2(logs, out=logs)
     np.greater(lam, 0.0, out=lam)
     np.multiply(logs, lam, out=logs)
-    l0, l1, l2, l3 = (logs[k, ...] for k in range(4))
     # with dlam = (rad_p' - a sin, -rad_p' - a sin, rad_m' + a sin,
     # a sin - rad_m') / 4, -sum(dlam * log2 lam) regroups as
     # -(rad_p' (l0 - l1) + rad_m' (l2 - l3) + a sin (l2 + l3 - l0 - l1)) / 4
-    np.add(l0, l1, out=w4)
-    np.subtract(l0, l1, out=l0)
-    np.subtract(l2, l3, out=l1)
-    np.add(l2, l3, out=l2)
-    np.subtract(l2, w4, out=l2)  # l0 - l1, l2 - l3, l2 + l3 - l0 - l1 in l0, l1, l2
-    # d(rad)/dtheta as in post_entropy_slope; a radius rounded to 0 has a
-    # numerator of 0 and two equal logarithms, and its floor keeps out 0/0
-    np.multiply(c * c, st, out=w0)
-    np.multiply(w0, ct, out=w0)  # c^2 sin cos
-    np.multiply(b, st, out=w1)
-    np.multiply(b, ct, out=w2)
-    np.add(a, w2, out=w3)
-    np.subtract(a, w2, out=w2)
-    np.multiply(w1, w3, out=w3)
-    np.subtract(w0, w3, out=w3)  # c^2 sin cos - b sin (a + b cos)
-    np.multiply(w1, w2, out=w2)
-    np.add(w0, w2, out=w2)  # c^2 sin cos + b sin (a - b cos)
-    np.maximum(rad_p, _LEAST_SUBNORMAL, out=rad_p)
-    np.divide(w3, rad_p, out=rad_p)  # rad_p'
-    np.maximum(rad_m, _LEAST_SUBNORMAL, out=rad_m)
-    np.divide(w2, rad_m, out=rad_m)  # rad_m'
-    np.multiply(a, st, out=w0)
-    np.multiply(rad_p, l0, out=out)
-    np.multiply(rad_m, l1, out=rad_m)
-    np.add(out, rad_m, out=out)
-    np.multiply(w0, l2, out=w0)
-    np.add(out, w0, out=out)
+    plus, minus, s0, s1 = logs[0::2], logs[1::2], work[0, ...], work[1, ...]
+    np.add(plus, minus, out=work[0:2])  # l0 + l1, l2 + l3
+    np.subtract(plus, minus, out=plus)  # l0 - l1, l2 - l3
+    np.subtract(s1, s0, out=s1)  # l2 + l3 - l0 - l1
+    np.multiply(rad, plus, out=rad)
+    np.add(work[4, ...], work[5, ...], out=out)  # rad_p' (l0 - l1) + rad_m' (l2 - l3)
+    np.multiply(a, st, out=s0)
+    np.multiply(s0, s1, out=s0)
+    np.add(out, s0, out=out)
     np.multiply(out, -0.25, out=out)
     return out[()]
 
@@ -247,7 +239,7 @@ def post_spectrum(p: StateParams, theta) -> np.ndarray:
     :func:`post_entropy_grid` sums.
     """
     theta = np.asarray(theta, dtype=float)
-    lam = _spectrum_into(np.empty((5,) + theta.shape), p.q1, p.q2, np.cos(theta), np.sin(theta))
+    lam = _spectrum_into(np.empty((8,) + theta.shape), p.q1, p.q2, np.cos(theta), np.sin(theta))
     return np.moveaxis(lam, 0, -1).copy()
 
 
@@ -394,16 +386,16 @@ def post_entropy_grid(q1, q2, theta) -> np.ndarray:
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    shape = np.broadcast_shapes(q1.shape, q2.shape, theta.shape)
-    work, out = np.empty((9,) + shape), np.empty(shape)
-    lam = _spectrum_into(work[:5], q1, q2, np.cos(theta), np.sin(theta))
+    shape = np.broadcast(q1, q2, theta).shape
+    work, out = np.empty((8,) + shape), np.empty(shape)
+    lam = _spectrum_into(work, q1, q2, np.cos(theta), np.sin(theta))
     # clipped to [0, 1] as np.clip does, without its Python-level wrapper
     np.maximum(lam, 0.0, out=lam)
     np.minimum(lam, 1.0, out=lam)
     # same rule as _entropy_bits: weights <= 0 (float dust) contribute
     # nothing.  Raised to the least subnormal, a zero weight has a finite
     # logarithm (-1074) and its term 0 * -1074 = -0.0 leaves the sum as it is
-    terms = work[5:9]
+    terms = work[4:8]
     np.maximum(lam, _LEAST_SUBNORMAL, out=terms)
     np.log2(terms, out=terms)
     np.multiply(lam, terms, out=terms)

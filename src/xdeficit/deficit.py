@@ -28,7 +28,7 @@ from .core import (
     post_entropy,
     pre_entropy,
 )
-from .shape import interior_minimum
+from .shape import _row_minimum, _slope_row, interior_minimum
 
 HALF_PI = math.pi / 2.0
 
@@ -63,8 +63,13 @@ def branch_values(p: StateParams, grid_n: int = 512) -> tuple[float, float, tupl
     ``interior`` is None when the entropy curve has no interior minimum,
     otherwise a (delta, vartheta) pair from the shape analysis.
     """
+    return _row_branches(p, _slope_row(p, grid_n))
+
+
+def _row_branches(p: StateParams, d: np.ndarray) -> tuple[float, float, tuple[float, float] | None]:
+    # branch_values of p from its slope row d
     s, delta0, delta_halfpi = _endpoint_values(p.q1, p.q2)
-    ext = interior_minimum(p, grid_n=grid_n)
+    ext = _row_minimum(p, d)
     interior = None if ext is None else (ext.value - s, ext.theta)
     return delta0, delta_halfpi, interior
 
@@ -94,7 +99,13 @@ def _pick(
 
 def one_way_deficit(p: StateParams, grid_n: int = 512) -> DeficitResult:
     """Minimize the measurement-dependent deficit over the three branches."""
-    return DeficitResult(*_pick(*branch_values(p, grid_n=grid_n)))
+    return _row_deficit(p, _slope_row(p, grid_n))
+
+
+def _row_deficit(p: StateParams, d: np.ndarray) -> DeficitResult:
+    """:func:`one_way_deficit` of ``p`` from its slope row ``d``, the
+    ``shape._slope_row`` of ``p`` at the requested grid."""
+    return DeficitResult(*_pick(*_row_branches(p, d)))
 
 
 def _log2(x: np.ndarray) -> np.ndarray:

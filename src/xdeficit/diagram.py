@@ -25,10 +25,13 @@ first takes the better closed-form endpoint from
 ``deficit.endpoint_columns``, which is ``==`` to ``endpoint_deficit``
 state by state and is what ``one_way_deficit`` returns wherever the curve
 has no interior minimum.  The flagged walked cells, about 1% of the
-triangle, then overwrite their rows with the scalar ``one_way_deficit``.
-Each cell thus gets the same result as a per-cell ``one_way_deficit``
-call, in one process.  Trajectory profiles take the same two routes after
-one flag pass over the whole path.
+triangle, then overwrite their rows with the deficit that
+``one_way_deficit`` reads from a state's slope row, here the row the walk
+sampled: the walk keeps the rows of the cells it flags (~0.1 MB at
+resolution 100, ~1.8 MB at 400), and no row is computed twice.  Each cell
+thus gets the same result as a per-cell ``one_way_deficit`` call, in one
+process.  Trajectory profiles take the same two routes after one flag pass
+over the whole path, whose flagged rows they read in the same way.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ from .boundaries import (
     zero_boundary_axis,
 )
 from .core import StateParams, slope_curve
-from .deficit import Branch, endpoint_columns, one_way_deficit
-from .shape import SLOPE_FLOOR, UnresolvedShape, _angle_table, needs_refinement
+from .deficit import Branch, _row_deficit, endpoint_columns
+from .shape import SLOPE_FLOOR, UnresolvedShape, _angle_table, _flag_rows
 
 UNRESOLVED_LABEL = "Unresolved"
 
@@ -90,40 +93,41 @@ class TrajectoryProfile:
     transitions: list[tuple[float, str, str]]  # (q1 midpoint, from, to)
 
 
-def _cell(p: StateParams, theta_grid: int) -> PhaseCell:
-    """One labelled cell from the full deficit."""
+def _cell(p: StateParams, row: np.ndarray) -> PhaseCell:
+    """One labelled cell from the full deficit, given the slope row of ``p``."""
     try:
-        res = one_way_deficit(p, grid_n=theta_grid)
+        res = _row_deficit(p, row)
     except UnresolvedShape:
         return PhaseCell(p.q1, p.q2, UNRESOLVED_LABEL, math.nan, math.nan)
     return PhaseCell(p.q1, p.q2, res.branch.value, res.delta, res.optimal_theta)
 
 
 def _columns(q1: np.ndarray, q2: np.ndarray, flags: np.ndarray,
-             theta_grid: int) -> tuple[np.ndarray, ...]:
-    """(q1, q2, branch, delta, theta) columns of the in-triangle states
+             rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(branch, delta, theta) columns of the in-triangle states
     (q1[k], q2[k]), each row the fields of the cell :func:`_cell` gives it.
 
     The caller's ``flags`` pick the states that take the full deficit, and
-    must cover every state whose curve has an interior minimum; their rows
-    come from ``_cell``, whose ``StateParams`` clamps float dust off the
-    edges.  The rest take ``deficit.endpoint_columns`` and keep (q1, q2) as
-    given.  ``branch`` holds the label strings as objects.
+    must cover every state whose curve has an interior minimum; ``rows``
+    holds their slope rows, in state order, which their deficits are read
+    from.  The rest take ``deficit.endpoint_columns``.  The states must be
+    ones that ``StateParams`` keeps as given, as the rows were sampled
+    there.  ``branch`` holds the label strings as objects.
     """
-    q1, q2 = q1.copy(), q2.copy()
     delta, at_zero, theta, _ = endpoint_columns(q1, q2)
     branch = np.where(at_zero, Branch.AT_ZERO.value, Branch.AT_HALF_PI.value).astype(object)
-    for k in np.flatnonzero(flags).tolist():
-        c = _cell(StateParams(q1[k], q2[k]), theta_grid)
-        q1[k], q2[k], branch[k], delta[k], theta[k] = c.q1, c.q2, c.branch, c.delta, c.theta_opt
-    return q1, q2, branch, delta, theta
+    for k, row in zip(np.flatnonzero(flags).tolist(), rows):
+        c = _cell(StateParams(q1[k], q2[k]), row)
+        branch[k], delta[k], theta[k] = c.branch, c.delta, c.theta_opt
+    return branch, delta, theta
 
 
 def _walk_flags(diagonal: np.ndarray, q1: np.ndarray, q2: np.ndarray,
-                theta_grid: int) -> np.ndarray:
+                theta_grid: int) -> tuple[np.ndarray, np.ndarray]:
     """``needs_refinement`` flags of the states (q1, q2), listed row by row
     in q1 and then q2 (``diagonal`` is each one's i + j on the sweep grid),
-    sampled only along each diagonal's run.
+    sampled only along each diagonal's run, and the walked slope rows of
+    the flagged states, in state order.
 
     The candidates of a diagonal are its cells whose outermost slope
     sample, at pi/2 - ``ENDPOINT_MARGIN``, is not signed negative, walked
@@ -137,14 +141,17 @@ def _walk_flags(diagonal: np.ndarray, q1: np.ndarray, q2: np.ndarray,
     for k, d in zip(candidates.tolist(), diagonal[candidates].tolist()):
         runs.setdefault(d, []).append(k)
     flags = np.zeros(len(q1), dtype=bool)
+    flagged, rows = [], [np.empty((0, theta_grid + 1))]
     walking, step = list(runs.values()), 0
     while walking:
         ks = [run[step] for run in walking]
-        hits = needs_refinement(q1[ks], q2[ks], theta_grid)
+        hits, hit_rows = _flag_rows(q1[ks], q2[ks], theta_grid)
         flags[ks] = hits
+        flagged += [k for k, hit in zip(ks, hits) if hit]
+        rows.append(hit_rows)
         step += 1
         walking = [run for run, hit in zip(walking, hits) if hit and step < len(run)]
-    return flags
+    return flags, np.concatenate(rows)[np.argsort(flagged)]
 
 
 def sweep(resolution: int = 400, theta_grid: int = _THETA_GRID, threads: int | None = None) -> PhaseGrid:
@@ -175,8 +182,7 @@ def sweep(resolution: int = 400, theta_grid: int = _THETA_GRID, threads: int | N
     lower = j <= i
     li, lj = i[lower], j[lower]
     q1, q2 = centers[li], centers[lj]
-    # the centers keep their values in StateParams, so only the labels vary
-    _, _, *labels = _columns(q1, q2, _walk_flags(li + lj, q1, q2, theta_grid), theta_grid)
+    labels = _columns(q1, q2, *_walk_flags(li + lj, q1, q2, theta_grid))
     # the labelled row of each cell's twin (max(i, j), min(i, j)): the
     # labelled cells of row i are j = 0, 1, ..., listed from the row's
     # first entry on
@@ -263,9 +269,9 @@ def trajectory_profile(traj: TrajectorySpec, samples: int = 1000) -> TrajectoryP
 
     The samples take the two routes of :func:`sweep` on its default angle
     grid, but the flags come from one ``shape.needs_refinement`` pass over
-    the whole path: the full deficit on the flagged samples and the
-    endpoint columns on the rest, each equal to a per-sample
-    ``one_way_deficit``.  ``samples`` must be an integer (TypeError
+    the whole path: the full deficit on the flagged samples, read from the
+    slope rows of that pass, and the endpoint columns on the rest, each
+    equal to a per-sample ``one_way_deficit``.  ``samples`` must be an integer (TypeError
     otherwise).
     """
     samples = operator.index(samples)
@@ -282,8 +288,8 @@ def trajectory_profile(traj: TrajectorySpec, samples: int = 1000) -> TrajectoryP
     # rises from theta = 0) fails on the axis: there a walk from q1 = 1 stops
     # at the corner sample, whose curve is flat (no slope sample has a
     # sign), and misses all the minima further down the path
-    flags = needs_refinement(q1, q2, _THETA_GRID)
-    rows = list(map(PhaseCell, *(c.tolist() for c in _columns(q1, q2, flags, _THETA_GRID))))
+    columns = (q1, q2, *_columns(q1, q2, *_flag_rows(q1, q2, _THETA_GRID)))
+    rows = list(map(PhaseCell, *(c.tolist() for c in columns)))
     transitions = []
     for a, b in zip(rows, rows[1:]):
         if a.branch != b.branch:

@@ -12,6 +12,13 @@ one extremum, which :func:`find_root`, the bracketed root solver that the
 boundary solves share, refines as a root of that slope.  An extremum within
 the margin of an end lies outside every bracket and merges with the
 endpoint.  Slopes smaller than ``SLOPE_FLOOR`` carry no sign.
+
+Every classification is one slope row, :func:`_slope_row`, and one tail,
+:func:`_row_extrema`, which brackets the row and refines the brackets it
+is asked for.  :func:`interior_minimum`, and through it the deficit,
+refines the minimum's bracket alone; a caller that holds a state's row
+(the sweep keeps the rows its walk sampled) passes it in, so no row is
+computed twice.
 """
 
 from __future__ import annotations
@@ -154,9 +161,10 @@ def _extremum_brackets(slopes: np.ndarray) -> list[tuple[int, int]]:
     Samples with |slope| < ``SLOPE_FLOOR`` carry no sign and are skipped; a
     pair holds a maximum where ``slopes[i] > 0``, a minimum otherwise.
     """
-    signed = np.flatnonzero(np.abs(slopes) >= SLOPE_FLOOR)
+    # nonzero()[0] of the 1-d masks, without flatnonzero's Python wrapper
+    signed = (np.abs(slopes) >= SLOPE_FLOOR).nonzero()[0]
     rising = slopes[signed] > 0.0
-    flips = np.flatnonzero(rising[:-1] != rising[1:])
+    flips = (rising[:-1] != rising[1:]).nonzero()[0]
     return list(zip(signed[flips].tolist(), signed[flips + 1].tolist()))
 
 
@@ -176,6 +184,26 @@ def _angle_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table
 
 
+def _flag_rows(q1: np.ndarray, q2: np.ndarray, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flags of :func:`needs_refinement`, and the slope rows of the
+    flagged states, in state order: the rows :func:`_slope_row` gives them."""
+    q1 = np.asarray(q1, dtype=float)[:, None]
+    q2 = np.asarray(q2, dtype=float)[:, None]
+    _, ct, st = _angle_table(grid_n)
+    rows = max(1, min(len(q1), _FLAG_CHUNK))
+    work = curve_workspace((rows, grid_n + 1))
+    d = np.empty((rows, grid_n + 1))
+    flags = np.empty(len(q1), dtype=bool)
+    kept = [d[:0]]
+    for start in range(0, len(q1), rows):
+        k = min(rows, len(q1) - start)
+        dk = slope_curve(q1[start:start + k], q2[start:start + k], ct, st, work[:, :k], d[:k])
+        hits = (dk.max(axis=-1) >= SLOPE_FLOOR) & (dk.min(axis=-1) <= -SLOPE_FLOOR)
+        flags[start:start + k] = hits
+        kept.append(dk[hits])
+    return flags, np.concatenate(kept)
+
+
 def needs_refinement(q1: np.ndarray, q2: np.ndarray, grid_n: int) -> np.ndarray:
     """Which states :func:`classify_shape` finds an interior extremum for.
 
@@ -186,18 +214,42 @@ def needs_refinement(q1: np.ndarray, q2: np.ndarray, grid_n: int) -> np.ndarray:
     an extremum; a False state has none, so its deficit is an endpoint
     branch.
     """
-    q1 = np.asarray(q1, dtype=float)[:, None]
-    q2 = np.asarray(q2, dtype=float)[:, None]
+    return _flag_rows(q1, q2, grid_n)[0]
+
+
+def _slope_row(p: StateParams, grid_n: int) -> np.ndarray:
+    """dS/dtheta of ``p`` at the ``grid_n + 1`` angles of :func:`_angle_table`."""
+    if grid_n < 64:
+        raise ValueError("grid_n must be at least 64")
     _, ct, st = _angle_table(grid_n)
-    rows = max(1, min(len(q1), _FLAG_CHUNK))
-    work = curve_workspace((rows, grid_n + 1))
-    d = np.empty((rows, grid_n + 1))
-    flags = np.empty(len(q1), dtype=bool)
-    for start in range(0, len(q1), rows):
-        k = min(rows, len(q1) - start)
-        dk = slope_curve(q1[start:start + k], q2[start:start + k], ct, st, work[:, :k], d[:k])
-        flags[start:start + k] = (dk.max(axis=-1) >= SLOPE_FLOOR) & (dk.min(axis=-1) <= -SLOPE_FLOOR)
-    return flags
+    return slope_curve(p.q1, p.q2, ct, st)
+
+
+def _row_extrema(p: StateParams, d: np.ndarray, minimum_only: bool = False) -> list[Extremum]:
+    """The interior extrema that the slope row ``d`` of ``p`` brackets.
+
+    Raises UnresolvedShape above two brackets.  Each bracket, or with
+    ``minimum_only`` the one whose left sample is negative, is refined to
+    ``REFINE_TOL`` radians as a root of the closed-form slope.
+    """
+    brackets = _extremum_brackets(d)
+    if len(brackets) > 2:
+        raise UnresolvedShape(
+            f"{len(brackets)} interior extrema at ({p.q1}, {p.q2}); "
+            f"at most two are expected for this family"
+        )
+    theta = _angle_table(len(d) - 1)[0]
+    slope = functools.partial(post_entropy_slope, p)
+    extrema = []
+    for i, j in brackets:
+        kind = "max" if d[i] > 0.0 else "min"
+        if minimum_only and kind == "max":
+            continue
+        # Python floats, not numpy scalars: the extrema and every angle
+        # solved from them stay the annotated float
+        x = find_root(slope, theta.item(i), theta.item(j), d.item(i), d.item(j), REFINE_TOL)
+        extrema.append(Extremum(theta=x, value=post_entropy(p, x), kind=kind))
+    return extrema
 
 
 def classify_shape(p: StateParams, grid_n: int = 512) -> ShapeReport:
@@ -214,25 +266,8 @@ def classify_shape(p: StateParams, grid_n: int = 512) -> ShapeReport:
     Raises UnresolvedShape if more than two interior extrema are found; two
     are always one maximum and one minimum.
     """
-    if grid_n < 64:
-        raise ValueError("grid_n must be at least 64")
-
-    theta, ct, st = _angle_table(grid_n)
-    d = slope_curve(p.q1, p.q2, ct, st)
-    brackets = _extremum_brackets(d)
-    if len(brackets) > 2:
-        raise UnresolvedShape(
-            f"{len(brackets)} interior extrema at ({p.q1}, {p.q2}); "
-            f"at most two are expected for this family"
-        )
-    slope = functools.partial(post_entropy_slope, p)
-    extrema = []
-    for i, j in brackets:
-        # Python floats, not numpy scalars: the extrema and every angle
-        # solved from them stay the annotated float
-        x = find_root(slope, theta.item(i), theta.item(j), d.item(i), d.item(j), REFINE_TOL)
-        extrema.append(Extremum(theta=x, value=post_entropy(p, x), kind="max" if d[i] > 0.0 else "min"))
-
+    d = _slope_row(p, grid_n)
+    extrema = _row_extrema(p, d)
     if len(extrema) == 2:
         cls = ShapeClass.BIMODAL
     elif extrema:
@@ -247,14 +282,18 @@ def classify_shape(p: StateParams, grid_n: int = 512) -> ShapeReport:
     return ShapeReport(shape_class=cls, extrema=tuple(extrema), grid_n=grid_n)
 
 
+def _row_minimum(p: StateParams, d: np.ndarray) -> Extremum | None:
+    """:func:`interior_minimum` of ``p`` from its slope row ``d``."""
+    extrema = _row_extrema(p, d, minimum_only=True)
+    return extrema[0] if extrema else None
+
+
 def interior_minimum(p: StateParams, grid_n: int = 512) -> Extremum | None:
     """Refined interior minimum of the entropy curve, or None if absent.
 
     For bimodal shapes this is the minimum of the pair; monotone and
-    maximum-only shapes yield None.
+    maximum-only shapes yield None.  It is the ``"min"`` extremum of
+    :func:`classify_shape`, with the same errors, but only that bracket of
+    the slope row is refined: a maximum is never solved for.
     """
-    report = classify_shape(p, grid_n=grid_n)
-    for ext in report.extrema:
-        if ext.kind == "min":
-            return ext
-    return None
+    return _row_minimum(p, _slope_row(p, grid_n))

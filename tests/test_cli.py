@@ -306,6 +306,25 @@ class TestOutputConventions:
         assert payload["exit_code"] == 2
         assert fragment in payload["error"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("deficit", "0.3", "0.2", "--grid-n", str(10**18)),
+            ("shape", "0.3", "0.2", "--grid-n", str(10**18)),
+            ("scan", "0.75", str(10**18)),
+        ],
+        ids=["deficit-grid", "shape-grid", "scan-samples"],
+    )
+    def test_size_too_large_to_allocate_exits_2(self, capsys, argv):
+        # 8e18 bytes exceed any address space, so the allocation fails at once
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["exit_code"] == 2
+        assert "allocate" in payload["error"]
+
     @pytest.mark.parametrize("argv", [("--help",), ("deficit", "--help"), ("--version",)])
     def test_help_and_version_exit_0_on_stdout(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -22,6 +22,7 @@ from xdeficit import (
 )
 from xdeficit.boundaries import _halfpi_curvature
 from xdeficit.core import (
+    _LEAST_SUBNORMAL,
     curve_workspace,
     post_entropy_curvature,
     post_entropy_grid,
@@ -29,6 +30,7 @@ from xdeficit.core import (
     s2_zero_axis,
     slope_curve,
 )
+from xdeficit.shape import _angle_table
 
 HALF_PI = math.pi / 2
 
@@ -375,6 +377,123 @@ class TestSlopeCurve:
             assert np.array_equal(out, ref)
         for k, p in enumerate(states):
             assert np.array_equal(slope_curve(p.q1, p.q2, ct, st_), ref[k])
+
+
+def _reference_slope_curve(q1, q2, ct, st) -> np.ndarray:
+    # the slope kernel before its eigenvalue pairs ran as (2, ...) blocks,
+    # kept frozen: one numpy call per eigenvalue, radius and log term.  The
+    # kernel in use must reproduce it to the bit
+    shape = np.broadcast_shapes(np.shape(q1), np.shape(q2), np.shape(ct), np.shape(st))
+    work, out = np.empty((11,) + shape), np.empty(shape)
+    s = q1 + q2
+    a = 1.0 - s
+    b = 1.0 - 2.0 * s
+    c = q1 - q2
+    lam0, lam1, lam2, lam3, rad_m = (work[k, ...] for k in range(5))
+    np.multiply(c, st, out=lam0)
+    np.square(lam0, out=lam0)
+    np.multiply(b, ct, out=rad_m)
+    np.add(a, rad_m, out=lam1)
+    np.subtract(a, rad_m, out=rad_m)
+    np.square(lam1, out=lam1)
+    np.square(rad_m, out=rad_m)
+    np.add(lam1, lam0, out=lam1)
+    np.add(rad_m, lam0, out=rad_m)
+    np.sqrt(lam1, out=lam1)
+    np.sqrt(rad_m, out=rad_m)
+    np.multiply(a, ct, out=lam0)
+    np.subtract(1.0, lam0, out=lam3)
+    np.add(1.0, lam0, out=lam2)
+    np.add(lam2, lam1, out=lam0)
+    np.subtract(lam2, lam1, out=lam1)
+    np.add(lam3, rad_m, out=lam2)
+    np.subtract(lam3, rad_m, out=lam3)
+    lam = work[:4]
+    np.multiply(lam, 0.25, out=lam)
+    w0, w1, w2, w3, w4, rad_p, rad_m = (work[k, ...] for k in range(7))
+    np.subtract(lam[0, ...], lam[1, ...], out=rad_p)
+    np.multiply(rad_p, 2.0, out=rad_p)
+    np.subtract(lam[2, ...], lam[3, ...], out=rad_m)
+    np.multiply(rad_m, 2.0, out=rad_m)
+    logs = work[7:11]
+    np.maximum(lam, _LEAST_SUBNORMAL, out=logs)
+    np.log2(logs, out=logs)
+    np.greater(lam, 0.0, out=lam)
+    np.multiply(logs, lam, out=logs)
+    l0, l1, l2, l3 = (logs[k, ...] for k in range(4))
+    np.add(l0, l1, out=w4)
+    np.subtract(l0, l1, out=l0)
+    np.subtract(l2, l3, out=l1)
+    np.add(l2, l3, out=l2)
+    np.subtract(l2, w4, out=l2)
+    np.multiply(c * c, st, out=w0)
+    np.multiply(w0, ct, out=w0)
+    np.multiply(b, st, out=w1)
+    np.multiply(b, ct, out=w2)
+    np.add(a, w2, out=w3)
+    np.subtract(a, w2, out=w2)
+    np.multiply(w1, w3, out=w3)
+    np.subtract(w0, w3, out=w3)
+    np.multiply(w1, w2, out=w2)
+    np.add(w0, w2, out=w2)
+    np.maximum(rad_p, _LEAST_SUBNORMAL, out=rad_p)
+    np.divide(w3, rad_p, out=rad_p)
+    np.maximum(rad_m, _LEAST_SUBNORMAL, out=rad_m)
+    np.divide(w2, rad_m, out=rad_m)
+    np.multiply(a, st, out=w0)
+    np.multiply(rad_p, l0, out=out)
+    np.multiply(rad_m, l1, out=rad_m)
+    np.add(out, rad_m, out=out)
+    np.multiply(w0, l2, out=w0)
+    np.add(out, w0, out=out)
+    np.multiply(out, -0.25, out=out)
+    return out[()]
+
+
+def slope_kernel_mismatches(q1: np.ndarray, q2: np.ndarray, grid_n: int = 512,
+                            chunk: int = 16) -> int:
+    """How many of the states (q1[k], q2[k]) have a slope row, on the
+    ``grid_n + 1`` angles of ``classify_shape``, that differs from the
+    frozen reference kernel, computed ``chunk`` states at a time through one
+    reused workspace, as the sweep's flag pass computes them."""
+    _, ct, st_ = _angle_table(grid_n)
+    work, out = curve_workspace((chunk, grid_n + 1)), np.empty((chunk, grid_n + 1))
+    bad = 0
+    for start in range(0, len(q1), chunk):
+        a, b = q1[start:start + chunk, None], q2[start:start + chunk, None]
+        got = slope_curve(a, b, ct, st_, work[:, :len(a)], out[:len(a)])
+        bad += int((got != _reference_slope_curve(a, b, ct, st_)).any(axis=-1).sum())
+    return bad
+
+
+def kernel_states() -> tuple[np.ndarray, np.ndarray]:
+    """(q1, q2) of seeded triangle states and of the slope-curve corner states."""
+    q = triangle_samples(200, seed=23)
+    corners = TestSlopeCurve.CORNERS
+    return (np.concatenate([q[:, 0], [p.q1 for p in corners]]),
+            np.concatenate([q[:, 1], [p.q2 for p in corners]]))
+
+
+class TestKernelsEqualTheirReferences:
+    # the paired-block kernels run the reference's float operations in its
+    # order on every element, so every sample matches to the bit in each
+    # call form: a state's row, a chunk of rows, and one angle over states
+    @pytest.mark.parametrize("grid_n", [128, 512, 1024])
+    def test_slope_rows_chunks_and_single_angles(self, grid_n):
+        q1, q2 = kernel_states()
+        _, ct, st_ = _angle_table(grid_n)
+        for a, b in zip(q1.tolist(), q2.tolist()):
+            assert np.array_equal(slope_curve(a, b, ct, st_), _reference_slope_curve(a, b, ct, st_))
+        assert slope_kernel_mismatches(q1, q2, grid_n) == 0
+        for c, s in zip(ct, st_):
+            assert np.array_equal(slope_curve(q1, q2, c, s), _reference_slope_curve(q1, q2, c, s))
+
+    @pytest.mark.parametrize("grid_n", [128, 512, 1024])
+    def test_entropy_grid_equals_pinned_form(self, grid_n):
+        q1, q2 = kernel_states()
+        theta = np.linspace(0.0, HALF_PI, grid_n + 1)
+        got = post_entropy_grid(q1[:, None], q2[:, None], theta)
+        assert np.array_equal(got, _reference_entropy_grid(q1[:, None], q2[:, None], theta))
 
 
 class TestExactExchangeSymmetry:

@@ -45,14 +45,28 @@ def curves():
 def _recorded_sweep(monkeypatch, resolution, theta_grid):
     """The sweep and the states it sent to the scalar route, in call order."""
     refined = []
-    full = xdeficit.diagram.one_way_deficit
+    full = xdeficit.diagram._row_deficit
 
-    def recording(p, **kwargs):
+    def recording(p, row):
         refined.append((p.q1, p.q2))
-        return full(p, **kwargs)
+        return full(p, row)
 
-    monkeypatch.setattr(xdeficit.diagram, "one_way_deficit", recording)
+    monkeypatch.setattr(xdeficit.diagram, "_row_deficit", recording)
     return sweep(resolution=resolution, theta_grid=theta_grid), refined
+
+
+def _counted_rows(monkeypatch):
+    """A list that counts the slope rows computed from here on, by call: the
+    states of each ``slope_curve`` call over a grid of angles."""
+    counts = []
+    for module in (xdeficit.shape, xdeficit.diagram):
+        def counting(q1, q2, ct, st, *args, _full=module.slope_curve):
+            out = _full(q1, q2, ct, st, *args)
+            if np.ndim(ct) > 0:
+                counts.append(out.size // np.shape(ct)[-1])
+            return out
+        monkeypatch.setattr(module, "slope_curve", counting)
+    return counts
 
 
 class TestSweep:
@@ -170,6 +184,16 @@ class TestBlockRoute:
         band = flagged & ~(outermost_slope(q1, q2) <= -SLOPE_FLOOR) & (q2 <= q1)
         assert refined == list(zip(q1[band], q2[band]))
         assert {c.branch for c, f in zip(grid.cells, flagged) if not f} == {"AtZero", "AtHalfPi"}
+
+    def test_walked_rows_are_computed_once(self, monkeypatch):
+        # sweep(100) walks 128 slope rows and flags 28 of those cells; their
+        # deficits read the walked rows, so no row is computed for them again
+        # (a per-cell deficit would take 156 rows in all).  The candidate
+        # call, one angle per labelled cell, computes no row
+        counts = _counted_rows(monkeypatch)
+        _, refined = _recorded_sweep(monkeypatch, 100, 512)
+        assert len(refined) == 28
+        assert sum(counts) == 128
 
     def test_cells_above_diagonal_mirror_their_twins(self):
         grid = sweep(resolution=100, theta_grid=128)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import mp_reference
+import xdeficit.shape
 from conftest import golden_minimize, triangle_samples
+from test_core import kernel_states
 from xdeficit import (
     Branch,
     ShapeClass,
@@ -25,6 +27,7 @@ from xdeficit.core import post_entropy_slope
 from xdeficit.shape import (
     ENDPOINT_MARGIN,
     SLOPE_FLOOR,
+    UnresolvedShape,
     _SPARE_STEPS,
     _angle_table,
     _extremum_brackets,
@@ -214,6 +217,39 @@ class TestInteriorMinimum:
         h = 1e-5
         slope = (post_entropy(p, ext.theta + h) - post_entropy(p, ext.theta - h)) / (2 * h)
         assert abs(slope) < 1e-8
+
+    @pytest.mark.parametrize("grid_n", [128, 512, 1024])
+    def test_is_the_classified_minimum(self, grid_n):
+        # refining the minimum's bracket alone gives the minimum that
+        # classify_shape reports, to the bit; the paths add bimodal states
+        q1, q2 = kernel_states()
+        on_path = np.linspace(0.70, 0.745, 46)
+        states = [StateParams(a, b) for a, b in zip(q1.tolist(), q2.tolist())]
+        states += [StateParams(a, 0.75 - a) for a in on_path] + [StateParams(a - 0.2, 0.0) for a in on_path]
+        kinds = set()
+        for p in states:
+            report = classify_shape(p, grid_n=grid_n)
+            kinds.add(report.shape_class)
+            minima = [ext for ext in report.extrema if ext.kind == "min"]
+            assert interior_minimum(p, grid_n=grid_n) == (minima[0] if minima else None)
+        assert {ShapeClass.BIMODAL, ShapeClass.INTERIOR_MINIMUM, ShapeClass.INTERIOR_MAXIMUM} <= kinds
+
+    def test_raises_as_classify_shape(self, monkeypatch):
+        p = StateParams(0.3, 0.2)
+        for fn in (classify_shape, interior_minimum):
+            with pytest.raises(ValueError, match="grid_n must be at least 64"):
+                fn(p, grid_n=63)
+        # a slope row with three sign changes, cos(6 theta), brackets three
+        # extrema: the maximum's brackets are counted even where only the
+        # minimum is refined
+        monkeypatch.setattr(xdeficit.shape, "slope_curve",
+                            lambda q1, q2, ct, st: np.cos(6.0 * np.arctan2(st, ct)))
+        messages = []
+        for fn in (classify_shape, interior_minimum):
+            with pytest.raises(UnresolvedShape) as exc:
+                fn(p)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] and messages[0].startswith("3 interior extrema")
 
 
 def _recording(fn):
