@@ -31,11 +31,12 @@ of d2S/dtheta2.  The deflated slope is finite and signed at pi/2, where S'
 vanishes for every state, so theta* is tracked up to pi/2 itself: just
 below the intersection of the equal-endpoint and half-pi curves the jump
 angle closes on pi/2, inside the margin that the probe's slope grid keeps
-from that end.  Over a fan of totals, as
-``diagram.trace_boundaries`` draws the jump boundary, :func:`jump_fan`
-continues each jump solve from the last one instead: q1 predicted on the
-secant through the last two roots, theta* seeded with the last jump angle,
-and the same Newton steps from there, with no probe and no half-pi solve.
+from that end.  Over a fan of totals, the five of
+:func:`jump_angle_table` and those on which ``diagram.trace_boundaries``
+draws the jump boundary, :func:`jump_fan` continues each jump solve from
+the last one instead: q1 predicted on the secant through the last two
+roots, theta* seeded with the last jump angle, and the same Newton steps
+from there, with no probe and no half-pi solve.
 The per-path solve stands in on the first total and wherever that
 continued solve fails.  Every d2S/dtheta2 here, in the fold, in the
 half-pi residual S''(pi/2) and in the deflated slope beside pi/2, is the
@@ -621,15 +622,15 @@ def jump_angle_table() -> list[JumpRecord]:
     """Jump angles along the boundary between the endpoint and interior phases.
 
     Seven records: the axis limit (0.5, 0) where the hop shrinks to zero,
-    five trajectory solves, and the intersection limit where the hop spans
-    the whole quarter turn.  The limit rows are analytic
-    (:func:`jump_boundary_ends`).
+    the five totals of ``_TABLE_TOTALS`` solved as one continued fan
+    (:func:`jump_fan`), and the intersection limit where the hop spans the
+    whole quarter turn.  The limit rows are analytic
+    (:func:`jump_boundary_ends`).  Raises ConvergenceError when a total
+    has no jump root.
     """
-    rows = []
-    for total in _TABLE_TOTALS:
-        rec = solve_jump_boundary(TrajectorySpec(total))
+    rows = jump_fan(_TABLE_TOTALS)
+    for total, rec in zip(_TABLE_TOTALS, rows):
         if rec is None:
             raise ConvergenceError(f"no jump boundary found on total {total}")
-        rows.append(rec)
     axis, star = jump_boundary_ends(curves_intersection())
     return [axis, *rows, star]

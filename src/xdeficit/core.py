@@ -37,22 +37,26 @@ class StateParams:
     """Point (q1, q2) in the triangular parameter domain.
 
     Construction rejects violations of q1 >= 0, q2 >= 0, q1 + q2 <= 1 beyond
-    a 1e-12 tolerance; float dust inside the tolerance is clamped.
+    a 1e-12 tolerance; float dust inside the tolerance is clamped to [0, 1].
     """
 
     q1: float
     q2: float
 
-    def __post_init__(self):
-        q1, q2 = float(self.q1), float(self.q2)
-        if not (math.isfinite(q1) and math.isfinite(q2)):
-            raise DomainError(f"non-finite state parameters ({q1}, {q2})")
-        if q1 < -EDGE_TOL or q2 < -EDGE_TOL or q1 + q2 > 1.0 + EDGE_TOL:
-            raise DomainError(
-                f"require q1 >= 0, q2 >= 0, q1 + q2 <= 1; got ({q1}, {q2})"
-            )
-        object.__setattr__(self, "q1", min(max(q1, 0.0), 1.0))
-        object.__setattr__(self, "q2", min(max(q2, 0.0), 1.0))
+    def __init__(self, q1: float, q2: float):
+        # the dataclass decorator keeps this __init__, which every path state
+        # runs: one chained test, false also for NaN and infinities, and the
+        # detailed checks only when it fails.  The clamp equals
+        # min(max(x, 0.0), 1.0) bit for bit, -0.0 included; the fields are
+        # written through the instance dict, as the class is frozen
+        q1, q2 = float(q1), float(q2)
+        if not (q1 >= -EDGE_TOL and q2 >= -EDGE_TOL and q1 + q2 <= 1.0 + EDGE_TOL):
+            if not (math.isfinite(q1) and math.isfinite(q2)):
+                raise DomainError(f"non-finite state parameters ({q1}, {q2})")
+            raise DomainError(f"require q1 >= 0, q2 >= 0, q1 + q2 <= 1; got ({q1}, {q2})")
+        fields = self.__dict__
+        fields["q1"] = q1 if 0.0 <= q1 <= 1.0 else (0.0 if q1 < 0.0 else 1.0)
+        fields["q2"] = q2 if 0.0 <= q2 <= 1.0 else (0.0 if q2 < 0.0 else 1.0)
 
     def swapped(self) -> "StateParams":
         """Mirror image under the q1 <-> q2 exchange symmetry."""

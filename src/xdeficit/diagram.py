@@ -224,11 +224,13 @@ def trace_boundaries(resolution: int = 100) -> list[BoundaryCurve]:
     ``boundaries.jump_fan``: each total's solve starts from the previous
     total's root, with no window probe, and falls back to the per-path
     ``solve_jump_boundary`` on the first total, after a total with no root,
-    and wherever the continued solve fails.
+    and wherever the continued solve fails.  ``resolution`` must be an
+    integer (TypeError otherwise).
     """
     if resolution < 100:
         raise ValueError("resolution must be at least 100")
-    totals = [k / resolution for k in range(1, resolution)]
+    # one allocation, so an oversized resolution raises MemoryError at once
+    totals = (np.arange(1, operator.index(resolution)) / resolution).tolist()
     p_star = curves_intersection()
     t_star = p_star.q1 + p_star.q2
     eq, hp, jump = (

@@ -692,6 +692,31 @@ class TestJumpAngleTable:
             assert abs(rec.boundary.p.q1 - float(q1)) <= 1e-9, total
             assert abs(rec.jump_angle - float(theta)) <= 1e-9, total
 
+    def test_rows_match_the_per_path_solve(self, monkeypatch):
+        # the five rows are one continued fan over the table totals, which
+        # runs the per-path solve on its first total only
+        assert boundaries_module._TABLE_TOTALS == TABLE_TOTALS
+        reference = [solve_jump_boundary(TrajectorySpec(t)) for t in TABLE_TOTALS]
+        fallbacks = []
+        per_path = boundaries_module.solve_jump_boundary
+        monkeypatch.setattr(
+            boundaries_module,
+            "solve_jump_boundary",
+            lambda traj: (fallbacks.append(traj), per_path(traj))[1],
+        )
+        rows = jump_angle_table()[1:-1]
+        assert fallbacks == [TrajectorySpec(TABLE_TOTALS[0])]
+        for total, rec, ref in zip(TABLE_TOTALS, rows, reference):
+            assert abs(rec.boundary.p.q1 - ref.boundary.p.q1) <= 1e-12, total
+            assert abs(rec.jump_angle - ref.jump_angle) <= 1e-9, total
+
+    def test_total_without_root_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            boundaries_module, "jump_fan", lambda totals: [None for _ in totals]
+        )
+        with pytest.raises(ConvergenceError, match="no jump boundary found on total 0.55"):
+            jump_angle_table()
+
 
 class TestSolveCost:
     """Deterministic work counts of the Newton solves."""
@@ -716,9 +741,10 @@ class TestSolveCost:
         )
 
     def test_jump_angle_table_classifications(self, monkeypatch):
+        # one continued fan: the window probe of its first total only
         calls = self._classifications(monkeypatch)
         jump_angle_table()
-        assert len(calls) == 5
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("total", TABLE_TOTALS)
     def test_jump_one_classification(self, monkeypatch, total):

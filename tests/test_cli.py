@@ -312,8 +312,9 @@ class TestOutputConventions:
             ("deficit", "0.3", "0.2", "--grid-n", str(10**18)),
             ("shape", "0.3", "0.2", "--grid-n", str(10**18)),
             ("scan", "0.75", str(10**18)),
+            ("boundaries", "--resolution", str(10**18)),
         ],
-        ids=["deficit-grid", "shape-grid", "scan-samples"],
+        ids=["deficit-grid", "shape-grid", "scan-samples", "boundaries-resolution"],
     )
     def test_size_too_large_to_allocate_exits_2(self, capsys, argv):
         # 8e18 bytes exceed any address space, so the allocation fails at once

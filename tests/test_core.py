@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from xdeficit import (
 from xdeficit.boundaries import _halfpi_curvature
 from xdeficit.core import (
     _LEAST_SUBNORMAL,
+    EDGE_TOL,
     curve_workspace,
     post_entropy_curvature,
     post_entropy_grid,
@@ -33,6 +36,68 @@ from xdeficit.core import (
 from xdeficit.shape import _angle_table
 
 HALF_PI = math.pi / 2
+
+
+def reference_state_params(q1, q2) -> tuple[float, float]:
+    """The construction rule of ``StateParams`` as a ``__post_init__`` once ran
+    it: the fields (q1, q2), or the DomainError it raises."""
+    q1, q2 = float(q1), float(q2)
+    if not (math.isfinite(q1) and math.isfinite(q2)):
+        raise DomainError(f"non-finite state parameters ({q1}, {q2})")
+    if q1 < -EDGE_TOL or q2 < -EDGE_TOL or q1 + q2 > 1.0 + EDGE_TOL:
+        raise DomainError(
+            f"require q1 >= 0, q2 >= 0, q1 + q2 <= 1; got ({q1}, {q2})"
+        )
+    return min(max(q1, 0.0), 1.0), min(max(q2, 0.0), 1.0)
+
+
+def _outcome(build, q1, q2):
+    # ("ok", fields with the sign of each zero) or ("raise", type, message)
+    try:
+        fields = build(q1, q2)
+    except Exception as exc:
+        return ("raise", type(exc), str(exc))
+    return ("ok", *((type(x), x, math.copysign(1.0, x)) for x in fields))
+
+
+def state_params_mismatch(q1, q2) -> bool:
+    """Whether ``StateParams(q1, q2)`` differs from :func:`reference_state_params`:
+    in the fields bit for bit (the sign of a zero too), or in the exception
+    type and message."""
+    return _outcome(_state_fields, q1, q2) != _outcome(reference_state_params, q1, q2)
+
+
+def _state_fields(q1, q2) -> tuple[float, float]:
+    p = StateParams(q1, q2)
+    return p.q1, p.q2
+
+
+_SPECIAL_WEIGHTS = (
+    0.0, -0.0, 1.0, 0.5, EDGE_TOL, -EDGE_TOL, 1.0 + EDGE_TOL, 1.0 - EDGE_TOL,
+    np.nextafter(-EDGE_TOL, -1.0), np.nextafter(-EDGE_TOL, 0.0),
+    np.nextafter(1.0 + EDGE_TOL, 2.0), np.nextafter(1.0 + EDGE_TOL, 0.0),
+    _LEAST_SUBNORMAL, -_LEAST_SUBNORMAL, 1e308, -1e308,
+    math.nan, math.inf, -math.inf,
+)
+
+
+def state_params_inputs(n: int, seed: int) -> list[tuple[float, float]]:
+    """``n`` seeded (q1, q2) inputs, a quarter each: uniform on
+    [-0.05, 1.05]², each weight within 1e-11 of 0 or 1 (dust on either side
+    of the 1e-12 tolerance), within 2e-12 of the hypotenuse, and the values
+    of ``_SPECIAL_WEIGHTS`` (signed zeros, the tolerance's edges,
+    subnormals, infinities and NaN) paired with them or with uniform ones."""
+    rng = np.random.default_rng(seed)
+    m = n // 4
+    u = rng.uniform(-0.05, 1.05, (m, 2))
+    dust = rng.uniform(-1e-11, 1e-11, (m, 2))
+    edge = np.where(rng.random((m, 2)) < 0.5, 0.0, 1.0) + dust
+    x = rng.random(m)
+    hyp = np.c_[x, 1.0 - x + rng.uniform(-2e-12, 2e-12, m)]
+    special = np.asarray(_SPECIAL_WEIGHTS)[rng.integers(len(_SPECIAL_WEIGHTS), size=(n - 3 * m, 2))]
+    mixed = np.where(rng.random(special.shape) < 0.5, special, rng.random(special.shape))
+    return [tuple(q) for q in np.vstack([u, edge, hyp, mixed]).tolist()]
+
 
 class TestStateParams:
     def test_valid_construction(self):
@@ -50,6 +115,76 @@ class TestStateParams:
 
     def test_swapped(self):
         assert StateParams(0.3, 0.2).swapped() == StateParams(0.2, 0.3)
+
+    @pytest.mark.parametrize(
+        "q1,q2",
+        [
+            (math.nan, 0.2), (0.2, math.nan), (math.inf, 0.0), (0.0, -math.inf),
+            (math.inf, -math.inf), (math.inf + -math.inf, 0.5), (1e308, 1e308),
+            (1.0 + 5e-13, 0.0), (0.0, 1.0 + 5e-13), (-5e-13, 1.0), (1.0 + 2e-12, 0.0),
+            (-EDGE_TOL, 0.5), (np.nextafter(-EDGE_TOL, -1.0), 0.5),
+            (-0.0, 0.5), (0.5, -0.0), (-0.0, -0.0), (-_LEAST_SUBNORMAL, 1.0),
+            (np.float64(0.3), np.float64(0.2)), (np.float32(0.3), np.float32(0.7)),
+            (np.int64(1), np.int64(0)), (1, 0), (np.float64(-0.0), np.float64(1.0)),
+        ],
+    )
+    def test_fixed_cases_match_the_reference_rule(self, q1, q2):
+        assert not state_params_mismatch(q1, q2)
+
+    def test_dust_above_one_clamps_to_one(self):
+        p = StateParams(1 + 5e-13, 0)
+        assert p.q1 == 1.0 and type(p.q1) is float and type(p.q2) is float
+
+    def test_negative_zero_kept(self):
+        p = StateParams(-0.0, 0.5)
+        assert math.copysign(1.0, p.q1) == -1.0
+
+    def test_non_finite_message_before_domain_message(self):
+        with pytest.raises(DomainError, match="non-finite state parameters \\(inf, -2.0\\)"):
+            StateParams(math.inf, -2.0)
+
+    def test_keyword_arguments(self):
+        assert StateParams(q2=0.2, q1=0.3) == StateParams(0.3, 0.2)
+        with pytest.raises(DomainError, match="got \\(0.3, 0.8\\)"):
+            StateParams(q2=0.8, q1=0.3)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(st.floats(-0.01, 1.01), st.floats(), st.sampled_from(_SPECIAL_WEIGHTS)),
+        st.one_of(st.floats(-0.01, 1.01), st.floats(), st.sampled_from(_SPECIAL_WEIGHTS)),
+    )
+    @example(math.inf, -math.inf)
+    @example(1.0 + 5e-13, 0.0)
+    @example(-0.0, -0.0)
+    def test_matches_the_reference_rule(self, q1, q2):
+        assert not state_params_mismatch(q1, q2)
+
+    def test_seeded_inputs_match_the_reference_rule(self):
+        # CI runs the same comparison on 2*10^5 inputs
+        assert sum(state_params_mismatch(*q) for q in state_params_inputs(4000, seed=3)) == 0
+
+    def test_replace_validates_again(self):
+        p = StateParams(0.3, 0.2)
+        assert dataclasses.replace(p, q1=-1e-13) == StateParams(0.0, 0.2)
+        with pytest.raises(DomainError):
+            dataclasses.replace(p, q1=0.9)
+        with pytest.raises(DomainError, match="non-finite"):
+            dataclasses.replace(p, q2=math.nan)
+
+    def test_hash_eq_repr_and_frozen(self):
+        p = StateParams(0.3, 0.2)
+        assert p == StateParams(np.float64(0.3), 0.2) and hash(p) == hash(StateParams(0.3, 0.2))
+        assert p != StateParams(0.2, 0.3)
+        assert len({p, StateParams(0.3, 0.2), p.swapped()}) == 2
+        assert repr(p) == "StateParams(q1=0.3, q2=0.2)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.q1 = 0.1
+
+    def test_pickle_round_trip(self):
+        for p in (StateParams(0.3, 0.2), StateParams(-0.0, 1.0 + 5e-13)):
+            back = pickle.loads(pickle.dumps(p))
+            assert back == p and hash(back) == hash(p)
+            assert math.copysign(1.0, back.q1) == math.copysign(1.0, p.q1)
 
 
 class TestEntropies:

@@ -132,6 +132,8 @@ class TestSweep:
         with pytest.raises(TypeError):
             trajectory_profile(TrajectorySpec(0.75), samples=100.0)
         assert len(trajectory_profile(TrajectorySpec(0.75), samples=np.int64(100)).rows) == 100
+        with pytest.raises(TypeError):
+            trace_boundaries(100.0)
 
     @pytest.mark.parametrize("n", [100, 101, 137])
     def test_cell_order_and_field_types(self, n):
