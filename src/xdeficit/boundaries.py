@@ -40,8 +40,9 @@ from there, with no probe and no half-pi solve.
 The per-path solve stands in on the first total and wherever that
 continued solve fails.  Every d2S/dtheta2 here, in the fold, in the
 half-pi residual S''(pi/2) and in the deflated slope beside pi/2, is the
-one closed form ``core.post_entropy_curvature``.  No residual uses the
-entropy curvature at theta = 0, which diverges off the axes.
+one closed form ``core.post_entropy_curvature``, and so is the theta = 0
+curvature of the axis points; off the axes it diverges, and no residual
+reads it there.
 
 Boundary kinds:
 
@@ -71,7 +72,6 @@ from .core import (
     post_entropy,
     post_entropy_curvature,
     post_entropy_slope,
-    s2_zero_axis,
 )
 from .shape import ENDPOINT_MARGIN, HALF_PI, REFINE_TOL, classify_shape, find_root
 
@@ -237,12 +237,12 @@ def solve_halfpi_boundary(traj: TrajectorySpec) -> BoundaryPoint | None:
 def zero_boundary_axis() -> list[BoundaryPoint]:
     """The four theta = 0 bifurcation points, two per Cartesian axis.
 
-    The axis curvature vanishes exactly at weights 1/2 and 1; each point is
-    reported with its direct residual.
+    The axis curvature S''(0) vanishes exactly at weights 1/2 and 1; each
+    point is reported with its direct residual.
     """
     points = []
     for q in (0.5, 1.0):
-        residual = abs(s2_zero_axis(q))
+        residual = abs(post_entropy_curvature(StateParams(q, 0.0), 0.0))
         for p in (StateParams(q, 0.0), StateParams(0.0, q)):
             points.append(
                 BoundaryPoint(
@@ -606,9 +606,9 @@ def jump_boundary_ends(p_star: StateParams) -> tuple[JumpRecord, JumpRecord]:
     equal-endpoint and half-pi curves, where the hop spans the whole quarter
     turn and the endpoint gap vanishes.
     """
-    axis = BoundaryPoint(
-        p=StateParams(0.5, 0.0), kind=BoundaryKind.JUMP_BOUNDARY, residual=abs(s2_zero_axis(0.5))
-    )
+    origin = StateParams(0.5, 0.0)
+    axis = BoundaryPoint(p=origin, kind=BoundaryKind.JUMP_BOUNDARY,
+                         residual=abs(post_entropy_curvature(origin, 0.0)))
     star = BoundaryPoint(
         p=p_star, kind=BoundaryKind.JUMP_BOUNDARY, residual=abs(_equal_endpoints_gap(p_star))
     )

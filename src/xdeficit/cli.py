@@ -36,7 +36,7 @@ from .core import DomainError, StateParams, family_fidelity, post_entropy, pre_e
 from .deficit import one_way_deficit
 from .diagram import sweep, trace_boundaries, trajectory_profile
 from .oracle import equivalence_sweep
-from .shape import UnresolvedShape, classify_shape
+from .shape import GRID_N, HALF_PI, UnresolvedShape, classify_shape
 
 SCHEMA_VERSION = "1"
 
@@ -57,7 +57,7 @@ _REFERENCE_JUMP_TABLE = [
     (0.631766, 0.65 - 0.631766, 0.4020),
     (0.676082, 0.70 - 0.676082, 0.6266),
     (0.721590, 0.75 - 0.721590, 1.0392),
-    (0.739409, 0.029686, math.pi / 2.0),
+    (0.739409, 0.029686, HALF_PI),
 ]
 
 
@@ -123,7 +123,7 @@ def cmd_shape(args) -> int:
     p = StateParams(args.q1, args.q2)
     report = classify_shape(p, grid_n=args.grid_n)
     s = pre_entropy(p)
-    thetas = np.linspace(0.0, math.pi / 2.0, args.curve_samples)
+    thetas = np.linspace(0.0, HALF_PI, args.curve_samples)
     entropies = np.asarray(post_entropy(p, thetas))
     comments = [f"shape_class={report.shape_class.value}", f"grid_n={report.grid_n}"]
     comments += [f"extremum kind={e.kind} theta_rad={_fmt(e.theta, args.precision)} "
@@ -244,14 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("deficit", help="minimized one-way deficit at a state")
     sp.add_argument("q1", type=float)
     sp.add_argument("q2", type=float)
-    sp.add_argument("--grid-n", type=int, default=512)
+    sp.add_argument("--grid-n", type=int, default=GRID_N)
     _add_common(sp)
     sp.set_defaults(func=cmd_deficit)
 
     sp = sub.add_parser("shape", help="classify the entropy curve and dump it")
     sp.add_argument("q1", type=float)
     sp.add_argument("q2", type=float)
-    sp.add_argument("--grid-n", type=int, default=512)
+    sp.add_argument("--grid-n", type=int, default=GRID_N)
     sp.add_argument("--curve-samples", type=int, default=257)
     _add_common(sp)
     sp.set_defaults(func=cmd_shape)
@@ -274,11 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("phase-diagram", help="label the whole triangle by branch")
     sp.add_argument("--resolution", type=int, default=400)
-    sp.add_argument("--theta-grid", type=int, default=512)
-    sp.add_argument(
-        "--threads", type=int, default=None,
-        help="accepted for compatibility and ignored; the sweep runs in one process",
-    )
+    sp.add_argument("--theta-grid", type=int, default=GRID_N)
+    sp.add_argument("--threads", type=int, default=None,
+                    help="deprecated and ignored; the sweep runs in one process")
     _add_common(sp)
     sp.set_defaults(func=cmd_phase_diagram)
 

@@ -22,15 +22,12 @@ import numpy as np
 
 from .core import (
     StateParams,
-    _entropy_halfpi,
-    _entropy_zero,
-    _pre_entropy,
+    endpoint_entropy_halfpi,
+    endpoint_entropy_zero,
     post_entropy,
     pre_entropy,
 )
-from .shape import _row_minimum, _slope_row, interior_minimum
-
-HALF_PI = math.pi / 2.0
+from .shape import GRID_N, HALF_PI, _row_minimum, _slope_row, interior_minimum
 
 # Two branch values closer than this tie; endpoint branches win ties because
 # they are closed-form and the interior phase is the exceptional one.
@@ -51,13 +48,13 @@ class DeficitResult:
     tie: bool
 
 
-def _endpoint_values(q1: float, q2: float) -> tuple[float, float, float]:
+def _endpoint_values(p: StateParams) -> tuple[float, float, float]:
     # (pre-measurement entropy, delta0, delta_halfpi) from the closed forms
-    s = _pre_entropy(q1, q2)
-    return s, _entropy_zero(q1, q2) - s, _entropy_halfpi(q1, q2) - s
+    s = pre_entropy(p)
+    return s, endpoint_entropy_zero(p) - s, endpoint_entropy_halfpi(p) - s
 
 
-def branch_values(p: StateParams, grid_n: int = 512) -> tuple[float, float, tuple[float, float] | None]:
+def branch_values(p: StateParams, grid_n: int = GRID_N) -> tuple[float, float, tuple[float, float] | None]:
     """Candidate deficits (delta0, delta_halfpi, interior) in bits.
 
     ``interior`` is None when the entropy curve has no interior minimum,
@@ -68,7 +65,7 @@ def branch_values(p: StateParams, grid_n: int = 512) -> tuple[float, float, tupl
 
 def _row_branches(p: StateParams, d: np.ndarray) -> tuple[float, float, tuple[float, float] | None]:
     # branch_values of p from its slope row d
-    s, delta0, delta_halfpi = _endpoint_values(p.q1, p.q2)
+    s, delta0, delta_halfpi = _endpoint_values(p)
     ext = _row_minimum(p, d)
     interior = None if ext is None else (ext.value - s, ext.theta)
     return delta0, delta_halfpi, interior
@@ -97,7 +94,7 @@ def _pick(
     return interior[0], Branch.INTERIOR, interior[1], tie
 
 
-def one_way_deficit(p: StateParams, grid_n: int = 512) -> DeficitResult:
+def one_way_deficit(p: StateParams, grid_n: int = GRID_N) -> DeficitResult:
     """Minimize the measurement-dependent deficit over the three branches."""
     return _row_deficit(p, _slope_row(p, grid_n))
 
@@ -160,7 +157,7 @@ def endpoint_deficit(p: StateParams) -> DeficitResult:
     Equals :func:`one_way_deficit` wherever the entropy curve has no interior
     minimum, with the same tie rule, at the cost of three closed forms.
     """
-    return DeficitResult(*_pick(*_endpoint_values(p.q1, p.q2)[1:], None))
+    return DeficitResult(*_pick(*_endpoint_values(p)[1:], None))
 
 
 def _fd_second_derivative_at_ends(p: StateParams, h: float) -> tuple[float, float]:

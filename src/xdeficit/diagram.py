@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import operator
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,12 +56,9 @@ from .boundaries import (
 )
 from .core import StateParams, slope_curve
 from .deficit import Branch, _row_deficit, endpoint_columns
-from .shape import SLOPE_FLOOR, UnresolvedShape, _angle_table, _flag_rows
+from .shape import GRID_N, SLOPE_FLOOR, UnresolvedShape, _angle_table, _flag_rows
 
 UNRESOLVED_LABEL = "Unresolved"
-
-# Slope grid of the trajectory profiles, and the sweep's default one.
-_THETA_GRID = 512
 
 
 @dataclass(frozen=True)
@@ -154,7 +152,7 @@ def _walk_flags(diagonal: np.ndarray, q1: np.ndarray, q2: np.ndarray,
     return flags, np.concatenate(rows)[np.argsort(flagged)]
 
 
-def sweep(resolution: int = 400, theta_grid: int = _THETA_GRID, threads: int | None = None) -> PhaseGrid:
+def sweep(resolution: int = 400, theta_grid: int = GRID_N, threads: int | None = None) -> PhaseGrid:
     """Label every triangle cell with its winning deficit branch.
 
     Cells are unit-grid squares of side 1/resolution whose centers lie inside
@@ -169,9 +167,11 @@ def sweep(resolution: int = 400, theta_grid: int = _THETA_GRID, threads: int | N
     classified; every other cell takes the endpoint branches, so a cell
     outside those runs can no longer be labelled Unresolved.
     ``resolution`` and ``theta_grid`` must be integers (TypeError
-    otherwise).  ``threads`` is accepted for compatibility and ignored: the
-    sweep runs in the calling process.
+    otherwise).  ``threads`` is deprecated and ignored, and passing it warns
+    (DeprecationWarning): the sweep runs in the calling process.
     """
+    if threads is not None:
+        warnings.warn("sweep(threads=) is ignored and will be removed", DeprecationWarning, 2)
     resolution, theta_grid = operator.index(resolution), operator.index(theta_grid)
     if resolution < 100:
         raise ValueError("resolution must be at least 100")
@@ -290,7 +290,7 @@ def trajectory_profile(traj: TrajectorySpec, samples: int = 1000) -> TrajectoryP
     # rises from theta = 0) fails on the axis: there a walk from q1 = 1 stops
     # at the corner sample, whose curve is flat (no slope sample has a
     # sign), and misses all the minima further down the path
-    columns = (q1, q2, *_columns(q1, q2, *_flag_rows(q1, q2, _THETA_GRID)))
+    columns = (q1, q2, *_columns(q1, q2, *_flag_rows(q1, q2, GRID_N)))
     rows = list(map(PhaseCell, *(c.tolist() for c in columns)))
     transitions = []
     for a, b in zip(rows, rows[1:]):

@@ -34,6 +34,9 @@ from .core import StateParams, curve_workspace, post_entropy, post_entropy_slope
 
 HALF_PI = math.pi / 2.0
 
+# Default slope grid: the sample intervals of [0, pi/2] of a classification.
+GRID_N = 512
+
 # Slope samples smaller than this (bits per radian) carry no sign.  Within
 # ~1e-12 of a corner rounding noise alone flips the sign of the near-zero
 # slope from sample to sample; the least real slopes between a newborn
@@ -252,7 +255,7 @@ def _row_extrema(p: StateParams, d: np.ndarray, minimum_only: bool = False) -> l
     return extrema
 
 
-def classify_shape(p: StateParams, grid_n: int = 512) -> ShapeReport:
+def classify_shape(p: StateParams, grid_n: int = GRID_N) -> ShapeReport:
     """Classify the entropy curve on [0, pi/2] and refine interior extrema.
 
     Samples dS/dtheta at ``grid_n + 1`` angles: ``ENDPOINT_MARGIN``, the
@@ -288,7 +291,7 @@ def _row_minimum(p: StateParams, d: np.ndarray) -> Extremum | None:
     return extrema[0] if extrema else None
 
 
-def interior_minimum(p: StateParams, grid_n: int = 512) -> Extremum | None:
+def interior_minimum(p: StateParams, grid_n: int = GRID_N) -> Extremum | None:
     """Refined interior minimum of the entropy curve, or None if absent.
 
     For bimodal shapes this is the minimum of the pair; monotone and

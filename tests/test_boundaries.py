@@ -6,6 +6,7 @@ import pytest
 import mp_reference
 from conftest import triangle_samples
 from test_acceptance import REFERENCE_TABLE, TABLE_TOTALS
+from test_core import axis_curvature_nats
 import xdeficit.boundaries as boundaries_module
 import xdeficit.shape as shape_module
 from xdeficit import (
@@ -37,9 +38,8 @@ from xdeficit.boundaries import (
 from xdeficit.core import (
     post_entropy_curvature,
     post_entropy_grid,
-    s2_zero_axis,
 )
-from xdeficit.shape import ENDPOINT_MARGIN
+from xdeficit.shape import ENDPOINT_MARGIN, REFINE_TOL, SLOPE_FLOOR
 from xdeficit.shape import find_root as _bisect
 
 HALF_PI = math.pi / 2
@@ -360,7 +360,7 @@ class TestZeroBoundaryAxis:
             assert bp.residual < 1e-10
 
     def test_off_root_value_nonzero(self):
-        assert abs(s2_zero_axis(0.75)) > 0.1
+        assert abs(axis_curvature_nats(0.75)) > 0.1
 
 
 class TestJumpBoundary:
@@ -467,6 +467,19 @@ class TestJumpBoundary:
         assert abs(rec.boundary.p.q1 - float(q1)) <= 1e-10
         assert abs(rec.jump_angle - float(theta)) <= 1e-8
         assert curvature > 0
+
+    @pytest.mark.parametrize("total", [0.5002, 3001 / 6000, 0.5005])
+    def test_near_half_total_angle_is_the_minimizer_at_the_root(self, total):
+        # at the reported state itself, so that the error in q1, which
+        # dtheta*/dq1 ~ 3000 amplifies here, drops out: the angle is refined
+        # to REFINE_TOL, and the slope's rounding, below its noise floor
+        # SLOPE_FLOOR, moves the root by at most that floor over S''
+        pytest.importorskip("mpmath")
+        rec = solve_jump_boundary(TrajectorySpec(total))
+        p = rec.boundary.p
+        ref = mp_reference.slope_root(p.q1, p.q2, rec.jump_angle)
+        bound = REFINE_TOL + SLOPE_FLOOR / post_entropy_curvature(p, rec.jump_angle)
+        assert abs(rec.jump_angle - ref) <= bound
 
     def test_step_cap_raises(self, monkeypatch):
         # the solve on 0.7 needs 6 Newton steps

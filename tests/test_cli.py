@@ -191,13 +191,15 @@ class TestBoundariesCommand:
 
 class TestPhaseDiagramCommand:
     def test_small_run(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "phase-diagram",
-            "--resolution", "100",
-            "--theta-grid", "128",
-            "--threads", "1",
-        )
+        # --threads is deprecated and ignored, and warns when given
+        with pytest.warns(DeprecationWarning, match="threads"):
+            code, out, _ = run_cli(
+                capsys,
+                "phase-diagram",
+                "--resolution", "100",
+                "--theta-grid", "128",
+                "--threads", "1",
+            )
         assert code == 0
         comment = [ln for ln in out.splitlines() if ln.startswith("# area_fraction")][0]
         fraction = float(comment.split("=")[1])

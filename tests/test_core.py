@@ -30,7 +30,6 @@ from xdeficit.core import (
     post_entropy_curvature,
     post_entropy_grid,
     post_entropy_slope,
-    s2_zero_axis,
     slope_curve,
 )
 from xdeficit.shape import _angle_table
@@ -438,7 +437,37 @@ class TestSlope:
 
 
 
+def axis_closed_form(q: float) -> float:
+    """S''(0) in natural-log units on a Cartesian axis whose one nonzero
+    weight is q, 0 < q < 1: the closed form (1-q)(1-2q)/(2-3q) ln(2(1-q)/q),
+    the reference of the curvature kernel there."""
+    return (1.0 - q) * (1.0 - 2.0 * q) / (2.0 - 3.0 * q) * math.log(2.0 * (1.0 - q) / q)
+
+
+def axis_curvature_nats(q: float) -> float:
+    """The curvature kernel at theta = 0 on the axis state (q, 0), in natural-log units."""
+    return post_entropy_curvature(StateParams(q, 0.0), 0.0) * math.log(2.0)
+
+
+def axis_curvature_error(weights) -> tuple[float, float]:
+    """The worst error of :func:`axis_curvature_nats` against
+    :func:`axis_closed_form` over the weights, relative with a floor of 1,
+    and the weight where it occurs."""
+    def error(q):
+        ref = axis_closed_form(q)
+        return abs(axis_curvature_nats(q) - ref) / max(1.0, abs(ref))
+    return max((error(q), q) for q in weights)
+
+
 class TestCurvature:
+    def test_equals_axis_closed_form(self):
+        # log-spaced weights down to 1e-150, above which u*u under the radius
+        # does not underflow, a uniform grid, and weights 1e-12 below 1
+        weights = np.concatenate([np.logspace(-150, -1, 600), np.linspace(0.01, 0.99, 99),
+                                  1.0 - 10.0 ** -np.arange(2.0, 13.0)])
+        err, q = axis_curvature_error(weights.tolist())
+        assert err <= 1e-12, q
+
     def test_matches_mpmath_second_derivative(self):
         pytest.importorskip("mpmath")
         # seeded states: 120 uniform in the triangle, 90 within 1e-12 to 1e-3
@@ -661,12 +690,12 @@ class TestExactExchangeSymmetry:
 
 class TestDiagnostics:
     def test_zero_axis_roots(self):
-        assert s2_zero_axis(0.5) == 0.0
-        assert s2_zero_axis(1.0) == 0.0
+        assert axis_curvature_nats(0.5) == 0.0
+        assert axis_curvature_nats(1.0) == 0.0
 
     def test_zero_axis_quarter(self):
         # exact closed value 0.3 * ln 6, positive side of the root at 1/2
-        val = s2_zero_axis(0.25)
+        val = axis_curvature_nats(0.25)
         assert val == pytest.approx(0.5375278407684164, abs=1e-12)
         assert val > 0
 
@@ -677,7 +706,7 @@ class TestDiagnostics:
             h = 1e-3
             fd = 2 * (post_entropy(p, h) - post_entropy(p, 0.0)) / h**2
             assert (fd > 0) == expect_positive
-            assert (s2_zero_axis(q) > 0) == expect_positive
+            assert (axis_curvature_nats(q) > 0) == expect_positive
 
     def test_halfpi_curvature_near_axis_root(self):
         val = _halfpi_curvature(StateParams(0.67515, 0.0))
@@ -688,7 +717,7 @@ class TestDiagnostics:
         assert math.isnan(_halfpi_curvature(StateParams(0.0, 0.0)))  # r = 1
 
     def test_diagnostics_fields(self):
-        assert s2_zero_axis(0.25) == pytest.approx(0.5375278407684164, abs=1e-12)
+        assert axis_curvature_nats(0.25) == pytest.approx(0.5375278407684164, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(triangle_states())

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def outermost_slope(q1, q2):
 
 @pytest.fixture(scope="module")
 def small_grid():
-    return sweep(resolution=RES, theta_grid=256, threads=1)
+    return sweep(resolution=RES, theta_grid=256)
 
 
 @pytest.fixture(scope="module")
@@ -113,9 +114,15 @@ class TestSweep:
             assert rec.boundary.p.q1 - width <= q1 <= upper + width
 
     def test_deterministic_across_worker_counts(self):
-        a = sweep(resolution=100, theta_grid=128, threads=1)
-        b = sweep(resolution=100, theta_grid=128, threads=2)
-        assert a.cells == b.cells
+        # threads is deprecated and ignored, and warns when passed
+        with pytest.warns(DeprecationWarning, match="threads"):
+            a = sweep(resolution=100, theta_grid=128, threads=1)
+        with pytest.warns(DeprecationWarning, match="threads"):
+            b = sweep(resolution=100, theta_grid=128, threads=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            c = sweep(resolution=100, theta_grid=128)
+        assert a.cells == b.cells == c.cells
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
