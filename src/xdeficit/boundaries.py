@@ -18,20 +18,23 @@ equal-endpoint root changes sign once between two fixed totals
 (:func:`curves_intersection`).  Every root, in q1 or in the total, is
 solved to the one tolerance ``Q1_TOL``.
 The jump boundary and the bimodality birth are Newton-type solves on the
-scalar closed forms of ``core``.  The jump and the birth share one window probe,
-one tracked angle (``_tracked``) and one Newton loop.  The probe
-(``_window_probe``) is a single shape classification, on one slope grid, at
-the window's upper end; a path whose probe finds no interior minimum
-carries no window.  From the probe, Newton steps in q1
-drive the jump gap S(0) - S(theta*) to a sign change, tracking the
-interior minimizer theta* as a warm-started root of the deflated slope
-S'(theta) / cos(theta) (``_deflated_slope``), and do the same for the fold
-value S'(theta_i), tracking the inflection theta_i as a warm-started root
-of d2S/dtheta2.  The deflated slope is finite and signed at pi/2, where S'
-vanishes for every state, so theta* is tracked up to pi/2 itself: just
-below the intersection of the equal-endpoint and half-pi curves the jump
-angle closes on pi/2, inside the margin that the probe's slope grid keeps
-from that end.  Over a fan of totals, the five of
+scalar closed forms of ``core``.  The jump and the birth share one tracked
+angle (``_tracked``) and one Newton loop, and each starts near the upper
+end of the interior-minimum window (``_window_upper_end``).  The jump's
+window probe is one slope row, on one grid, 1e-4 in q1 below that end,
+from which ``shape.interior_minimum`` refines the minimum alone; the birth
+walks the deflated slope S'(theta) / cos(theta) (``_deflated_slope``) down
+from pi/2 to the minimum, ``Q1_TOL`` below that end.  A path where neither
+finds an interior minimum carries no window.  From there, Newton steps in
+q1 drive the jump gap S(0) - S(theta*) to a sign change, tracking the
+interior minimizer theta* as a warm-started root of the deflated slope,
+and do the same for the fold value S'(theta_i), tracking the inflection
+theta_i as a warm-started root of d2S/dtheta2.  The deflated slope is
+finite and signed at pi/2, where S' vanishes for every state, so theta* is
+tracked up to pi/2 itself: just below the intersection of the
+equal-endpoint and half-pi curves the jump angle closes on pi/2, inside
+the margin that the probe's slope grid keeps from that end.  Over a fan
+of totals, the five of
 :func:`jump_angle_table` and those on which ``diagram.trace_boundaries``
 draws the jump boundary, :func:`jump_fan` continues each jump solve from
 the last one instead: q1 predicted on the secant through the last two
@@ -73,7 +76,7 @@ from .core import (
     post_entropy_curvature,
     post_entropy_slope,
 )
-from .shape import ENDPOINT_MARGIN, HALF_PI, REFINE_TOL, classify_shape, find_root
+from .shape import ENDPOINT_MARGIN, HALF_PI, REFINE_TOL, find_root, interior_minimum
 
 # Tolerance of every boundary root, in q1 and in the total of the curve intersection.
 Q1_TOL = 1e-9
@@ -95,8 +98,7 @@ _FD_STEP = 1e-6
 # Totals that bracket the intersection of the equal-endpoint and half-pi curves.
 _INTERSECTION_TOTALS = (0.70, 0.80)
 
-# Slope grid of the window probe, the one classification of the jump and
-# birth solves.
+# Slope grid of the window probe, the one slope row of a per-path jump solve.
 _PROBE_GRID = 1024
 
 # Initial half-width (radians) of the bracket around the previous minimizer
@@ -255,39 +257,21 @@ def zero_boundary_axis() -> list[BoundaryPoint]:
     return points
 
 
-def _window_upper_end(traj: TrajectorySpec) -> float:
-    """Upper end of the interior-minimum window of a diagonal path, where its probe sits.
+def _window_upper_end(traj: TrajectorySpec, offset: float) -> float:
+    """Upper end of the interior-minimum window of a diagonal path, where its solves start.
 
     The contact point with the Cartesian axis, or, if the path crosses the
-    half-pi boundary, 1e-4 below that root: on the boundary itself the
-    extremum sits at theta = pi/2, beyond the last slope sample of
-    ``classify_shape``, so a probe there always misses.  The jump solve
-    tracks its minimizer up to pi/2 itself (:func:`_minimizer_near`); only
-    the probe's classification keeps this margin.
+    half-pi boundary, ``offset`` in q1 below that root, where the minimum
+    sits at theta = pi/2.  The jump's window probe keeps 1e-4, since the
+    last slope sample of its grid lies ``ENDPOINT_MARGIN`` below pi/2 and a
+    probe closer to the root misses the minimum; the birth, which walks the
+    deflated slope to pi/2 itself (:func:`_minimizer_near`), starts
+    ``Q1_TOL`` below the root.
     """
     hp = solve_halfpi_boundary(traj)
     if hp is not None and not hp.degenerate:
-        return hp.p.q1 - 1e-4
+        return hp.p.q1 - offset
     return min(traj.total, 1.0)
-
-
-def _window_probe(traj: TrajectorySpec) -> tuple[float, dict[str, float]] | None:
-    """The window probe of a diagonal path, or None when the path carries no window.
-
-    One shape classification, on the ``_PROBE_GRID`` slope grid, at the
-    window's upper end (:func:`_window_upper_end`).  Returns the probe's q1
-    and the angles of its refined extrema by kind ("min", "max").  A path
-    with total <= 1/2, or whose probe finds no interior minimum, carries no
-    window.
-    """
-    if traj.total <= 0.5:
-        return None
-    probe = _window_upper_end(traj)
-    report = classify_shape(traj.state(probe), grid_n=_PROBE_GRID)
-    theta_of = {e.kind: e.theta for e in report.extrema}
-    if "min" not in theta_of:
-        return None
-    return probe, theta_of
 
 
 def _deflated_slope(p: StateParams, theta: float) -> float:
@@ -462,16 +446,17 @@ def solve_jump_boundary(traj: TrajectorySpec) -> JumpRecord | None:
 
     Solves the 2x2 system {S'(theta) = 0, S(theta) = S(0)} in (q1, theta)
     with theta eliminated: the root of the gap g(q1) = S(0) - S(theta*)
-    along the path, theta* being the interior minimizer.  The window probe
-    (:func:`_window_probe`), the one shape classification this solve and
-    :func:`bimodality_birth` share, finds the minimum at the window's
-    analytic upper end; when it finds none, the path carries no window.
-    From the probe and its minimizer, Newton steps in q1 then drive g to a
-    sign change from either sign (:func:`_jump_root`), with theta* tracked
-    up to pi/2.  A gap negative at the probe means the root lies above it:
-    just below the intersection of the equal-endpoint and half-pi
-    boundaries it lies between the probe and the half-pi root, where the
-    jump angle approaches pi/2.
+    along the path, theta* being the interior minimizer.  The window probe,
+    the one slope row of this solve, looks for the interior minimum
+    (``shape.interior_minimum``, on the ``_PROBE_GRID`` slope grid) 1e-4 in
+    q1 below the window's analytic upper end (:func:`_window_upper_end`);
+    a path with total <= 1/2, or whose probe finds no minimum, carries no
+    window.  From the probe and its minimizer, Newton steps in q1 drive g
+    to a sign change from either sign (:func:`_jump_root`), with theta*
+    tracked up to pi/2.  A gap negative at the probe means the root lies
+    above it: just below the intersection of the equal-endpoint and
+    half-pi boundaries it lies between the probe and the half-pi root,
+    where the jump angle approaches pi/2.
 
     Returns None when the path carries no window, or when the minimum
     vanishes before the gap changes sign: above the intersection, where the
@@ -482,11 +467,11 @@ def solve_jump_boundary(traj: TrajectorySpec) -> JumpRecord | None:
     """
     if traj.axis:
         raise ValueError("the jump boundary on the axis is the weight-1/2 point")
-    window = _window_probe(traj)
-    if window is None:
+    if traj.total <= 0.5:
         return None
-    probe, theta_of = window
-    return _jump_root(traj, probe, theta_of["min"])
+    probe = _window_upper_end(traj, 1e-4)
+    ext = interior_minimum(traj.state(probe), grid_n=_PROBE_GRID)
+    return None if ext is None else _jump_root(traj, probe, ext.theta)
 
 
 def jump_fan(totals: Iterable[float]) -> list[JumpRecord | None]:
@@ -531,36 +516,45 @@ def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
     The birth is a fold of dS/dtheta: S' = 0 and S'' = 0 hold together.
     It is the root of g(q1) = S'(theta_i) along the path, theta_i being the
     inflection at which S' is least, between the maximum and the minimum of
-    the pair.  The window probe (:func:`_window_probe`), the one shape
-    classification this solve and :func:`solve_jump_boundary` share, at the
-    same state on the same grid, finds the pair; when it finds no interior
-    minimum, the path carries no window.  Each evaluation of g finds
-    theta_i with :func:`_minimizer_near` over S'', the closed form
-    ``core.post_entropy_curvature``, warm-started from the last one: at the
-    probe, from its maximum, or from half the minimum's angle where a
-    maximum below ``ENDPOINT_MARGIN`` merges with the endpoint and goes
-    unreported.  Newton steps in q1 (:func:`_newton_root`) then drive g
-    from negative to a sign change, and ``shape.find_root`` polishes the
-    bracket to ``Q1_TOL``; the Newton slope is the q1-derivative of S' at
-    fixed theta_i (:func:`_tracked`).
-    The stored residual is |S'(theta_i)| at the root.
+    the pair.  The solve starts ``Q1_TOL`` in q1 below the window's upper
+    end (:func:`_window_upper_end`), where it walks the deflated slope
+    (:func:`_deflated_slope`) down from pi/2 to the minimum theta_min
+    (:func:`_minimizer_near`); when there is none, the path carries no
+    window.  The maximum is the root of the deflated slope on
+    [``ENDPOINT_MARGIN``, theta_min - 1e-6] where it changes sign there,
+    and seeds the inflection; half of theta_min seeds it where a maximum
+    below ``ENDPOINT_MARGIN`` merges with the endpoint.  Each evaluation
+    of g finds theta_i with :func:`_minimizer_near` over S'', the closed
+    form ``core.post_entropy_curvature``, warm-started from the last one.
+    Newton steps in q1 (:func:`_newton_root`) then drive g from negative
+    to a sign change, and ``shape.find_root`` polishes the bracket to
+    ``Q1_TOL``; the Newton slope is the q1-derivative of S' at fixed
+    theta_i (:func:`_tracked`).  The stored residual is |S'(theta_i)| at
+    the root.
 
-    Returns None when the path carries no window.  Raises ConvergenceError
-    when the walk finds no inflection at the probe, when the inflection is
-    lost before g changes sign, or after a fixed number of Newton steps.
+    Returns None on the axis, on a path with total <= 1/2, and on a path
+    that carries no window.  Raises ConvergenceError when the walk finds no
+    inflection at the start, when the inflection is lost before g changes
+    sign, or after a fixed number of Newton steps.
     """
-    if traj.axis:
+    if traj.axis or traj.total <= 0.5:
         return None  # on the axis extrema appear by endpoint bifurcation instead
-    window = _window_probe(traj)
-    if window is None:
+    start = _window_upper_end(traj, Q1_TOL)
+    p = traj.state(start)
+    theta_min = _minimizer_near(_deflated_slope, p, HALF_PI)
+    if math.isnan(theta_min):
         return None
-    probe, theta_of = window
-    seed = theta_of.get("max", 0.5 * theta_of["min"])
+    a, b = ENDPOINT_MARGIN, theta_min - 1e-6
+    da, db = _deflated_slope(p, a), _deflated_slope(p, b)
+    if da > 0.0 > db:
+        seed = find_root(functools.partial(_deflated_slope, p), a, b, da, db, REFINE_TOL)
+    else:
+        seed = 0.5 * theta_min
     fold, fold_slope, _ = _tracked(traj, post_entropy_curvature, post_entropy_slope, seed)
-    g = fold(probe)
+    g = fold(start)
     if math.isnan(g):
-        raise ConvergenceError(f"no inflection below the minimum at the window probe on {traj}")
-    root = _newton_root(fold, fold_slope, probe, g, f"fold of dS/dtheta on {traj}")
+        raise ConvergenceError(f"no inflection below the minimum at the start on {traj}")
+    root = _newton_root(fold, fold_slope, start, g, f"fold of dS/dtheta on {traj}")
     if root is None:
         raise ConvergenceError(f"inflection lost before the fold on {traj}")
     return BoundaryPoint(

@@ -153,23 +153,11 @@ def _spectrum_into(w, q1, q2, ct, st) -> np.ndarray:
     return lam
 
 
-def curve_workspace(shape) -> np.ndarray:
-    """Scratch buffer for :func:`slope_curve` over a broadcast ``shape``.
-
-    One buffer serves any number of calls of that shape; reusing it keeps
-    the kernel free of allocations.
-    """
-    return np.empty((10,) + tuple(shape))
-
-
-def slope_curve(q1, q2, ct, st, work: np.ndarray | None = None,
-                out: np.ndarray | None = None) -> np.ndarray:
+def slope_curve(q1, q2, ct, st) -> np.ndarray:
     """dS/dtheta in bits per radian from the cosine and sine of the angles.
 
     The array form of :func:`post_entropy_slope`: q1, q2, ct = cos(theta)
-    and st = sin(theta) broadcast together.  ``work`` from
-    :func:`curve_workspace` holds every intermediate and ``out`` receives
-    the result, so a call given both allocates nothing.  The spectrum comes
+    and st = sin(theta) broadcast together.  The spectrum comes
     from the kernel of :func:`post_entropy_grid`, and both radii from its
     gaps, rad_p = 2 (lam0 - lam1) and rad_m = 2 (lam2 - lam3).  The log
     terms are summed in pairs, so that a radius rounded near zero multiplies
@@ -180,10 +168,8 @@ def slope_curve(q1, q2, ct, st, work: np.ndarray | None = None,
     taken as a + (-x) with an exact negation.  Unvalidated like
     :func:`post_entropy_grid`.
     """
-    if work is None or out is None:
-        shape = np.broadcast(q1, q2, ct, st).shape
-        work = curve_workspace(shape) if work is None else work
-        out = np.empty(shape) if out is None else out
+    shape = np.broadcast(q1, q2, ct, st).shape
+    work, out = np.empty((10,) + shape), np.empty(shape)
     s = q1 + q2
     a = 1.0 - s
     b = 1.0 - 2.0 * s

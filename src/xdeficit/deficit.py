@@ -27,7 +27,7 @@ from .core import (
     post_entropy,
     pre_entropy,
 )
-from .shape import GRID_N, HALF_PI, _row_minimum, _slope_row, interior_minimum
+from .shape import GRID_N, HALF_PI, _row_extrema, _slope_row, interior_minimum
 
 # Two branch values closer than this tie; endpoint branches win ties because
 # they are closed-form and the interior phase is the exceptional one.
@@ -52,23 +52,6 @@ def _endpoint_values(p: StateParams) -> tuple[float, float, float]:
     # (pre-measurement entropy, delta0, delta_halfpi) from the closed forms
     s = pre_entropy(p)
     return s, endpoint_entropy_zero(p) - s, endpoint_entropy_halfpi(p) - s
-
-
-def branch_values(p: StateParams, grid_n: int = GRID_N) -> tuple[float, float, tuple[float, float] | None]:
-    """Candidate deficits (delta0, delta_halfpi, interior) in bits.
-
-    ``interior`` is None when the entropy curve has no interior minimum,
-    otherwise a (delta, vartheta) pair from the shape analysis.
-    """
-    return _row_branches(p, _slope_row(p, grid_n))
-
-
-def _row_branches(p: StateParams, d: np.ndarray) -> tuple[float, float, tuple[float, float] | None]:
-    # branch_values of p from its slope row d
-    s, delta0, delta_halfpi = _endpoint_values(p)
-    ext = _row_minimum(p, d)
-    interior = None if ext is None else (ext.value - s, ext.theta)
-    return delta0, delta_halfpi, interior
 
 
 def _pick(
@@ -101,8 +84,13 @@ def one_way_deficit(p: StateParams, grid_n: int = GRID_N) -> DeficitResult:
 
 def _row_deficit(p: StateParams, d: np.ndarray) -> DeficitResult:
     """:func:`one_way_deficit` of ``p`` from its slope row ``d``, the
-    ``shape._slope_row`` of ``p`` at the requested grid."""
-    return DeficitResult(*_pick(*_row_branches(p, d)))
+    ``shape._slope_row`` of ``p`` at the requested grid: the two endpoint
+    branches, and the interior one, (delta, theta), where the row brackets
+    an interior minimum."""
+    s, delta0, delta_halfpi = _endpoint_values(p)
+    extrema = _row_extrema(p, d, minimum_only=True)
+    interior = (extrema[0].value - s, extrema[0].theta) if extrema else None
+    return DeficitResult(*_pick(delta0, delta_halfpi, interior))
 
 
 def _log2(x: np.ndarray) -> np.ndarray:
@@ -121,11 +109,11 @@ def _plogp(w: np.ndarray) -> np.ndarray:
 def endpoint_columns(q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray, ...]:
     """:func:`endpoint_deficit` over the states (q1[k], q2[k]), as columns.
 
-    Returns (delta, at_zero, theta, tie): the winning delta, True where
-    AtZero wins (AtHalfPi elsewhere), its angle and the tie flag.  Each
-    entry is ``==`` to ``endpoint_deficit`` of that state: the closed forms
-    run the same float operations in the same order, add, subtract,
-    multiply and divide in numpy (IEEE-exact), and ``math.log2`` and
+    Returns (delta, at_zero, theta): the winning delta, True where AtZero
+    wins (AtHalfPi elsewhere), and its angle.  Each entry is ``==`` to
+    ``endpoint_deficit`` of that state: the closed forms run the same
+    float operations in the same order, add, subtract, multiply and
+    divide in numpy (IEEE-exact), and ``math.log2`` and
     ``math.hypot`` per element, because ``np.log2`` and ``np.hypot`` differ
     from them in the last bit on a fraction of inputs.  The caller keeps
     the 1-d float arrays inside the triangle; nothing is validated or
@@ -146,9 +134,7 @@ def endpoint_columns(q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray, ...]:
     # the tie rule of _pick over the two endpoint branches
     best = np.where(delta_halfpi < delta0, delta_halfpi, delta0)
     at_zero = delta0 - best < TIE_TOL
-    tie = at_zero & (delta_halfpi - best < TIE_TOL)
-    return (np.where(at_zero, delta0, delta_halfpi), at_zero,
-            np.where(at_zero, 0.0, HALF_PI), tie)
+    return np.where(at_zero, delta0, delta_halfpi), at_zero, np.where(at_zero, 0.0, HALF_PI)
 
 
 def endpoint_deficit(p: StateParams) -> DeficitResult:

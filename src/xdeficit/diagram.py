@@ -91,19 +91,11 @@ class TrajectoryProfile:
     transitions: list[tuple[float, str, str]]  # (q1 midpoint, from, to)
 
 
-def _cell(p: StateParams, row: np.ndarray) -> PhaseCell:
-    """One labelled cell from the full deficit, given the slope row of ``p``."""
-    try:
-        res = _row_deficit(p, row)
-    except UnresolvedShape:
-        return PhaseCell(p.q1, p.q2, UNRESOLVED_LABEL, math.nan, math.nan)
-    return PhaseCell(p.q1, p.q2, res.branch.value, res.delta, res.optimal_theta)
-
-
 def _columns(q1: np.ndarray, q2: np.ndarray, flags: np.ndarray,
              rows: np.ndarray) -> tuple[np.ndarray, ...]:
     """(branch, delta, theta) columns of the in-triangle states
-    (q1[k], q2[k]), each row the fields of the cell :func:`_cell` gives it.
+    (q1[k], q2[k]): each row the winning branch of ``one_way_deficit``, or
+    ``Unresolved`` with NaN where its shape classification fails.
 
     The caller's ``flags`` pick the states that take the full deficit, and
     must cover every state whose curve has an interior minimum; ``rows``
@@ -112,11 +104,15 @@ def _columns(q1: np.ndarray, q2: np.ndarray, flags: np.ndarray,
     ones that ``StateParams`` keeps as given, as the rows were sampled
     there.  ``branch`` holds the label strings as objects.
     """
-    delta, at_zero, theta, _ = endpoint_columns(q1, q2)
+    delta, at_zero, theta = endpoint_columns(q1, q2)
     branch = np.where(at_zero, Branch.AT_ZERO.value, Branch.AT_HALF_PI.value).astype(object)
     for k, row in zip(np.flatnonzero(flags).tolist(), rows):
-        c = _cell(StateParams(q1[k], q2[k]), row)
-        branch[k], delta[k], theta[k] = c.branch, c.delta, c.theta_opt
+        try:
+            res = _row_deficit(StateParams(q1[k], q2[k]), row)
+        except UnresolvedShape:
+            branch[k], delta[k], theta[k] = UNRESOLVED_LABEL, math.nan, math.nan
+        else:
+            branch[k], delta[k], theta[k] = res.branch.value, res.delta, res.optimal_theta
     return branch, delta, theta
 
 

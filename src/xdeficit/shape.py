@@ -15,9 +15,9 @@ endpoint.  Slopes smaller than ``SLOPE_FLOOR`` carry no sign.
 
 Every classification is one slope row, :func:`_slope_row`, and one tail,
 :func:`_row_extrema`, which brackets the row and refines the brackets it
-is asked for.  :func:`interior_minimum`, and through it the deficit,
-refines the minimum's bracket alone; a caller that holds a state's row
-(the sweep keeps the rows its walk sampled) passes it in, so no row is
+is asked for.  :func:`interior_minimum`, the deficit and the jump's window
+probe ask it for the minimum's bracket alone; the deficit reads the row it
+is given (the sweep keeps the rows its walk sampled), so no row is
 computed twice.
 """
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateParams, curve_workspace, post_entropy, post_entropy_slope, slope_curve
+from .core import StateParams, post_entropy, post_entropy_slope, slope_curve
 
 HALF_PI = math.pi / 2.0
 
@@ -57,8 +57,10 @@ _SPARE_STEPS = 3
 # Tolerance (radians) to which every extremum and tracked angle is refined.
 REFINE_TOL = 1e-10
 
-# States per chunk of the flag pass: a chunk's buffers at grid 512 stay
-# within ~64 KB each, so they are reused from cache instead of faulted in.
+# States per chunk of the flag pass: each chunk's slope_curve call
+# allocates its own buffers, ten rows of intermediates per state, which
+# bounds the pass's memory (one call over the 80200 states of a
+# resolution-400 triangle would need ~3.3 GB at grid 512).
 _FLAG_CHUNK = 16
 
 
@@ -193,16 +195,12 @@ def _flag_rows(q1: np.ndarray, q2: np.ndarray, grid_n: int) -> tuple[np.ndarray,
     q1 = np.asarray(q1, dtype=float)[:, None]
     q2 = np.asarray(q2, dtype=float)[:, None]
     _, ct, st = _angle_table(grid_n)
-    rows = max(1, min(len(q1), _FLAG_CHUNK))
-    work = curve_workspace((rows, grid_n + 1))
-    d = np.empty((rows, grid_n + 1))
     flags = np.empty(len(q1), dtype=bool)
-    kept = [d[:0]]
-    for start in range(0, len(q1), rows):
-        k = min(rows, len(q1) - start)
-        dk = slope_curve(q1[start:start + k], q2[start:start + k], ct, st, work[:, :k], d[:k])
+    kept = [np.empty((0, grid_n + 1))]
+    for start in range(0, len(q1), _FLAG_CHUNK):
+        dk = slope_curve(q1[start:start + _FLAG_CHUNK], q2[start:start + _FLAG_CHUNK], ct, st)
         hits = (dk.max(axis=-1) >= SLOPE_FLOOR) & (dk.min(axis=-1) <= -SLOPE_FLOOR)
-        flags[start:start + k] = hits
+        flags[start:start + len(dk)] = hits
         kept.append(dk[hits])
     return flags, np.concatenate(kept)
 
@@ -211,8 +209,7 @@ def needs_refinement(q1: np.ndarray, q2: np.ndarray, grid_n: int) -> np.ndarray:
     """Which states :func:`classify_shape` finds an interior extremum for.
 
     Samples the slope of each state (q1[k], q2[k]) on the ``grid_n + 1``
-    angles classify_shape reads, ``_FLAG_CHUNK`` states at a time through
-    one reused workspace.  A state is True when its signed slopes include
+    angles classify_shape reads, ``_FLAG_CHUNK`` states at a time.  A state is True when its signed slopes include
     both signs, which is exactly when classify_shape brackets and refines
     an extremum; a False state has none, so its deficit is an endpoint
     branch.
@@ -285,12 +282,6 @@ def classify_shape(p: StateParams, grid_n: int = GRID_N) -> ShapeReport:
     return ShapeReport(shape_class=cls, extrema=tuple(extrema), grid_n=grid_n)
 
 
-def _row_minimum(p: StateParams, d: np.ndarray) -> Extremum | None:
-    """:func:`interior_minimum` of ``p`` from its slope row ``d``."""
-    extrema = _row_extrema(p, d, minimum_only=True)
-    return extrema[0] if extrema else None
-
-
 def interior_minimum(p: StateParams, grid_n: int = GRID_N) -> Extremum | None:
     """Refined interior minimum of the entropy curve, or None if absent.
 
@@ -299,4 +290,5 @@ def interior_minimum(p: StateParams, grid_n: int = GRID_N) -> Extremum | None:
     :func:`classify_shape`, with the same errors, but only that bracket of
     the slope row is refined: a maximum is never solved for.
     """
-    return _row_minimum(p, _slope_row(p, grid_n))
+    extrema = _row_extrema(p, _slope_row(p, grid_n), minimum_only=True)
+    return extrema[0] if extrema else None

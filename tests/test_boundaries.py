@@ -12,9 +12,11 @@ import xdeficit.shape as shape_module
 from xdeficit import (
     BoundaryKind,
     ConvergenceError,
+    ShapeClass,
     StateParams,
     TrajectorySpec,
     bimodality_birth,
+    classify_shape,
     curves_intersection,
     endpoint_entropy_halfpi,
     endpoint_entropy_zero,
@@ -613,9 +615,28 @@ class TestBimodalityBirth:
         assert bp is not None
         assert bp.residual <= 1e-12
 
-    def test_classification_flips_across(self):
-        from xdeficit import ShapeClass, classify_shape
+    @pytest.mark.parametrize(
+        "total,theta0",
+        [(0.8032, 1.128), (0.804, 1.142), (0.81, 1.270), (0.8152, 1.492), (0.8154, 1.517)],
+    )
+    def test_narrow_window_matches_40_digit_fold(self, total, theta0):
+        # windows narrower than 1e-4 in q1 (8.6e-5 wide on 0.804, 8.5e-8 on
+        # 0.8152), which a start 1e-4 below the half-pi root would miss;
+        # theta0 as in test_matches_40_digit_fold
+        pytest.importorskip("mpmath")
+        bp = bimodality_birth(TrajectorySpec(total))
+        q1, theta = mp_reference.birth_point(total, bp.p.q1, theta0)
+        assert abs(float(theta) - theta0) <= 1e-3
+        assert abs(bp.p.q1 - float(q1)) <= 1e-12
 
+    @pytest.mark.parametrize("total", [0.804, 0.81])
+    def test_birth_below_a_bimodal_state_beside_the_half_pi_root(self, total):
+        traj = TrajectorySpec(total)
+        q = solve_halfpi_boundary(traj).p.q1 - 1e-6
+        assert bimodality_birth(traj).p.q1 < q
+        assert classify_shape(traj.state(q), grid_n=8192).shape_class is ShapeClass.BIMODAL
+
+    def test_classification_flips_across(self):
         bp = bimodality_birth(TrajectorySpec(0.75))
         q = bp.p.q1
         below = classify_shape(StateParams(q - 3e-5, 0.75 - (q - 3e-5)))
@@ -747,65 +768,57 @@ class TestSolveCost:
             monkeypatch.setattr(target, name, counted)
         return calls
 
-    def _classifications(self, monkeypatch):
-        # interior_minimum reaches classify_shape through the shape module
-        return self._count(
-            monkeypatch, shape_module, "classify_shape", [shape_module, boundaries_module]
-        )
+    def _slope_rows(self, monkeypatch):
+        # classify_shape and interior_minimum each compute exactly one row
+        return self._count(monkeypatch, shape_module, "_slope_row", [shape_module])
 
     def test_jump_angle_table_classifications(self, monkeypatch):
         # one continued fan: the window probe of its first total only
-        calls = self._classifications(monkeypatch)
+        rows = self._slope_rows(monkeypatch)
         jump_angle_table()
-        assert len(calls) == 1
+        assert len(rows) == 1
 
     @pytest.mark.parametrize("total", TABLE_TOTALS)
     def test_jump_one_classification(self, monkeypatch, total):
         # the window probe; the angle at the root is the one the solve tracked
-        calls = self._classifications(monkeypatch)
+        rows = self._slope_rows(monkeypatch)
         assert solve_jump_boundary(TrajectorySpec(total)) is not None
-        assert len(calls) == 1
+        assert len(rows) == 1
 
     @pytest.mark.parametrize("total", TABLE_TOTALS)
     def test_birth_one_classification_on_table_totals(self, monkeypatch, total):
-        calls = self._classifications(monkeypatch)
+        # the birth walks the deflated slope from pi/2 and takes no slope row
+        rows = self._slope_rows(monkeypatch)
         assert bimodality_birth(TrajectorySpec(total)) is not None
-        assert len(calls) == 1
-
-    def test_jump_and_birth_share_the_probe(self, monkeypatch):
-        # one window probe: the same state classified on the same grid
-        probes = []
-        original = shape_module.classify_shape
-
-        def recorded(p, grid_n=512, **kwargs):
-            probes.append((p, grid_n))
-            return original(p, grid_n=grid_n, **kwargs)
-
-        monkeypatch.setattr(shape_module, "classify_shape", recorded)
-        monkeypatch.setattr(boundaries_module, "classify_shape", recorded)
-        traj = TrajectorySpec(0.7)
-        assert solve_jump_boundary(traj) is not None
-        assert bimodality_birth(traj) is not None
-        assert len(probes) == 2
-        assert probes[0] == probes[1]
+        assert len(rows) == 0
 
     @pytest.mark.parametrize("total", [0.8033, 0.85, 0.95])
     @pytest.mark.parametrize("solver", [solve_jump_boundary, bimodality_birth], ids=["jump", "birth"])
     def test_windowless_path_one_classification(self, monkeypatch, solver, total):
-        # the window probe finds no interior minimum, and nothing else is tried
-        calls = self._classifications(monkeypatch)
-        assert solver(TrajectorySpec(total)) is None
-        assert len(calls) == 1
+        rows = self._slope_rows(monkeypatch)
+        result = solver(TrajectorySpec(total))
+        if solver is solve_jump_boundary:
+            # the window probe finds no interior minimum, and nothing else is tried
+            assert result is None
+            assert len(rows) == 1
+        else:
+            # no slope row; on 0.8033 the window, narrower than the jump
+            # probe's 1e-4 offset below the half-pi root, holds a birth
+            assert len(rows) == 0
+            if total == 0.8033:
+                assert result.p.q1 == pytest.approx(0.7703460, abs=1e-7)
+            else:
+                assert result is None
 
     def test_trace_one_probe_one_fallback(self, monkeypatch):
         # the continued jump fan: only its first total runs the per-path
         # solve and its window probe; the 25 others start from the last root
-        calls = self._classifications(monkeypatch)
+        rows = self._slope_rows(monkeypatch)
         fallbacks = self._count(
             monkeypatch, boundaries_module, "solve_jump_boundary", [boundaries_module]
         )
         trace_boundaries(100)
-        assert len(calls) == 1
+        assert len(rows) == 1
         assert len(fallbacks) == 1
 
     def test_fan_falls_back_where_the_gap_is_nan(self, monkeypatch):

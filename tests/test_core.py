@@ -26,7 +26,6 @@ from xdeficit.boundaries import _halfpi_curvature
 from xdeficit.core import (
     _LEAST_SUBNORMAL,
     EDGE_TOL,
-    curve_workspace,
     post_entropy_curvature,
     post_entropy_grid,
     post_entropy_slope,
@@ -527,18 +526,13 @@ class TestSlopeCurve:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(closed_triangle_states(), min_size=1, max_size=20))
-    def test_exchange_symmetric_and_allocation_free(self, states):
+    def test_exchange_symmetric_and_row_by_row(self, states):
         q1 = np.array([[p.q1] for p in states])
         q2 = np.array([[p.q2] for p in states])
         ct, st_ = np.cos(self.THETAS), np.sin(self.THETAS)
         ref = slope_curve(q1, q2, ct, st_)
         assert np.array_equal(slope_curve(q2, q1, ct, st_), ref)
-        # a reused workspace and output buffer give the same bits, row by row too
-        work, out = curve_workspace(ref.shape), np.empty(ref.shape)
-        for _ in range(2):
-            got = slope_curve(q1, q2, ct, st_, work, out)
-            assert np.shares_memory(got, out)
-            assert np.array_equal(out, ref)
+        # one state at a time gives the same bits
         for k, p in enumerate(states):
             assert np.array_equal(slope_curve(p.q1, p.q2, ct, st_), ref[k])
 
@@ -618,14 +612,13 @@ def slope_kernel_mismatches(q1: np.ndarray, q2: np.ndarray, grid_n: int = 512,
                             chunk: int = 16) -> int:
     """How many of the states (q1[k], q2[k]) have a slope row, on the
     ``grid_n + 1`` angles of ``classify_shape``, that differs from the
-    frozen reference kernel, computed ``chunk`` states at a time through one
-    reused workspace, as the sweep's flag pass computes them."""
+    frozen reference kernel, computed ``chunk`` states at a time, as the
+    sweep's flag pass computes them."""
     _, ct, st_ = _angle_table(grid_n)
-    work, out = curve_workspace((chunk, grid_n + 1)), np.empty((chunk, grid_n + 1))
     bad = 0
     for start in range(0, len(q1), chunk):
         a, b = q1[start:start + chunk, None], q2[start:start + chunk, None]
-        got = slope_curve(a, b, ct, st_, work[:, :len(a)], out[:len(a)])
+        got = slope_curve(a, b, ct, st_)
         bad += int((got != _reference_slope_curve(a, b, ct, st_)).any(axis=-1).sum())
     return bad
 

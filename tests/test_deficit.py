@@ -8,13 +8,13 @@ from conftest import closed_triangle_states, golden_minimize, triangle_samples, 
 from xdeficit import (
     Branch,
     StateParams,
-    branch_values,
+    interior_minimum,
     naive_deficit,
     one_way_deficit,
     post_entropy,
     pre_entropy,
 )
-from xdeficit.deficit import TIE_TOL, _pick, endpoint_columns, endpoint_deficit
+from xdeficit.deficit import TIE_TOL, _endpoint_values, _pick, endpoint_columns, endpoint_deficit
 
 HALF_PI = math.pi / 2
 
@@ -28,6 +28,14 @@ def brute_force_deficit(p: StateParams, n: int = 4096) -> float:
     hi = thetas[min(i + 1, n)]
     _, val = golden_minimize(lambda t: post_entropy(p, t), lo, hi, 1e-11)
     return min(val, y[0], y[-1]) - pre_entropy(p)
+
+
+def branch_values(p: StateParams) -> tuple[float, float, tuple[float, float] | None]:
+    """Candidate deficits (delta0, delta_halfpi, interior) in bits, ``interior``
+    the (delta, theta) of the interior minimum or None without one."""
+    s, delta0, delta_halfpi = _endpoint_values(p)
+    ext = interior_minimum(p)
+    return delta0, delta_halfpi, None if ext is None else (ext.value - s, ext.theta)
 
 
 class TestBranchValues:
@@ -162,14 +170,14 @@ def closed_triangle_columns(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 def endpoint_column_mismatches(q1: np.ndarray, q2: np.ndarray) -> list[tuple[float, float]]:
     """The states (q1[k], q2[k]) where a row of ``endpoint_columns`` is not
-    ``==`` to ``endpoint_deficit`` in delta, branch, angle and tie."""
-    delta, at_zero, theta, tie = endpoint_columns(q1, q2)
-    rows = zip(delta.tolist(), at_zero.tolist(), theta.tolist(), tie.tolist())
+    ``==`` to ``endpoint_deficit`` in delta, branch and angle."""
+    delta, at_zero, theta = endpoint_columns(q1, q2)
+    rows = zip(delta.tolist(), at_zero.tolist(), theta.tolist())
     bad = []
-    for a, b, (d, z, t, tied) in zip(q1.tolist(), q2.tolist(), rows):
+    for a, b, (d, z, t) in zip(q1.tolist(), q2.tolist(), rows):
         res = endpoint_deficit(StateParams(a, b))
         branch = Branch.AT_ZERO if z else Branch.AT_HALF_PI
-        if (d, branch, t, tied) != (res.delta, res.branch, res.optimal_theta, res.tie):
+        if (d, branch, t) != (res.delta, res.branch, res.optimal_theta):
             bad.append((a, b))
     return bad
 

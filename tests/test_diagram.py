@@ -61,8 +61,8 @@ def _counted_rows(monkeypatch):
     states of each ``slope_curve`` call over a grid of angles."""
     counts = []
     for module in (xdeficit.shape, xdeficit.diagram):
-        def counting(q1, q2, ct, st, *args, _full=module.slope_curve):
-            out = _full(q1, q2, ct, st, *args)
+        def counting(q1, q2, ct, st, _full=module.slope_curve):
+            out = _full(q1, q2, ct, st)
             if np.ndim(ct) > 0:
                 counts.append(out.size // np.shape(ct)[-1])
             return out

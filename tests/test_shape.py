@@ -381,7 +381,7 @@ class TestSlopeSigns:
         # ENDPOINT_MARGIN; S differences on the grid missed it
         pytest.importorskip("mpmath")
         traj = TrajectorySpec(total)
-        p = traj.state(_window_upper_end(traj))
+        p = traj.state(_window_upper_end(traj, 1e-4))  # the jump's window probe
         report = classify_shape(p, grid_n=512)
         assert report.shape_class is ShapeClass.BIMODAL
         ext = report.extrema[0]
