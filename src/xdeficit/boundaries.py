@@ -3,7 +3,8 @@
 All boundaries are found along straight scan paths: either the Cartesian axis
 q2 = 0 or diagonal trajectories q1 + q2 = const, mirroring how the parameter
 triangle is naturally swept.  The equal-endpoint and half-pi boundaries are
-each one bracket over the whole path, solved by ``shape.find_root``, a
+each one bracket over the whole path (``_bracket_root``), solved by
+``shape.find_root``, a
 bracketed superlinear (Brent) root solver that never needs more than a few
 evaluations beyond bisection.  Each residual changes sign at most once per
 path, so the two ends of the path bracket its root.  The equal-endpoint gap
@@ -19,17 +20,17 @@ equal-endpoint root changes sign once between two fixed totals
 solved to the one tolerance ``Q1_TOL``.
 The jump boundary and the bimodality birth are Newton-type solves on the
 scalar closed forms of ``core``.  The jump and the birth share one tracked
-angle (``_tracked``) and one Newton loop, and each starts near the upper
+Newton solve (``_tracked_root``), and each starts near the upper
 end of the interior-minimum window (``_window_upper_end``).  The jump's
 window probe is one slope row, on one grid, 1e-4 in q1 below that end,
 from which ``shape.interior_minimum`` refines the minimum alone; the birth
 walks the deflated slope S'(theta) / cos(theta) (``_deflated_slope``) down
 from pi/2 to the minimum, ``Q1_TOL`` below that end.  A path where neither
-finds an interior minimum carries no window.  From there, Newton steps in
-q1 drive the jump gap S(0) - S(theta*) to a sign change, tracking the
-interior minimizer theta* as a warm-started root of the deflated slope,
-and do the same for the fold value S'(theta_i), tracking the inflection
-theta_i as a warm-started root of d2S/dtheta2.  The deflated slope is
+finds an interior minimum carries no window.  From there, the tracked
+solve drives the jump gap S(0) - S(theta*) to a sign change, theta* being
+the interior minimizer, a root of the deflated slope, and the fold value
+S'(theta_i) likewise, theta_i being the inflection, a root of
+d2S/dtheta2.  The deflated slope is
 finite and signed at pi/2, where S' vanishes for every state, so theta* is
 tracked up to pi/2 itself: just below the intersection of the
 equal-endpoint and half-pi curves the jump angle closes on pi/2, inside
@@ -38,7 +39,7 @@ of totals, the five of
 :func:`jump_angle_table` and those on which ``diagram.trace_boundaries``
 draws the jump boundary, :func:`jump_fan` continues each jump solve from
 the last one instead: q1 predicted on the secant through the last two
-roots, theta* seeded with the last jump angle, and the same Newton steps
+roots, theta* seeded with the last jump angle, and the same tracked solve
 from there, with no probe and no half-pi solve.
 The per-path solve stands in on the first total and wherever that
 continued solve fails.  Every d2S/dtheta2 here, in the fold, in the
@@ -91,7 +92,7 @@ RADIUS_DEGENERACY_TOL = 1e-9
 # Step cap of the Newton solves of the jump gap and the fold.
 _NEWTON_STEPS = 30
 
-# Step in q1 of the central difference that gives ``_tracked`` its
+# Step in q1 of the central difference that gives ``_tracked_root`` its
 # envelope slope.
 _FD_STEP = 1e-6
 
@@ -153,7 +154,7 @@ class TrajectorySpec:
     def q1_range(self) -> tuple[float, float]:
         if self.axis:
             return 1e-9, 1.0 - 1e-9
-        return self.total / 2.0, min(self.total, 1.0)
+        return self.total / 2.0, self.total
 
 
 @dataclass(frozen=True)
@@ -170,24 +171,22 @@ class JumpRecord:
     jump_angle: float  # optimal angle step from 0 to the interior minimizer
 
 
-def _path_root(traj: TrajectorySpec, residual, lo: float, hi: float) -> float | None:
-    """Root on [lo, hi] of a residual along the path, or None.
+def _bracket_root(f, lo: float, hi: float, xtol: float = Q1_TOL) -> float | None:
+    """Root on [lo, hi] of ``f``, which changes sign at most once there, or None.
 
-    ``residual`` maps a ``StateParams`` to a float that changes sign at most
-    once on [lo, hi], so the two ends bracket the root if there is one.
-    None when either end is NaN (a degenerate radius) or both ends have
-    the same sign, a zero counting as non-negative.
+    The two ends bracket the root if there is one.  None when either end is
+    NaN (a degenerate radius) or both ends have the same sign, a zero
+    counting as non-negative.
     """
-    f = lambda q1: residual(traj.state(q1))
     fa, fb = f(lo), f(hi)
     if math.isnan(fa) or math.isnan(fb) or (fa < 0.0) == (fb < 0.0):
         return None
-    return find_root(f, lo, hi, fa, fb, Q1_TOL)
+    return find_root(f, lo, hi, fa, fb, xtol)
 
 
 def _path_boundary(traj: TrajectorySpec, kind: BoundaryKind, residual,
                    lo: float, hi: float) -> BoundaryPoint | None:
-    root = _path_root(traj, residual, lo, hi)
+    root = _bracket_root(lambda q1: residual(traj.state(q1)), lo, hi)
     if root is None:
         return None
     p = traj.state(root)
@@ -271,7 +270,7 @@ def _window_upper_end(traj: TrajectorySpec, offset: float) -> float:
     hp = solve_halfpi_boundary(traj)
     if hp is not None and not hp.degenerate:
         return hp.p.q1 - offset
-    return min(traj.total, 1.0)
+    return traj.total
 
 
 def _deflated_slope(p: StateParams, theta: float) -> float:
@@ -338,16 +337,26 @@ def _minimizer_near(deriv, p: StateParams, theta0: float) -> float:
     return find_root(deriv, a, b, sa, sb, REFINE_TOL)
 
 
-def _tracked(traj: TrajectorySpec, deriv, value, theta0: float):
-    """A function of q1 along the path, read at an angle tracked from ``theta0``.
+def _tracked_root(traj: TrajectorySpec, deriv, value, theta0: float, q: float,
+                  what: str) -> tuple[float, float, float] | None:
+    """Root in q1 of a function of q1 along the path, read at a tracked angle.
 
-    Returns ``(f, slope, theta)``.  ``f(q1) = value(p, t)`` at the path
-    state p, t being the root of ``deriv(p, .)`` that :func:`_minimizer_near`
-    finds warm-started from the last one; f is NaN off (lo, hi] of the path
-    and where t is lost.  By the envelope theorem ``slope(q1)``, the
-    q1-derivative of f, is that of ``value`` at the fixed t of the last
-    evaluation of f, taken as a central difference.  ``theta()`` returns
-    that last t.
+    f(q1) = value(p, t) at the path state p, t being the root of
+    ``deriv(p, .)`` that :func:`_minimizer_near` finds warm-started from the
+    last one, from ``theta0`` on; f is NaN off (lo, hi] of the path and
+    where t is lost.  Newton steps from q, q -= f(q) / slope(q), run until f
+    changes sign, and ``shape.find_root`` polishes the last step's bracket
+    to ``Q1_TOL``.  By the envelope theorem the slope, the q1-derivative of
+    f, is that of ``value`` at the fixed t of the last evaluation of f,
+    taken as a central difference.  A step that lands where f is NaN
+    (outside its domain) is halved, and no step is shorter than Q1_TOL, so
+    a one-sided approach still crosses the root.
+
+    Returns (root, |f(root)|, t at the root), or None when the step halves
+    below Q1_TOL, that is when f's domain ends before f changes sign.
+    Raises ConvergenceError, naming ``what``, when t is lost at q (also when
+    q lies off the path) or at the root, or when f keeps its sign over a
+    fixed number of steps.
     """
     lo, hi = traj.q1_range()
     theta = theta0
@@ -363,32 +372,15 @@ def _tracked(traj: TrajectorySpec, deriv, value, theta0: float):
         theta = t
         return value(p, t)
 
-    def slope(q1: float) -> float:
-        a, b = max(q1 - _FD_STEP, lo), min(q1 + _FD_STEP, hi)
-        return (value(traj.state(b), theta) - value(traj.state(a), theta)) / (b - a)
-
-    return f, slope, lambda: theta
-
-
-def _jump_gap(p: StateParams, theta: float) -> float:
-    return endpoint_entropy_zero(p) - post_entropy(p, theta)
-
-
-def _newton_root(f, slope, q: float, fq: float, what: str) -> float | None:
-    """Root in q1 of ``f`` by Newton steps from q, where fq = f(q) is not NaN.
-
-    Steps q -= f(q) / slope(q) until f changes sign, then ``shape.find_root``
-    polishes the last step's bracket to ``Q1_TOL``.  A step that lands where f
-    is NaN (outside its domain) is halved, and no step is shorter than Q1_TOL,
-    so a one-sided approach still crosses the root.  Returns None when the
-    step halves below Q1_TOL, that is when f's domain ends before f changes
-    sign; raises ConvergenceError, naming ``what``, when f keeps its sign
-    over a fixed number of steps.
-    """
+    fq = f(q)
+    if math.isnan(fq):
+        raise ConvergenceError(f"{what}: tracked angle lost at the start q1 = {q!r}")
     for _ in range(_NEWTON_STEPS):
         if fq == 0.0:
-            return q
-        step = -fq / slope(q)
+            break
+        a, b = max(q - _FD_STEP, lo), min(q + _FD_STEP, hi)
+        slope = (value(traj.state(b), theta) - value(traj.state(a), theta)) / (b - a)
+        step = -fq / slope
         step = math.copysign(max(abs(step), Q1_TOL), step)
         f_new = f(q + step)
         while math.isnan(f_new):
@@ -397,9 +389,19 @@ def _newton_root(f, slope, q: float, fq: float, what: str) -> float | None:
                 return None
             f_new = f(q + step)
         if (f_new < 0.0) != (fq < 0.0):
-            return find_root(f, q, q + step, fq, f_new, Q1_TOL)
+            q = find_root(f, q, q + step, fq, f_new, Q1_TOL)
+            break
         q, fq = q + step, f_new
-    raise ConvergenceError(f"{what} kept its sign over {_NEWTON_STEPS} Newton steps")
+    else:
+        raise ConvergenceError(f"{what} kept its sign over {_NEWTON_STEPS} Newton steps")
+    fq = f(q)
+    if math.isnan(fq):
+        raise ConvergenceError(f"{what}: tracked angle lost at the root q1 = {q!r}")
+    return q, abs(fq), theta
+
+
+def _jump_gap(p: StateParams, theta: float) -> float:
+    return endpoint_entropy_zero(p) - post_entropy(p, theta)
 
 
 def _jump_root(traj: TrajectorySpec, q: float, theta0: float) -> JumpRecord | None:
@@ -407,38 +409,25 @@ def _jump_root(traj: TrajectorySpec, q: float, theta0: float) -> JumpRecord | No
     tracked from ``theta0``: the tail of :func:`solve_jump_boundary` and of
     each continued total of :func:`jump_fan`.
 
-    Newton steps in q1 (:func:`_newton_root`) drive the gap
-    g(q1) = S(0) - S(theta*) from q to a sign change, and ``shape.find_root``
-    polishes the bracket to ``Q1_TOL``.  Each gap evaluation finds theta* as
-    the root of the deflated slope (:func:`_deflated_slope`) with
-    :func:`_minimizer_near`, warm-started from the last one, so theta* is
+    The tracked solve (:func:`_tracked_root`) drives the gap
+    g(q1) = S(0) - S(theta*) from q to a sign change.  It finds theta* as
+    the root of the deflated slope (:func:`_deflated_slope`), so theta* is
     followed up to pi/2 itself: just below the intersection of the
     equal-endpoint and half-pi curves the root lies above the window probe,
-    with theta* within ~4 sqrt(t* - total) of pi/2.  The Newton slope dg/dq1
-    is the q1-derivative at fixed theta* (:func:`_tracked`).  The gap at the
-    root is the stored residual, and the theta* it tracks there is the jump
-    angle.
+    with theta* within ~4 sqrt(t* - total) of pi/2.  The gap at the root is
+    the stored residual, and the theta* it tracks there is the jump angle.
 
     Returns None when the minimum vanishes, into 0 or into pi/2, before the
     gap changes sign.  Raises ConvergenceError when the interior minimum is
     lost at q (also when q lies off the path) or at the root, or after a
     fixed number of Newton steps.
     """
-    gap, gap_slope, theta = _tracked(traj, _deflated_slope, _jump_gap, theta0)
-    g = gap(q)
-    if math.isnan(g):
-        raise ConvergenceError(f"interior minimum lost at q1 = {q!r} on {traj}")
-    root = _newton_root(gap, gap_slope, q, g, f"jump gap on {traj}")
-    if root is None:
+    solved = _tracked_root(traj, _deflated_slope, _jump_gap, theta0, q, f"jump gap on {traj}")
+    if solved is None:
         return None
-    p = traj.state(root)
-    g = gap(root)
-    if math.isnan(g):
-        raise ConvergenceError(f"interior minimum lost at the jump root ({p.q1}, {p.q2})")
-    return JumpRecord(
-        boundary=BoundaryPoint(p=p, kind=BoundaryKind.JUMP_BOUNDARY, residual=abs(g)),
-        jump_angle=theta(),
-    )
+    root, residual, angle = solved
+    bp = BoundaryPoint(p=traj.state(root), kind=BoundaryKind.JUMP_BOUNDARY, residual=residual)
+    return JumpRecord(boundary=bp, jump_angle=angle)
 
 
 def solve_jump_boundary(traj: TrajectorySpec) -> JumpRecord | None:
@@ -523,19 +512,16 @@ def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
     window.  The maximum is the root of the deflated slope on
     [``ENDPOINT_MARGIN``, theta_min - 1e-6] where it changes sign there,
     and seeds the inflection; half of theta_min seeds it where a maximum
-    below ``ENDPOINT_MARGIN`` merges with the endpoint.  Each evaluation
-    of g finds theta_i with :func:`_minimizer_near` over S'', the closed
-    form ``core.post_entropy_curvature``, warm-started from the last one.
-    Newton steps in q1 (:func:`_newton_root`) then drive g from negative
-    to a sign change, and ``shape.find_root`` polishes the bracket to
-    ``Q1_TOL``; the Newton slope is the q1-derivative of S' at fixed
-    theta_i (:func:`_tracked`).  The stored residual is |S'(theta_i)| at
-    the root.
+    below ``ENDPOINT_MARGIN`` merges with the endpoint.  The tracked solve
+    (:func:`_tracked_root`) then drives g from negative to a sign change,
+    finding theta_i as the root of S'', the closed form
+    ``core.post_entropy_curvature``.  The stored residual is |S'(theta_i)|
+    at the root.
 
     Returns None on the axis, on a path with total <= 1/2, and on a path
-    that carries no window.  Raises ConvergenceError when the walk finds no
-    inflection at the start, when the inflection is lost before g changes
-    sign, or after a fixed number of Newton steps.
+    that carries no window.  Raises ConvergenceError when the inflection is
+    lost at the start, before g changes sign or at the root, or after a
+    fixed number of Newton steps.
     """
     if traj.axis or traj.total <= 0.5:
         return None  # on the axis extrema appear by endpoint bifurcation instead
@@ -544,22 +530,16 @@ def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
     theta_min = _minimizer_near(_deflated_slope, p, HALF_PI)
     if math.isnan(theta_min):
         return None
-    a, b = ENDPOINT_MARGIN, theta_min - 1e-6
-    da, db = _deflated_slope(p, a), _deflated_slope(p, b)
-    if da > 0.0 > db:
-        seed = find_root(functools.partial(_deflated_slope, p), a, b, da, db, REFINE_TOL)
-    else:
+    seed = _bracket_root(functools.partial(_deflated_slope, p), ENDPOINT_MARGIN,
+                         theta_min - 1e-6, REFINE_TOL)
+    if seed is None:
         seed = 0.5 * theta_min
-    fold, fold_slope, _ = _tracked(traj, post_entropy_curvature, post_entropy_slope, seed)
-    g = fold(start)
-    if math.isnan(g):
-        raise ConvergenceError(f"no inflection below the minimum at the start on {traj}")
-    root = _newton_root(fold, fold_slope, start, g, f"fold of dS/dtheta on {traj}")
-    if root is None:
+    solved = _tracked_root(traj, post_entropy_curvature, post_entropy_slope, seed, start,
+                           f"fold of dS/dtheta on {traj}")
+    if solved is None:
         raise ConvergenceError(f"inflection lost before the fold on {traj}")
-    return BoundaryPoint(
-        p=traj.state(root), kind=BoundaryKind.BIMODALITY_BIRTH, residual=abs(fold(root))
-    )
+    return BoundaryPoint(p=traj.state(solved[0]), kind=BoundaryKind.BIMODALITY_BIRTH,
+                         residual=solved[1])
 
 
 def curves_intersection() -> StateParams:
@@ -582,14 +562,13 @@ def curves_intersection() -> StateParams:
         return bp.p
 
     h = lambda t: _halfpi_curvature(on_equal_endpoints(t))
-    t_lo, t_hi = _INTERSECTION_TOTALS
-    h_lo, h_hi = h(t_lo), h(t_hi)
-    if math.isnan(h_lo) or math.isnan(h_hi) or (h_lo < 0.0) == (h_hi < 0.0):
+    root = _bracket_root(h, *_INTERSECTION_TOTALS)
+    if root is None:
         raise ConvergenceError(
-            f"the half-pi curvature on the equal-endpoint curve, {h_lo} at total {t_lo}"
-            f" and {h_hi} at {t_hi}, brackets no intersection"
+            "the half-pi curvature on the equal-endpoint curve brackets no intersection"
+            f" over _INTERSECTION_TOTALS = {_INTERSECTION_TOTALS}"
         )
-    return on_equal_endpoints(find_root(h, t_lo, t_hi, h_lo, h_hi, Q1_TOL))
+    return on_equal_endpoints(root)
 
 
 def jump_boundary_ends(p_star: StateParams) -> tuple[JumpRecord, JumpRecord]:

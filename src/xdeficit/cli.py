@@ -180,7 +180,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_phase_diagram(args) -> int:
-    grid = sweep(resolution=args.resolution, theta_grid=args.theta_grid, threads=args.threads)
+    grid = sweep(resolution=args.resolution, theta_grid=args.theta_grid)
     _emit(args, "phase-diagram",
           {"resolution": args.resolution, "theta_grid": args.theta_grid},
           ["q1", "q2", "branch", "delta_bits", "theta_opt_rad"],
@@ -275,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("phase-diagram", help="label the whole triangle by branch")
     sp.add_argument("--resolution", type=int, default=400)
     sp.add_argument("--theta-grid", type=int, default=GRID_N)
-    sp.add_argument("--threads", type=int, default=None,
-                    help="deprecated and ignored; the sweep runs in one process")
     _add_common(sp)
     sp.set_defaults(func=cmd_phase_diagram)
 

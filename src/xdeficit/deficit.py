@@ -33,6 +33,9 @@ from .shape import GRID_N, HALF_PI, _row_extrema, _slope_row, interior_minimum
 # they are closed-form and the interior phase is the exceptional one.
 TIE_TOL = 1e-9
 
+# Step (radians) of the naive rule's finite-difference endpoint curvatures.
+_NAIVE_FD_STEP = 1e-3
+
 
 class Branch(enum.Enum):
     AT_ZERO = "AtZero"
@@ -146,27 +149,22 @@ def endpoint_deficit(p: StateParams) -> DeficitResult:
     return DeficitResult(*_pick(*_endpoint_values(p)[1:], None))
 
 
-def _fd_second_derivative_at_ends(p: StateParams, h: float) -> tuple[float, float]:
-    # parabolic estimates exploiting the zero endpoint slopes
-    f = lambda t: post_entropy(p, t)
-    d2_zero = 2.0 * (f(h) - f(0.0)) / (h * h)
-    d2_half = 2.0 * (f(HALF_PI - h) - f(HALF_PI)) / (h * h)
-    return d2_zero, d2_half
-
-
-def naive_deficit(p: StateParams, fd_step: float = 1e-3) -> DeficitResult:
+def naive_deficit(p: StateParams) -> DeficitResult:
     """Deficit per the naive endpoint-curvature rule; can be wrong.
 
     If finite-difference estimates of the entropy curvature at both ends are
     negative, the rule takes the interior extremum; otherwise the better
-    endpoint, with the tie rule of :func:`endpoint_deficit`.  Where the
-    curvature at theta = 0 diverges (anywhere off the Cartesian axes), the
-    finite difference picks up the divergence direction at scale
-    ``fd_step``, which is all the rule as published offers.  For
-    bimodal curves whose interior minimum undercuts both endpoints, the rule
-    keeps the endpoint and overestimates the deficit.
+    endpoint, with the tie rule of :func:`endpoint_deficit`.  The estimates
+    are parabolic, since both endpoint slopes vanish, at the step
+    ``_NAIVE_FD_STEP``.  Where the curvature at theta = 0 diverges
+    (anywhere off the Cartesian axes), the finite difference picks up the
+    divergence direction at that scale, which is all the rule as published
+    offers.  For bimodal curves whose interior minimum undercuts both
+    endpoints, the rule keeps the endpoint and overestimates the deficit.
     """
-    d2_zero, d2_half = _fd_second_derivative_at_ends(p, fd_step)
+    h = _NAIVE_FD_STEP
+    d2_zero = 2.0 * (post_entropy(p, h) - post_entropy(p, 0.0)) / (h * h)
+    d2_half = 2.0 * (post_entropy(p, HALF_PI - h) - post_entropy(p, HALF_PI)) / (h * h)
     if d2_zero < 0.0 and d2_half < 0.0:
         ext = interior_minimum(p)
         if ext is not None:

@@ -34,6 +34,7 @@ from xdeficit.boundaries import (
     RADIUS_DEGENERACY_TOL,
     _deflated_slope,
     _halfpi_curvature,
+    _jump_root,
     _minimizer_near,
     jump_fan,
 )
@@ -489,6 +490,11 @@ class TestJumpBoundary:
         with pytest.raises(ConvergenceError):
             solve_jump_boundary(TrajectorySpec(0.7))
 
+    def test_start_off_the_path_raises(self):
+        # q1 = 0.3 lies below the path's lower end, total/2 = 0.375
+        with pytest.raises(ConvergenceError, match="q1 = 0.3"):
+            _jump_root(TrajectorySpec(0.75), 0.3, 1.0)
+
     def test_continued_fan_matches_per_path(self):
         # every jump total of trace_boundaries(1000): the same None pattern,
         # q1 within the root tolerance and the angle within the 1e-7 rad of
@@ -635,6 +641,24 @@ class TestBimodalityBirth:
         q = solve_halfpi_boundary(traj).p.q1 - 1e-6
         assert bimodality_birth(traj).p.q1 < q
         assert classify_shape(traj.state(q), grid_n=8192).shape_class is ShapeClass.BIMODAL
+
+    def test_inflection_lost_at_the_start_raises(self, monkeypatch):
+        # the walk over S'' finds no inflection; the walk to the minimum is untouched
+        original = boundaries_module._minimizer_near
+
+        def walk(deriv, p, theta0):
+            if deriv is post_entropy_curvature:
+                return math.nan
+            return original(deriv, p, theta0)
+
+        monkeypatch.setattr(boundaries_module, "_minimizer_near", walk)
+        with pytest.raises(ConvergenceError, match="at the start"):
+            bimodality_birth(TrajectorySpec(0.75))
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(boundaries_module, "_NEWTON_STEPS", 1)
+        with pytest.raises(ConvergenceError, match="kept its sign"):
+            bimodality_birth(TrajectorySpec(0.75))
 
     def test_classification_flips_across(self):
         bp = bimodality_birth(TrajectorySpec(0.75))
@@ -847,7 +871,8 @@ class TestSolveCost:
 
     def test_intersection_scans(self, monkeypatch):
         # equal-endpoint solves only: the bracket's ends, the Brent steps and the root
-        calls = self._count(monkeypatch, boundaries_module, "_path_root", [boundaries_module])
+        calls = self._count(
+            monkeypatch, boundaries_module, "solve_equal_endpoints", [boundaries_module]
+        )
         curves_intersection()
         assert len(calls) <= 9
-        assert all(residual is boundaries_module._equal_endpoints_gap for _, residual, _, _ in calls)

@@ -191,21 +191,24 @@ class TestBoundariesCommand:
 
 class TestPhaseDiagramCommand:
     def test_small_run(self, capsys):
-        # --threads is deprecated and ignored, and warns when given
-        with pytest.warns(DeprecationWarning, match="threads"):
-            code, out, _ = run_cli(
-                capsys,
-                "phase-diagram",
-                "--resolution", "100",
-                "--theta-grid", "128",
-                "--threads", "1",
-            )
+        code, out, _ = run_cli(
+            capsys, "phase-diagram", "--resolution", "100", "--theta-grid", "128"
+        )
         assert code == 0
         comment = [ln for ln in out.splitlines() if ln.startswith("# area_fraction")][0]
         fraction = float(comment.split("=")[1])
         assert 0.005 <= fraction <= 0.02
         header = [ln for ln in out.splitlines() if not ln.startswith("#")][0]
         assert header == "q1,q2,branch,delta_bits,theta_opt_rad"
+
+    def test_threads_option_is_gone(self, capsys):
+        # the sweep runs in one process; --threads is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["phase-diagram", "--resolution", "10", "--threads", "1"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.count("\n") == 1
+        assert "--threads" in json.loads(err)["error"]
 
 
 class TestOutputConventions:
