@@ -78,12 +78,9 @@ def _entropy_bits(weights) -> float:
 def binary_entropy(x: float) -> float:
     """Shannon binary entropy -x*log2(x) - (1-x)*log2(1-x) in bits."""
     x = float(x)
-    if x < -EDGE_TOL or x > 1.0 + EDGE_TOL:
+    if not (-EDGE_TOL <= x <= 1.0 + EDGE_TOL):
         raise DomainError(f"binary entropy argument {x} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return _entropy_bits((x, 1.0 - x)) if 0.0 < x < 1.0 else 0.0
 
 
 def quaternary_entropy(x1: float, x2: float, x3: float, x4: float) -> float:
@@ -94,10 +91,10 @@ def quaternary_entropy(x1: float, x2: float, x3: float, x4: float) -> float:
     """
     xs = [float(x1), float(x2), float(x3), float(x4)]
     for x in xs:
-        if x < -EDGE_TOL:
-            raise DomainError(f"probability {x} below zero beyond tolerance")
+        if not (-EDGE_TOL <= x):
+            raise DomainError(f"probability {x} is NaN or below zero beyond tolerance")
     total = sum(xs)
-    if abs(total - 1.0) > 1e-10:
+    if not (abs(total - 1.0) <= 1e-10):
         raise DomainError(f"probabilities sum to {total}, expected 1")
     return _entropy_bits(xs)
 

@@ -12,30 +12,36 @@ from one slope sample per cell, the outermost one ``shape.classify_shape``
 reads, at pi/2 - ``ENDPOINT_MARGIN``.  Where that sample is signed
 negative (<= -``SLOPE_FLOOR``), the last extremum classify_shape brackets
 is a maximum; off the axes the curve rises from theta = 0 and carries at
-most two extrema, so no minimum comes before that maximum.  On each
-diagonal q1 + q2 = const the minima fill one run of cells, from the
-window's upper end (the half-pi boundary, or the axis) down to the
+most two extrema, so no minimum comes before that maximum.  Where it is
+unsigned, |S''(pi/2)| is below ~1e-8: such a curve brackets a minimum only
+where the birth curve meets the half-pi curve, at totals 0.813-0.815,
+above the intersection total 0.769, and there the minimum never wins.  So
+the candidates are the cells whose sample is signed positive
+(>= ``SLOPE_FLOOR``); the flat curves, such as the Bell corners, drop out.
+On each diagonal q1 + q2 = const the minima fill one run of cells, from
+the window's upper end (the half-pi boundary, or the axis) down to the
 bimodality birth.  So the sweep computes that sample for every labelled
-cell in one ``core.slope_curve`` call, walks each diagonal's cells whose
-sample is not signed negative from the one nearest the axis toward
-q1 = q2, one cell per diagonal per round through one
-``shape.needs_refinement`` call, and stops a diagonal at its first cell
-whose slope samples dS/dtheta never change sign.  Every labelled cell
-first takes the better closed-form endpoint from
+cell in one ``core.slope_curve`` call, walks each diagonal's candidates
+from the one nearest the axis toward q1 = q2, one cell per diagonal per
+round through one ``shape.needs_refinement`` call, and stops a diagonal
+at its first candidate whose slope samples dS/dtheta never change sign.
+Every labelled cell first takes the better closed-form endpoint from
 ``deficit.endpoint_columns``, which is ``==`` to ``endpoint_deficit``
 state by state and is what ``one_way_deficit`` returns wherever the curve
 has no interior minimum.  The flagged walked cells, about 1% of the
-triangle, then overwrite their rows with the deficit that
+triangle, then overwrite their rows, in cell order, with the deficit that
 ``one_way_deficit`` reads from a state's slope row, here the row the walk
 sampled: the walk keeps the rows of the cells it flags (~0.1 MB at
 resolution 100, ~1.8 MB at 400), and no row is computed twice.  Each cell
 thus gets the same result as a per-cell ``one_way_deficit`` call, in one
-process.  Trajectory profiles take the same two routes after one flag pass
-over the whole path, whose flagged rows they read in the same way.
+process.  A trajectory profile is labelled by the same walk, with its
+whole path as one diagonal: on the axis the walk starts below the flat
+corner at q1 = 1, at the half-pi root, and runs down through the minima.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import warnings
@@ -91,61 +97,47 @@ class TrajectoryProfile:
     transitions: list[tuple[float, str, str]]  # (q1 midpoint, from, to)
 
 
-def _columns(q1: np.ndarray, q2: np.ndarray, flags: np.ndarray,
-             rows: np.ndarray) -> tuple[np.ndarray, ...]:
+def _label(diagonal: np.ndarray, q1: np.ndarray, q2: np.ndarray,
+           theta_grid: int) -> tuple[np.ndarray, ...]:
     """(branch, delta, theta) columns of the in-triangle states
-    (q1[k], q2[k]): each row the winning branch of ``one_way_deficit``, or
-    ``Unresolved`` with NaN where its shape classification fails.
+    (q1[k], q2[k]): each row the winning branch of ``one_way_deficit`` on
+    ``theta_grid``, or ``Unresolved`` with NaN where its shape
+    classification fails.  ``branch`` holds the label strings as objects.
 
-    The caller's ``flags`` pick the states that take the full deficit, and
-    must cover every state whose curve has an interior minimum; ``rows``
-    holds their slope rows, in state order, which their deficits are read
-    from.  The rest take ``deficit.endpoint_columns``.  The states must be
-    ones that ``StateParams`` keeps as given, as the rows were sampled
-    there.  ``branch`` holds the label strings as objects.
+    ``diagonal`` groups the states into runs.  The candidates of a run are
+    its states whose outermost slope sample, at pi/2 - ``ENDPOINT_MARGIN``,
+    is signed positive, walked in descending state order; with the states
+    listed by ascending q1 in each run, that is from the largest q1 down,
+    the one nearest the axis first.  A run's walk stops at its first
+    candidate that ``shape.needs_refinement`` leaves unflagged.  The flagged
+    states take the full deficit, read from the slope rows the walk
+    sampled, in state order; every other state takes
+    ``deficit.endpoint_columns``.  The states must be ones that
+    ``StateParams`` keeps as given, as the rows were sampled there.
     """
+    _, ct, st = _angle_table(theta_grid)
+    candidates = np.flatnonzero(slope_curve(q1, q2, ct[-1], st[-1]) >= SLOPE_FLOOR)[::-1]
+    runs = {}
+    for k, d in zip(candidates.tolist(), diagonal[candidates].tolist()):
+        runs.setdefault(d, []).append(k)
+    rows = {}  # the walked slope row of each flagged state, by state index
+    walking, step = list(runs.values()), 0
+    while walking:
+        ks = [run[step] for run in walking]
+        hits, hit_rows = _flag_rows(q1[ks], q2[ks], theta_grid)
+        rows.update(zip(itertools.compress(ks, hits), hit_rows))
+        step += 1
+        walking = [run for run, hit in zip(walking, hits) if hit and step < len(run)]
     delta, at_zero, theta = endpoint_columns(q1, q2)
     branch = np.where(at_zero, Branch.AT_ZERO.value, Branch.AT_HALF_PI.value).astype(object)
-    for k, row in zip(np.flatnonzero(flags).tolist(), rows):
+    for k in sorted(rows):
         try:
-            res = _row_deficit(StateParams(q1[k], q2[k]), row)
+            res = _row_deficit(StateParams(q1[k], q2[k]), rows[k])
         except UnresolvedShape:
             branch[k], delta[k], theta[k] = UNRESOLVED_LABEL, math.nan, math.nan
         else:
             branch[k], delta[k], theta[k] = res.branch.value, res.delta, res.optimal_theta
     return branch, delta, theta
-
-
-def _walk_flags(diagonal: np.ndarray, q1: np.ndarray, q2: np.ndarray,
-                theta_grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """``needs_refinement`` flags of the states (q1, q2), listed row by row
-    in q1 and then q2 (``diagonal`` is each one's i + j on the sweep grid),
-    sampled only along each diagonal's run, and the walked slope rows of
-    the flagged states, in state order.
-
-    The candidates of a diagonal are its cells whose outermost slope
-    sample, at pi/2 - ``ENDPOINT_MARGIN``, is not signed negative, walked
-    from the one nearest the axis (least q2) toward q1 = q2; the walk stops
-    at its first unflagged candidate.  Cells never walked are False.
-    """
-    _, ct, st = _angle_table(theta_grid)
-    candidates = np.flatnonzero(~(slope_curve(q1, q2, ct[-1], st[-1]) <= -SLOPE_FLOOR))[::-1]
-    runs = {}
-    # descending rows: least q2 first on each diagonal
-    for k, d in zip(candidates.tolist(), diagonal[candidates].tolist()):
-        runs.setdefault(d, []).append(k)
-    flags = np.zeros(len(q1), dtype=bool)
-    flagged, rows = [], [np.empty((0, theta_grid + 1))]
-    walking, step = list(runs.values()), 0
-    while walking:
-        ks = [run[step] for run in walking]
-        hits, hit_rows = _flag_rows(q1[ks], q2[ks], theta_grid)
-        flags[ks] = hits
-        flagged += [k for k, hit in zip(ks, hits) if hit]
-        rows.append(hit_rows)
-        step += 1
-        walking = [run for run, hit in zip(walking, hits) if hit and step < len(run)]
-    return flags, np.concatenate(rows)[np.argsort(flagged)]
 
 
 def sweep(resolution: int = 400, theta_grid: int = GRID_N, threads: int | None = None) -> PhaseGrid:
@@ -159,9 +151,10 @@ def sweep(resolution: int = 400, theta_grid: int = GRID_N, threads: int | None =
     The sweep runs on numpy columns (see the module docstring): the cells
     with q2 <= q1 are labelled, and each cell above the diagonal copies
     the row of its twin, which is exactly what labelling it would give.
-    Of the labelled cells, only the run each diagonal walk flags is
-    classified; every other cell takes the endpoint branches, so a cell
-    outside those runs can no longer be labelled Unresolved.
+    Of the labelled cells, only the run each diagonal walk flags, over the
+    cells whose outermost slope sample is signed positive, is classified;
+    every other cell takes the endpoint branches, so a cell outside those
+    runs can no longer be labelled Unresolved.
     ``resolution`` and ``theta_grid`` must be integers (TypeError
     otherwise).  ``threads`` is deprecated and ignored, and passing it warns
     (DeprecationWarning): the sweep runs in the calling process.
@@ -178,7 +171,7 @@ def sweep(resolution: int = 400, theta_grid: int = GRID_N, threads: int | None =
     lower = j <= i
     li, lj = i[lower], j[lower]
     q1, q2 = centers[li], centers[lj]
-    labels = _columns(q1, q2, *_walk_flags(li + lj, q1, q2, theta_grid))
+    labels = _label(li + lj, q1, q2, theta_grid)
     # the labelled row of each cell's twin (max(i, j), min(i, j)): the
     # labelled cells of row i are j = 0, 1, ..., listed from the row's
     # first entry on
@@ -265,11 +258,13 @@ def trace_boundaries(resolution: int = 100) -> list[BoundaryCurve]:
 def trajectory_profile(traj: TrajectorySpec, samples: int = 1000) -> TrajectoryProfile:
     """Deficit profile along a scan path with branch transitions marked.
 
-    The samples take the two routes of :func:`sweep` on its default angle
-    grid, but the flags come from one ``shape.needs_refinement`` pass over
-    the whole path: the full deficit on the flagged samples, read from the
-    slope rows of that pass, and the endpoint columns on the rest, each
-    equal to a per-sample ``one_way_deficit``.  ``samples`` must be an integer (TypeError
+    The samples are labelled as the cells of :func:`sweep` are, on its
+    default angle grid, with the whole path as one diagonal: one walk from
+    the path's end nearest the axis (q1 = 1 on the axis) flags the run of
+    samples that take the full deficit, read from the walked slope rows,
+    and the rest take the endpoint columns, each equal to a per-sample
+    ``one_way_deficit``.  So a sample outside the walked run can no longer
+    be labelled Unresolved.  ``samples`` must be an integer (TypeError
     otherwise).
     """
     samples = operator.index(samples)
@@ -282,11 +277,7 @@ def trajectory_profile(traj: TrajectorySpec, samples: int = 1000) -> TrajectoryP
     q1[-1] = hi  # the formula can round one ulp past hi, and q2 below 0
     # the q2 of traj.state(q1); StateParams keeps both fields as they are on the path
     q2 = np.zeros(samples) if traj.axis else traj.total - q1
-    # the full flag pass, not the sweep's walk, whose premise (the curve
-    # rises from theta = 0) fails on the axis: there a walk from q1 = 1 stops
-    # at the corner sample, whose curve is flat (no slope sample has a
-    # sign), and misses all the minima further down the path
-    columns = (q1, q2, *_columns(q1, q2, *_flag_rows(q1, q2, GRID_N)))
+    columns = (q1, q2, *_label(np.zeros(samples, dtype=int), q1, q2, GRID_N))
     rows = list(map(PhaseCell, *(c.tolist() for c in columns)))
     transitions = []
     for a, b in zip(rows, rows[1:]):

@@ -17,8 +17,8 @@ Every classification is one slope row, :func:`_slope_row`, and one tail,
 :func:`_row_extrema`, which brackets the row and refines the brackets it
 is asked for.  :func:`interior_minimum`, the deficit and the jump's window
 probe ask it for the minimum's bracket alone; the deficit reads the row it
-is given (the sweep keeps the rows its walk sampled), so no row is
-computed twice.
+is given (the sweep and the trajectory profiles keep the rows their walk
+sampled), so no row is computed twice.
 """
 
 from __future__ import annotations
@@ -57,10 +57,11 @@ _SPARE_STEPS = 3
 # Tolerance (radians) to which every extremum and tracked angle is refined.
 REFINE_TOL = 1e-10
 
-# States per chunk of the flag pass: each chunk's slope_curve call
+# States per chunk of a flag pass: each chunk's slope_curve call
 # allocates its own buffers, ten rows of intermediates per state, which
-# bounds the pass's memory (one call over the 80200 states of a
-# resolution-400 triangle would need ~3.3 GB at grid 512).
+# bounds the memory of a walk's round and of a full pass (one call over
+# the 80200 states of a resolution-400 triangle would need ~3.3 GB at grid
+# 512).
 _FLAG_CHUNK = 16
 
 

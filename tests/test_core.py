@@ -49,6 +49,33 @@ def reference_state_params(q1, q2) -> tuple[float, float]:
     return min(max(q1, 0.0), 1.0), min(max(q2, 0.0), 1.0)
 
 
+def reference_binary_entropy(x: float) -> float:
+    """The body ``binary_entropy`` had before it shared ``_entropy_bits``,
+    frozen as the reference of its bit-identity test."""
+    x = float(x)
+    if x < -EDGE_TOL or x > 1.0 + EDGE_TOL:
+        raise DomainError(f"binary entropy argument {x} outside [0, 1]")
+    x = min(max(x, 0.0), 1.0)
+    if x <= 0.0 or x >= 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def binary_entropy_inputs(n: int, seed: int) -> list[float]:
+    """Seeded arguments of every scale of [0, 1]: uniform, log-spaced down to
+    the subnormals and up to 1 - 2**-53, dust within and beyond ``EDGE_TOL``
+    of both ends, and the fixed edge values, infinities included."""
+    rng = np.random.default_rng(seed)
+    tiny = 10.0 ** rng.uniform(-323.5, -1.0, n)
+    xs = np.concatenate([
+        rng.uniform(0.0, 1.0, n), tiny, 1.0 - tiny, 1.0 - 10.0 ** rng.uniform(-16.0, -1.0, n),
+        rng.uniform(-2.0 * EDGE_TOL, 0.0, n // 10), 1.0 + rng.uniform(0.0, 2.0 * EDGE_TOL, n // 10),
+    ])
+    fixed = [0.0, -0.0, 1.0, 1.0 - 2.0 ** -53, 5e-324, 2.0 ** -1022, 0.5,
+             -EDGE_TOL, 1.0 + EDGE_TOL, math.inf, -math.inf]
+    return fixed + xs.tolist()
+
+
 def _outcome(build, q1, q2):
     # ("ok", fields with the sign of each zero) or ("raise", type, message)
     try:
@@ -202,6 +229,31 @@ class TestEntropies:
             binary_entropy(1.01)
         with pytest.raises(DomainError):
             binary_entropy(-1e-9)
+
+    def test_binary_matches_the_frozen_body(self):
+        # the shared _entropy_bits sum gives the old body's result bit for
+        # bit, and its errors, on every scale of the argument
+        def outcome(fn, x):
+            try:
+                return ("ok", fn(x).hex())
+            except DomainError:
+                return ("raise",)
+
+        for x in binary_entropy_inputs(20000, seed=53):
+            assert outcome(binary_entropy, x) == outcome(reference_binary_entropy, x), x
+
+    def test_binary_nan_raises(self):
+        with pytest.raises(DomainError):
+            binary_entropy(math.nan)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_quaternary_nan_raises(self, position):
+        # NaN fails every comparison, so neither the dust check nor the sum
+        # check may be written as a comparison that must be true to raise
+        xs = [0.5, 0.25, 0.25, 0.0]
+        xs[position] = math.nan
+        with pytest.raises(DomainError):
+            quaternary_entropy(*xs)
 
     def test_quaternary_uniform(self):
         assert quaternary_entropy(0.25, 0.25, 0.25, 0.25) == pytest.approx(2.0, abs=1e-15)

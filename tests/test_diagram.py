@@ -11,6 +11,7 @@ from xdeficit import (
     StateParams,
     TrajectorySpec,
     classify_shape,
+    curves_intersection,
     interior_minimum,
     one_way_deficit,
     solve_halfpi_boundary,
@@ -189,8 +190,8 @@ class TestBlockRoute:
                 assert ENDPOINT_MARGIN < report.extrema[0].theta < 2e-3
                 assert outermost_slope(c.q1, c.q2) <= -SLOPE_FLOOR
         # the walked band: flagged cells of the labelled half, q2 <= q1, whose
-        # outermost slope sample is not signed negative, in cell order
-        band = flagged & ~(outermost_slope(q1, q2) <= -SLOPE_FLOOR) & (q2 <= q1)
+        # outermost slope sample is signed positive, in cell order
+        band = flagged & (outermost_slope(q1, q2) >= SLOPE_FLOOR) & (q2 <= q1)
         assert refined == list(zip(q1[band], q2[band]))
         assert {c.branch for c, f in zip(grid.cells, flagged) if not f} == {"AtZero", "AtHalfPi"}
 
@@ -302,6 +303,36 @@ class TestDiagonalWalk:
         for a, b in positive:
             assert interior_minimum(StateParams(a, b)) is None, (a, b)
 
+    def test_unsigned_halfpi_sample_has_no_winning_minimum(self):
+        # the walk's candidates exclude the states whose outermost slope
+        # sample carries no sign (|S''(pi/2)| below ~1e-8): seeded within
+        # 1e-13 to 1e-6 of the half-pi root on either side, dense where the
+        # birth curve meets the half-pi curve, some of them bracket a minimum,
+        # at totals above the intersection, where it never wins
+        rng = np.random.default_rng(13)
+        totals = np.concatenate([rng.uniform(0.5, 1.0, 200), rng.uniform(0.805, 0.83, 300)])
+        states = []
+        for total in totals:
+            root = solve_halfpi_boundary(TrajectorySpec(total))
+            if root is None:
+                continue
+            offsets = rng.choice([-1.0, 1.0], 12) * 10.0 ** rng.uniform(-13, -6, 12)
+            states += [(q1, total - q1) for q1 in root.p.q1 + offsets if q1 < total]
+        q1s, q2s = np.array(states).T
+        unsigned = [
+            StateParams(a, b) for a, b, d in zip(q1s, q2s, outermost_slope(q1s, q2s))
+            if abs(d) < SLOPE_FLOOR
+        ]
+        assert len(unsigned) > 1000
+        with_minimum = []
+        for p in unsigned:
+            for grid_n in (128, 256, 512):
+                assert one_way_deficit(p, grid_n=grid_n).branch.value != "Interior", (p, grid_n)
+            if interior_minimum(p) is not None:
+                with_minimum.append(p.q1 + p.q2)
+        star = curves_intersection()
+        assert with_minimum and min(with_minimum) > star.q1 + star.q2
+
 
 class TestTrajectoryProfile:
     def test_branch_sequence_on_075(self):
@@ -357,6 +388,17 @@ class TestTrajectoryProfile:
             elif 0.686 < row.q1 < 0.99:
                 assert row.branch == "AtHalfPi"
 
+    def test_profile_walks_only_its_window(self, monkeypatch):
+        # the walk computes the slope rows of the window's samples and of the
+        # one that ends it: 10 of 1000 on total 0.75, and on the axis the 175
+        # Interior samples and one more, below the flat corner q1 = 1
+        counts = _counted_rows(monkeypatch)
+        trajectory_profile(TrajectorySpec(0.75))
+        assert sum(counts) == 10
+        counts.clear()
+        rows = trajectory_profile(TrajectorySpec.on_axis()).rows
+        assert sum(counts) == 176 == 1 + sum(r.branch == "Interior" for r in rows)
+
     def test_samples_validation(self):
         with pytest.raises(ValueError):
             trajectory_profile(TrajectorySpec(0.75), samples=10)
@@ -366,8 +408,8 @@ class TestTrajectoryProfile:
         # (total, samples) pairs, which put q2 = total - q1 below 0; the scan
         # of 0.49382384283175956 at 100 samples is one.  The last sample is hi
         # itself, with the row one_way_deficit gives, on either route: paths
-        # with totals in (0.501, 0.675) end on axis states the flag pass
-        # refines, the others mostly on states it does not
+        # with totals in (0.501, 0.675) end on axis states that take the full
+        # deficit, the others mostly on states that do not
         rng = np.random.default_rng(22)
         pairs = [(0.49382384283175956, 100)]
         for a, b in ((0.05, 1.0), (0.501, 0.675)):
@@ -391,15 +433,29 @@ class TestTrajectoryProfile:
             res = one_way_deficit(p, grid_n=512)
             assert rows[-1] == PhaseCell(p.q1, p.q2, res.branch.value, res.delta, res.optimal_theta)
 
-    @pytest.mark.parametrize("traj", [TrajectorySpec(0.75), TrajectorySpec.on_axis()])
-    def test_matches_per_sample_route(self, traj):
-        # one flag pass over the path, the endpoint branches on the unflagged
-        # samples: the same rows as one_way_deficit sample by sample
-        profile = trajectory_profile(traj)
+    @pytest.mark.parametrize("traj,samples,branches", [
+        pytest.param(*case, id=f"traj{k}") for k, case in enumerate([
+            (TrajectorySpec(0.75), 1000, {"AtZero", "Interior", "AtHalfPi"}),
+            (TrajectorySpec.on_axis(), 1000, {"AtZero", "Interior", "AtHalfPi"}),
+            (TrajectorySpec.on_axis(), 1777, {"AtZero", "Interior", "AtHalfPi"}),
+            (TrajectorySpec(0.55), 1000, {"AtZero", "Interior"}),
+            (TrajectorySpec(0.6), 1000, {"AtZero", "Interior"}),
+            (TrajectorySpec(0.7), 1000, {"AtZero", "Interior", "AtHalfPi"}),
+            (TrajectorySpec(0.8), 1000, {"AtZero", "AtHalfPi"}),
+            (TrajectorySpec(0.8154), 1000, {"AtZero", "AtHalfPi"}),
+            (TrajectorySpec(1.0), 1000, {"AtZero"}),
+        ])
+    ])
+    def test_matches_per_sample_route(self, traj, samples, branches):
+        # one walk along the path, the endpoint branches on the samples it
+        # does not flag: the same rows as one_way_deficit sample by sample;
+        # on the axis the walk starts below the flat corner q1 = 1
+        profile = trajectory_profile(traj, samples)
         lo, hi = (0.0, 1.0) if traj.axis else traj.q1_range()
         rows = []
-        for k in range(1000):
-            p = traj.state(lo + (hi - lo) * k / 999)
+        for k in range(samples):
+            # the last sample is hi itself, which the formula can miss by one ulp
+            p = traj.state(lo + (hi - lo) * k / (samples - 1) if k < samples - 1 else hi)
             res = one_way_deficit(p, grid_n=512)
             rows.append(PhaseCell(p.q1, p.q2, res.branch.value, res.delta, res.optimal_theta))
         assert profile.rows == rows
@@ -408,7 +464,7 @@ class TestTrajectoryProfile:
             for a, b in zip(rows, rows[1:]) if a.branch != b.branch
         ]
         assert profile.transitions == transitions
-        assert {r.branch for r in rows} >= {"AtZero", "Interior", "AtHalfPi"}
+        assert {r.branch for r in rows} == branches
 
 
 class TestTraceBoundaries:
