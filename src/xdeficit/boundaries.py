@@ -34,19 +34,20 @@ d2S/dtheta2.  The deflated slope is
 finite and signed at pi/2, where S' vanishes for every state, so theta* is
 tracked up to pi/2 itself: just below the intersection of the
 equal-endpoint and half-pi curves the jump angle closes on pi/2, inside
-the margin that the probe's slope grid keeps from that end.  Over a fan
-of totals, the five of
-:func:`jump_angle_table` and those on which ``diagram.trace_boundaries``
-draws the jump boundary, :func:`jump_fan` continues each jump solve from
-the last one instead: q1 predicted on the secant through the last two
-roots, theta* seeded with the last jump angle, and the same tracked solve
-from there, with no probe and no half-pi solve.
-The per-path solve stands in on the first total and wherever that
-continued solve fails.  Every d2S/dtheta2 here, in the fold, in the
-half-pi residual S''(pi/2) and in the deflated slope beside pi/2, is the
-one closed form ``core.post_entropy_curvature``, and so is the theta = 0
-curvature of the axis points; off the axes it diverges, and no residual
-reads it there.
+the margin that the probe's slope grid keeps from that end.  The jump
+boundary as a whole is :func:`jump_curve`: its two analytic ends, the axis
+point (0.5, 0) and the curve intersection, and between them a fan of
+totals, on which :func:`jump_fan` continues each jump solve from the last
+one: q1 predicted on the secant through the last two roots, theta* seeded
+with the last jump angle, and the same tracked solve from there, with no
+probe and no half-pi solve.  The per-path solve stands in on the first
+total and wherever that continued solve fails.  The jump-angle table
+(:func:`jump_angle_table`) and the traced jump polyline
+(``diagram.trace_boundaries``) are that one curve on their own totals.
+Every d2S/dtheta2 here, in the fold, in the half-pi residual S''(pi/2)
+and in the deflated slope beside pi/2, is the one closed form
+``core.post_entropy_curvature``, and so is the theta = 0 curvature of the
+axis points; off the axes it diverges, and no residual reads it there.
 
 Boundary kinds:
 
@@ -522,6 +523,17 @@ def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
     that carries no window.  Raises ConvergenceError when the inflection is
     lost at the start, before g changes sign or at the root, or after a
     fixed number of Newton steps.
+
+    The solve does not reach totals 1/2 + eps with eps below ~1.4e-6, where
+    the fold lies within ~2e-5 rad of ``ENDPOINT_MARGIN`` and the walk from
+    pi/2 stops on a minimum that sits at rounding level beside that margin.
+    On 300 log-spaced eps in [1e-13, 1e-3] it raised ConvergenceError (the
+    inflection lost at the start) or, on 5 totals, returned None for eps up
+    to 9.7e-8, and raised ConvergenceError (the inflection lost before the
+    fold) on 32 totals with eps from 1.0e-7 to 1.4e-6; from eps = 1.06e-6
+    up it returned the birth on the other 88.  It fails loudly there and
+    never returns a wrong point; a birth curve is anchored at (0.5, 0)
+    instead of solved that close to 1/2.
     """
     if traj.axis or traj.total <= 0.5:
         return None  # on the axis extrema appear by endpoint bifurcation instead
@@ -571,21 +583,29 @@ def curves_intersection() -> StateParams:
     return on_equal_endpoints(root)
 
 
-def jump_boundary_ends(p_star: StateParams) -> tuple[JumpRecord, JumpRecord]:
-    """The two analytic ends of the jump boundary, each with its defining residual.
+def jump_curve(totals: Iterable[float]) -> list[JumpRecord | None]:
+    """The jump boundary from its axis end to the curve intersection, with its jump angles.
 
-    The axis limit (0.5, 0), where the hop shrinks to zero and the theta = 0
-    axis curvature vanishes, and the intersection ``p_star`` of the
-    equal-endpoint and half-pi curves, where the hop spans the whole quarter
-    turn and the endpoint gap vanishes.
+    The axis record (0.5, 0), where the hop shrinks to zero and the theta = 0
+    axis curvature vanishes, with residual |S''(0)|; then :func:`jump_fan`
+    over the totals t with 0.5 < t < t*, None where a total has no jump
+    root; then the intersection p* of the equal-endpoint and half-pi curves
+    (:func:`curves_intersection`, on the total t*), where the hop spans the
+    whole quarter turn, with residual |S(0) - S(pi/2)|.  The two end
+    records are analytic; the jump-angle table and the traced jump polyline
+    are both this curve.
     """
+    p_star = curves_intersection()
+    t_star = p_star.q1 + p_star.q2
     origin = StateParams(0.5, 0.0)
     axis = BoundaryPoint(p=origin, kind=BoundaryKind.JUMP_BOUNDARY,
                          residual=abs(post_entropy_curvature(origin, 0.0)))
     star = BoundaryPoint(
         p=p_star, kind=BoundaryKind.JUMP_BOUNDARY, residual=abs(_equal_endpoints_gap(p_star))
     )
-    return JumpRecord(boundary=axis, jump_angle=0.0), JumpRecord(boundary=star, jump_angle=HALF_PI)
+    fan = jump_fan(t for t in totals if 0.5 < t < t_star)
+    return [JumpRecord(boundary=axis, jump_angle=0.0), *fan,
+            JumpRecord(boundary=star, jump_angle=HALF_PI)]
 
 
 _TABLE_TOTALS = (0.55, 0.60, 0.65, 0.70, 0.75)
@@ -594,16 +614,14 @@ _TABLE_TOTALS = (0.55, 0.60, 0.65, 0.70, 0.75)
 def jump_angle_table() -> list[JumpRecord]:
     """Jump angles along the boundary between the endpoint and interior phases.
 
-    Seven records: the axis limit (0.5, 0) where the hop shrinks to zero,
-    the five totals of ``_TABLE_TOTALS`` solved as one continued fan
-    (:func:`jump_fan`), and the intersection limit where the hop spans the
-    whole quarter turn.  The limit rows are analytic
-    (:func:`jump_boundary_ends`).  Raises ConvergenceError when a total
-    has no jump root.
+    Seven records, :func:`jump_curve` on the five totals of
+    ``_TABLE_TOTALS``: the axis limit (0.5, 0) where the hop shrinks to
+    zero, the five totals solved as one continued fan, and the intersection
+    limit where the hop spans the whole quarter turn.  Raises
+    ConvergenceError when a total has no jump root.
     """
-    rows = jump_fan(_TABLE_TOTALS)
-    for total, rec in zip(_TABLE_TOTALS, rows):
+    rows = jump_curve(_TABLE_TOTALS)
+    for total, rec in zip(_TABLE_TOTALS, rows[1:-1]):
         if rec is None:
             raise ConvergenceError(f"no jump boundary found on total {total}")
-    axis, star = jump_boundary_ends(curves_intersection())
-    return [axis, *rows, star]
+    return rows

@@ -23,8 +23,10 @@ the window's upper end (the half-pi boundary, or the axis) down to the
 bimodality birth.  So the sweep computes that sample for every labelled
 cell in one ``core.slope_curve`` call, walks each diagonal's candidates
 from the one nearest the axis toward q1 = q2, one cell per diagonal per
-round through one ``shape.needs_refinement`` call, and stops a diagonal
-at its first candidate whose slope samples dS/dtheta never change sign.
+round through one ``shape._flag_rows`` call, which returns the flags of
+``shape.needs_refinement`` with the slope rows of the flagged cells, and
+stops a diagonal at its first candidate whose slope samples dS/dtheta
+never change sign.
 Every labelled cell first takes the better closed-form endpoint from
 ``deficit.endpoint_columns``, which is ``==`` to ``endpoint_deficit``
 state by state and is what ``one_way_deficit`` returns wherever the curve
@@ -45,7 +47,7 @@ import itertools
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,9 +55,7 @@ from .boundaries import (
     BoundaryKind,
     BoundaryPoint,
     TrajectorySpec,
-    curves_intersection,
-    jump_boundary_ends,
-    jump_fan,
+    jump_curve,
     solve_equal_endpoints,
     solve_halfpi_boundary,
     zero_boundary_axis,
@@ -108,8 +108,9 @@ def _label(diagonal: np.ndarray, q1: np.ndarray, q2: np.ndarray,
     its states whose outermost slope sample, at pi/2 - ``ENDPOINT_MARGIN``,
     is signed positive, walked in descending state order; with the states
     listed by ascending q1 in each run, that is from the largest q1 down,
-    the one nearest the axis first.  A run's walk stops at its first
-    candidate that ``shape.needs_refinement`` leaves unflagged.  The flagged
+    the one nearest the axis first, one state per run per round through
+    one ``shape._flag_rows`` call.  A run's walk stops at its first
+    candidate that call leaves unflagged.  The flagged
     states take the full deficit, read from the slope rows the walk
     sampled, in state order; every other state takes
     ``deficit.endpoint_columns``.  The states must be ones that
@@ -153,8 +154,8 @@ def sweep(resolution: int = 400, theta_grid: int = GRID_N, threads: int | None =
     the row of its twin, which is exactly what labelling it would give.
     Of the labelled cells, only the run each diagonal walk flags, over the
     cells whose outermost slope sample is signed positive, is classified;
-    every other cell takes the endpoint branches, so a cell outside those
-    runs can no longer be labelled Unresolved.
+    every other cell takes the endpoint branches, so only a cell in a
+    walked run can be labelled Unresolved.
     ``resolution`` and ``theta_grid`` must be integers (TypeError
     otherwise).  ``threads`` is deprecated and ignored, and passing it warns
     (DeprecationWarning): the sweep runs in the calling process.
@@ -164,8 +165,6 @@ def sweep(resolution: int = 400, theta_grid: int = GRID_N, threads: int | None =
     resolution, theta_grid = operator.index(resolution), operator.index(theta_grid)
     if resolution < 100:
         raise ValueError("resolution must be at least 100")
-    if theta_grid < 64:
-        raise ValueError("theta_grid must be at least 64")
     centers = (np.arange(resolution) + 0.5) / resolution
     i, j = np.nonzero(centers[:, None] + centers <= 1.0)  # row-major: row by row
     lower = j <= i
@@ -186,12 +185,6 @@ def sweep(resolution: int = 400, theta_grid: int = GRID_N, threads: int | None =
     )
 
 
-def _mirror(bp: BoundaryPoint) -> BoundaryPoint:
-    return BoundaryPoint(
-        p=bp.p.swapped(), kind=bp.kind, residual=bp.residual, degenerate=bp.degenerate
-    )
-
-
 def _chain(kind: BoundaryKind, points: list[BoundaryPoint], resolution: int) -> BoundaryCurve:
     bound = 2.0 / resolution
     gaps = []
@@ -208,20 +201,16 @@ def trace_boundaries(resolution: int = 100) -> list[BoundaryCurve]:
     (``resolution`` per unit of total), chains the roots into polylines per
     boundary kind, and anchors each curve with its exact axis landmarks.  The
     two mirror images of each curve are emitted separately so the output maps
-    directly onto the phase-diagram figures.  The jump boundary is traced
-    below the intersection point only, where the interior phase exists, by
-    ``boundaries.jump_fan``: each total's solve starts from the previous
-    total's root, with no window probe, and falls back to the per-path
-    ``solve_jump_boundary`` on the first total, after a total with no root,
-    and wherever the continued solve fails.  ``resolution`` must be an
-    integer (TypeError otherwise).
+    directly onto the phase-diagram figures.  The jump boundary is
+    ``boundaries.jump_curve`` on the fan's totals, the roots it finds
+    chained between its two analytic ends: it is traced below the
+    intersection point only, where the interior phase exists.
+    ``resolution`` must be an integer (TypeError otherwise).
     """
     if resolution < 100:
         raise ValueError("resolution must be at least 100")
     # one allocation, so an oversized resolution raises MemoryError at once
     totals = (np.arange(1, operator.index(resolution)) / resolution).tolist()
-    p_star = curves_intersection()
-    t_star = p_star.q1 + p_star.q2
     eq, hp, jump = (
         BoundaryKind.EQUAL_ENDPOINTS,
         BoundaryKind.HALFPI_BIFURCATION,
@@ -240,17 +229,15 @@ def trace_boundaries(resolution: int = 100) -> list[BoundaryCurve]:
         # curvature along the axis
         return BoundaryPoint(p=StateParams(1.0, 0.0), kind=kind, residual=0.0, degenerate=True)
 
-    jumps = jump_fan(t for t in totals if 0.5 < t < t_star)
-    axis_jump, star = jump_boundary_ends(p_star)
     polylines = [
         (eq, fan(solve_equal_endpoints) + [corner(eq)]),
         (hp, fan(solve_halfpi_boundary) + [corner(hp)]),
-        (jump, [rec.boundary for rec in (axis_jump, *jumps, star) if rec is not None]),
+        (jump, [rec.boundary for rec in jump_curve(totals) if rec is not None]),
     ]
     curves = []
     for kind, points in polylines:
         curves.append(_chain(kind, points, resolution))
-        curves.append(_chain(kind, [_mirror(bp) for bp in points], resolution))
+        curves.append(_chain(kind, [replace(bp, p=bp.p.swapped()) for bp in points], resolution))
     curves.extend(BoundaryCurve(kind=bp.kind, points=[bp]) for bp in zero_boundary_axis())
     return curves
 
@@ -263,8 +250,8 @@ def trajectory_profile(traj: TrajectorySpec, samples: int = 1000) -> TrajectoryP
     the path's end nearest the axis (q1 = 1 on the axis) flags the run of
     samples that take the full deficit, read from the walked slope rows,
     and the rest take the endpoint columns, each equal to a per-sample
-    ``one_way_deficit``.  So a sample outside the walked run can no longer
-    be labelled Unresolved.  ``samples`` must be an integer (TypeError
+    ``one_way_deficit``.  So only a sample in the walked run can be
+    labelled Unresolved.  ``samples`` must be an integer (TypeError
     otherwise).
     """
     samples = operator.index(samples)

@@ -180,8 +180,11 @@ def _angle_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The uniform angles of [0, pi/2], with the two ends moved
     ``ENDPOINT_MARGIN`` inside.  Cached per grid size and read-only, so
-    every caller shares one copy.
+    every caller shares one copy.  Every slope grid is built here, so this
+    is where a grid of fewer than 64 intervals raises ValueError.
     """
+    if n < 64:
+        raise ValueError(f"slope grid must have at least 64 intervals, got {n}")
     theta = np.linspace(0.0, HALF_PI, n + 1)
     theta[0], theta[-1] = ENDPOINT_MARGIN, HALF_PI - ENDPOINT_MARGIN
     table = (theta, np.cos(theta), np.sin(theta))
@@ -220,8 +223,6 @@ def needs_refinement(q1: np.ndarray, q2: np.ndarray, grid_n: int) -> np.ndarray:
 
 def _slope_row(p: StateParams, grid_n: int) -> np.ndarray:
     """dS/dtheta of ``p`` at the ``grid_n + 1`` angles of :func:`_angle_table`."""
-    if grid_n < 64:
-        raise ValueError("grid_n must be at least 64")
     _, ct, st = _angle_table(grid_n)
     return slope_curve(p.q1, p.q2, ct, st)
 

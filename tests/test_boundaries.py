@@ -36,6 +36,7 @@ from xdeficit.boundaries import (
     _halfpi_curvature,
     _jump_root,
     _minimizer_near,
+    jump_curve,
     jump_fan,
 )
 from xdeficit.core import (
@@ -591,6 +592,10 @@ class TestBimodalityBirth:
     @pytest.mark.parametrize(
         "total,theta0",
         [
+            # near total 1/2 the pair is born within 1e-3 rad of theta = 0
+            (0.500005, 0.0002426),
+            (0.50001, 0.0003612),
+            (0.50005, 0.0009221),
             (0.5003, 0.002692),
             (0.51, 0.02590),
             (0.55, 0.08947),
@@ -774,6 +779,28 @@ class TestJumpAngleTable:
         )
         with pytest.raises(ConvergenceError, match="no jump boundary found on total 0.55"):
             jump_angle_table()
+
+
+class TestJumpCurve:
+    def test_anchors_and_the_fan_between(self):
+        # 0.3 and 0.5 lie at or below the axis end, 0.77 above t* ~ 0.769096
+        axis, mid, star = jump_curve([0.3, 0.5, 0.6, 0.77, 0.9])
+        p_star = curves_intersection()
+        assert p_star.q1 + p_star.q2 < 0.77
+        assert axis.boundary.p == StateParams(0.5, 0.0) and axis.jump_angle == 0.0
+        assert axis.boundary.residual == abs(post_entropy_curvature(StateParams(0.5, 0.0), 0.0))
+        assert mid == jump_fan([0.6])[0]
+        assert star.boundary.p == p_star and star.jump_angle == HALF_PI
+        gap = endpoint_entropy_zero(p_star) - endpoint_entropy_halfpi(p_star)
+        assert star.boundary.residual == abs(gap)
+        for rec in (axis, mid, star):
+            assert rec.boundary.kind is BoundaryKind.JUMP_BOUNDARY
+
+    def test_table_and_trace_share_the_anchors(self):
+        table = jump_angle_table()
+        traced = [c for c in trace_boundaries(100) if c.kind is BoundaryKind.JUMP_BOUNDARY][0]
+        assert table[0].boundary == traced.points[0]
+        assert table[-1].boundary == traced.points[-1]
 
 
 class TestSolveCost:

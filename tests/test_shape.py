@@ -237,7 +237,7 @@ class TestInteriorMinimum:
     def test_raises_as_classify_shape(self, monkeypatch):
         p = StateParams(0.3, 0.2)
         for fn in (classify_shape, interior_minimum):
-            with pytest.raises(ValueError, match="grid_n must be at least 64"):
+            with pytest.raises(ValueError, match="slope grid must have at least 64 intervals, got 63"):
                 fn(p, grid_n=63)
         # a slope row with three sign changes, cos(6 theta), brackets three
         # extrema: the maximum's brackets are counted even where only the
