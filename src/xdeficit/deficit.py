@@ -104,9 +104,10 @@ def _log2(x: np.ndarray) -> np.ndarray:
 
 def _plogp(w: np.ndarray) -> np.ndarray:
     # the terms w*log2(w) that core._entropy_bits subtracts; a weight <= 0
-    # takes 1*log2(1) = 0.0, which leaves the sum as skipping it does
-    w = np.where(w > 0.0, w, 1.0)
-    return w * _log2(w)
+    # takes 1*log2(1) = 0.0, which leaves the sum as skipping it does; each
+    # distinct weight is logged once and gathered back
+    w, back = np.unique(np.where(w > 0.0, w, 1.0), return_inverse=True)
+    return (w * _log2(w))[back]
 
 
 def endpoint_columns(q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -118,7 +119,11 @@ def endpoint_columns(q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray, ...]:
     float operations in the same order, add, subtract, multiply and
     divide in numpy (IEEE-exact), and ``math.log2`` and
     ``math.hypot`` per element, because ``np.log2`` and ``np.hypot`` differ
-    from them in the last bit on a fraction of inputs.  The caller keeps
+    from them in the last bit on a fraction of inputs.  ``math.log2`` runs
+    once per distinct value of each of the four weight columns q1, q2,
+    1 - s and s/2, which repeat their values on a grid (100, 50, 161 and
+    184 distinct values over the 2550 labelled cells of ``sweep(100)``),
+    and per element in the binary entropy of the hypot.  The caller keeps
     the 1-d float arrays inside the triangle; nothing is validated or
     clamped here.
     """

@@ -2,12 +2,14 @@
 
 Produces plot-ready data only; rendering stays out of scope.  The sweep
 runs on numpy columns, one row per cell, and builds its ``PhaseCell``
-objects once at the end.  Its index is one ``np.nonzero`` over the grid of
-cell centers, row by row in q1, then q2.  The closed forms are
-bit-symmetric under the q1 <-> q2 exchange, so the cell (q2, q1) gets
-exactly the result of (q1, q2): the sweep labels the cells on and below
-the diagonal (q2 <= q1), and each cell above it takes its twin's labels by
-one fancy index into that half.  The window of the interior minima is read
+objects once at the end, from plain Python floats and strings, through the
+class's own ``__init__``, which writes the five fields straight into the
+instance dict (about half the cost of the generated one).  Its index is
+one ``np.nonzero`` over the grid of cell centers, row by row in q1, then
+q2.  The closed forms are bit-symmetric under the q1 <-> q2 exchange, so
+the cell (q2, q1) gets exactly the result of (q1, q2): the sweep labels
+the cells on and below the diagonal (q2 <= q1), and each cell above it
+takes its twin's labels by one fancy index into that half.  The window of the interior minima is read
 from one slope sample per cell, the outermost one ``shape.classify_shape``
 reads, at pi/2 - ``ENDPOINT_MARGIN``.  Where that sample is signed
 negative (<= -``SLOPE_FLOOR``), the last extremum classify_shape brackets
@@ -47,7 +49,7 @@ import itertools
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,11 +71,26 @@ UNRESOLVED_LABEL = "Unresolved"
 
 @dataclass(frozen=True)
 class PhaseCell:
+    """One labelled state of a sweep or a profile: its (q1, q2), the
+    winning branch's label, its deficit and its angle.
+
+    The sweep and the profiles build one per row, so the dataclass
+    decorator keeps this ``__init__``, which stores each field as given,
+    with no coercion, through the instance dict, as the class is frozen.
+    ``==``, ``hash``, ``repr``, ``dataclasses.replace`` and the
+    ``FrozenInstanceError`` on assignment are the generated ones.
+    """
+
     q1: float
     q2: float
     branch: str
     delta: float
     theta_opt: float
+
+    def __init__(self, q1: float, q2: float, branch: str, delta: float, theta_opt: float):
+        fields = self.__dict__
+        fields["q1"], fields["q2"], fields["branch"] = q1, q2, branch
+        fields["delta"], fields["theta_opt"] = delta, theta_opt
 
 
 @dataclass
@@ -237,7 +254,9 @@ def trace_boundaries(resolution: int = 100) -> list[BoundaryCurve]:
     curves = []
     for kind, points in polylines:
         curves.append(_chain(kind, points, resolution))
-        curves.append(_chain(kind, [replace(bp, p=bp.p.swapped()) for bp in points], resolution))
+        mirror = [BoundaryPoint(p=bp.p.swapped(), kind=bp.kind, residual=bp.residual,
+                                degenerate=bp.degenerate) for bp in points]
+        curves.append(_chain(kind, mirror, resolution))
     curves.extend(BoundaryCurve(kind=bp.kind, points=[bp]) for bp in zero_boundary_axis())
     return curves
 

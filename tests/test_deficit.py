@@ -192,6 +192,26 @@ class TestEndpointColumns:
         diagonal = q1 == q2
         assert diagonal.sum() > 2000 and not endpoint_columns(q1[diagonal], q2[diagonal])[0].any()
 
+    @pytest.mark.parametrize("resolution", [100, 101, 137])
+    def test_equal_on_the_sweep_columns(self, resolution):
+        # the labelled cells of a sweep repeat each q1, q2, 1 - s and s/2
+        # many times, so the logarithms taken once per distinct weight are
+        # gathered back into many rows
+        centers = (np.arange(resolution) + 0.5) / resolution
+        i, j = np.nonzero(centers[:, None] + centers <= 1.0)
+        q1, q2 = centers[i[j <= i]], centers[j[j <= i]]
+        assert np.unique(q1).size <= resolution and q1.size > 20 * resolution
+        assert endpoint_column_mismatches(q1, q2) == []
+
+    def test_equal_on_repeated_and_distinct_values(self):
+        # unsorted columns of states drawn 3x over, then the distinct states
+        # they were drawn from, zero weights among them
+        q1, q2 = closed_triangle_columns(200, seed=31)
+        k = np.random.default_rng(31).integers(0, q1.size, 3 * q1.size)
+        q1, q2 = np.concatenate([q1[k], q1]), np.concatenate([q2[k], q2])
+        assert np.unique(q1).size < q1.size / 2
+        assert endpoint_column_mismatches(q1, q2) == []
+
 
 class TestNaiveRule:
     def test_agrees_on_axis_bifurcation_point(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -69,6 +70,46 @@ def _counted_rows(monkeypatch):
             return out
         monkeypatch.setattr(module, "slope_curve", counting)
     return counts
+
+
+class TestPhaseCell:
+    """The record contract that the CLI writer and the benchmark's
+    self-test rely on: a frozen dataclass whose fields keep what is given."""
+
+    def test_positional_and_keyword_construction(self):
+        a = PhaseCell(0.25, 0.125, "AtZero", 0.5, 0.0)
+        b = PhaseCell(q1=0.25, q2=0.125, branch="AtZero", delta=0.5, theta_opt=0.0)
+        assert a == b and hash(a) == hash(b)
+        assert (a.q1, a.q2, a.branch, a.delta, a.theta_opt) == (0.25, 0.125, "AtZero", 0.5, 0.0)
+        assert a != PhaseCell(0.25, 0.125, "AtHalfPi", 0.5, 0.0)
+        with pytest.raises(TypeError):
+            PhaseCell(0.25, 0.125, "AtZero", 0.5)
+
+    def test_generated_repr(self):
+        cell = PhaseCell(0.25, 0.125, "Interior", 0.0625, 1.5)
+        assert repr(cell) == "PhaseCell(q1=0.25, q2=0.125, branch='Interior', delta=0.0625, theta_opt=1.5)"
+
+    def test_dataclass_fields_and_replace(self):
+        cell = PhaseCell(0.25, 0.125, "AtZero", 0.5, 0.0)
+        assert dataclasses.is_dataclass(cell)
+        names = [f.name for f in dataclasses.fields(PhaseCell)]
+        assert names == ["q1", "q2", "branch", "delta", "theta_opt"]
+        moved = dataclasses.replace(cell, branch="AtHalfPi", theta_opt=HALF_PI)
+        assert moved == PhaseCell(0.25, 0.125, "AtHalfPi", 0.5, HALF_PI)
+        assert cell.branch == "AtZero"
+
+    def test_frozen(self):
+        cell = PhaseCell(0.25, 0.125, "AtZero", 0.5, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cell.delta = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del cell.q1
+
+    def test_fields_kept_as_given(self):
+        # no coercion: an int stays an int, NaN stays NaN
+        cell = PhaseCell(1, 0, "Unresolved", math.nan, math.nan)
+        assert type(cell.q1) is int and type(cell.q2) is int
+        assert math.isnan(cell.delta) and math.isnan(cell.theta_opt)
 
 
 class TestSweep:
