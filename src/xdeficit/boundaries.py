@@ -19,28 +19,28 @@ equal-endpoint root changes sign once between two fixed totals
 (:func:`curves_intersection`).  Every root, in q1 or in the total, is
 solved to the one tolerance ``Q1_TOL``.
 The jump boundary and the bimodality birth are Newton-type solves on the
-scalar closed forms of ``core``.  The jump and the birth share one tracked
-Newton solve (``_tracked_root``), and each starts near the upper
-end of the interior-minimum window (``_window_upper_end``).  The jump's
-window probe is one slope row, on one grid, 1e-4 in q1 below that end,
-from which ``shape.interior_minimum`` refines the minimum alone; the birth
-walks the deflated slope S'(theta) / cos(theta) (``_deflated_slope``) down
-from pi/2 to the minimum, ``Q1_TOL`` below that end.  A path where neither
-finds an interior minimum carries no window.  From there, the tracked
-solve drives the jump gap S(0) - S(theta*) to a sign change, theta* being
-the interior minimizer, a root of the deflated slope, and the fold value
-S'(theta_i) likewise, theta_i being the inflection, a root of
-d2S/dtheta2.  The deflated slope is
+scalar closed forms of ``core``, and no boundary solve computes a slope
+row.  The jump and the birth share one tracked Newton solve
+(``_tracked_root``) and one start (``_window_minimum``): near the upper
+end of the interior-minimum window, 1e-4 in q1 below it for the jump and
+``Q1_TOL`` below it for the birth, the walk of the deflated slope
+S'(theta) / cos(theta) (``_deflated_slope``) down from pi/2 finds the
+minimum.  A path where it finds none carries no window.  From there, the
+tracked solve drives the jump gap S(0) - S(theta*) (``_jump_gap``, summed
+over eigenvalue increments so that it does not cancel) to a sign change,
+theta* being the interior minimizer, a root of the deflated slope, and
+the fold value S'(theta_i) likewise, theta_i being the inflection, a root
+of d2S/dtheta2.  The deflated slope is
 finite and signed at pi/2, where S' vanishes for every state, so theta* is
 tracked up to pi/2 itself: just below the intersection of the
 equal-endpoint and half-pi curves the jump angle closes on pi/2, inside
-the margin that the probe's slope grid keeps from that end.  The jump
+the margin that every slope grid keeps from that end.  The jump
 boundary as a whole is :func:`jump_curve`: its two analytic ends, the axis
 point (0.5, 0) and the curve intersection, and between them a fan of
 totals, on which :func:`jump_fan` continues each jump solve from the last
 one: q1 predicted on the secant through the last two roots, theta* seeded
 with the last jump angle, and the same tracked solve from there, with no
-probe and no half-pi solve.  The per-path solve stands in on the first
+window start and no half-pi solve.  The per-path solve stands in on the first
 total and wherever that continued solve fails.  The jump-angle table
 (:func:`jump_angle_table`) and the traced jump polyline
 (``diagram.trace_boundaries``) are that one curve on their own totals.
@@ -74,11 +74,10 @@ from .core import (
     StateParams,
     endpoint_entropy_halfpi,
     endpoint_entropy_zero,
-    post_entropy,
     post_entropy_curvature,
     post_entropy_slope,
 )
-from .shape import ENDPOINT_MARGIN, HALF_PI, REFINE_TOL, find_root, interior_minimum
+from .shape import ENDPOINT_MARGIN, HALF_PI, REFINE_TOL, find_root
 
 # Tolerance of every boundary root, in q1 and in the total of the curve intersection.
 Q1_TOL = 1e-9
@@ -100,8 +99,12 @@ _FD_STEP = 1e-6
 # Totals that bracket the intersection of the equal-endpoint and half-pi curves.
 _INTERSECTION_TOTALS = (0.70, 0.80)
 
-# Slope grid of the window probe, the one slope row of a per-path jump solve.
-_PROBE_GRID = 1024
+# Offset in q1 below the half-pi root at which the per-path jump solve
+# starts.  Near the curve intersection t* the jump root lies 0.0822 (t* - t)
+# below that root, and no Newton step is shorter than Q1_TOL: a start
+# Q1_TOL below the root leaves the steps no room there, and the solve
+# returns None on every total from t* - 1e-8 up.
+_JUMP_OFFSET = 1e-4
 
 # Initial half-width (radians) of the bracket around the previous minimizer
 # in which the boundary solves look for the next one, at most half the
@@ -257,23 +260,6 @@ def zero_boundary_axis() -> list[BoundaryPoint]:
     return points
 
 
-def _window_upper_end(traj: TrajectorySpec, offset: float) -> float:
-    """Upper end of the interior-minimum window of a diagonal path, where its solves start.
-
-    The contact point with the Cartesian axis, or, if the path crosses the
-    half-pi boundary, ``offset`` in q1 below that root, where the minimum
-    sits at theta = pi/2.  The jump's window probe keeps 1e-4, since the
-    last slope sample of its grid lies ``ENDPOINT_MARGIN`` below pi/2 and a
-    probe closer to the root misses the minimum; the birth, which walks the
-    deflated slope to pi/2 itself (:func:`_minimizer_near`), starts
-    ``Q1_TOL`` below the root.
-    """
-    hp = solve_halfpi_boundary(traj)
-    if hp is not None and not hp.degenerate:
-        return hp.p.q1 - offset
-    return traj.total
-
-
 def _deflated_slope(p: StateParams, theta: float) -> float:
     """The deflated slope D = S'(theta) / cos(theta), finite and signed up to pi/2.
 
@@ -336,6 +322,27 @@ def _minimizer_near(deriv, p: StateParams, theta0: float) -> float:
             a = max(a - w, lo_end)
             sa = deriv(a)
     return find_root(deriv, a, b, sa, sb, REFINE_TOL)
+
+
+def _window_minimum(traj: TrajectorySpec, offset: float) -> tuple[float, float] | None:
+    """(q1, theta_min) where the per-path solves of a diagonal path start, or None.
+
+    q1 lies at the upper end of the interior-minimum window: the contact
+    point with the Cartesian axis or, if the path crosses the half-pi
+    boundary, ``offset`` in q1 below that root, where the minimum sits at
+    theta = pi/2.  theta_min is the interior minimizer there, found by the
+    walk of the deflated slope (:func:`_deflated_slope`) down from pi/2
+    (:func:`_minimizer_near`).  None when that walk finds no minimum: the
+    path carries no window.  The walk's first steps double from 1e-3 rad, so
+    it can step over a minimum far below pi/2 together with its maximum: at
+    the jump's start on the totals 0.8028 and 0.803, above the curve
+    intersection, a slope row sees a minimum at ~1.15 rad that the walk
+    misses, and the jump is None there either way.
+    """
+    hp = solve_halfpi_boundary(traj)
+    q1 = hp.p.q1 - offset if hp is not None and not hp.degenerate else traj.total
+    theta = _minimizer_near(_deflated_slope, traj.state(q1), HALF_PI)
+    return None if math.isnan(theta) else (q1, theta)
 
 
 def _tracked_root(traj: TrajectorySpec, deriv, value, theta0: float, q: float,
@@ -402,7 +409,39 @@ def _tracked_root(traj: TrajectorySpec, deriv, value, theta0: float, q: float,
 
 
 def _jump_gap(p: StateParams, theta: float) -> float:
-    return endpoint_entropy_zero(p) - post_entropy(p, theta)
+    """S(0) - S(theta) in bits, free of the cancellation of the two entropies.
+
+    The difference is summed over the increments d = L - L0 of the four
+    eigenvalues L / 4 (the two pairs of ``core.post_entropy_curvature``)
+    from theta = 0, as d ln L0 + L log1p(d / L0), or L ln L where L0 = 0:
+    the eigenvalues sum to 1, so the ln 4 of each L / 4 drops out (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 1).  Each d is
+    written through w - w0 = -+2 sin^2(theta/2), the radius change as
+    (rad^2 - rad0^2) / (rad + rad0) and the smaller eigenvalue of a pair as
+    the pair's product over the larger one, so that near theta = 0 it keeps
+    its digits where the two ~1.5-bit entropies agree to ~theta^2.
+    """
+    t, c = p.q1 + p.q2, p.q1 - p.q2
+    a, b = 1.0 - t, 1.0 - 2.0 * t
+    st = math.sin(theta)
+    h = 2.0 * math.sin(0.5 * theta) ** 2  # 1 - cos theta
+    cst2, mixed = (c * st) ** 2, 4.0 * p.q1 * p.q2 * st * st
+    out = 0.0
+    for w0, dw in ((2.0, -h), (0.0, h)):
+        # w = 1 +- cos theta; u = t + b w and rad = hypot(u, c sin theta)
+        w, u0 = w0 + dw, t + b * w0
+        u, rad0 = u0 + b * dw, abs(u0)
+        rad = math.sqrt(u * u + cst2)
+        big0 = t + a * w0 + rad0
+        dbig = a * dw + (b * dw * (u + u0) + cst2) / (rad + rad0)
+        small0 = 2.0 * a * t * w0 * w0 / big0
+        dsmall = (2.0 * a * t * dw * (w + w0) + mixed - small0 * dbig) / (big0 + dbig)
+        for l0, d in ((big0, dbig), (small0, dsmall)):
+            if l0 > 0.0:
+                out += d * math.log(l0) + (l0 + d) * math.log1p(d / l0)
+            elif d > 0.0:
+                out += d * math.log(d)
+    return out / (4.0 * math.log(2.0))
 
 
 def _jump_root(traj: TrajectorySpec, q: float, theta0: float) -> JumpRecord | None:
@@ -414,7 +453,7 @@ def _jump_root(traj: TrajectorySpec, q: float, theta0: float) -> JumpRecord | No
     g(q1) = S(0) - S(theta*) from q to a sign change.  It finds theta* as
     the root of the deflated slope (:func:`_deflated_slope`), so theta* is
     followed up to pi/2 itself: just below the intersection of the
-    equal-endpoint and half-pi curves the root lies above the window probe,
+    equal-endpoint and half-pi curves the root lies above the window start,
     with theta* within ~4 sqrt(t* - total) of pi/2.  The gap at the root is
     the stored residual, and the theta* it tracks there is the jump angle.
 
@@ -436,32 +475,31 @@ def solve_jump_boundary(traj: TrajectorySpec) -> JumpRecord | None:
 
     Solves the 2x2 system {S'(theta) = 0, S(theta) = S(0)} in (q1, theta)
     with theta eliminated: the root of the gap g(q1) = S(0) - S(theta*)
-    along the path, theta* being the interior minimizer.  The window probe,
-    the one slope row of this solve, looks for the interior minimum
-    (``shape.interior_minimum``, on the ``_PROBE_GRID`` slope grid) 1e-4 in
-    q1 below the window's analytic upper end (:func:`_window_upper_end`);
-    a path with total <= 1/2, or whose probe finds no minimum, carries no
-    window.  From the probe and its minimizer, Newton steps in q1 drive g
-    to a sign change from either sign (:func:`_jump_root`), with theta*
-    tracked up to pi/2.  A gap negative at the probe means the root lies
-    above it: just below the intersection of the equal-endpoint and
-    half-pi boundaries it lies between the probe and the half-pi root,
-    where the jump angle approaches pi/2.
+    along the path, theta* being the interior minimizer.  The solve starts
+    ``_JUMP_OFFSET`` = 1e-4 in q1 below the window's analytic upper end,
+    at the minimizer that the walk of the deflated slope down from pi/2
+    finds there (:func:`_window_minimum`); it computes no slope row.  A
+    path with total <= 1/2, or where that walk finds no minimum, carries no
+    window.  From that start, Newton steps in q1 drive g to a sign change
+    from either sign (:func:`_jump_root`), with theta* tracked up to pi/2.
+    A gap negative at the start means the root lies above it: just below
+    the intersection of the equal-endpoint and half-pi boundaries it lies
+    between the start and the half-pi root, where the jump angle
+    approaches pi/2, and the offset leaves the Newton steps room there.
 
     Returns None when the path carries no window, or when the minimum
     vanishes before the gap changes sign: above the intersection, where the
     interior phase is absent, it merges into pi/2 at the half-pi root with
     the gap still negative.  Raises ConvergenceError after a fixed number of
-    Newton steps, or when the interior minimum is lost at the probe or at
+    Newton steps, or when the interior minimum is lost at the start or at
     the root.
     """
     if traj.axis:
         raise ValueError("the jump boundary on the axis is the weight-1/2 point")
     if traj.total <= 0.5:
         return None
-    probe = _window_upper_end(traj, 1e-4)
-    ext = interior_minimum(traj.state(probe), grid_n=_PROBE_GRID)
-    return None if ext is None else _jump_root(traj, probe, ext.theta)
+    start = _window_minimum(traj, _JUMP_OFFSET)
+    return None if start is None else _jump_root(traj, *start)
 
 
 def jump_fan(totals: Iterable[float]) -> list[JumpRecord | None]:
@@ -473,7 +511,7 @@ def jump_fan(totals: Iterable[float]) -> list[JumpRecord | None]:
     q1 on the secant through the last two jump roots in (t, q1), or, after
     a single root, holds q2 at its value there, and seeds theta* with the
     last jump angle.  The corrector is the per-path solve's Newton walk from
-    that point (:func:`_jump_root`), with no window probe and no half-pi
+    that point (:func:`_jump_root`), with no window start and no half-pi
     solve.  The per-path :func:`solve_jump_boundary` stands in, and what it
     returns or raises stands, on the first total, on the first after a None,
     and wherever the corrector fails: the prediction lies off the path, the
@@ -507,9 +545,9 @@ def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
     It is the root of g(q1) = S'(theta_i) along the path, theta_i being the
     inflection at which S' is least, between the maximum and the minimum of
     the pair.  The solve starts ``Q1_TOL`` in q1 below the window's upper
-    end (:func:`_window_upper_end`), where it walks the deflated slope
-    (:func:`_deflated_slope`) down from pi/2 to the minimum theta_min
-    (:func:`_minimizer_near`); when there is none, the path carries no
+    end, at the minimum theta_min that the walk of the deflated slope down
+    from pi/2 finds there, the jump's start with a narrower offset
+    (:func:`_window_minimum`); when there is none, the path carries no
     window.  The maximum is the root of the deflated slope on
     [``ENDPOINT_MARGIN``, theta_min - 1e-6] where it changes sign there,
     and seeds the inflection; half of theta_min seeds it where a maximum
@@ -537,11 +575,11 @@ def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
     """
     if traj.axis or traj.total <= 0.5:
         return None  # on the axis extrema appear by endpoint bifurcation instead
-    start = _window_upper_end(traj, Q1_TOL)
-    p = traj.state(start)
-    theta_min = _minimizer_near(_deflated_slope, p, HALF_PI)
-    if math.isnan(theta_min):
+    window = _window_minimum(traj, Q1_TOL)
+    if window is None:
         return None
+    start, theta_min = window
+    p = traj.state(start)
     seed = _bracket_root(functools.partial(_deflated_slope, p), ENDPOINT_MARGIN,
                          theta_min - 1e-6, REFINE_TOL)
     if seed is None:

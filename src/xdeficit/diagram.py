@@ -45,7 +45,6 @@ corner at q1 = 1, at the half-pi root, and runs down through the minima.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import warnings
@@ -135,17 +134,18 @@ def _label(diagonal: np.ndarray, q1: np.ndarray, q2: np.ndarray,
     """
     _, ct, st = _angle_table(theta_grid)
     candidates = np.flatnonzero(slope_curve(q1, q2, ct[-1], st[-1]) >= SLOPE_FLOOR)[::-1]
-    runs = {}
-    for k, d in zip(candidates.tolist(), diagonal[candidates].tolist()):
-        runs.setdefault(d, []).append(k)
+    # the runs one after another, each in descending state order
+    candidates = candidates[np.argsort(diagonal[candidates], kind="stable")]
+    edges = np.flatnonzero(np.diff(diagonal[candidates])) + 1
+    # each walking run's next state and its end, as positions in candidates
+    nxt, end = np.r_[0, edges], np.r_[edges, len(candidates)]
     rows = {}  # the walked slope row of each flagged state, by state index
-    walking, step = list(runs.values()), 0
-    while walking:
-        ks = [run[step] for run in walking]
+    while (walking := nxt < end).any():
+        nxt, end = nxt[walking], end[walking]
+        ks = candidates[nxt]
         hits, hit_rows = _flag_rows(q1[ks], q2[ks], theta_grid)
-        rows.update(zip(itertools.compress(ks, hits), hit_rows))
-        step += 1
-        walking = [run for run, hit in zip(walking, hits) if hit and step < len(run)]
+        rows.update(zip(ks[hits].tolist(), hit_rows))
+        nxt, end = nxt[hits] + 1, end[hits]
     delta, at_zero, theta = endpoint_columns(q1, q2)
     branch = np.where(at_zero, Branch.AT_ZERO.value, Branch.AT_HALF_PI.value).astype(object)
     for k in sorted(rows):

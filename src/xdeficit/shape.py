@@ -15,10 +15,12 @@ endpoint.  Slopes smaller than ``SLOPE_FLOOR`` carry no sign.
 
 Every classification is one slope row, :func:`_slope_row`, and one tail,
 :func:`_row_extrema`, which brackets the row and refines the brackets it
-is asked for.  :func:`interior_minimum`, the deficit and the jump's window
-probe ask it for the minimum's bracket alone; the deficit reads the row it
-is given (the sweep and the trajectory profiles keep the rows their walk
-sampled), so no row is computed twice.
+is asked for.  :func:`interior_minimum` and the deficit ask it for the
+minimum's bracket alone; the deficit reads the row it is given (the sweep
+and the trajectory profiles keep the rows their walk sampled), so no row
+is computed twice.  The boundary solves take no slope row: they find
+their minima by walks of the deflated slope (``boundaries``), and of this
+module they use :func:`find_root` and the constants alone.
 """
 
 from __future__ import annotations

@@ -16,14 +16,18 @@ except ImportError:  # the tests that need it skip
 DPS = 40
 
 
-def entropy(q1, q2, theta):
-    """Post-measured entropy in bits from the density matrix, at the working precision."""
+def spectrum(q1, q2, theta):
+    """The four eigenvalues of the post-measured state, at the working precision.
+
+    Two per projector on qubit B, the larger first: each is continuous in
+    theta, so the k-th eigenvalue at theta continues the k-th at 0.
+    """
     rho = [[mp.mpf(0)] * 4 for _ in range(4)]
     rho[0][0] = 1 - q1 - q2
     rho[1][1] = rho[2][2] = (q1 + q2) / 2
     rho[1][2] = rho[2][1] = (q1 - q2) / 2
     c, s = mp.cos(theta / 2), mp.sin(theta / 2)
-    out = mp.mpf(0)
+    lams = []
     for b in ((c, s), (-s, c)):
         m = [
             [
@@ -34,9 +38,16 @@ def entropy(q1, q2, theta):
         ]
         half_tr = (m[0][0] + m[1][1]) / 2
         half_gap = mp.sqrt(((m[0][0] - m[1][1]) / 2) ** 2 + m[0][1] ** 2)
-        for lam in (half_tr + half_gap, half_tr - half_gap):
-            if lam > 0:
-                out -= lam * mp.log(lam, 2)
+        lams += [half_tr + half_gap, half_tr - half_gap]
+    return lams
+
+
+def entropy(q1, q2, theta):
+    """Post-measured entropy in bits from the density matrix, at the working precision."""
+    out = mp.mpf(0)
+    for lam in spectrum(q1, q2, theta):
+        if lam > 0:
+            out -= lam * mp.log(lam, 2)
     return out
 
 

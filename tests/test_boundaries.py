@@ -34,8 +34,10 @@ from xdeficit.boundaries import (
     RADIUS_DEGENERACY_TOL,
     _deflated_slope,
     _halfpi_curvature,
+    _jump_gap,
     _jump_root,
     _minimizer_near,
+    _window_minimum,
     jump_curve,
     jump_fan,
 )
@@ -266,6 +268,57 @@ def jump_fan_deviation(resolution):
     )
 
 
+def window_minimum_deviation(resolution):
+    """The jump's window start against a 1024-interval slope row there.
+
+    On every total k/resolution in (0.5, t*), t* the total of the curve
+    intersection, asserts that ``_window_minimum(traj, 1e-4)`` returns None
+    exactly where ``interior_minimum`` on the 1024-interval grid finds no
+    minimum at the same start, 1e-4 in q1 below the half-pi root or at the
+    axis contact, and that both start there.  Returns the number of windows
+    and the largest difference in theta_min.  Above t* the two part: on
+    0.8028 and 0.803 the row sees a minimum at ~1.15 rad that the walk
+    from pi/2 steps over together with its maximum.
+    """
+    p_star = curves_intersection()
+    t_star = p_star.q1 + p_star.q2
+    windows, worst = 0, 0.0
+    for t in (k / resolution for k in range(1, resolution)):
+        if not 0.5 < t < t_star:
+            continue
+        traj = TrajectorySpec(t)
+        hp = solve_halfpi_boundary(traj)
+        q = hp.p.q1 - 1e-4 if hp is not None and not hp.degenerate else t
+        ext = interior_minimum(traj.state(q), grid_n=1024)
+        window = _window_minimum(traj, 1e-4)
+        assert (window is None) == (ext is None), t
+        if window is not None:
+            assert window[0] == q, t
+            windows += 1
+            worst = max(worst, abs(window[1] - ext.theta))
+    return windows, worst
+
+
+def jump_gap_states(seed):
+    """States and angles around the jump roots: seeded ones near (0.5, 0),
+    where the gap is ~1e-11 bit at 1e-3 rad, beside the five trajectory
+    rows of the reference table, and toward the curve intersection p*."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for eps in 10.0 ** rng.uniform(-8, -3, 8):
+        q2 = rng.uniform(0.0, 0.2) * eps
+        states.append((0.5 + eps - q2, q2, rng.uniform(0.05, 2.0) * math.sqrt(eps)))
+    for total, (q1, theta) in zip(TABLE_TOTALS, REFERENCE_TABLE[1:-1]):
+        dq = rng.uniform(-1e-3, 1e-3, 2)
+        states += [(q1 + d, total - q1 - d, theta * rng.uniform(0.9, 1.1)) for d in dq]
+    p_star = curves_intersection()
+    for d in 10.0 ** rng.uniform(-6, -2, 4):
+        # the jump root of t* - d lies 0.0822 d below p* in q1, ~4 sqrt(d) below pi/2
+        states.append((p_star.q1 - 0.08 * d, p_star.q2 - 0.92 * d,
+                       HALF_PI - 4.0 * math.sqrt(d) * rng.uniform(0.5, 1.5)))
+    return states
+
+
 class TestHalfPiSampler:
     def test_matches_the_kernel(self):
         # the sampler is in nats, the kernel in bits; relative with a floor of
@@ -461,7 +514,9 @@ class TestJumpBoundary:
     @pytest.mark.parametrize("total", [0.5002, 3001 / 6000])
     def test_near_half_total_matches_40_digit_solve(self, total):
         # the minimum at ~3e-3 rad lies 1.1e-11 bit below the maximum before
-        # it; the final classification at twice the grid must still see it
+        # it, and dtheta*/dq1 ~ 3000 here: the gap must not cancel (read
+        # 6.5e-12 and 9.7e-11 rad against 9.7e-9 and 6.1e-9 with the
+        # difference of the two entropies)
         pytest.importorskip("mpmath")
         rec = solve_jump_boundary(TrajectorySpec(total))
         assert rec is not None
@@ -504,6 +559,37 @@ class TestJumpBoundary:
         assert fallbacks == 1
         assert dq1 <= Q1_TOL
         assert dangle <= 1e-7
+
+    def test_window_minimum_matches_the_slope_row(self):
+        # every jump total of trace_boundaries(1000); measured 4.1e-13 rad
+        windows, worst = window_minimum_deviation(1000)
+        assert windows == 269
+        assert worst <= 1e-9
+
+    def test_gap_matches_60_digit_difference(self):
+        # To first order the float gap errs by the rounding of its summands,
+        # d ln L0 and L log1p(d / L0) (L ln L where L0 = 0), and by the error
+        # of each increment d = L - L0, which they carry with the weight
+        # |ln L + 1|.  No path from the inputs to a summand passes more than
+        # 32 rounded operations, each within u = 2^-53 of its result, so
+        # 32 u M bounds the error, M being the sum of those magnitudes.  A
+        # difference of the two ~1.5-bit entropies errs by ~u instead, which
+        # near (0.5, 0) is 1e3-1e9 times this bound
+        mp = pytest.importorskip("mpmath")
+        for q1, q2, theta in jump_gap_states(41):
+            with mp.workdps(60):
+                x1, x2, x = mp.mpf(q1), mp.mpf(q2), mp.mpf(theta)
+                ref = mp_reference.entropy(x1, x2, 0) - mp_reference.entropy(x1, x2, x)
+                scale = 0
+                for lam0, lam in zip(mp_reference.spectrum(x1, x2, 0),
+                                     mp_reference.spectrum(x1, x2, x)):
+                    l0, l, d = 4 * lam0, 4 * lam, 4 * (lam - lam0)
+                    if l0 > 0:
+                        scale += abs(d * mp.log(l0)) + abs(l * mp.log1p(d / l0))
+                    if l > 0:
+                        scale += (0 if l0 > 0 else abs(l * mp.log(l))) + abs(mp.log(l) + 1) * abs(d)
+                bound = 32 * 2.0**-53 * scale / (4 * mp.log(2))
+                assert abs(_jump_gap(StateParams(q1, q2), theta) - ref) <= bound, (q1, q2, theta)
 
     def test_jump_ties_endpoint_and_interior(self):
         rec = solve_jump_boundary(TrajectorySpec(0.75))
@@ -823,39 +909,50 @@ class TestSolveCost:
         # classify_shape and interior_minimum each compute exactly one row
         return self._count(monkeypatch, shape_module, "_slope_row", [shape_module])
 
+    def _window_walks(self, monkeypatch):
+        # the walks of the deflated slope down from pi/2, one per window start;
+        # the tracked walks start from the last angle instead
+        calls = self._count(monkeypatch, boundaries_module, "_minimizer_near", [boundaries_module])
+        return lambda: sum(deriv is _deflated_slope and theta0 == HALF_PI
+                           for deriv, _, theta0 in calls)
+
     def test_jump_angle_table_classifications(self, monkeypatch):
-        # one continued fan: the window probe of its first total only
-        rows = self._slope_rows(monkeypatch)
+        # one continued fan: the window start of its first total only, and no slope row
+        rows, walks = self._slope_rows(monkeypatch), self._window_walks(monkeypatch)
         jump_angle_table()
-        assert len(rows) == 1
+        assert len(rows) == 0
+        assert walks() == 1
 
     @pytest.mark.parametrize("total", TABLE_TOTALS)
     def test_jump_one_classification(self, monkeypatch, total):
-        # the window probe; the angle at the root is the one the solve tracked
-        rows = self._slope_rows(monkeypatch)
+        # the window start; the angle at the root is the one the solve tracked
+        rows, walks = self._slope_rows(monkeypatch), self._window_walks(monkeypatch)
         assert solve_jump_boundary(TrajectorySpec(total)) is not None
-        assert len(rows) == 1
+        assert len(rows) == 0
+        assert walks() == 1
 
     @pytest.mark.parametrize("total", TABLE_TOTALS)
     def test_birth_one_classification_on_table_totals(self, monkeypatch, total):
         # the birth walks the deflated slope from pi/2 and takes no slope row
-        rows = self._slope_rows(monkeypatch)
+        rows, walks = self._slope_rows(monkeypatch), self._window_walks(monkeypatch)
         assert bimodality_birth(TrajectorySpec(total)) is not None
         assert len(rows) == 0
+        assert walks() == 1
 
     @pytest.mark.parametrize("total", [0.8033, 0.85, 0.95])
     @pytest.mark.parametrize("solver", [solve_jump_boundary, bimodality_birth], ids=["jump", "birth"])
     def test_windowless_path_one_classification(self, monkeypatch, solver, total):
-        rows = self._slope_rows(monkeypatch)
+        rows, walks = self._slope_rows(monkeypatch), self._window_walks(monkeypatch)
         result = solver(TrajectorySpec(total))
+        # one walk from pi/2 at the window start, and no slope row
+        assert len(rows) == 0
+        assert walks() == 1
         if solver is solve_jump_boundary:
-            # the window probe finds no interior minimum, and nothing else is tried
+            # the walk finds no interior minimum, and nothing else is tried
             assert result is None
-            assert len(rows) == 1
         else:
-            # no slope row; on 0.8033 the window, narrower than the jump
-            # probe's 1e-4 offset below the half-pi root, holds a birth
-            assert len(rows) == 0
+            # on 0.8033 the window, narrower than the jump's 1e-4 offset
+            # below the half-pi root, holds a birth
             if total == 0.8033:
                 assert result.p.q1 == pytest.approx(0.7703460, abs=1e-7)
             else:
@@ -863,13 +960,14 @@ class TestSolveCost:
 
     def test_trace_one_probe_one_fallback(self, monkeypatch):
         # the continued jump fan: only its first total runs the per-path
-        # solve and its window probe; the 25 others start from the last root
-        rows = self._slope_rows(monkeypatch)
+        # solve and its window start; the 25 others start from the last root
+        rows, walks = self._slope_rows(monkeypatch), self._window_walks(monkeypatch)
         fallbacks = self._count(
             monkeypatch, boundaries_module, "solve_jump_boundary", [boundaries_module]
         )
         trace_boundaries(100)
-        assert len(rows) == 1
+        assert len(rows) == 0
+        assert walks() == 1
         assert len(fallbacks) == 1
 
     def test_fan_falls_back_where_the_gap_is_nan(self, monkeypatch):

@@ -22,7 +22,7 @@ from xdeficit import (
     solve_halfpi_boundary,
     sweep,
 )
-from xdeficit.boundaries import _window_upper_end
+from xdeficit.boundaries import _window_minimum
 from xdeficit.core import post_entropy_slope
 from xdeficit.shape import (
     ENDPOINT_MARGIN,
@@ -381,7 +381,7 @@ class TestSlopeSigns:
         # ENDPOINT_MARGIN; S differences on the grid missed it
         pytest.importorskip("mpmath")
         traj = TrajectorySpec(total)
-        p = traj.state(_window_upper_end(traj, 1e-4))  # the jump's window probe
+        p = traj.state(_window_minimum(traj, 1e-4)[0])  # the jump's window start
         report = classify_shape(p, grid_n=512)
         assert report.shape_class is ShapeClass.BIMODAL
         ext = report.extrema[0]
