@@ -34,15 +34,20 @@ of d2S/dtheta2.  The deflated slope is
 finite and signed at pi/2, where S' vanishes for every state, so theta* is
 tracked up to pi/2 itself: just below the intersection of the
 equal-endpoint and half-pi curves the jump angle closes on pi/2, inside
-the margin that every slope grid keeps from that end.  The jump
+the margin that every slope grid keeps from that end.  Toward total 1/2
+the window closes on the axis point (0.5, 0), and neither solve reaches
+it: on the totals 1/2 + eps with eps at most ``_JUMP_REACH`` = 1e-5 (the
+jump) or ``_BIRTH_REACH`` = 3e-6 (the birth) the per-path solve raises
+ConvergenceError instead of returning None or a wrong point.  The jump
 boundary as a whole is :func:`jump_curve`: its two analytic ends, the axis
-point (0.5, 0) and the curve intersection, and between them a fan of
-totals, on which :func:`jump_fan` continues each jump solve from the last
-one: q1 predicted on the secant through the last two roots, theta* seeded
-with the last jump angle, and the same tracked solve from there, with no
-window start and no half-pi solve.  The per-path solve stands in on the first
-total and wherever that continued solve fails.  The jump-angle table
-(:func:`jump_angle_table`) and the traced jump polyline
+point (0.5, 0), which stands in for the totals within the jump's reach,
+and the curve intersection, and between them a fan of totals, each jump
+solve continued from the last one: q1 predicted on the secant through the
+last two roots, theta* seeded with the last jump angle, and the same
+tracked solve from there, with no window start and no half-pi solve.  The
+per-path solve stands in on the first total and wherever that continued
+solve fails, and a total it cannot solve either raises.  The jump-angle
+table (:func:`jump_angle_table`) and the traced jump polyline
 (``diagram.trace_boundaries``) are that one curve on their own totals.
 Every d2S/dtheta2 here, in the fold, in the half-pi residual S''(pi/2)
 and in the deflated slope beside pi/2, is the one closed form
@@ -105,6 +110,15 @@ _INTERSECTION_TOTALS = (0.70, 0.80)
 # Q1_TOL below the root leaves the steps no room there, and the solve
 # returns None on every total from t* - 1e-8 up.
 _JUMP_OFFSET = 1e-4
+
+# Reach of the per-path jump and birth solves: on totals 1/2 + eps with eps
+# at or below it they raise ConvergenceError.  Each is twice the largest eps
+# on which the solve, unguarded, failed (None or raised) in a scan of 2000
+# log-spaced eps in [1e-6, 1e-3], rounded up: 4.78e-6 for the jump and
+# 1.46e-6 for the birth.  Each solved every eps of the scan above that one,
+# and a scan of 10^4 eps in [1e-6, 1e-4] moved the two to 4.87e-6 and 1.48e-6.
+_JUMP_REACH = 1e-5
+_BIRTH_REACH = 3e-6
 
 # Initial half-width (radians) of the bracket around the previous minimizer
 # in which the boundary solves look for the next one, at most half the
@@ -447,7 +461,7 @@ def _jump_gap(p: StateParams, theta: float) -> float:
 def _jump_root(traj: TrajectorySpec, q: float, theta0: float) -> JumpRecord | None:
     """The jump record of a diagonal path, solved from q1 = q with theta*
     tracked from ``theta0``: the tail of :func:`solve_jump_boundary` and of
-    each continued total of :func:`jump_fan`.
+    each continued total of :func:`jump_curve`.
 
     The tracked solve (:func:`_tracked_root`) drives the gap
     g(q1) = S(0) - S(theta*) from q to a sign change.  It finds theta* as
@@ -493,49 +507,23 @@ def solve_jump_boundary(traj: TrajectorySpec) -> JumpRecord | None:
     the gap still negative.  Raises ConvergenceError after a fixed number of
     Newton steps, or when the interior minimum is lost at the start or at
     the root.
+
+    The solve's reach is 1/2 + ``_JUMP_REACH`` = 1/2 + 1e-5: on a total
+    1/2 < t <= 1/2 + 1e-5, though it carries a jump root, it raises
+    ConvergenceError naming the reach.  Unguarded, on 300 log-spaced eps in
+    [1e-13, 1e-3], it returned None on 210 totals 1/2 + eps, the last at
+    eps = 4.56e-6, and a record on the other 90; for eps up to ~1e-7 that
+    record's angle lies at rounding level beside ``ENDPOINT_MARGIN`` and is
+    not the minimizer.  :func:`jump_curve` anchors at (0.5, 0) instead.
     """
     if traj.axis:
         raise ValueError("the jump boundary on the axis is the weight-1/2 point")
     if traj.total <= 0.5:
         return None
+    if traj.total <= 0.5 + _JUMP_REACH:
+        raise ConvergenceError(f"jump on {traj}: total within the reach {_JUMP_REACH} of 1/2")
     start = _window_minimum(traj, _JUMP_OFFSET)
     return None if start is None else _jump_root(traj, *start)
-
-
-def jump_fan(totals: Iterable[float]) -> list[JumpRecord | None]:
-    """:func:`solve_jump_boundary` on the paths q1 + q2 = t of a fan of totals,
-    each solved by continuation from the last.
-
-    Natural-parameter continuation in the total (Allgower and Georg,
-    *Introduction to Numerical Continuation Methods*).  The predictor puts
-    q1 on the secant through the last two jump roots in (t, q1), or, after
-    a single root, holds q2 at its value there, and seeds theta* with the
-    last jump angle.  The corrector is the per-path solve's Newton walk from
-    that point (:func:`_jump_root`), with no window start and no half-pi
-    solve.  The per-path :func:`solve_jump_boundary` stands in, and what it
-    returns or raises stands, on the first total, on the first after a None,
-    and wherever the corrector fails: the prediction lies off the path, the
-    interior minimum is lost at the prediction or at the root, it vanishes
-    before the gap changes sign, or the Newton steps reach their cap.
-    """
-    records = []
-    roots = []  # (total, q1, jump angle) of the last two roots since a None
-    for t in totals:
-        traj = TrajectorySpec(t)
-        rec = None
-        if roots:
-            t1, q1, theta = roots[-1]
-            # dq1/dt on the secant, or 1 (q2 held) after a single root
-            slope = (q1 - roots[0][1]) / (t1 - roots[0][0]) if len(roots) == 2 else 1.0
-            try:
-                rec = _jump_root(traj, q1 + slope * (t - t1), theta)
-            except ConvergenceError:
-                pass
-        if rec is None:
-            rec = solve_jump_boundary(traj)
-        records.append(rec)
-        roots = [] if rec is None else [*roots[-1:], (t, rec.boundary.p.q1, rec.jump_angle)]
-    return records
 
 
 def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
@@ -562,19 +550,22 @@ def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
     lost at the start, before g changes sign or at the root, or after a
     fixed number of Newton steps.
 
-    The solve does not reach totals 1/2 + eps with eps below ~1.4e-6, where
-    the fold lies within ~2e-5 rad of ``ENDPOINT_MARGIN`` and the walk from
-    pi/2 stops on a minimum that sits at rounding level beside that margin.
-    On 300 log-spaced eps in [1e-13, 1e-3] it raised ConvergenceError (the
-    inflection lost at the start) or, on 5 totals, returned None for eps up
-    to 9.7e-8, and raised ConvergenceError (the inflection lost before the
-    fold) on 32 totals with eps from 1.0e-7 to 1.4e-6; from eps = 1.06e-6
-    up it returned the birth on the other 88.  It fails loudly there and
-    never returns a wrong point; a birth curve is anchored at (0.5, 0)
-    instead of solved that close to 1/2.
+    The solve's reach is 1/2 + ``_BIRTH_REACH`` = 1/2 + 3e-6: on a total
+    1/2 < t <= 1/2 + 3e-6 it raises ConvergenceError naming the reach.
+    Closer to 1/2 the fold lies within ~2e-5 rad of ``ENDPOINT_MARGIN`` and
+    the walk from pi/2 stops on a minimum that sits at rounding level
+    beside that margin.  Unguarded, on 300 log-spaced eps in [1e-13, 1e-3],
+    it raised ConvergenceError (the inflection lost at the start) or, on 5
+    totals with eps up to 9.7e-8 whose paths carry a window, returned None,
+    and raised ConvergenceError (the inflection lost before the fold) on 32
+    totals with eps from 1.0e-7 to 1.44e-6.  It returned the birth on the
+    other 88, the first at eps = 1.06e-6 and every one from 1.55e-6 up.  A
+    birth curve is anchored at (0.5, 0) instead of solved that close to 1/2.
     """
     if traj.axis or traj.total <= 0.5:
         return None  # on the axis extrema appear by endpoint bifurcation instead
+    if traj.total <= 0.5 + _BIRTH_REACH:
+        raise ConvergenceError(f"birth on {traj}: total within the reach {_BIRTH_REACH} of 1/2")
     window = _window_minimum(traj, Q1_TOL)
     if window is None:
         return None
@@ -621,17 +612,34 @@ def curves_intersection() -> StateParams:
     return on_equal_endpoints(root)
 
 
-def jump_curve(totals: Iterable[float]) -> list[JumpRecord | None]:
+def jump_curve(totals: Iterable[float]) -> list[JumpRecord]:
     """The jump boundary from its axis end to the curve intersection, with its jump angles.
 
     The axis record (0.5, 0), where the hop shrinks to zero and the theta = 0
-    axis curvature vanishes, with residual |S''(0)|; then :func:`jump_fan`
-    over the totals t with 0.5 < t < t*, None where a total has no jump
-    root; then the intersection p* of the equal-endpoint and half-pi curves
-    (:func:`curves_intersection`, on the total t*), where the hop spans the
-    whole quarter turn, with residual |S(0) - S(pi/2)|.  The two end
-    records are analytic; the jump-angle table and the traced jump polyline
-    are both this curve.
+    axis curvature vanishes, with residual |S''(0)|; then one record on each
+    path q1 + q2 = t of the totals t with 1/2 + ``_JUMP_REACH`` < t < t*,
+    in their order; then the intersection p* of the equal-endpoint and
+    half-pi curves (:func:`curves_intersection`, on the total t*), where the
+    hop spans the whole quarter turn, with residual |S(0) - S(pi/2)|.  The
+    two end records are analytic, and the axis record stands in for the
+    totals within the per-path solve's reach of 1/2, which it does not
+    solve (:func:`solve_jump_boundary`).  The jump-angle table and the
+    traced jump polyline are both this curve.
+
+    The totals between the ends are solved by natural-parameter
+    continuation in the total (Allgower and Georg, *Introduction to
+    Numerical Continuation Methods*).  The predictor puts q1 on the secant
+    through the last two jump roots in (t, q1), or, after a single root,
+    holds q2 at its value there, and seeds theta* with the last jump angle.
+    The corrector is the per-path solve's Newton walk from that point
+    (:func:`_jump_root`), with no window start and no half-pi solve.  The
+    per-path :func:`solve_jump_boundary` stands in, and what it raises
+    stands, on the first total and wherever the corrector fails: the
+    prediction lies off the path, the interior minimum is lost at the
+    prediction or at the root, it vanishes before the gap changes sign, or
+    the Newton steps reach their cap.  Raises ConvergenceError on a total
+    where the per-path solve returns None too, though every total below t*
+    carries a jump root.
     """
     p_star = curves_intersection()
     t_star = p_star.q1 + p_star.q2
@@ -641,9 +649,28 @@ def jump_curve(totals: Iterable[float]) -> list[JumpRecord | None]:
     star = BoundaryPoint(
         p=p_star, kind=BoundaryKind.JUMP_BOUNDARY, residual=abs(_equal_endpoints_gap(p_star))
     )
-    fan = jump_fan(t for t in totals if 0.5 < t < t_star)
-    return [JumpRecord(boundary=axis, jump_angle=0.0), *fan,
-            JumpRecord(boundary=star, jump_angle=HALF_PI)]
+    records = [JumpRecord(boundary=axis, jump_angle=0.0)]
+    roots = []  # (total, q1, jump angle) of the last two roots
+    for t in totals:
+        if not 0.5 + _JUMP_REACH < t < t_star:
+            continue
+        traj = TrajectorySpec(t)
+        rec = None
+        if roots:
+            t1, q1, theta = roots[-1]
+            # dq1/dt on the secant, or 1 (q2 held) after a single root
+            slope = (q1 - roots[0][1]) / (t1 - roots[0][0]) if len(roots) == 2 else 1.0
+            try:
+                rec = _jump_root(traj, q1 + slope * (t - t1), theta)
+            except ConvergenceError:
+                pass
+        if rec is None:
+            rec = solve_jump_boundary(traj)
+        if rec is None:
+            raise ConvergenceError(f"no jump boundary found on total {t}")
+        records.append(rec)
+        roots = [*roots[-1:], (t, rec.boundary.p.q1, rec.jump_angle)]
+    return [*records, JumpRecord(boundary=star, jump_angle=HALF_PI)]
 
 
 _TABLE_TOTALS = (0.55, 0.60, 0.65, 0.70, 0.75)
@@ -656,10 +683,6 @@ def jump_angle_table() -> list[JumpRecord]:
     ``_TABLE_TOTALS``: the axis limit (0.5, 0) where the hop shrinks to
     zero, the five totals solved as one continued fan, and the intersection
     limit where the hop spans the whole quarter turn.  Raises
-    ConvergenceError when a total has no jump root.
+    ConvergenceError, naming the total, when a total has no jump root.
     """
-    rows = jump_curve(_TABLE_TOTALS)
-    for total, rec in zip(_TABLE_TOTALS, rows[1:-1]):
-        if rec is None:
-            raise ConvergenceError(f"no jump boundary found on total {total}")
-    return rows
+    return jump_curve(_TABLE_TOTALS)

@@ -219,9 +219,11 @@ def trace_boundaries(resolution: int = 100) -> list[BoundaryCurve]:
     boundary kind, and anchors each curve with its exact axis landmarks.  The
     two mirror images of each curve are emitted separately so the output maps
     directly onto the phase-diagram figures.  The jump boundary is
-    ``boundaries.jump_curve`` on the fan's totals, the roots it finds
-    chained between its two analytic ends: it is traced below the
-    intersection point only, where the interior phase exists.
+    ``boundaries.jump_curve`` on the fan's totals, one root on each total
+    between its two analytic ends: it is traced below the intersection
+    point only, where the interior phase exists, and from 1/2 + 1e-5 up,
+    the jump solve's reach, below which the axis end stands in.  A total
+    there that it cannot solve raises ConvergenceError.
     ``resolution`` must be an integer (TypeError otherwise).
     """
     if resolution < 100:
@@ -249,7 +251,7 @@ def trace_boundaries(resolution: int = 100) -> list[BoundaryCurve]:
     polylines = [
         (eq, fan(solve_equal_endpoints) + [corner(eq)]),
         (hp, fan(solve_halfpi_boundary) + [corner(hp)]),
-        (jump, [rec.boundary for rec in jump_curve(totals) if rec is not None]),
+        (jump, [rec.boundary for rec in jump_curve(totals)]),
     ]
     curves = []
     for kind, points in polylines:

@@ -85,13 +85,13 @@ def slope_root(q1: float, q2: float, theta0: float) -> float:
         return float(mp.findroot(lambda t: mp.diff(curve, t), mp.mpf(theta0)))
 
 
-def jump_point(total, q1_0, theta0):
+def jump_point(total, q1_0, theta0, dps: int = DPS):
     """(q1, theta, S''(theta)) solving {dS/dtheta = 0, S(theta) = S(0)} on q1 + q2 = total.
 
-    A 40-digit Newton solve in (q1, theta) seeded at (q1_0, theta0); the
-    values come back as mpmath numbers.
+    A Newton solve in (q1, theta) at ``dps`` digits, 40 by default, seeded
+    at (q1_0, theta0); the values come back as mpmath numbers.
     """
-    with mp.workdps(DPS):
+    with mp.workdps(dps):
         total = mp.mpf(str(total))
 
         def equations(q1, theta):

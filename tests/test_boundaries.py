@@ -29,6 +29,8 @@ from xdeficit import (
     zero_boundary_axis,
 )
 from xdeficit.boundaries import (
+    _BIRTH_REACH,
+    _JUMP_REACH,
     CORNER_TOL,
     Q1_TOL,
     RADIUS_DEGENERACY_TOL,
@@ -39,7 +41,6 @@ from xdeficit.boundaries import (
     _minimizer_near,
     _window_minimum,
     jump_curve,
-    jump_fan,
 )
 from xdeficit.core import (
     post_entropy_curvature,
@@ -240,27 +241,34 @@ def deflated_slope_error(states):
 
 
 def jump_fan_deviation(resolution):
-    """The continued jump fan of ``trace_boundaries`` against the per-path solve.
+    """The continued jump fan of ``trace_boundaries`` against the per-path solve,
+    on its totals k/resolution: :func:`continued_fan_deviation`."""
+    return continued_fan_deviation([k / resolution for k in range(1, resolution)])
 
-    On every total k/resolution in (0.5, t*), t* the total of the curve
-    intersection, runs ``jump_fan`` and ``solve_jump_boundary`` and asserts
-    that both return None on the same totals.  Returns the number of per-path
-    fallbacks the fan took and the largest differences in q1 and in jump
-    angle over the totals with a root.
+
+def continued_fan_deviation(totals):
+    """The fan of ``jump_curve(totals)``, its records between the two anchors,
+    against the per-path solve.
+
+    Asserts that the fan holds one record, and no None, on each total t of
+    ``totals`` with 1/2 + ``_JUMP_REACH`` < t < t*, t* the total of the curve
+    intersection, in their order, and that the per-path solve returns a
+    record on each of them.  Returns the number of per-path fallbacks the
+    fan took and the largest differences in q1 and in jump angle.
     """
     p_star = curves_intersection()
-    t_star = p_star.q1 + p_star.q2
-    totals = [k / resolution for k in range(1, resolution) if 0.5 < k / resolution < t_star]
-    reference = [solve_jump_boundary(TrajectorySpec(t)) for t in totals]
+    kept = [t for t in totals if 0.5 + _JUMP_REACH < t < p_star.q1 + p_star.q2]
+    reference = [solve_jump_boundary(TrajectorySpec(t)) for t in kept]
     fallbacks = []
     per_path = boundaries_module.solve_jump_boundary
     boundaries_module.solve_jump_boundary = lambda traj: (fallbacks.append(traj), per_path(traj))[1]
     try:
-        fan = jump_fan(totals)
+        fan = jump_curve(totals)[1:-1]
     finally:
         boundaries_module.solve_jump_boundary = per_path
-    assert [rec is None for rec in fan] == [rec is None for rec in reference]
-    pairs = [(a, b) for a, b in zip(fan, reference) if b is not None]
+    assert None not in fan and None not in reference
+    assert [rec.boundary.p.q1 + rec.boundary.p.q2 for rec in fan] == pytest.approx(kept, abs=1e-15)
+    pairs = list(zip(fan, reference))
     return (
         len(fallbacks),
         max(abs(a.boundary.p.q1 - b.boundary.p.q1) for a, b in pairs),
@@ -527,7 +535,27 @@ class TestJumpBoundary:
         assert abs(rec.jump_angle - float(theta)) <= 1e-8
         assert curvature > 0
 
-    @pytest.mark.parametrize("total", [0.5002, 3001 / 6000, 0.5005])
+    @pytest.mark.parametrize("total", [0.5 + 2e-5, 0.5 + 1e-4])
+    def test_beside_the_reach_matches_80_digit_solve(self, total):
+        # 2 and 10 times the reach _JUMP_REACH = 1e-5 above 1/2, where the
+        # 40-digit solve is not good to 1e-10 in q1.  The angle errs by its
+        # error at the reported state (see the test below) plus the error in
+        # q1 times dtheta*/dq1, here 1.2e4 and 4.7e3, taken as a central
+        # difference of 40-digit minimizers 1e-9 in q1 apart
+        pytest.importorskip("mpmath")
+        rec = solve_jump_boundary(TrajectorySpec(total))
+        p = rec.boundary.p
+        q1, theta, curvature = mp_reference.jump_point(total, p.q1, rec.jump_angle, dps=80)
+        q1, theta = float(q1), float(theta)
+        assert abs(p.q1 - q1) <= 1e-10
+        h = 1e-9
+        dtheta_dq1 = (mp_reference.slope_root(q1 + h, total - q1 - h, theta)
+                      - mp_reference.slope_root(q1 - h, total - q1 + h, theta)) / (2 * h)
+        at_state = REFINE_TOL + SLOPE_FLOOR / post_entropy_curvature(p, rec.jump_angle)
+        assert abs(rec.jump_angle - theta) <= abs(dtheta_dq1) * abs(p.q1 - q1) + at_state
+        assert curvature > 0
+
+    @pytest.mark.parametrize("total", [0.5002, 3001 / 6000, 0.5005, 0.5 + 2e-5, 0.5 + 1e-4])
     def test_near_half_total_angle_is_the_minimizer_at_the_root(self, total):
         # at the reported state itself, so that the error in q1, which
         # dtheta*/dq1 ~ 3000 amplifies here, drops out: the angle is refined
@@ -860,9 +888,7 @@ class TestJumpAngleTable:
             assert abs(rec.jump_angle - ref.jump_angle) <= 1e-9, total
 
     def test_total_without_root_raises(self, monkeypatch):
-        monkeypatch.setattr(
-            boundaries_module, "jump_fan", lambda totals: [None for _ in totals]
-        )
+        monkeypatch.setattr(boundaries_module, "solve_jump_boundary", lambda traj: None)
         with pytest.raises(ConvergenceError, match="no jump boundary found on total 0.55"):
             jump_angle_table()
 
@@ -875,18 +901,69 @@ class TestJumpCurve:
         assert p_star.q1 + p_star.q2 < 0.77
         assert axis.boundary.p == StateParams(0.5, 0.0) and axis.jump_angle == 0.0
         assert axis.boundary.residual == abs(post_entropy_curvature(StateParams(0.5, 0.0), 0.0))
-        assert mid == jump_fan([0.6])[0]
+        # the first kept total runs the per-path solve
+        assert mid == solve_jump_boundary(TrajectorySpec(0.6))
         assert star.boundary.p == p_star and star.jump_angle == HALF_PI
         gap = endpoint_entropy_zero(p_star) - endpoint_entropy_halfpi(p_star)
         assert star.boundary.residual == abs(gap)
         for rec in (axis, mid, star):
             assert rec.boundary.kind is BoundaryKind.JUMP_BOUNDARY
 
+    def test_no_none_toward_either_end(self):
+        # 0.5 + k * 1e-6 for k <= 2000, whose first ten totals lie within
+        # _JUMP_REACH of 1/2 and are left to the axis anchor, and the 201
+        # totals t* - d with d log-spaced in [1e-14, 1e-4]
+        p_star = curves_intersection()
+        t_star = p_star.q1 + p_star.q2
+        for totals in ([0.5 + k * 1e-6 for k in range(1, 2001)],
+                       (t_star - np.logspace(-4, -14, 201)).tolist()):
+            kept = [t for t in totals if 0.5 + _JUMP_REACH < t < t_star]
+            curve = jump_curve(totals)
+            assert None not in curve and len(curve) == len(kept) + 2
+            first = curve[1].boundary.p
+            assert first.q1 + first.q2 == pytest.approx(kept[0], abs=1e-15)
+            assert kept[0] > 0.5 + _JUMP_REACH
+
     def test_table_and_trace_share_the_anchors(self):
         table = jump_angle_table()
         traced = [c for c in trace_boundaries(100) if c.kind is BoundaryKind.JUMP_BOUNDARY][0]
         assert table[0].boundary == traced.points[0]
         assert table[-1].boundary == traced.points[-1]
+
+
+# 300 log-spaced eps of the reach scans of the per-path solves on 1/2 + eps
+REACH_SCAN = np.logspace(-13, -3, 300).tolist()
+
+
+class TestReach:
+    """The per-path jump and birth raise on the totals within their reach of 1/2."""
+
+    @pytest.mark.parametrize(
+        "solver,reach", [(solve_jump_boundary, _JUMP_REACH), (bimodality_birth, _BIRTH_REACH)],
+        ids=["jump", "birth"],
+    )
+    def test_raise_below_the_reach_and_solve_above(self, solver, reach):
+        # at the parent, without the guard, the jump returned None on 210 of
+        # these totals and the birth None on 5 and raised on 207
+        above = 0
+        for eps in REACH_SCAN:
+            traj = TrajectorySpec(0.5 + eps)
+            if traj.total <= 0.5 + reach:
+                with pytest.raises(ConvergenceError, match=f"reach {reach}"):
+                    solver(traj)
+            else:
+                assert solver(traj) is not None, eps
+                above += 1
+        assert 0 < above < len(REACH_SCAN)
+
+    @pytest.mark.parametrize(
+        "solver,reach", [(solve_jump_boundary, _JUMP_REACH), (bimodality_birth, _BIRTH_REACH)],
+        ids=["jump", "birth"],
+    )
+    def test_total_at_the_reach_raises_and_half_is_none(self, solver, reach):
+        with pytest.raises(ConvergenceError, match="within the reach"):
+            solver(TrajectorySpec(0.5 + reach))
+        assert solver(TrajectorySpec(0.5)) is None
 
 
 class TestSolveCost:
@@ -989,7 +1066,7 @@ class TestSolveCost:
         fallbacks = self._count(
             monkeypatch, boundaries_module, "solve_jump_boundary", [boundaries_module]
         )
-        records = jump_fan(totals)
+        records = jump_curve(totals)[1:-1]
         assert len(forced) == 1
         assert [traj.total for traj, in fallbacks] == [totals[0], target]
         assert records[totals.index(target)] == expected
