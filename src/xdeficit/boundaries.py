@@ -1,58 +1,48 @@
 """Phase-boundary location by one-dimensional root finding.
 
-All boundaries are found along straight scan paths: either the Cartesian axis
-q2 = 0 or diagonal trajectories q1 + q2 = const, mirroring how the parameter
-triangle is naturally swept.  The equal-endpoint and half-pi boundaries are
-each one bracket over the whole path (``_bracket_root``), solved by
-``shape.find_root``, a
-bracketed superlinear (Brent) root solver that never needs more than a few
-evaluations beyond bisection.  Each residual changes sign at most once per
-path, so the two ends of the path bracket its root.  The equal-endpoint gap
-is monotone in q1 on a diagonal by construction (:func:`solve_equal_endpoints`);
-the half-pi curvature on every path, and both residuals on the axis, are
-checked to change sign at most once by sampling: at 4097 points on the
-totals k/1000 in ``tests/test_boundaries.py``, and at 8193 points on the
-totals k/5000 in a CI step.
-The intersection of the equal-endpoint and half-pi curves is one more such
-bracket, in the total of the path: the half-pi curvature at the path's
-equal-endpoint root changes sign once between two fixed totals
-(:func:`curves_intersection`).  Every root, in q1 or in the total, is
-solved to the one tolerance ``Q1_TOL``.
-The jump boundary and the bimodality birth are Newton-type solves on the
-scalar closed forms of ``core``, and no boundary solve computes a slope
-row.  The jump and the birth share one tracked Newton solve
-(``_tracked_root``) and one start (``_window_minimum``): near the upper
-end of the interior-minimum window, 1e-4 in q1 below it for the jump and
-``Q1_TOL`` below it for the birth, the walk of the deflated slope
-S'(theta) / cos(theta) (``_deflated_slope``) down from pi/2 finds the
-minimum.  A path where it finds none carries no window.  From there, the
-tracked solve drives the jump gap S(0) - S(theta*) (``_jump_gap``, summed
-over eigenvalue increments so that it does not cancel) to a sign change,
-theta* being the interior minimizer, a root of the deflated slope, and
-the fold value S'(theta_i) likewise, theta_i being the inflection, a root
-of d2S/dtheta2.  The deflated slope is
-finite and signed at pi/2, where S' vanishes for every state, so theta* is
-tracked up to pi/2 itself: just below the intersection of the
-equal-endpoint and half-pi curves the jump angle closes on pi/2, inside
-the margin that every slope grid keeps from that end.  Toward total 1/2
-the window closes on the axis point (0.5, 0), and neither solve reaches
-it: on the totals 1/2 + eps with eps at most ``_JUMP_REACH`` = 1e-5 (the
-jump) or ``_BIRTH_REACH`` = 3e-6 (the birth) the per-path solve raises
-ConvergenceError instead of returning None or a wrong point.  The jump
-boundary as a whole is :func:`jump_curve`: its two analytic ends, the axis
-point (0.5, 0), which stands in for the totals within the jump's reach,
-and the curve intersection, and between them a fan of totals, each jump
-solve continued from the last one: q1 predicted on the secant through the
-last two roots, theta* seeded with the last jump angle, and the same
-tracked solve from there, with no window start and no half-pi solve.  The
-per-path solve stands in on the first total and wherever that continued
-solve fails, and a total it cannot solve either raises.  The jump-angle
-table (:func:`jump_angle_table`) and the traced jump polyline
-(``diagram.trace_boundaries``) are that one curve on their own totals.
-Every d2S/dtheta2 here, in the fold, in the half-pi residual S''(pi/2)
-and in the deflated slope beside pi/2, is the one closed form
-``core.post_entropy_curvature``, and so is the theta = 0 curvature of the
-axis points; off the axes it diverges, and no residual reads it there.
+All boundaries are found along straight scan paths: the Cartesian axis
+q2 = 0 or a diagonal q1 + q2 = const.  Every root, in q1 or in the total,
+is solved by ``shape.find_root``, a bracketed Brent solver, to the one
+tolerance ``Q1_TOL``.
+
+* The equal-endpoint and half-pi boundaries are each one bracket over the
+  whole path (``_bracket_root``): each residual changes sign at most once
+  per path, so the two ends of the path bracket its root.  The
+  equal-endpoint gap is monotone in q1 on a diagonal by construction
+  (:func:`solve_equal_endpoints`); the half-pi curvature on every path, and
+  both residuals on the axis, are checked to change sign at most once by
+  sampling: at 4097 points on the totals k/1000 in
+  ``tests/test_boundaries.py``, and at 8193 points on the totals k/5000 in
+  a CI step.
+* Their intersection p*, on the total t*, is one more bracket, in the
+  total of the path (:func:`curves_intersection`).
+* The jump boundary and the bimodality birth are Newton-type solves on the
+  scalar closed forms of ``core``, and take no slope row.  They share one
+  tracked Newton solve (``_tracked_root``) and one start
+  (``_window_minimum``) near the upper end of the interior-minimum window.
+  The jump drives the gap S(0) - S(theta*) (``core._jump_gap``) to a sign
+  change, theta* being the interior minimizer, a root of the deflated
+  slope S'(theta) / cos(theta) (``_deflated_slope``), which is finite and
+  signed at pi/2, so theta* is tracked up to pi/2 itself.  The birth drives
+  the fold value S'(theta_i) to a sign change, theta_i being the
+  inflection, a root of d2S/dtheta2.  Toward total 1/2 the window closes
+  on the axis point (0.5, 0), and neither solve reaches it: on the totals
+  1/2 + eps with eps at most ``_JUMP_REACH`` (the jump) or
+  ``_BIRTH_REACH`` (the birth) the per-path solve raises
+  ConvergenceError.  Toward t* the jump angle closes on pi/2, and within
+  ``_JUMP_TOP_REACH`` below t* the per-path jump raises where it finds no
+  root.
+* The jump boundary as a whole is :func:`jump_curve`: its two analytic
+  ends, (0.5, 0) and p*, which stand in for the totals within the two
+  reaches, and between them one jump solve per total, each continued from
+  the last one.  The jump-angle table (:func:`jump_angle_table`) and the
+  traced jump polyline (``diagram.trace_boundaries``) are that one curve on
+  their own totals.
+
+Every d2S/dtheta2 here, in the fold, in the half-pi residual S''(pi/2), in
+the deflated slope beside pi/2 and at theta = 0 on the axes, is the one
+closed form ``core.post_entropy_curvature``; off the axes it diverges at
+theta = 0, and no residual reads it there.
 
 Boundary kinds:
 
@@ -77,6 +67,7 @@ from dataclasses import dataclass
 
 from .core import (
     StateParams,
+    _jump_gap,
     endpoint_entropy_halfpi,
     endpoint_entropy_zero,
     post_entropy_curvature,
@@ -113,12 +104,18 @@ _JUMP_OFFSET = 1e-4
 
 # Reach of the per-path jump and birth solves: on totals 1/2 + eps with eps
 # at or below it they raise ConvergenceError.  Each is twice the largest eps
-# on which the solve, unguarded, failed (None or raised) in a scan of 2000
-# log-spaced eps in [1e-6, 1e-3], rounded up: 4.78e-6 for the jump and
-# 1.46e-6 for the birth.  Each solved every eps of the scan above that one,
-# and a scan of 10^4 eps in [1e-6, 1e-4] moved the two to 4.87e-6 and 1.48e-6.
+# on which the solve without this rule failed (None or raised) in a scan of
+# 2000 log-spaced eps in [1e-6, 1e-3], rounded up: 4.78e-6 for the jump and
+# 1.46e-6 for the birth.
 _JUMP_REACH = 1e-5
 _BIRTH_REACH = 3e-6
+
+# Top reach of the per-path jump solve: on totals t* - d with d at or below
+# it the solve may find no root, and then raises ConvergenceError naming
+# it.  Twice the largest d on which the solve without this rule returned
+# None in a scan of 2000 log-spaced d in [1e-17, 1e-11], rounded up:
+# 2.89e-15, 26 ulps of t*.
+_JUMP_TOP_REACH = 6e-15
 
 # Initial half-width (radians) of the bracket around the previous minimizer
 # in which the boundary solves look for the next one, at most half the
@@ -348,10 +345,8 @@ def _window_minimum(traj: TrajectorySpec, offset: float) -> tuple[float, float] 
     walk of the deflated slope (:func:`_deflated_slope`) down from pi/2
     (:func:`_minimizer_near`).  None when that walk finds no minimum: the
     path carries no window.  The walk's first steps double from 1e-3 rad, so
-    it can step over a minimum far below pi/2 together with its maximum: at
-    the jump's start on the totals 0.8028 and 0.803, above the curve
-    intersection, a slope row sees a minimum at ~1.15 rad that the walk
-    misses, and the jump is None there either way.
+    it can step over a minimum far below pi/2 together with its maximum; it
+    does so only above t*, where the jump has no root either way.
     """
     hp = solve_halfpi_boundary(traj)
     q1 = hp.p.q1 - offset if hp is not None and not hp.degenerate else traj.total
@@ -422,42 +417,6 @@ def _tracked_root(traj: TrajectorySpec, deriv, value, theta0: float, q: float,
     return q, abs(fq), theta
 
 
-def _jump_gap(p: StateParams, theta: float) -> float:
-    """S(0) - S(theta) in bits, free of the cancellation of the two entropies.
-
-    The difference is summed over the increments d = L - L0 of the four
-    eigenvalues L / 4 (the two pairs of ``core.post_entropy_curvature``)
-    from theta = 0, as d ln L0 + L log1p(d / L0), or L ln L where L0 = 0:
-    the eigenvalues sum to 1, so the ln 4 of each L / 4 drops out (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, ch. 1).  Each d is
-    written through w - w0 = -+2 sin^2(theta/2), the radius change as
-    (rad^2 - rad0^2) / (rad + rad0) and the smaller eigenvalue of a pair as
-    the pair's product over the larger one, so that near theta = 0 it keeps
-    its digits where the two ~1.5-bit entropies agree to ~theta^2.
-    """
-    t, c = p.q1 + p.q2, p.q1 - p.q2
-    a, b = 1.0 - t, 1.0 - 2.0 * t
-    st = math.sin(theta)
-    h = 2.0 * math.sin(0.5 * theta) ** 2  # 1 - cos theta
-    cst2, mixed = (c * st) ** 2, 4.0 * p.q1 * p.q2 * st * st
-    out = 0.0
-    for w0, dw in ((2.0, -h), (0.0, h)):
-        # w = 1 +- cos theta; u = t + b w and rad = hypot(u, c sin theta)
-        w, u0 = w0 + dw, t + b * w0
-        u, rad0 = u0 + b * dw, abs(u0)
-        rad = math.sqrt(u * u + cst2)
-        big0 = t + a * w0 + rad0
-        dbig = a * dw + (b * dw * (u + u0) + cst2) / (rad + rad0)
-        small0 = 2.0 * a * t * w0 * w0 / big0
-        dsmall = (2.0 * a * t * dw * (w + w0) + mixed - small0 * dbig) / (big0 + dbig)
-        for l0, d in ((big0, dbig), (small0, dsmall)):
-            if l0 > 0.0:
-                out += d * math.log(l0) + (l0 + d) * math.log1p(d / l0)
-            elif d > 0.0:
-                out += d * math.log(d)
-    return out / (4.0 * math.log(2.0))
-
-
 def _jump_root(traj: TrajectorySpec, q: float, theta0: float) -> JumpRecord | None:
     """The jump record of a diagonal path, solved from q1 = q with theta*
     tracked from ``theta0``: the tail of :func:`solve_jump_boundary` and of
@@ -492,29 +451,25 @@ def solve_jump_boundary(traj: TrajectorySpec) -> JumpRecord | None:
     along the path, theta* being the interior minimizer.  The solve starts
     ``_JUMP_OFFSET`` = 1e-4 in q1 below the window's analytic upper end,
     at the minimizer that the walk of the deflated slope down from pi/2
-    finds there (:func:`_window_minimum`); it computes no slope row.  A
-    path with total <= 1/2, or where that walk finds no minimum, carries no
-    window.  From that start, Newton steps in q1 drive g to a sign change
-    from either sign (:func:`_jump_root`), with theta* tracked up to pi/2.
-    A gap negative at the start means the root lies above it: just below
-    the intersection of the equal-endpoint and half-pi boundaries it lies
-    between the start and the half-pi root, where the jump angle
-    approaches pi/2, and the offset leaves the Newton steps room there.
+    finds there (:func:`_window_minimum`); it computes no slope row.  From
+    that start, Newton steps in q1 drive g to a sign change from either sign
+    (:func:`_jump_root`), with theta* tracked up to pi/2.  A gap negative at
+    the start means the root lies above it: just below the curve
+    intersection t* it lies between the start and the half-pi root, where
+    the jump angle approaches pi/2, and the offset leaves the Newton steps
+    room there.
 
-    Returns None when the path carries no window, or when the minimum
-    vanishes before the gap changes sign: above the intersection, where the
-    interior phase is absent, it merges into pi/2 at the half-pi root with
-    the gap still negative.  Raises ConvergenceError after a fixed number of
-    Newton steps, or when the interior minimum is lost at the start or at
-    the root.
-
-    The solve's reach is 1/2 + ``_JUMP_REACH`` = 1/2 + 1e-5: on a total
-    1/2 < t <= 1/2 + 1e-5, though it carries a jump root, it raises
-    ConvergenceError naming the reach.  Unguarded, on 300 log-spaced eps in
-    [1e-13, 1e-3], it returned None on 210 totals 1/2 + eps, the last at
-    eps = 4.56e-6, and a record on the other 90; for eps up to ~1e-7 that
-    record's angle lies at rounding level beside ``ENDPOINT_MARGIN`` and is
-    not the minimizer.  :func:`jump_curve` anchors at (0.5, 0) instead.
+    Returns None only where the path carries no jump root: on a total
+    t <= 1/2, and on t >= t*, where the interior minimum merges into pi/2
+    at the half-pi root with the gap still negative.  Raises
+    ConvergenceError after a fixed number of Newton steps, when the
+    interior minimum is lost at the start or at the root, and wherever the
+    solve finds no root on 1/2 < t < t* (it computes t* on that exit only).
+    The message names the reach when t lies within one: the bottom reach
+    1/2 < t <= 1/2 + ``_JUMP_REACH`` = 1/2 + 1e-5, where the solve raises
+    without trying, and the top reach t* - ``_JUMP_TOP_REACH`` <= t < t*,
+    t* - 6e-15, where it may find no root.  :func:`jump_curve` anchors at
+    (0.5, 0) and p* instead.
     """
     if traj.axis:
         raise ValueError("the jump boundary on the axis is the weight-1/2 point")
@@ -523,7 +478,15 @@ def solve_jump_boundary(traj: TrajectorySpec) -> JumpRecord | None:
     if traj.total <= 0.5 + _JUMP_REACH:
         raise ConvergenceError(f"jump on {traj}: total within the reach {_JUMP_REACH} of 1/2")
     start = _window_minimum(traj, _JUMP_OFFSET)
-    return None if start is None else _jump_root(traj, *start)
+    rec = None if start is None else _jump_root(traj, *start)
+    if rec is None:
+        p_star = curves_intersection()
+        t_star = p_star.q1 + p_star.q2
+        if traj.total < t_star:
+            near = t_star - traj.total <= _JUMP_TOP_REACH
+            where = f"within the top reach {_JUMP_TOP_REACH} of" if near else "below"
+            raise ConvergenceError(f"jump on {traj}: no root found {where} t* = {t_star!r}")
+    return rec
 
 
 def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
@@ -554,13 +517,8 @@ def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
     1/2 < t <= 1/2 + 3e-6 it raises ConvergenceError naming the reach.
     Closer to 1/2 the fold lies within ~2e-5 rad of ``ENDPOINT_MARGIN`` and
     the walk from pi/2 stops on a minimum that sits at rounding level
-    beside that margin.  Unguarded, on 300 log-spaced eps in [1e-13, 1e-3],
-    it raised ConvergenceError (the inflection lost at the start) or, on 5
-    totals with eps up to 9.7e-8 whose paths carry a window, returned None,
-    and raised ConvergenceError (the inflection lost before the fold) on 32
-    totals with eps from 1.0e-7 to 1.44e-6.  It returned the birth on the
-    other 88, the first at eps = 1.06e-6 and every one from 1.55e-6 up.  A
-    birth curve is anchored at (0.5, 0) instead of solved that close to 1/2.
+    beside that margin.  A birth curve is anchored at (0.5, 0) instead of
+    solved that close to 1/2.
     """
     if traj.axis or traj.total <= 0.5:
         return None  # on the axis extrema appear by endpoint bifurcation instead
@@ -617,14 +575,14 @@ def jump_curve(totals: Iterable[float]) -> list[JumpRecord]:
 
     The axis record (0.5, 0), where the hop shrinks to zero and the theta = 0
     axis curvature vanishes, with residual |S''(0)|; then one record on each
-    path q1 + q2 = t of the totals t with 1/2 + ``_JUMP_REACH`` < t < t*,
-    in their order; then the intersection p* of the equal-endpoint and
-    half-pi curves (:func:`curves_intersection`, on the total t*), where the
-    hop spans the whole quarter turn, with residual |S(0) - S(pi/2)|.  The
-    two end records are analytic, and the axis record stands in for the
-    totals within the per-path solve's reach of 1/2, which it does not
-    solve (:func:`solve_jump_boundary`).  The jump-angle table and the
-    traced jump polyline are both this curve.
+    path q1 + q2 = t of the totals t with
+    1/2 + ``_JUMP_REACH`` < t < t* - ``_JUMP_TOP_REACH``, in their order;
+    then the intersection p* of the equal-endpoint and half-pi curves
+    (:func:`curves_intersection`, on the total t*), where the hop spans the
+    whole quarter turn, with residual |S(0) - S(pi/2)|.  The two end
+    records are analytic, and stand in for the totals within the per-path
+    solve's two reaches, of 1/2 and of t* (:func:`solve_jump_boundary`).
+    The jump-angle table and the traced jump polyline are both this curve.
 
     The totals between the ends are solved by natural-parameter
     continuation in the total (Allgower and Georg, *Introduction to
@@ -637,9 +595,8 @@ def jump_curve(totals: Iterable[float]) -> list[JumpRecord]:
     stands, on the first total and wherever the corrector fails: the
     prediction lies off the path, the interior minimum is lost at the
     prediction or at the root, it vanishes before the gap changes sign, or
-    the Newton steps reach their cap.  Raises ConvergenceError on a total
-    where the per-path solve returns None too, though every total below t*
-    carries a jump root.
+    the Newton steps reach their cap.  Every kept total carries a jump
+    root, so a None from the per-path solve raises ConvergenceError too.
     """
     p_star = curves_intersection()
     t_star = p_star.q1 + p_star.q2
@@ -652,7 +609,7 @@ def jump_curve(totals: Iterable[float]) -> list[JumpRecord]:
     records = [JumpRecord(boundary=axis, jump_angle=0.0)]
     roots = []  # (total, q1, jump angle) of the last two roots
     for t in totals:
-        if not 0.5 + _JUMP_REACH < t < t_star:
+        if not 0.5 + _JUMP_REACH < t < t_star - _JUMP_TOP_REACH:
             continue
         traj = TrajectorySpec(t)
         rec = None

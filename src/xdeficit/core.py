@@ -1,15 +1,17 @@
-"""Closed-form scalar mathematics of the two-parameter X-state family.
+"""Closed-form mathematics of the two-parameter X-state family.
 
 The family mixes the Bell states (|01> +- |10>)/sqrt(2), with weights q1 and
 q2, and the product state |00>, with weight 1 - q1 - q2.  The valid parameter
 domain is the triangle q1 >= 0, q2 >= 0, q1 + q2 <= 1.  A projective
 measurement on qubit B is parametrized by a polar angle theta (the azimuthal
 angle drops out for this family), and the spectrum of the measurement-averaged
-state is known in closed form.  All entropies are reported in bits.  So
-are their theta-derivatives: the slope dS/dtheta (:func:`post_entropy_slope`,
-with its array form :func:`slope_curve`) and the curvature d2S/dtheta2
-(:func:`post_entropy_curvature`), both differentiated from the same
-eigenvalues.
+state is known in closed form.  This module is the one that writes that
+spectrum, and every quantity read from it: the entropy
+(:func:`post_entropy`, with its array form :func:`post_entropy_grid`), the
+slope dS/dtheta (:func:`post_entropy_slope`, with its array form
+:func:`slope_curve`), the curvature d2S/dtheta2
+(:func:`post_entropy_curvature`) and the jump gap S(0) - S(theta)
+(``_jump_gap``).  All of them are in bits.
 
 Everything in this module is a pure function of its arguments and safe to call
 from any number of threads.
@@ -155,8 +157,8 @@ def slope_curve(q1, q2, ct, st) -> np.ndarray:
 
     The array form of :func:`post_entropy_slope`: q1, q2, ct = cos(theta)
     and st = sin(theta) broadcast together.  The spectrum comes
-    from the kernel of :func:`post_entropy_grid`, and both radii from its
-    gaps, rad_p = 2 (lam0 - lam1) and rad_m = 2 (lam2 - lam3).  The log
+    from ``_spectrum_into``, and both radii from its gaps,
+    rad_p = 2 (lam0 - lam1) and rad_m = 2 (lam2 - lam3).  The log
     terms are summed in pairs, so that a radius rounded near zero multiplies
     the near-zero difference of its two logarithms.  The two eigenvalue
     pairs run as (2, ...) blocks, from the radii to their derivatives and
@@ -215,35 +217,13 @@ def post_spectrum(p: StateParams, theta) -> np.ndarray:
     Returns the four eigenvalues as the last axis of the result; ``theta``
     may be a scalar or an ndarray of polar angles.  The azimuthal measurement
     angle does not enter.  The formula extends smoothly to any real theta,
-    which the symmetry tests exploit.  The spectrum that
-    :func:`post_entropy_grid` sums.
+    which the symmetry tests exploit.  Written by ``_spectrum_into``, which
+    also writes the spectra of :func:`post_entropy_grid` and
+    :func:`slope_curve`.
     """
     theta = np.asarray(theta, dtype=float)
     lam = _spectrum_into(np.empty((8,) + theta.shape), p.q1, p.q2, np.cos(theta), np.sin(theta))
     return np.moveaxis(lam, 0, -1).copy()
-
-
-def _post_entropy_scalar(q1: float, q2: float, theta: float) -> float:
-    # scalar fast path; hot inner loop of every refinement and sweep.  The
-    # expressions of _spectrum_into, bit-symmetric under q1 <-> q2
-    a = 1.0 - (q1 + q2)
-    b = 1.0 - 2.0 * (q1 + q2)
-    c = q1 - q2
-    ct = math.cos(theta)
-    st = math.sin(theta)
-    rad_p = math.sqrt((a + b * ct) ** 2 + (c * st) ** 2)
-    rad_m = math.sqrt((a - b * ct) ** 2 + (c * st) ** 2)
-    # same rule as _entropy_bits, inlined to spare a call on the hottest path
-    out = 0.0
-    for lam in (
-        0.25 * (1.0 + a * ct + rad_p),
-        0.25 * (1.0 + a * ct - rad_p),
-        0.25 * (1.0 - a * ct + rad_m),
-        0.25 * (1.0 - a * ct - rad_m),
-    ):
-        if lam > 0.0:
-            out -= lam * math.log2(lam)
-    return out
 
 
 def post_entropy_slope(p: StateParams, theta: float) -> float:
@@ -256,8 +236,8 @@ def post_entropy_slope(p: StateParams, theta: float) -> float:
     callers evaluate it further inside.
     """
     # the -sum(lam_i')/ln 2 term drops out because the eigenvalues sum to 1;
-    # lam_i' comes from differentiating the rad_p and rad_m of
-    # _post_entropy_scalar, and weights <= 0 contribute nothing, the limit of
+    # lam_i' comes from differentiating the rad_p and rad_m of the scalar
+    # post_entropy, and weights <= 0 contribute nothing, the limit of
     # lam' log lam
     a = 1.0 - (p.q1 + p.q2)
     b = 1.0 - 2.0 * (p.q1 + p.q2)
@@ -345,17 +325,60 @@ def post_entropy_curvature(p: StateParams, theta: float) -> float:
     return out / (-4.0 * math.log(2.0))
 
 
+def _jump_gap(p: StateParams, theta: float) -> float:
+    """S(0) - S(theta) in bits, free of the cancellation of the two entropies.
+
+    The difference is summed over the increments d = L - L0 of the four
+    eigenvalues L / 4 (the two pairs of :func:`post_entropy_curvature`)
+    from theta = 0, as d ln L0 + L log1p(d / L0), or L ln L where L0 = 0:
+    the eigenvalues sum to 1, so the ln 4 of each L / 4 drops out (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 1).  Each d is
+    written through w - w0 = -+2 sin^2(theta/2), the radius change as
+    (rad^2 - rad0^2) / (rad + rad0) and the smaller eigenvalue of a pair as
+    the pair's product over the larger one, so that near theta = 0 it keeps
+    its digits where the two ~1.5-bit entropies agree to ~theta^2.
+    """
+    t, c = p.q1 + p.q2, p.q1 - p.q2
+    a, b = 1.0 - t, 1.0 - 2.0 * t
+    st = math.sin(theta)
+    h = 2.0 * math.sin(0.5 * theta) ** 2  # 1 - cos theta
+    cst2, mixed = (c * st) ** 2, 4.0 * p.q1 * p.q2 * st * st
+    out = 0.0
+    for w0, dw in ((2.0, -h), (0.0, h)):
+        # w = 1 +- cos theta; u = t + b w and rad = hypot(u, c sin theta)
+        w, u0 = w0 + dw, t + b * w0
+        u, rad0 = u0 + b * dw, abs(u0)
+        rad = math.sqrt(u * u + cst2)
+        big0 = t + a * w0 + rad0
+        dbig = a * dw + (b * dw * (u + u0) + cst2) / (rad + rad0)
+        small0 = 2.0 * a * t * w0 * w0 / big0
+        dsmall = (2.0 * a * t * dw * (w + w0) + mixed - small0 * dbig) / (big0 + dbig)
+        for l0, d in ((big0, dbig), (small0, dsmall)):
+            if l0 > 0.0:
+                out += d * math.log(l0) + (l0 + d) * math.log1p(d / l0)
+            elif d > 0.0:
+                out += d * math.log(d)
+    return out / (4.0 * math.log(2.0))
+
+
 def post_entropy(p: StateParams, theta) -> float | np.ndarray:
     """Entropy in bits of the measurement-averaged state at angle theta.
 
     Symmetric under theta -> pi - theta, and under the q1 <-> q2 exchange to
     the bit: ``post_entropy(p, t) == post_entropy(p.swapped(), t)``, and so
     are the endpoint forms, the slope and the deficit built on them.  Accepts
-    scalar or ndarray theta.
+    scalar or ndarray theta; an ndarray goes through :func:`post_entropy_grid`.
     """
-    if np.ndim(theta) == 0:
-        return _post_entropy_scalar(p.q1, p.q2, float(theta))
-    return post_entropy_grid(p.q1, p.q2, theta)
+    if np.ndim(theta) != 0:
+        return post_entropy_grid(p.q1, p.q2, theta)
+    # the expressions of _spectrum_into, bit-symmetric under q1 <-> q2
+    t, c = p.q1 + p.q2, p.q1 - p.q2
+    a, b = 1.0 - t, 1.0 - 2.0 * t
+    ct, st = math.cos(float(theta)), math.sin(float(theta))
+    rad_p = math.sqrt((a + b * ct) ** 2 + (c * st) ** 2)
+    rad_m = math.sqrt((a - b * ct) ** 2 + (c * st) ** 2)
+    return _entropy_bits((0.25 * (1.0 + a * ct + rad_p), 0.25 * (1.0 + a * ct - rad_p),
+                          0.25 * (1.0 - a * ct + rad_m), 0.25 * (1.0 - a * ct - rad_m)))
 
 
 def post_entropy_grid(q1, q2, theta) -> np.ndarray:
@@ -363,30 +386,25 @@ def post_entropy_grid(q1, q2, theta) -> np.ndarray:
 
     The array form of :func:`post_entropy`: column arrays of states against a
     row of angles give one curve per state, elementwise identical to calling
-    ``post_entropy`` state by state.  The four eigenvalues go into one
-    ``(4, ...)`` buffer; clipping, the logarithms and the products run once
-    over it, and the four terms are summed in eigenvalue order.  The caller
-    keeps (q1, q2) inside the triangle; nothing is validated here.
+    ``post_entropy`` state by state.  The four eigenvalues are clipped to
+    [0, 1] and their terms summed in eigenvalue order, 0 - t0 - t1 - t2 - t3.
+    The caller keeps
+    (q1, q2) inside the triangle; nothing is validated here.
     """
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    shape = np.broadcast(q1, q2, theta).shape
-    work, out = np.empty((8,) + shape), np.empty(shape)
-    lam = _spectrum_into(work, q1, q2, np.cos(theta), np.sin(theta))
-    # clipped to [0, 1] as np.clip does, without its Python-level wrapper
-    np.maximum(lam, 0.0, out=lam)
-    np.minimum(lam, 1.0, out=lam)
+    work = np.empty((8,) + np.broadcast(q1, q2, theta).shape)
+    lam = np.clip(_spectrum_into(work, q1, q2, np.cos(theta), np.sin(theta)), 0.0, 1.0)
     # same rule as _entropy_bits: weights <= 0 (float dust) contribute
     # nothing.  Raised to the least subnormal, a zero weight has a finite
-    # logarithm (-1074) and its term 0 * -1074 = -0.0 leaves the sum as it is
-    terms = work[4:8]
-    np.maximum(lam, _LEAST_SUBNORMAL, out=terms)
-    np.log2(terms, out=terms)
-    np.multiply(lam, terms, out=terms)
-    np.subtract(0.0, terms[0, ...], out=out)
-    for k in (1, 2, 3):
-        np.subtract(out, terms[k, ...], out=out)
+    # logarithm (-1074) and its term 0 * -1074 = -0.0 leaves the sum as it
+    # is.  One eigenvalue at a time, so that each temporary is a quarter of
+    # the spectrum: on large grids a temporary of the whole spectrum takes
+    # fresh pages from the system on every call, which doubles the cost
+    out = 0.0
+    for row in lam:
+        out = out - row * np.log2(np.maximum(row, _LEAST_SUBNORMAL))
     return out[()]
 
 

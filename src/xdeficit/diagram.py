@@ -2,45 +2,31 @@
 
 Produces plot-ready data only; rendering stays out of scope.  The sweep
 runs on numpy columns, one row per cell, and builds its ``PhaseCell``
-objects once at the end, from plain Python floats and strings, through the
-class's own ``__init__``, which writes the five fields straight into the
-instance dict (about half the cost of the generated one).  Its index is
-one ``np.nonzero`` over the grid of cell centers, row by row in q1, then
-q2.  The closed forms are bit-symmetric under the q1 <-> q2 exchange, so
-the cell (q2, q1) gets exactly the result of (q1, q2): the sweep labels
-the cells on and below the diagonal (q2 <= q1), and each cell above it
-takes its twin's labels by one fancy index into that half.  The window of the interior minima is read
-from one slope sample per cell, the outermost one ``shape.classify_shape``
+objects once at the end.  The closed forms are bit-symmetric under the
+q1 <-> q2 exchange, so the cell (q2, q1) gets exactly the result of
+(q1, q2): the sweep labels the cells on and below the diagonal (q2 <= q1),
+and each cell above it takes its twin's labels by one fancy index into
+that half.
+
+Labelling (:func:`_label`) reads the window of the interior minima from
+one slope sample per cell, the outermost one ``shape.classify_shape``
 reads, at pi/2 - ``ENDPOINT_MARGIN``.  Where that sample is signed
-negative (<= -``SLOPE_FLOOR``), the last extremum classify_shape brackets
-is a maximum; off the axes the curve rises from theta = 0 and carries at
-most two extrema, so no minimum comes before that maximum.  Where it is
-unsigned, |S''(pi/2)| is below ~1e-8: such a curve brackets a minimum only
-where the birth curve meets the half-pi curve, at totals 0.813-0.815,
-above the intersection total 0.769, and there the minimum never wins.  So
-the candidates are the cells whose sample is signed positive
-(>= ``SLOPE_FLOOR``); the flat curves, such as the Bell corners, drop out.
-On each diagonal q1 + q2 = const the minima fill one run of cells, from
-the window's upper end (the half-pi boundary, or the axis) down to the
-bimodality birth.  So the sweep computes that sample for every labelled
-cell in one ``core.slope_curve`` call, walks each diagonal's candidates
-from the one nearest the axis toward q1 = q2, one cell per diagonal per
-round through one ``shape._flag_rows`` call, which returns the flags of
-``shape.needs_refinement`` with the slope rows of the flagged cells, and
-stops a diagonal at its first candidate whose slope samples dS/dtheta
-never change sign.
-Every labelled cell first takes the better closed-form endpoint from
-``deficit.endpoint_columns``, which is ``==`` to ``endpoint_deficit``
-state by state and is what ``one_way_deficit`` returns wherever the curve
-has no interior minimum.  The flagged walked cells, about 1% of the
-triangle, then overwrite their rows, in cell order, with the deficit that
-``one_way_deficit`` reads from a state's slope row, here the row the walk
-sampled: the walk keeps the rows of the cells it flags (~0.1 MB at
-resolution 100, ~1.8 MB at 400), and no row is computed twice.  Each cell
-thus gets the same result as a per-cell ``one_way_deficit`` call, in one
-process.  A trajectory profile is labelled by the same walk, with its
-whole path as one diagonal: on the axis the walk starts below the flat
-corner at q1 = 1, at the half-pi root, and runs down through the minima.
+negative, the last extremum classify_shape brackets is a maximum; off the
+axes the curve rises from theta = 0 and carries at most two extrema, so no
+minimum comes before it.  Where it is unsigned, |S''(pi/2)| is below
+~1e-8: such a curve brackets a minimum only at totals 0.813-0.815, above
+t* ~ 0.769, where the minimum never wins.  So the candidates are the cells
+whose sample is signed positive.  On each diagonal q1 + q2 = const the
+minima fill one run of cells, from the window's upper end down to the
+bimodality birth, so a walk from the candidate nearest the axis stops at
+the first one whose slope samples never change sign.  Every labelled cell
+takes the better closed-form endpoint from ``deficit.endpoint_columns``,
+``==`` to ``endpoint_deficit``, and the flagged walked cells then take
+the deficit that ``one_way_deficit`` reads from the slope row the walk
+sampled.  Each cell thus gets the same result as a per-cell
+``one_way_deficit`` call, in one process, and no row is computed twice.
+A trajectory profile is labelled by the same walk, with its whole path as
+one diagonal.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from xdeficit import (
 from xdeficit.boundaries import (
     _BIRTH_REACH,
     _JUMP_REACH,
+    _JUMP_TOP_REACH,
     CORNER_TOL,
     Q1_TOL,
     RADIUS_DEGENERACY_TOL,
@@ -251,13 +252,13 @@ def continued_fan_deviation(totals):
     against the per-path solve.
 
     Asserts that the fan holds one record, and no None, on each total t of
-    ``totals`` with 1/2 + ``_JUMP_REACH`` < t < t*, t* the total of the curve
-    intersection, in their order, and that the per-path solve returns a
-    record on each of them.  Returns the number of per-path fallbacks the
+    ``totals`` with 1/2 + ``_JUMP_REACH`` < t < t* - ``_JUMP_TOP_REACH``,
+    t* the total of the curve intersection, in their order, and that the
+    per-path solve returns a record on each of them.  Returns the number of per-path fallbacks the
     fan took and the largest differences in q1 and in jump angle.
     """
     p_star = curves_intersection()
-    kept = [t for t in totals if 0.5 + _JUMP_REACH < t < p_star.q1 + p_star.q2]
+    kept = [t for t in totals if 0.5 + _JUMP_REACH < t < p_star.q1 + p_star.q2 - _JUMP_TOP_REACH]
     reference = [solve_jump_boundary(TrajectorySpec(t)) for t in kept]
     fallbacks = []
     per_path = boundaries_module.solve_jump_boundary
@@ -651,6 +652,15 @@ class TestMinimizerNear:
         for theta0 in (ref - 0.3, ref - 1e-3, HALF_PI):
             assert abs(_minimizer_near(_deflated_slope, p, theta0) - ref) <= 1e-8
 
+    def test_nan_where_the_first_bracket_holds_a_maximum(self):
+        # a bimodal state started at its maximum: walked on, the bracket
+        # would move downhill onto the minimum beyond it
+        p = StateParams(0.7215, 0.0285)
+        report = classify_shape(p, grid_n=2048)
+        assert report.shape_class is ShapeClass.BIMODAL
+        maximum = next(e.theta for e in report.extrema if e.kind == "max")
+        assert math.isnan(_minimizer_near(_deflated_slope, p, maximum))
+
     def test_nan_where_the_minimum_merged_into_half_pi(self):
         # 1e-6 in q1 above the half-pi root of total 0.8, S''(pi/2) > 0: the
         # curve falls all the way into pi/2, and the walk ends there
@@ -917,7 +927,7 @@ class TestJumpCurve:
         t_star = p_star.q1 + p_star.q2
         for totals in ([0.5 + k * 1e-6 for k in range(1, 2001)],
                        (t_star - np.logspace(-4, -14, 201)).tolist()):
-            kept = [t for t in totals if 0.5 + _JUMP_REACH < t < t_star]
+            kept = [t for t in totals if 0.5 + _JUMP_REACH < t < t_star - _JUMP_TOP_REACH]
             curve = jump_curve(totals)
             assert None not in curve and len(curve) == len(kept) + 2
             first = curve[1].boundary.p
@@ -964,6 +974,48 @@ class TestReach:
         with pytest.raises(ConvergenceError, match="within the reach"):
             solver(TrajectorySpec(0.5 + reach))
         assert solver(TrajectorySpec(0.5)) is None
+
+
+# 300 log-spaced distances d of the top-reach scan of the per-path jump on t* - d
+TOP_REACH_SCAN = np.logspace(-17, -11, 300).tolist()
+
+
+class TestTopReach:
+    """Below t* the per-path jump returns a record or raises, naming the top
+    reach within it; ``jump_curve`` leaves that reach to the p* anchor."""
+
+    def test_raise_within_the_top_reach_and_solve_below(self):
+        p_star = curves_intersection()
+        t_star = p_star.q1 + p_star.q2
+        raised = solved = 0
+        for d in TOP_REACH_SCAN:
+            traj = TrajectorySpec(t_star - d)
+            if traj.total >= t_star:  # d below half an ulp of t*
+                assert solve_jump_boundary(traj) is None
+            elif t_star - traj.total <= _JUMP_TOP_REACH:
+                try:
+                    assert solve_jump_boundary(traj) is not None, d
+                except ConvergenceError as exc:
+                    assert f"top reach {_JUMP_TOP_REACH}" in str(exc)
+                    raised += 1
+            else:
+                assert solve_jump_boundary(traj) is not None, d
+                solved += 1
+        assert raised > 0 and solved > 0
+
+    def test_curve_anchors_at_p_star_within_the_top_reach(self):
+        p_star = curves_intersection()
+        t_star = p_star.q1 + p_star.q2
+        for d in TOP_REACH_SCAN:
+            curve = jump_curve([0.7, t_star - d])
+            assert curve[-1].boundary.p == p_star
+            assert len(curve) == 3 + (t_star - d < t_star - _JUMP_TOP_REACH), d
+
+    def test_no_root_below_the_top_reach_raises(self, monkeypatch):
+        monkeypatch.setattr(boundaries_module, "_jump_root", lambda traj, q, theta0: None)
+        with pytest.raises(ConvergenceError, match="no root found below t"):
+            solve_jump_boundary(TrajectorySpec(0.6))
+        assert solve_jump_boundary(TrajectorySpec(0.8)) is None
 
 
 class TestSolveCost:

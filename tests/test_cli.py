@@ -189,6 +189,13 @@ class TestBoundariesCommand:
         }
 
 
+    def test_resolution_below_100_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "boundaries", "--resolution", "99")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["exit_code"] == 2
+
+
 class TestPhaseDiagramCommand:
     def test_small_run(self, capsys):
         code, out, _ = run_cli(

@@ -8,6 +8,7 @@ import pytest
 import xdeficit.diagram
 from xdeficit import (
     BoundaryKind,
+    BoundaryPoint,
     ShapeClass,
     StateParams,
     TrajectorySpec,
@@ -22,7 +23,7 @@ from xdeficit import (
     trajectory_profile,
 )
 from xdeficit.core import slope_curve
-from xdeficit.diagram import PhaseCell
+from xdeficit.diagram import PhaseCell, _chain
 from xdeficit.shape import ENDPOINT_MARGIN, SLOPE_FLOOR, _angle_table, needs_refinement
 
 HALF_PI = math.pi / 2
@@ -535,6 +536,17 @@ class TestTraceBoundaries:
         assert (curve.points[0].p.q1, curve.points[0].p.q2) == (0.5, 0.0)
         assert curve.points[-1].p.q1 == pytest.approx(0.739409, abs=1e-3)
         assert curve.points[-1].p.q2 == pytest.approx(0.029686, abs=1e-3)
+
+    def test_resolution_below_100_raises(self):
+        with pytest.raises(ValueError, match="at least 100"):
+            trace_boundaries(99)
+
+    def test_chain_flags_a_gap_wider_than_two_cells(self):
+        # at resolution 100 the bound is 0.02: the steps 0.01 and 0.015 pass
+        kind = BoundaryKind.JUMP_BOUNDARY
+        points = [BoundaryPoint(p=StateParams(q1, 0.0), kind=kind, residual=0.0)
+                  for q1 in (0.5, 0.51, 0.525, 0.555)]
+        assert _chain(kind, points, 100).gaps == [2]
 
     def test_polylines_have_no_gaps(self, curves):
         for curve in curves:

@@ -102,6 +102,10 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError):
             hermitian_eigenvalues(m)
 
+    def test_rejects_a_matrix_that_is_not_4x4(self):
+        with pytest.raises(ValueError, match="4x4"):
+            hermitian_eigenvalues(np.eye(3, dtype=complex))
+
     def test_complex_off_diagonals(self):
         # random Hermitian with genuinely complex entries, checked by trace
         # identities rather than another eigensolver

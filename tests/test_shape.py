@@ -312,6 +312,26 @@ class TestFindRoot:
         assert abs(x) <= self.XTOL
         assert len(seen) - 2 <= bisection + _SPARE_STEPS
 
+    def test_returns_an_end_where_f_is_zero(self):
+        def never(x):
+            raise AssertionError("no evaluation expected")
+
+        assert find_root(never, 0.0, 1.0, 0.0, 1.0, self.XTOL) == 0.0
+        assert find_root(never, 0.0, 1.0, -1.0, 0.0, self.XTOL) == 1.0
+
+    def test_rejects_xtol_below_the_float_resolution(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if len(calls) > 1000:
+                raise AssertionError("the bracket cannot shrink to xtol")
+            return x - 1.0
+
+        with pytest.raises(ValueError, match="float resolution"):
+            find_root(f, 0.5, 2.0, -0.5, 1.0, 1e-17)
+        assert calls == []
+
     def test_rejects_a_non_bracket(self):
         with pytest.raises(ValueError):
             find_root(lambda x: x, 1.0, 2.0, 1.0, 2.0, self.XTOL)
