@@ -305,8 +305,9 @@ def _minimizer_near(deriv, p: StateParams, theta0: float) -> float:
     every state.  NaN when the bracket holds a maximum instead (deriv
     positive, then negative), when the walk reaches pi/2 still falling (the
     minimum has merged into that endpoint), or when it reaches
-    ``ENDPOINT_MARGIN`` above 0, where S' loses its sign off the axes and
-    an extremum merges into theta = 0.  With ``_deflated_slope`` as deriv
+    ``ENDPOINT_MARGIN`` above 0: an extremum closer to 0 merges into that
+    endpoint, the rule of the shape classification, though the scalar S'
+    keeps its sign below it.  With ``_deflated_slope`` as deriv
     this tracks the interior minimum of the entropy curve, which carries at
     most one; with ``post_entropy_curvature`` it tracks the inflection at
     which dS/dtheta is least.
@@ -595,8 +596,9 @@ def jump_curve(totals: Iterable[float]) -> list[JumpRecord]:
     stands, on the first total and wherever the corrector fails: the
     prediction lies off the path, the interior minimum is lost at the
     prediction or at the root, it vanishes before the gap changes sign, or
-    the Newton steps reach their cap.  Every kept total carries a jump
-    root, so a None from the per-path solve raises ConvergenceError too.
+    the Newton steps reach their cap.  Every kept total lies between the
+    two reaches, where the per-path solve returns a record or raises
+    ConvergenceError, and never None.
     """
     p_star = curves_intersection()
     t_star = p_star.q1 + p_star.q2
@@ -623,8 +625,6 @@ def jump_curve(totals: Iterable[float]) -> list[JumpRecord]:
                 pass
         if rec is None:
             rec = solve_jump_boundary(traj)
-        if rec is None:
-            raise ConvergenceError(f"no jump boundary found on total {t}")
         records.append(rec)
         roots = [*roots[-1:], (t, rec.boundary.p.q1, rec.jump_angle)]
     return [*records, JumpRecord(boundary=star, jump_angle=HALF_PI)]
@@ -640,6 +640,7 @@ def jump_angle_table() -> list[JumpRecord]:
     ``_TABLE_TOTALS``: the axis limit (0.5, 0) where the hop shrinks to
     zero, the five totals solved as one continued fan, and the intersection
     limit where the hop spans the whole quarter turn.  Raises
-    ConvergenceError, naming the total, when a total has no jump root.
+    ConvergenceError where the per-path solve raises, on the first total or
+    where it stands in for a failed continuation step.
     """
     return jump_curve(_TABLE_TOTALS)

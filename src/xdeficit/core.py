@@ -13,6 +13,15 @@ slope dS/dtheta (:func:`post_entropy_slope`, with its array form
 (:func:`post_entropy_curvature`) and the jump gap S(0) - S(theta)
 (``_jump_gap``).  All of them are in bits.
 
+The three scalar forms, on theta in [0, pi/2], write the spectrum in one
+pair form: the eigenvalues come in two pairs, each through
+w = 1 +- cos theta taken as 2 - h or h from h = 2 sin^2(theta/2), and the
+smaller one of a pair as the pair's product over the larger one, so none
+is a difference of numbers of order 1 where it vanishes, near theta = 0
+and beside the edges.  The array forms write each eigenvalue directly
+(``_spectrum_into``): the slope row is bound by its numpy calls, and its
+samples carry a sign only from ``shape.ENDPOINT_MARGIN`` on.
+
 Everything in this module is a pure function of its arguments and safe to call
 from any number of threads.
 """
@@ -165,7 +174,11 @@ def slope_curve(q1, q2, ct, st) -> np.ndarray:
     the log sums and differences, one numpy call per block; each element
     goes through the operations of the scalar form in its order, a - x
     taken as a + (-x) with an exact negation.  Unvalidated like
-    :func:`post_entropy_grid`.
+    :func:`post_entropy_grid`.  Unlike the scalar form, it takes the
+    smallest eigenvalue of each pair as a difference of numbers of order 1,
+    which cancels where it vanishes like theta^2: off the Cartesian axes
+    its samples lose their sign within ~1e-7 rad of theta = 0, and carry
+    one only from ``shape.ENDPOINT_MARGIN`` on.
     """
     shape = np.broadcast(q1, q2, ct, st).shape
     work, out = np.empty((10,) + shape), np.empty(shape)
@@ -227,54 +240,69 @@ def post_spectrum(p: StateParams, theta) -> np.ndarray:
 
 
 def post_entropy_slope(p: StateParams, theta: float) -> float:
-    """Derivative dS/dtheta of :func:`post_entropy` in bits per radian, scalar theta.
+    """Derivative dS/dtheta of :func:`post_entropy` in bits per radian, scalar theta in [0, pi/2].
 
-    The closed form -sum(lam_i' * log2(lam_i)) over the eigenvalues of
-    :func:`post_spectrum`.  It vanishes at theta = 0 and pi/2 for every state.
-    Within ~1e-7 rad of theta = 0 off the Cartesian axes the smallest
-    eigenvalue (~theta^2) cancels against 1 and the result loses its sign;
-    callers evaluate it further inside.
+    The closed form -sum(lam_i' log2(lam_i)) over the eigenvalues lam_i > 0
+    of :func:`post_spectrum`, in the pair form that
+    :func:`post_entropy_curvature` and ``_jump_gap`` share: the smaller
+    eigenvalue of each pair is the pair's product over the larger one, and
+    the factor sin theta of every lam_i' is divided out analytically, so
+    that no eigenvalue is a difference of numbers of order 1.  The result
+    keeps its sign down to the least angles, where off the Cartesian axes
+    it vanishes like theta log(1/theta); it is 0 at theta = 0, and 0 to
+    rounding at pi/2, for every state.
     """
-    # the -sum(lam_i')/ln 2 term drops out because the eigenvalues sum to 1;
-    # lam_i' comes from differentiating the rad_p and rad_m of the scalar
-    # post_entropy, and weights <= 0 contribute nothing, the limit of
-    # lam' log lam
-    a = 1.0 - (p.q1 + p.q2)
-    b = 1.0 - 2.0 * (p.q1 + p.q2)
-    c = p.q1 - p.q2
-    ct = math.cos(theta)
-    st = math.sin(theta)
-    up = a + b * ct
-    um = a - b * ct
-    cc = c * c * st * ct
-    rad_p = math.sqrt(up * up + (c * st) ** 2)
-    rad_m = math.sqrt(um * um + (c * st) ** 2)
-    # d(rad)/dtheta; a zero radius is a kink of a double eigenvalue, whose
-    # two log terms then cancel whatever slope is taken
-    drad_p = (cc - b * st * up) / rad_p if rad_p > 0.0 else 0.0
-    drad_m = (cc + b * st * um) / rad_m if rad_m > 0.0 else 0.0
-    ast = a * st
-    out = 0.0
-    for lam, dlam in (
-        (0.25 * (1.0 + a * ct + rad_p), 0.25 * (drad_p - ast)),
-        (0.25 * (1.0 + a * ct - rad_p), -0.25 * (drad_p + ast)),
-        (0.25 * (1.0 - a * ct + rad_m), 0.25 * (drad_m + ast)),
-        (0.25 * (1.0 - a * ct - rad_m), 0.25 * (ast - drad_m)),
-    ):
-        if lam > 0.0:
-            out -= dlam * math.log2(lam)
-    return out
+    # With t = q1 + q2, each s = +-1 gives a pair of eigenvalues L / 4 and
+    # l / 4, L >= l.  w = 1 + s cos is 2 - h or h, with h = 1 - cos
+    # = 2 sin^2(theta/2), so that 1 + s a cos = t + a w and u = a + s b cos
+    # = t + b w carry no cancellation of 1 - cos.  rad = sqrt(u^2 + (c sin)^2),
+    # L = t + a w + rad, and the product L l = 2 a t w^2 + 4 q1 q2 sin^2 is a
+    # sum of non-negative terms, so l = (L l) / L.  Over sin theta,
+    # rad' = (c^2 cos - s b u) / rad, L' = rad' - s a and
+    # l' = ((L l)' - l L') / L; a zero radius takes rad' = 0, a kink of a
+    # double eigenvalue whose two log terms then cancel whatever slope is
+    # taken.  The L' sum to 0, so neither the 1/4 of each L / 4 nor the
+    # -sum(L') / ln 2 term adds anything: S' = -sin sum(L' log2 L) / 4, and
+    # eigenvalues <= 0 contribute nothing, the limit of L' log2 L.  The two
+    # pairs are written out: a loop over them costs ~15% more a call
+    t, c = p.q1 + p.q2, p.q1 - p.q2
+    a, b = 1.0 - t, 1.0 - 2.0 * t
+    ct, st, sh = math.cos(theta), math.sin(theta), math.sin(0.5 * theta)
+    h, cst2, mixed = 2.0 * sh * sh, (c * st) ** 2, 4.0 * p.q1 * p.q2
+    # s = +1: w >= 1 on [0, pi/2], so L >= t + a = 1 needs no guard
+    w = 2.0 - h
+    u = t + b * w
+    rad = math.sqrt(u * u + cst2)
+    drad = (c * c * ct - b * u) / rad if rad > 0.0 else 0.0
+    big = t + a * w + rad
+    dbig = drad - a
+    small = (2.0 * a * t * w * w + mixed * st * st) / big
+    out = dbig * math.log2(big)
+    if small > 0.0:
+        out += (2.0 * mixed * ct - 4.0 * a * t * w - small * dbig) / big * math.log2(small)
+    # s = -1: w = h, and L = 0 at the origin at theta = 0
+    u = t + b * h
+    rad = math.sqrt(u * u + cst2)
+    drad = (c * c * ct + b * u) / rad if rad > 0.0 else 0.0
+    big = t + a * h + rad
+    if big > 0.0:
+        dbig = drad + a
+        small = (2.0 * a * t * h * h + mixed * st * st) / big
+        out += dbig * math.log2(big)
+        if small > 0.0:
+            out += (2.0 * mixed * ct + 4.0 * a * t * h - small * dbig) / big * math.log2(small)
+    return -0.25 * st * out
 
 
 def post_entropy_curvature(p: StateParams, theta: float) -> float:
-    """Second derivative d2S/dtheta2 of :func:`post_entropy` in bits per rad^2, scalar theta.
+    """Second derivative d2S/dtheta2 of :func:`post_entropy` in bits per rad^2, scalar theta in [0, pi/2].
 
     The closed form -sum(lam_i'' log2(lam_i) + lam_i'^2 / (lam_i ln 2)) over
-    the eigenvalues lam_i > 0 of :func:`post_spectrum`, with lam_i' as in
-    :func:`post_entropy_slope`: the package's one S''.  The eigenvalues come
-    in two pairs.  The smaller one of a pair is the pair's product over the
-    larger one, so it keeps its digits where it vanishes like theta^2, near
-    theta = 0 and beside the edges.  The log terms of a pair are summed
+    the eigenvalues lam_i > 0 of :func:`post_spectrum`, in the pair form of
+    :func:`post_entropy_slope`: the package's one S''.  The smaller
+    eigenvalue of a pair is the pair's product over the larger one, so it
+    keeps its digits where it vanishes like theta^2, near theta = 0 and
+    beside the edges.  The log terms of a pair are summed
     through the log of their ratio, so they keep theirs where the pair
     meets, near (1/2, 1/2) at pi/2.  Off the Cartesian axes S'' diverges
     like log(1/theta) as theta -> 0; at theta = 0 itself the vanishing
@@ -286,23 +314,19 @@ def post_entropy_curvature(p: StateParams, theta: float) -> float:
     short of that form: 266.2550 against 266.2542 at q = 1e-160, 250.1 against
     498.8 at 1e-300, and 1 at q = 0, where S'' is +infinity.
     """
-    # With t = q1 + q2, each s = +-1 gives the pair L+- / 4, where
-    # L+- = 1 + s a cos +- rad, u = a + s b cos and rad = sqrt(u^2 + (c sin)^2).
-    # rad rad' = sin (c^2 cos - s b u) and rad rad'' = (rad rad')' - rad'^2;
-    # a zero radius takes rad' = rad'' = 0, the slope's kink rule.
-    # w = 1 + s cos is 2 cos^2(theta/2) or 2 sin^2(theta/2), so that
-    # 1 + s a cos = t + a w and u = t + b w carry no cancellation of 1 - cos.
-    # The product L+ L- = 2 a t w^2 + 4 q1 q2 sin^2 is a sum of non-negative
-    # terms: L- = (L+ L-) / L+ and L-' = ((L+ L-)' - L- L+') / L+.
-    # The L'' sum to 0, so S'' = -sum(L'' ln L + L'^2 / L) / (4 ln 2).
+    # The pair quantities of post_entropy_slope; here drad, dbig and dsmall
+    # are the theta-derivatives of rad, big and small, not over sin theta:
+    # rad rad' = sin (c^2 cos - s b u) and rad rad'' = (rad rad')' - rad'^2,
+    # and a zero radius takes rad' = rad'' = 0.  The L'' sum to 0, so
+    # S'' = -sum(L'' ln L + L'^2 / L) / (4 ln 2).
     t, c = p.q1 + p.q2, p.q1 - p.q2
     a, b = 1.0 - t, 1.0 - 2.0 * t
-    ct, st = math.cos(theta), math.sin(theta)
-    mixed = 4.0 * p.q1 * p.q2 * st  # 4 q1 q2 sin^2 = mixed sin
+    ct, st, sh = math.cos(theta), math.sin(theta), math.sin(0.5 * theta)
+    h, cst2, mixed = 2.0 * sh * sh, (c * st) ** 2, 4.0 * p.q1 * p.q2
     out = 0.0
-    for s, w in ((1.0, 2.0 * math.cos(0.5 * theta) ** 2), (-1.0, 2.0 * math.sin(0.5 * theta) ** 2)):
+    for s, w in ((1.0, 2.0 - h), (-1.0, h)):
         u = t + b * w
-        rad = math.sqrt(u * u + (c * st) ** 2)
+        rad = math.sqrt(u * u + cst2)
         drad = d2rad = 0.0
         if rad > 0.0:
             drad = st * (c * c * ct - s * b * u) / rad
@@ -311,10 +335,10 @@ def post_entropy_curvature(p: StateParams, theta: float) -> float:
         if big > 0.0:
             log_big = math.log(big)
             dbig = drad - s * a * st
-            small = (2.0 * a * t * w * w + mixed * st) / big
+            small = (2.0 * a * t * w * w + mixed * st * st) / big
             out += dbig * dbig / big
             if small > 0.0:
-                dsmall = (2.0 * mixed * ct - 4.0 * s * a * t * w * st - small * dbig) / big
+                dsmall = (2.0 * mixed * st * ct - 4.0 * s * a * t * w * st - small * dbig) / big
                 # log big - log small from big - small = 2 rad: as the pair
                 # meets, rad'' grows like 1 / rad, and so would the rounding
                 # of two separate log terms
@@ -326,35 +350,39 @@ def post_entropy_curvature(p: StateParams, theta: float) -> float:
 
 
 def _jump_gap(p: StateParams, theta: float) -> float:
-    """S(0) - S(theta) in bits, free of the cancellation of the two entropies.
+    """S(0) - S(theta) in bits, free of the cancellation of the two entropies, theta in [0, pi/2].
 
     The difference is summed over the increments d = L - L0 of the four
-    eigenvalues L / 4 (the two pairs of :func:`post_entropy_curvature`)
-    from theta = 0, as d ln L0 + L log1p(d / L0), or L ln L where L0 = 0:
-    the eigenvalues sum to 1, so the ln 4 of each L / 4 drops out (Higham,
+    eigenvalues L / 4 (the two pairs of :func:`post_entropy_slope`) from
+    theta = 0, as d ln L0 + L log1p(d / L0), or L ln L where L0 = 0: the
+    eigenvalues sum to 1, so the ln 4 of each L / 4 drops out (Higham,
     *Accuracy and Stability of Numerical Algorithms*, ch. 1).  Each d is
-    written through w - w0 = -+2 sin^2(theta/2), the radius change as
+    written through w - w0 = -+h, the radius change as
     (rad^2 - rad0^2) / (rad + rad0) and the smaller eigenvalue of a pair as
     the pair's product over the larger one, so that near theta = 0 it keeps
-    its digits where the two ~1.5-bit entropies agree to ~theta^2.
+    its digits where the two ~1.5-bit entropies agree to ~theta^2.  It is
+    finite on the whole closed triangle: an L0 below 1e-300 is taken as 0,
+    so that d / L0 cannot overflow, which moves the result by less than
+    1e-296 bit; and at the origin, where the second pair vanishes at
+    theta = 0, its increments are 0.
     """
     t, c = p.q1 + p.q2, p.q1 - p.q2
     a, b = 1.0 - t, 1.0 - 2.0 * t
-    st = math.sin(theta)
-    h = 2.0 * math.sin(0.5 * theta) ** 2  # 1 - cos theta
-    cst2, mixed = (c * st) ** 2, 4.0 * p.q1 * p.q2 * st * st
+    st, sh = math.sin(theta), math.sin(0.5 * theta)
+    h, cst2, mixed = 2.0 * sh * sh, (c * st) ** 2, 4.0 * p.q1 * p.q2
     out = 0.0
     for w0, dw in ((2.0, -h), (0.0, h)):
-        # w = 1 +- cos theta; u = t + b w and rad = hypot(u, c sin theta)
+        # w = w0 + dw, 2 - h or h; u = t + b w and rad = hypot(u, c sin theta)
         w, u0 = w0 + dw, t + b * w0
         u, rad0 = u0 + b * dw, abs(u0)
         rad = math.sqrt(u * u + cst2)
         big0 = t + a * w0 + rad0
-        dbig = a * dw + (b * dw * (u + u0) + cst2) / (rad + rad0)
-        small0 = 2.0 * a * t * w0 * w0 / big0
-        dsmall = (2.0 * a * t * dw * (w + w0) + mixed - small0 * dbig) / (big0 + dbig)
+        dbig = a * dw + ((b * dw * (u + u0) + cst2) / (rad + rad0) if rad + rad0 > 0.0 else 0.0)
+        small0 = 2.0 * a * t * w0 * w0 / big0 if big0 > 0.0 else 0.0
+        big = big0 + dbig
+        dsmall = (2.0 * a * t * dw * (w + w0) + mixed * st * st - small0 * dbig) / big if big > 0.0 else -small0
         for l0, d in ((big0, dbig), (small0, dsmall)):
-            if l0 > 0.0:
+            if l0 > 1e-300:
                 out += d * math.log(l0) + (l0 + d) * math.log1p(d / l0)
             elif d > 0.0:
                 out += d * math.log(d)

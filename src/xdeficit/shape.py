@@ -45,10 +45,11 @@ GRID_N = 512
 # extremum pair are ~1e-8.
 SLOPE_FLOOR = 1e-12
 
-# The outermost slope samples sit this far inside 0 and pi/2, where the
-# slope vanishes for every family member; an extremum closer to an end
-# merges with the endpoint.  Off the axes the slope has a definite sign
-# from ~1e-7 rad on.
+# The outermost samples of a slope row (``core.slope_curve``) sit this far
+# inside 0 and pi/2, where the slope vanishes for every family member; an
+# extremum closer to an end merges with the endpoint.  The row writes each
+# eigenvalue directly, and off the axes its samples lose their sign within
+# ~1e-7 rad of 0; at this margin their rounding is ~1e-12, ``SLOPE_FLOOR``.
 ENDPOINT_MARGIN = 1e-4
 
 _EPS = np.finfo(float).eps

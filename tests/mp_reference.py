@@ -16,14 +16,16 @@ except ImportError:  # the tests that need it skip
 DPS = 40
 
 
-def spectrum(q1, q2, theta):
+def spectrum(q1, q2, theta, weight00=None):
     """The four eigenvalues of the post-measured state, at the working precision.
 
     Two per projector on qubit B, the larger first: each is continuous in
-    theta, so the k-th eigenvalue at theta continues the k-th at 0.
+    theta, so the k-th eigenvalue at theta continues the k-th at 0.  The
+    weight of |00> is 1 - q1 - q2, or ``weight00`` when given: a test sets
+    it to the 1 - fl(q1 + q2) of the closed forms.
     """
     rho = [[mp.mpf(0)] * 4 for _ in range(4)]
-    rho[0][0] = 1 - q1 - q2
+    rho[0][0] = 1 - q1 - q2 if weight00 is None else weight00
     rho[1][1] = rho[2][2] = (q1 + q2) / 2
     rho[1][2] = rho[2][1] = (q1 - q2) / 2
     c, s = mp.cos(theta / 2), mp.sin(theta / 2)
@@ -42,20 +44,13 @@ def spectrum(q1, q2, theta):
     return lams
 
 
-def entropy(q1, q2, theta):
+def entropy(q1, q2, theta, weight00=None):
     """Post-measured entropy in bits from the density matrix, at the working precision."""
     out = mp.mpf(0)
-    for lam in spectrum(q1, q2, theta):
+    for lam in spectrum(q1, q2, theta, weight00):
         if lam > 0:
             out -= lam * mp.log(lam, 2)
     return out
-
-
-def slope(q1: float, q2: float, theta: float, dps: int = 30) -> float:
-    """dS/dtheta at a float state and angle, differentiated at ``dps`` digits."""
-    with mp.workdps(dps):
-        q1, q2 = mp.mpf(q1), mp.mpf(q2)
-        return float(mp.diff(lambda t: entropy(q1, q2, t), mp.mpf(theta)))
 
 
 def curvature(q1: float, q2: float, theta: float, dps: int = 30) -> float:

@@ -897,11 +897,6 @@ class TestJumpAngleTable:
             assert abs(rec.boundary.p.q1 - ref.boundary.p.q1) <= 1e-12, total
             assert abs(rec.jump_angle - ref.jump_angle) <= 1e-9, total
 
-    def test_total_without_root_raises(self, monkeypatch):
-        monkeypatch.setattr(boundaries_module, "solve_jump_boundary", lambda traj: None)
-        with pytest.raises(ConvergenceError, match="no jump boundary found on total 0.55"):
-            jump_angle_table()
-
 
 class TestJumpCurve:
     def test_anchors_and_the_fan_between(self):

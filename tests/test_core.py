@@ -22,10 +22,11 @@ from xdeficit import (
     pre_entropy,
     quaternary_entropy,
 )
-from xdeficit.boundaries import _halfpi_curvature
+from xdeficit.boundaries import _DEFLATION_BAND, _halfpi_curvature
 from xdeficit.core import (
     _LEAST_SUBNORMAL,
     EDGE_TOL,
+    _jump_gap,
     post_entropy_curvature,
     post_entropy_grid,
     post_entropy_slope,
@@ -447,6 +448,163 @@ class TestEndpointForms:
             assert dp < 1e-6
 
 
+U = 2.0**-53
+
+
+class _Rounded:
+    """An exact value of a float computation, and a first-order bound ``e`` on
+    the rounding error of its float, in units of U.
+
+    The running error analysis of Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3: each rounded operation adds |result|, at
+    most half an ulp, and passes on the errors of its operands with the
+    magnitudes of its partial derivatives.  Float constants are exact, and
+    so is a negation.
+    """
+
+    def __init__(self, x, e=0):
+        self.x, self.e = mp_reference.mp.mpf(x), e
+
+    def __neg__(self):
+        return _Rounded(-self.x, self.e)
+
+    def __add__(self, other):
+        other = _rounded(other)
+        x = self.x + other.x
+        return _Rounded(x, self.e + other.e + abs(x))
+
+    def __sub__(self, other):
+        return self + -_rounded(other)
+
+    def __mul__(self, other):
+        other = _rounded(other)
+        x = self.x * other.x
+        return _Rounded(x, self.e * abs(other.x) + abs(self.x) * other.e + abs(x))
+
+    def __truediv__(self, other):
+        other = _rounded(other)
+        x = self.x / other.x
+        return _Rounded(x, (self.e + abs(x) * other.e) / abs(other.x) + abs(x))
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __rsub__(self, other):
+        return _rounded(other) + -self
+
+    def call(self, f, df, ulps=1.0):
+        """f of this value, f a library function within ``ulps`` ulp of its
+        result (an ulp is at most 2 U |result|) and df its derivative."""
+        x = f(self.x)
+        return _Rounded(x, abs(df(self.x)) * self.e + 2.0 * ulps * abs(x))
+
+
+def _rounded(x):
+    return x if isinstance(x, _Rounded) else _Rounded(x)
+
+
+def slope_rounding_bound(q1: float, q2: float, theta: float):
+    """U times the first-order bound on the rounding error of ``post_entropy_slope``.
+
+    The operations of the pair form, in its order, on ``_Rounded`` values:
+    sqrt is correctly rounded, and sin, cos, log2 and the square ** 2 are
+    taken within 1 ulp.  The rounding of t = q1 + q2 that a = 1 - t carries
+    is left out; :func:`slope_error_at` adds it.  In bits per radian.
+    """
+    mp = mp_reference.mp
+    with mp.workdps(30):
+        q1r, q2r, th = _Rounded(q1), _Rounded(q2), _Rounded(theta)
+        t, c = q1r + q2r, q1r - q2r
+        a, b = _Rounded(1 - t.x, abs(1 - t.x)), 1.0 - 2.0 * t
+        ct, st = th.call(mp.cos, lambda y: -mp.sin(y)), th.call(mp.sin, mp.cos)
+        sh = (0.5 * th).call(mp.sin, mp.cos)
+        cst2 = (c * st).call(lambda y: y * y, lambda y: 2 * y)
+        h, mixed = 2.0 * sh * sh, 4.0 * q1r * q2r
+        log2 = lambda y: y.call(lambda z: mp.log(z, 2), lambda z: 1 / (z * mp.log(2)))
+        out = _Rounded(0)
+        for s, w in ((1.0, 2.0 - h), (-1.0, h)):
+            u = t + b * w
+            rad = (u * u + cst2).call(mp.sqrt, lambda y: 1 / (2 * mp.sqrt(y)), ulps=0.5)
+            drad = (c * c * ct - s * b * u) / rad if rad.x > 0 else _Rounded(0)
+            big = t + a * w + rad
+            if big.x > 0:
+                dbig = drad - s * a
+                small = (2.0 * a * t * w * w + mixed * st * st) / big
+                out = out + dbig * log2(big)
+                if small.x > 0:
+                    out = out + (2.0 * mixed * ct - 4.0 * s * a * t * w - small * dbig) / big * log2(small)
+        return U * (-0.25 * st * out).e
+
+
+def slope_error_at(p: StateParams, theta: float):
+    """(error, part, bound) of ``post_entropy_slope`` at one state and angle.
+
+    The error is against dS/dtheta of the density matrix, ``mp.diff`` at 60
+    digits, and the derived bound on it is the sum of two parts:
+    :func:`slope_rounding_bound`, and the part that the rounding of
+    a = 1 - fl(q1 + q2) accounts for, the derivative of S' in a times that
+    rounding, taken as the difference of the 60-digit S' at a and at
+    1 - fl(q1 + q2).  Beside the hypotenuse the smaller eigenvalue of a
+    pair is ~a, so that derivative grows like 1 / a; and where the exact
+    q1 + q2 exceeds 1 by float dust, the rounding takes a from below 0,
+    where that eigenvalue is skipped, to 0.  Returns the error, the second
+    part and the first.
+    """
+    mp = mp_reference.mp
+    with mp.workdps(60):
+        q1, q2, x = mp.mpf(p.q1), mp.mpf(p.q2), mp.mpf(theta)
+        ref, rounded = (mp.diff(lambda y: mp_reference.entropy(q1, q2, y, a), x)
+                        for a in (1 - q1 - q2, 1 - mp.mpf(p.q1 + p.q2)))
+        err = abs(post_entropy_slope(p, theta) - ref)
+        return float(err), float(abs(rounded - ref)), float(slope_rounding_bound(p.q1, p.q2, theta))
+
+
+def slope_error(states, thetas):
+    """The worst (ratio, error, state, theta) of :func:`slope_error_at` over
+    the states and angles, the ratio being the error less the part of the
+    rounding of a, over the rounding bound: the error is within its derived
+    bound where the ratio is at most 1."""
+    worst = (-math.inf, 0.0, None, None)
+    for p in states:
+        for theta in thetas:
+            err, part, bound = slope_error_at(p, theta)
+            ratio = (err - part) / bound if bound > 0.0 else (math.inf if err > part else 0.0)
+            worst = max(worst, (ratio, err, p, theta), key=lambda w: w[0])
+    return worst
+
+
+# angles of the 60-digit slope check: log-spaced from 1e-12 up to the band
+# in which the boundary solves take the deflated slope from S'' instead
+SLOPE_ANGLES = tuple(np.logspace(-12.0, math.log10(HALF_PI - _DEFLATION_BAND), 8))
+
+
+def slope_states(n: int, seed: int) -> list[StateParams]:
+    """``n`` seeded states in four equal shares, then fixed ones.
+
+    The shares: uniform on the triangle; on an edge or 1e-12 to 1e-3 inside
+    one, the hypotenuse included; within 1e-12 of a corner; and on the
+    totals 1/2 + eps, eps from 1e-9 to 1e-2, with q2 < 0.1 eps, where the
+    interior minimum lies at ~0.1-0.25 sqrt(eps) rad.  The fixed states are
+    the corners, the midpoint of the hypotenuse, 5e-324 beside the origin,
+    and the states of the ~1e-7 rad sign loss of the direct form.
+    """
+    rng = np.random.default_rng(seed)
+    k = n // 4
+    states = [StateParams(*q) for q in triangle_samples(k, seed)]
+    for x, d in zip(rng.random(k), np.where(rng.random(k) < 0.25, 0.0, 10.0 ** rng.uniform(-12, -3, k))):
+        edge = rng.integers(3)
+        q = [(x * (1 - d), d), (d, x * (1 - d)), (x * (1 - d), (1 - x) * (1 - d))][edge]
+        states.append(StateParams(*q))
+    for corner, (u, v) in zip(rng.integers(3, size=k), 1e-12 * rng.random((k, 2))):
+        states.append(StateParams(*[(u, v), (1 - u - v, v), (u, 1 - u - v)][corner]))
+    for eps, f in zip(10.0 ** rng.uniform(-9, -2, n - 3 * k), rng.uniform(0.0, 0.1, n - 3 * k)):
+        states.append(StateParams(0.5 + eps - f * eps, f * eps))
+    fixed = [(0, 0), (1, 0), (0, 1), (0.5, 0.5), (0.5 + 1e-12, 0.5 - 1e-12), (0, 5e-324),
+             (5e-324, 5e-324), (0.6, 0.05), (0.500002, 1e-7), (0.50001, 3e-7), (0.3, 0.25),
+             (0.7215, 0.0285), (0.45, 0.1), (0.78912, 0.21088)]
+    return states + [StateParams(*q) for q in fixed]
+
+
 class TestSlope:
     @settings(max_examples=300, deadline=None)
     @given(closed_triangle_states(), st.floats(min_value=1e-3, max_value=HALF_PI - 1e-3))
@@ -470,15 +628,30 @@ class TestSlope:
         (0.05, 0.9, 0.4),
         (1.0 - 1e-9, 0.0, 0.7),
         (0.4, 1e-12, 1.5),
+        # within ~1e-7 rad of 0 a smallest eigenvalue written as a difference
+        # of numbers of order 1 loses the sign of the slope
+        (0.6, 0.05, 1e-12),
+        (0.7215, 0.0285, 1e-9),
+        (0.50001, 3e-7, 1e-7),
+        (0.3, 0.25, 1e-9),
+        # a = 1 - fl(q1 + q2) beside the hypotenuse, from 0 and from 1e-12
+        (0.78912, 0.21088, 1e-9),
+        (0.5, 0.5 - 1e-12, 1e-7),
     ])
     def test_matches_mpmath_derivative(self, q1, q2, theta):
+        # within the derived bound of slope_error_at: the rounding of the
+        # pair form's operations and the rounding of a = 1 - (q1 + q2)
         pytest.importorskip("mpmath")
-        ref = mp_reference.slope(q1, q2, theta)
-        # the smallest eigenvalue (~theta^2) cancels against 1 with a relative
-        # error ~eps / theta^2, which costs ~eps / theta of absolute slope
-        assert post_entropy_slope(StateParams(q1, q2), theta) == pytest.approx(
-            ref, rel=1e-12, abs=1e-14 + 1e-15 / theta
-        )
+        err, part, bound = slope_error_at(StateParams(q1, q2), theta)
+        assert err <= part + bound
+
+    def test_matches_60_digits_on_closed_triangle(self):
+        # the tier-1 share of the CI step "Scalar slope against 60 digits":
+        # 54 states, the edges, the corners, 1e-12 from them and totals
+        # 1/2 + eps, at 8 angles from 1e-12 rad up; measured ratio 0.17
+        pytest.importorskip("mpmath")
+        ratio, err, p, theta = slope_error(slope_states(40, seed=36), SLOPE_ANGLES)
+        assert ratio <= 1.0, (err, p, theta)
 
     @settings(max_examples=100, deadline=None)
     @given(closed_triangle_states())
@@ -508,6 +681,46 @@ def axis_curvature_error(weights) -> tuple[float, float]:
         ref = axis_closed_form(q)
         return abs(axis_curvature_nats(q) - ref) / max(1.0, abs(ref))
     return max((error(q), q) for q in weights)
+
+
+# the corners, the edges, the least subnormal and states within 1e-12 of
+# them; and the ends of the angle range [0, pi/2], an angle whose
+# 2 sin^2(theta/2) underflows to 0, the outermost slope sample 1e-4 and
+# angles between
+CLOSED_STATES = [
+    (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.3, 0.0), (0.0, 0.7), (0.3, 0.7),
+    (5e-324, 0.0), (0.0, 5e-324), (5e-324, 5e-324), (1.0 - 5e-324, 5e-324), (5e-324, 0.6),
+    (1e-12, 0.0), (0.0, 1e-12), (1e-12, 1e-12), (1.0 - 1e-12, 0.0), (0.0, 1.0 - 1e-12),
+    (1.0 - 1e-12, 1e-12), (0.5, 0.5 - 1e-12), (0.5 + 1e-12, 0.5 - 1e-12), (0.3, 0.7 - 1e-12),
+    (0.4, 1e-12), (1e-12, 0.4), (0.5, 0.0), (0.5 + 1e-12, 0.0),
+]
+CLOSED_ANGLES = (0.0, 1e-300, 1e-12, 1e-4, 1.0, HALF_PI)
+SCALAR_FORMS = (post_entropy, post_entropy_slope, post_entropy_curvature, _jump_gap)
+
+
+class TestClosedTriangle:
+    @pytest.mark.parametrize("form", SCALAR_FORMS, ids=lambda f: f.__name__)
+    def test_finite_on_corners_edges_and_dust(self, form):
+        for q in CLOSED_STATES:
+            for theta in CLOSED_ANGLES:
+                value = form(StateParams(*q), theta)
+                assert type(value) is float and math.isfinite(value), (q, theta, value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(closed_triangle_states(), st.sampled_from(CLOSED_ANGLES))
+    def test_finite_beside_the_edges(self, p, theta):
+        for form in SCALAR_FORMS:
+            value = form(p, theta)
+            assert type(value) is float and math.isfinite(value), (form.__name__, value)
+
+    def test_limits_their_docstrings_state(self):
+        # the slope and the gap vanish at theta = 0 for every state, and the
+        # curvature reads 1 at the origin, where S''(0) is +infinity
+        for q in CLOSED_STATES:
+            assert post_entropy_slope(StateParams(*q), 0.0) == 0.0, q
+            assert _jump_gap(StateParams(*q), 0.0) == 0.0, q
+        assert post_entropy_curvature(StateParams(0.0, 0.0), 0.0) == 1.0
+        assert post_entropy(StateParams(0.0, 0.0), 0.0) == 0.0
 
 
 class TestCurvature:
@@ -547,6 +760,46 @@ class TestCurvature:
                 assert err <= bound, (p, theta, ref)
 
 
+def direct_scalar_slope(p: StateParams, theta: float) -> float:
+    """dS/dtheta in bits per radian, with the four eigenvalues written directly.
+
+    The scalar slope before its pair form, kept frozen: the operations of
+    ``slope_curve`` follow it, so it is the row's reference to a few ulp.
+    Within ~1e-7 rad of theta = 0 off the Cartesian axes its smallest
+    eigenvalue (~theta^2) cancels against 1 and it loses its sign, and so
+    do the row's samples; the row is signed from ``ENDPOINT_MARGIN`` on.
+    """
+    # the -sum(lam_i')/ln 2 term drops out because the eigenvalues sum to 1;
+    # lam_i' comes from differentiating the rad_p and rad_m of the scalar
+    # post_entropy, and weights <= 0 contribute nothing, the limit of
+    # lam' log lam
+    a = 1.0 - (p.q1 + p.q2)
+    b = 1.0 - 2.0 * (p.q1 + p.q2)
+    c = p.q1 - p.q2
+    ct = math.cos(theta)
+    st = math.sin(theta)
+    up = a + b * ct
+    um = a - b * ct
+    cc = c * c * st * ct
+    rad_p = math.sqrt(up * up + (c * st) ** 2)
+    rad_m = math.sqrt(um * um + (c * st) ** 2)
+    # d(rad)/dtheta; a zero radius is a kink of a double eigenvalue, whose
+    # two log terms then cancel whatever slope is taken
+    drad_p = (cc - b * st * up) / rad_p if rad_p > 0.0 else 0.0
+    drad_m = (cc + b * st * um) / rad_m if rad_m > 0.0 else 0.0
+    ast = a * st
+    out = 0.0
+    for lam, dlam in (
+        (0.25 * (1.0 + a * ct + rad_p), 0.25 * (drad_p - ast)),
+        (0.25 * (1.0 + a * ct - rad_p), -0.25 * (drad_p + ast)),
+        (0.25 * (1.0 - a * ct + rad_m), 0.25 * (drad_m + ast)),
+        (0.25 * (1.0 - a * ct - rad_m), 0.25 * (ast - drad_m)),
+    ):
+        if lam > 0.0:
+            out -= dlam * math.log2(lam)
+    return out
+
+
 class TestSlopeCurve:
     # the slope samples of shape classification, and angles beside them
     THETAS = np.concatenate([
@@ -558,7 +811,7 @@ class TestSlopeCurve:
 
     def _check_matches_scalar(self, p):
         got = slope_curve(p.q1, p.q2, np.cos(self.THETAS), np.sin(self.THETAS))
-        ref = np.array([post_entropy_slope(p, t) for t in self.THETAS])
+        ref = np.array([direct_scalar_slope(p, t) for t in self.THETAS])
         # a few ulp of the terms lam' log2(lam): the largest |log2 lam| scales them
         lam = post_spectrum(p, self.THETAS)
         logs = np.abs(np.log2(np.where(lam > 0.0, lam, 1.0))).max(axis=-1)
