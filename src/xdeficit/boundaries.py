@@ -2,8 +2,9 @@
 
 All boundaries are found along straight scan paths: the Cartesian axis
 q2 = 0 or a diagonal q1 + q2 = const.  Every root, in q1 or in the total,
-is solved by ``shape.find_root``, a bracketed Brent solver, to the one
-tolerance ``Q1_TOL``.
+is solved to the one tolerance ``Q1_TOL``: a single path's by
+``shape.find_root``, a bracketed Brent solver, and a fan of diagonal paths
+at once by array solves (below).
 
 * The equal-endpoint and half-pi boundaries are each one bracket over the
   whole path (``_bracket_root``): each residual changes sign at most once
@@ -14,6 +15,15 @@ tolerance ``Q1_TOL``.
   sampling: at 4097 points on the totals k/1000 in
   ``tests/test_boundaries.py``, and at 8193 points on the totals k/5000 in
   a CI step.
+* Over a fan of diagonal paths, :func:`boundary_fan` solves the two
+  curves as arrays over every total at once, after the axis root of the
+  per-path solve.  The equal-endpoint roots take one inversion of the
+  binary entropy: on a diagonal S(0) depends on the total alone and
+  S(pi/2) on the radius alone.  The half-pi roots take one
+  ``_bracket_roots`` solve, Chandrupatla's bracketed method on all the
+  paths' brackets together, of the array S'' ``core.curvature_curve``.
+  Every root lies within ``Q1_TOL`` of the per-path one, which stays the
+  per-path API and the tests' reference.
 * Their intersection p*, on the total t*, is one more bracket, in the
   total of the path (:func:`curves_intersection`).
 * The jump boundary and the bimodality birth are Newton-type solves on the
@@ -41,7 +51,8 @@ tolerance ``Q1_TOL``.
 
 Every d2S/dtheta2 here, in the fold, in the half-pi residual S''(pi/2), in
 the deflated slope beside pi/2 and at theta = 0 on the axes, is the one
-closed form ``core.post_entropy_curvature``; off the axes it diverges at
+closed form ``core.post_entropy_curvature``, or its array twin
+``core.curvature_curve`` in the half-pi fan; off the axes it diverges at
 theta = 0, and no residual reads it there.
 
 Boundary kinds:
@@ -61,19 +72,23 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     StateParams,
     _jump_gap,
+    curvature_curve,
     endpoint_entropy_halfpi,
     endpoint_entropy_zero,
     post_entropy_curvature,
     post_entropy_slope,
 )
-from .shape import ENDPOINT_MARGIN, HALF_PI, REFINE_TOL, find_root
+from .shape import _SPARE_STEPS, ENDPOINT_MARGIN, HALF_PI, REFINE_TOL, find_root
 
 # Tolerance of every boundary root, in q1 and in the total of the curve intersection.
 Q1_TOL = 1e-9
@@ -87,6 +102,11 @@ RADIUS_DEGENERACY_TOL = 1e-9
 
 # Step cap of the Newton solves of the jump gap and the fold.
 _NEWTON_STEPS = 30
+
+# Newton steps of the binary entropy inversion of the equal-endpoint fan: on
+# every total, the fifth step is at the rounding floor (below 1e-16), and
+# the sixth is the margin (tests/test_boundaries.py scans the totals).
+_INVERSION_STEPS = 6
 
 # Step in q1 of the central difference that gives ``_tracked_root`` its
 # envelope slope.
@@ -199,6 +219,54 @@ def _bracket_root(f, lo: float, hi: float, xtol: float = Q1_TOL) -> float | None
     return find_root(f, lo, hi, fa, fb, xtol)
 
 
+def _bracket_roots(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(root, |f(root)|) of each lane k on [lo[k], hi[k]]: the array twin of :func:`_bracket_root`.
+
+    ``f(x, lanes)`` evaluates lane lanes[j] at x[j], and changes sign at
+    most once on each lane's interval.  Both are NaN on a lane where
+    ``_bracket_root`` returns None: an end is NaN, or both ends have one
+    sign, a zero counting as non-negative.  Chandrupatla's bracketed
+    method (*Adv. Eng. Software* 28, 1997) runs on every lane at once, from
+    a first secant step: inverse quadratic steps where they fit the last
+    three points, bisection elsewhere, each step at least Q1_TOL / 2 from
+    the bracket's ends, and bisection alone once the steps outnumber
+    bisection's by ``shape._SPARE_STEPS``.  Each lane stops once its
+    bracket is at most ``Q1_TOL`` wide, and keeps it while the others step
+    on; it returns that bracket's secant point, as ``shape.find_root``
+    does, and |f| there is one more evaluation of the solved lanes.
+    """
+    f1, f2 = np.split(f(np.concatenate((lo, hi)), np.tile(np.arange(len(lo)), 2)), 2)
+    lanes = np.flatnonzero(((f1 < 0.0) & (f2 >= 0.0)) | ((f1 >= 0.0) & (f2 < 0.0)))
+    # x1 is the newest point, [x1, x2] the bracket and x3 the point it dropped
+    x1, x2, f1, f2 = lo[lanes], hi[lanes], f1[lanes], f2[lanes]
+    t = f1 / (f1 - f2)  # the secant step; x3 is set by the first step
+    steps = math.ceil(math.log2(max(np.max(np.abs(x2 - x1), initial=0.0), Q1_TOL) / Q1_TOL)) + _SPARE_STEPS
+    with np.errstate(all="ignore"):  # the quadratic step of lanes that bisect
+        for step in itertools.count():
+            d = x1 - x2
+            width = np.abs(d)
+            done = width <= Q1_TOL
+            if done.all():
+                break
+            if step:
+                xi, fd1, fd3 = d / (x3 - x2), f1 - f2, f3 - f2
+                phi = fd1 / fd3
+                fits = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & (step < steps)
+                t = np.where(fits, f1 / fd3 * (f3 / fd1 + (1.0 - 1.0 / xi) * f2 / (fd3 - fd1)), 0.5)
+            # a lane whose bracket is done steps to its newest point, and keeps it
+            margin = 0.5 * Q1_TOL / width
+            xt = x1 - np.where(done, 0.0, np.minimum(np.maximum(t, margin), 1.0 - margin)) * d
+            ft = f(xt, lanes)
+            kept = (ft < 0.0) == (f1 < 0.0)  # x1 leaves the bracket
+            x3, f3, x2, f2 = (np.where(kept, x1, x2), np.where(kept, f1, f2),
+                              np.where(kept, x2, x1), np.where(kept, f2, f1))
+            x1, f1 = xt, ft
+    roots, residuals = np.full((2, len(lo)), math.nan)
+    roots[lanes] = x1 + f1 * d / (f2 - f1)
+    residuals[lanes] = np.abs(f(roots[lanes], lanes))
+    return roots, residuals
+
+
 def _path_boundary(traj: TrajectorySpec, kind: BoundaryKind, residual,
                    lo: float, hi: float) -> BoundaryPoint | None:
     root = _bracket_root(lambda q1: residual(traj.state(q1)), lo, hi)
@@ -248,6 +316,89 @@ def solve_halfpi_boundary(traj: TrajectorySpec) -> BoundaryPoint | None:
     # the hypotenuse)
     return _path_boundary(traj, BoundaryKind.HALFPI_BIFURCATION, _halfpi_curvature,
                           lo + 1e-9, hi - 1e-9)
+
+
+def _binary_entropy_bits(x: np.ndarray) -> np.ndarray:
+    # h(x) in bits over an array of x in (0, 1)
+    return -(x * np.log2(x) + (1.0 - x) * np.log2(1.0 - x))
+
+
+def _equal_endpoint_roots(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q1, |S(0) - S(pi/2)|) at the equal-endpoint root of each diagonal
+    q1 + q2 = t[k], both NaN where the path has none.
+
+    S(0) = t + h(t) depends on t alone and S(pi/2) = 1 + h((1 + r)/2) on
+    the radius r alone (:func:`solve_equal_endpoints`), so the root has
+    h(p) = y = h(t) - (1 - t) with p = (1 - r)/2 in (0, 1/2): one inversion
+    of the binary entropy h for every path.  ``_INVERSION_STEPS`` Newton
+    steps on the concave h climb to p from below, from the p of Topsoe's
+    bound h(p) <= (4p(1 - p))^(1/ln 4) (*J. Inequal. Pure Appl. Math.* 2,
+    2001).  Then q1 = (t + sqrt(r^2 - (1 - t)^2))/2, with
+    r - (1 - t) = t - 2p, lies on the path [t/2, t] where r > 1 - t and
+    q1 <= t: the signs of the gap at the two ends that the per-path bracket
+    tests.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # the lanes without a root
+        y = _binary_entropy_bits(t) - (1.0 - t)
+        z = np.where(y > 0.0, y, math.nan) ** math.log(4.0)
+        p = z / (2.0 * (1.0 + np.sqrt(1.0 - z)))
+        for _ in range(_INVERSION_STEPS):
+            p = p + (y - _binary_entropy_bits(p)) / np.log2((1.0 - p) / p)
+        q1 = 0.5 * (t + np.sqrt((t - 2.0 * p) * (2.0 - t - 2.0 * p)))
+        q1 = np.where((t - 2.0 * p > 0.0) & (q1 <= t), q1, math.nan)
+    q2 = t - q1  # the gap at the path state, as the per-path residual takes it
+    s, r = q1 + q2, np.hypot(1.0 - (q1 + q2), q1 - q2)
+    return q1, np.abs((s + _binary_entropy_bits(s)) - (1.0 + _binary_entropy_bits(0.5 * (1.0 + r))))
+
+
+def _halfpi_roots(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q1, |S''(pi/2)|) at the half-pi root of each diagonal q1 + q2 = t[k],
+    both NaN where the path has none.
+
+    One :func:`_bracket_roots` solve of ``core.curvature_curve`` at pi/2
+    over the per-path brackets [t/2 + 1e-9, t - 1e-9]
+    (:func:`solve_halfpi_boundary`).  The radius rises with q1 along a
+    diagonal, so it is degenerate between the two ends of a bracket only if
+    it is at one of them: such a lane brackets nothing, as the NaN of
+    ``_halfpi_curvature`` makes it per path.
+    """
+    ends = np.stack((0.5 * t + 1e-9, t - 1e-9))
+    r = np.hypot(1.0 - (ends + (t - ends)), ends - (t - ends))
+    inside = ((r >= RADIUS_DEGENERACY_TOL) & (r <= 1.0 - RADIUS_DEGENERACY_TOL)).all(axis=0)
+    lo = np.where(inside, ends[0], math.nan)
+    return _bracket_roots(lambda q1, k: curvature_curve(q1, t[k] - q1, HALF_PI), lo, ends[1])
+
+
+_FANS = {BoundaryKind.EQUAL_ENDPOINTS: (solve_equal_endpoints, _equal_endpoint_roots),
+         BoundaryKind.HALFPI_BIFURCATION: (solve_halfpi_boundary, _halfpi_roots)}
+
+
+def boundary_fan(kind: BoundaryKind, totals: Iterable[float]) -> list[BoundaryPoint]:
+    """The equal-endpoint or half-pi boundary over the paths q1 + q2 = t of ``totals``.
+
+    The axis root of the per-path solver, then the non-degenerate root
+    (``CORNER_TOL``) of each diagonal, in the order of ``totals``: the
+    points of :func:`solve_equal_endpoints` or :func:`solve_halfpi_boundary`
+    on the same paths, each within ``Q1_TOL`` in q1 of the per-path root.
+    The diagonals are solved as one array problem: the equal-endpoint roots
+    by one inversion of the binary entropy (``_equal_endpoint_roots``), the
+    half-pi roots by one :func:`_bracket_roots` solve of
+    ``core.curvature_curve`` (``_halfpi_roots``), and each residual is
+    |residual| at the root from the same arrays.  Totals lie in (0, 1]
+    (ValueError otherwise); another kind raises KeyError.
+    """
+    solver, roots = _FANS[kind]
+    t = np.array(totals, dtype=float)
+    if not np.all((t > 0.0) & (t <= 1.0)):
+        raise ValueError("trajectory totals must lie in (0, 1]")
+    axis = solver(TrajectorySpec.on_axis())
+    q1, residual = roots(t)
+    q2 = t - q1
+    # StateParams keeps (q1, q2) as they are on the path; NaN fails the test
+    keep = np.flatnonzero(np.minimum(1.0 - q1, 1.0 - q2) >= CORNER_TOL)
+    points = zip(q1[keep].tolist(), q2[keep].tolist(), residual[keep].tolist())
+    return ([] if axis is None else [axis]) + [
+        BoundaryPoint(p=StateParams(a, b), kind=kind, residual=r) for a, b, r in points]
 
 
 def zero_boundary_axis() -> list[BoundaryPoint]:

@@ -10,7 +10,8 @@ spectrum, and every quantity read from it: the entropy
 (:func:`post_entropy`, with its array form :func:`post_entropy_grid`), the
 slope dS/dtheta (:func:`post_entropy_slope`, with its array form
 :func:`slope_curve`), the curvature d2S/dtheta2
-(:func:`post_entropy_curvature`) and the jump gap S(0) - S(theta)
+(:func:`post_entropy_curvature`, with its array form
+:func:`curvature_curve`) and the jump gap S(0) - S(theta)
 (``_jump_gap``).  All of them are in bits.
 
 The three scalar forms, on theta in [0, pi/2], write the spectrum in one
@@ -18,9 +19,11 @@ pair form: the eigenvalues come in two pairs, each through
 w = 1 +- cos theta taken as 2 - h or h from h = 2 sin^2(theta/2), and the
 smaller one of a pair as the pair's product over the larger one, so none
 is a difference of numbers of order 1 where it vanishes, near theta = 0
-and beside the edges.  The array forms write each eigenvalue directly
-(``_spectrum_into``): the slope row is bound by its numpy calls, and its
-samples carry a sign only from ``shape.ENDPOINT_MARGIN`` on.
+and beside the edges.  The array curvature is the same pair form, line for
+line, its two pairs run as (2, ...) blocks: the package's S'' has this one
+formula, scalar and array.  The other array forms write each eigenvalue
+directly (``_spectrum_into``): the slope row is bound by its numpy calls,
+and its samples carry a sign only from ``shape.ENDPOINT_MARGIN`` on.
 
 Everything in this module is a pure function of its arguments and safe to call
 from any number of threads.
@@ -292,6 +295,57 @@ def post_entropy_slope(p: StateParams, theta: float) -> float:
         if small > 0.0:
             out += (2.0 * mixed * ct + 4.0 * a * t * h - small * dbig) / big * math.log2(small)
     return -0.25 * st * out
+
+
+def curvature_curve(q1, q2, theta) -> np.ndarray:
+    """d2S/dtheta2 in bits per rad^2, theta in [0, pi/2].
+
+    The array form of :func:`post_entropy_curvature`, written line for
+    line in its pair form and with its guards (rad > 0, big > 0,
+    small > 0): q1, q2 and theta broadcast together, and the two
+    eigenvalue pairs run as (2, ...) blocks, s = +1 and s = -1 down the
+    first axis.  cos theta, sin theta and h = 2 sin^2(theta/2) are the
+    scalar form's and the terms are summed in its order, so the two differ
+    only where numpy's log and log1p round otherwise than the math module's:
+    within a few ulps (relative, floor 1), and up to ~20 ulps beside the
+    origin at mid angles, where the terms of the vanishing pair cancel.
+    NaN in, NaN out; unvalidated like :func:`slope_curve`.
+    """
+    ct, st, sh = np.cos(theta), np.sin(theta), np.sin(0.5 * theta)
+    h = 2.0 * sh * sh
+    # q1, q2, s and w = 1 + s cos = 2 - h or h as contiguous (2, ...)
+    # blocks, s = +1 in the first row and -1 in the second, so that no
+    # operation on them broadcasts
+    blocks = np.empty((4, 2) + np.broadcast(q1, q2, theta).shape)
+    blocks[0], blocks[1], blocks[2, 0], blocks[2, 1], blocks[3, 0], blocks[3, 1] = (
+        q1, q2, 1.0, -1.0, 2.0 - h, h)
+    q1, q2, s, w = blocks
+    t, c = q1 + q2, q1 - q2
+    a, b = 1.0 - t, 1.0 - 2.0 * t
+    cc, cst2, mixed = c * c, (c * st) ** 2, 4.0 * q1 * q2
+    sa, sb, sact = s * a, s * b, s * a * ct
+    # the lanes that a guard drops may divide by 0 or take log(0)
+    with np.errstate(all="ignore"):
+        u = t + b * w
+        rad = np.sqrt(u * u + cst2)
+        # a zero radius takes rad' = rad'' = 0: the numerators over infinity
+        over = np.where(rad > 0.0, rad, np.inf)
+        drad = st * (cc * ct - sb * u) / over
+        d2rad = (cc * (ct * ct - st * st) + (b * st) ** 2 - sb * ct * u - drad * drad) / over
+        big = t + a * w + rad
+        log_big, dbig = np.log(big), drad - sa * st
+        # 2 a t w, and 4 s a t w sin as (2 a t w) (s 2 sin) and 2 mixed sin
+        # cos as mixed (2 sin) cos: the same floats, the factors 2 and s exact
+        atw = 2.0 * a * t * w
+        small = (atw * w + mixed * st * st) / big
+        dsmall = (mixed * (2.0 * st) * ct - atw * (s * (2.0 * st)) - small * dbig) / big
+        gap = np.where(rad < small, np.log1p(2.0 * rad / small), log_big - np.log(small))
+        rest = np.where(small > 0.0, d2rad * gap - sact * (2.0 * log_big - gap)
+                        + dsmall * dsmall / small, (d2rad - sact) * log_big)
+        # dbig^2 / big and the rest of each pair, NaN staying NaN, summed in
+        # the scalar form's order
+        (first_p, first_m), (rest_p, rest_m) = np.where(big <= 0.0, 0.0, (dbig * dbig / big, rest))
+    return ((first_p + rest_p + first_m + rest_m) / (-4.0 * math.log(2.0)))[()]
 
 
 def post_entropy_curvature(p: StateParams, theta: float) -> float:

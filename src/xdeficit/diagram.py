@@ -42,9 +42,8 @@ from .boundaries import (
     BoundaryKind,
     BoundaryPoint,
     TrajectorySpec,
+    boundary_fan,
     jump_curve,
-    solve_equal_endpoints,
-    solve_halfpi_boundary,
     zero_boundary_axis,
 )
 from .core import StateParams, slope_curve
@@ -200,11 +199,15 @@ def _chain(kind: BoundaryKind, points: list[BoundaryPoint], resolution: int) -> 
 def trace_boundaries(resolution: int = 100) -> list[BoundaryCurve]:
     """All phase-boundary polylines of the parameter triangle.
 
-    Runs the one-dimensional solvers along a fan of diagonal trajectories
+    Solves each boundary along a fan of diagonal trajectories
     (``resolution`` per unit of total), chains the roots into polylines per
     boundary kind, and anchors each curve with its exact axis landmarks.  The
     two mirror images of each curve are emitted separately so the output maps
-    directly onto the phase-diagram figures.  The jump boundary is
+    directly onto the phase-diagram figures.  The equal-endpoint and half-pi
+    curves are ``boundaries.boundary_fan`` on the fan's totals: the axis
+    root, then the non-degenerate root of every diagonal from one array
+    solve per curve, each within ``Q1_TOL`` of the per-path solve, and the
+    corner (1, 0).  The jump boundary is
     ``boundaries.jump_curve`` on the fan's totals, one root on each total
     between its two analytic ends: it is traced below the intersection
     point only, where the interior phase exists, and from 1/2 + 1e-5 up,
@@ -216,29 +219,12 @@ def trace_boundaries(resolution: int = 100) -> list[BoundaryCurve]:
         raise ValueError("resolution must be at least 100")
     # one allocation, so an oversized resolution raises MemoryError at once
     totals = (np.arange(1, operator.index(resolution)) / resolution).tolist()
-    eq, hp, jump = (
-        BoundaryKind.EQUAL_ENDPOINTS,
-        BoundaryKind.HALFPI_BIFURCATION,
-        BoundaryKind.JUMP_BOUNDARY,
-    )
-
-    def fan(solver) -> list[BoundaryPoint]:
-        """The axis root, then the non-degenerate root of each diagonal path."""
-        axis = solver(TrajectorySpec.on_axis())
-        roots = (solver(TrajectorySpec(t)) for t in totals)
-        points = [] if axis is None else [axis]
-        return points + [bp for bp in roots if bp is not None and not bp.degenerate]
-
-    def corner(kind: BoundaryKind) -> BoundaryPoint:
-        # for the half-pi kind, residual 0 is the analytic limit of the
-        # curvature along the axis
-        return BoundaryPoint(p=StateParams(1.0, 0.0), kind=kind, residual=0.0, degenerate=True)
-
-    polylines = [
-        (eq, fan(solve_equal_endpoints) + [corner(eq)]),
-        (hp, fan(solve_halfpi_boundary) + [corner(hp)]),
-        (jump, [rec.boundary for rec in jump_curve(totals)]),
-    ]
+    # each fan ends at the corner (1, 0), where for the half-pi kind the
+    # residual 0 is the analytic limit of the curvature along the axis
+    polylines = [(kind, boundary_fan(kind, totals) + [
+        BoundaryPoint(p=StateParams(1.0, 0.0), kind=kind, residual=0.0, degenerate=True)])
+        for kind in (BoundaryKind.EQUAL_ENDPOINTS, BoundaryKind.HALFPI_BIFURCATION)]
+    polylines.append((BoundaryKind.JUMP_BOUNDARY, [rec.boundary for rec in jump_curve(totals)]))
     curves = []
     for kind, points in polylines:
         curves.append(_chain(kind, points, resolution))

@@ -8,6 +8,7 @@ from conftest import triangle_samples
 from test_acceptance import REFERENCE_TABLE, TABLE_TOTALS
 from test_core import axis_curvature_nats
 import xdeficit.boundaries as boundaries_module
+import xdeficit.diagram as diagram_module
 import xdeficit.shape as shape_module
 from xdeficit import (
     BoundaryKind,
@@ -30,17 +31,23 @@ from xdeficit import (
 )
 from xdeficit.boundaries import (
     _BIRTH_REACH,
+    _FANS,
+    _INVERSION_STEPS,
     _JUMP_REACH,
     _JUMP_TOP_REACH,
     CORNER_TOL,
     Q1_TOL,
     RADIUS_DEGENERACY_TOL,
+    _binary_entropy_bits,
+    _bracket_root,
+    _bracket_roots,
     _deflated_slope,
     _halfpi_curvature,
     _jump_gap,
     _jump_root,
     _minimizer_near,
     _window_minimum,
+    boundary_fan,
     jump_curve,
 )
 from xdeficit.core import (
@@ -203,6 +210,44 @@ def worst_path_residual(totals):
     points = [solver(TrajectorySpec(t)) for t in totals
               for solver in (solve_equal_endpoints, solve_halfpi_boundary)]
     return max(bp.residual for bp in points if bp is not None)
+
+
+def per_path_fan(kind, totals):
+    """The fan of ``kind`` from the per-path solver, as ``trace_boundaries``
+    took it before the array fans: the axis root, then the non-degenerate
+    root of each diagonal path."""
+    solver = _FANS[kind][0]
+    roots = [solver(TrajectorySpec.on_axis())] + [solver(TrajectorySpec(t)) for t in totals]
+    return [bp for bp in roots if bp is not None and not bp.degenerate]
+
+
+def fan_deviation(totals):
+    """The array fans against the per-path solvers on the paths q1 + q2 = t.
+
+    Returns (the totals on which the two disagree whether a non-degenerate
+    root exists, the largest |q1 - per-path q1|, the largest residual of
+    the fans' points) over both kinds.  ``boundary_fan`` must start with
+    the per-path axis root and hold the array roots of the other totals,
+    in their order.
+    """
+    t = np.array(totals, dtype=float)
+    differ, dq, worst = [], 0.0, 0.0
+    for kind, (solver, array_roots) in _FANS.items():
+        q1, _ = array_roots(t)
+        points = boundary_fan(kind, t)
+        assert points[0] == solver(TrajectorySpec.on_axis())
+        points = iter(points[1:])
+        for total, root in zip(t.tolist(), q1.tolist()):
+            ref = solver(TrajectorySpec(total))
+            kept = not math.isnan(root) and min(1.0 - root, 1.0 - (total - root)) >= CORNER_TOL
+            bp = next(points) if kept else None
+            if kept != (ref is not None and not ref.degenerate):
+                differ.append((kind.value, total))
+            elif kept:
+                assert (bp.p.q1, bp.kind, bp.degenerate) == (root, kind, False)
+                dq, worst = max(dq, abs(root - ref.p.q1)), max(worst, bp.residual)
+        assert next(points, None) is None
+    return differ, dq, worst
 
 
 # distances x below pi/2 at which the deflated slope is checked: the
@@ -373,6 +418,103 @@ class TestCornerResiduals:
     def test_away_from_the_corner(self):
         totals = np.random.default_rng(5).uniform(1e-6, 0.99999, 300)
         assert worst_path_residual(totals) <= 1e-12
+
+
+class TestBracketRoots:
+    @staticmethod
+    def _lane(f, k):
+        return lambda x: float(f(np.array([x]), np.array([k]))[0])
+
+    def test_lanes_without_a_bracket_as_the_scalar_rule(self):
+        # a bracket, a NaN end, one sign, a zero end with the other end
+        # positive (one sign: a zero counts as non-negative) and negative
+        lo = np.array([0.0, math.nan, 0.6, 0.5, 0.0, 0.25])
+        hi = np.array([1.0, 1.0, 1.0, 1.0, 0.5, 0.5])
+        f = lambda x, k: x - 0.5
+        roots, residuals = _bracket_roots(f, lo, hi)
+        for k in range(len(lo)):
+            ref = _bracket_root(self._lane(f, k), lo[k], hi[k])
+            assert (ref is None) == math.isnan(roots[k]) == math.isnan(residuals[k]), k
+            if ref is not None:
+                assert abs(roots[k] - ref) <= Q1_TOL and residuals[k] == abs(roots[k] - 0.5)
+
+    @pytest.mark.parametrize("name", ["smooth", "steep", "flat", "step"])
+    def test_roots_to_the_tolerance(self, name):
+        # interpolation fits the smooth ones; the flat root of (x - r)^9 and
+        # a step, which no interpolation fits, fall back to bisection
+        r = np.array([0.1, 1 / 3, 0.5, 0.77, 0.999999, 0.3])
+        g = {"smooth": lambda x, k: np.exp(x) - np.exp(r[k]),
+             "steep": lambda x, k: np.tanh(1e6 * (x - r[k])),
+             "flat": lambda x, k: (x - r[k]) ** 9,
+             "step": lambda x, k: np.where(x < r[k], -1.0, 1.0)}[name]
+        calls = []
+
+        def f(x, k):
+            calls.append(len(x))
+            return g(x, k)
+
+        roots, residuals = _bracket_roots(f, np.zeros(6), np.ones(6))
+        assert np.all(np.abs(roots - r) <= Q1_TOL)
+        assert np.array_equal(residuals, np.abs(g(roots, np.arange(6))))
+        # bisection's 30 halvings of [0, 1] to Q1_TOL, 3 spare steps, then
+        # bisection alone: the ends, at most twice that, and the residuals
+        assert len(calls) <= 2 + 2 * 33
+
+    def test_empty(self):
+        roots, residuals = _bracket_roots(lambda x, k: x, np.array([]), np.array([]))
+        assert roots.size == residuals.size == 0
+
+
+class TestBoundaryFan:
+    def test_matches_the_per_path_solves(self):
+        # the same totals keep a non-degenerate root, every root within
+        # Q1_TOL of the per-path one, and every residual at most 1e-12, the
+        # bound of the corner residuals below total 0.99999
+        differ, dq, worst = fan_deviation([k / 1000 for k in range(1, 1000)])
+        assert not differ
+        assert dq <= Q1_TOL
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("resolution", [100, 137, 400])
+    def test_trace_matches_the_per_path_fans(self, monkeypatch, resolution):
+        curves = trace_boundaries(resolution)
+        monkeypatch.setattr(diagram_module, "boundary_fan", per_path_fan)
+        ref = trace_boundaries(resolution)
+        assert [(c.kind, len(c.points), c.gaps) for c in curves] == [
+            (c.kind, len(c.points), c.gaps) for c in ref]
+        for curve, ref_curve in zip(curves, ref):
+            for bp, rp in zip(curve.points, ref_curve.points):
+                assert (bp.kind, bp.degenerate) == (rp.kind, rp.degenerate)
+                assert abs(bp.p.q1 - rp.p.q1) <= Q1_TOL and abs(bp.p.q2 - rp.p.q2) <= Q1_TOL
+
+    def test_inversion_reaches_the_rounding_floor(self):
+        # the equal-endpoint fan's Newton steps on h(p) = h(t) - (1 - t):
+        # from Topsoe's bound the start lies at or below the root, and on
+        # dense totals, toward 1 and about the lowest total with a root
+        # (0.2271) too, the fifth step moves no p by more than 1e-16, so
+        # the sixth of _INVERSION_STEPS is the margin
+        t = np.concatenate([np.linspace(1e-6, 1 - 1e-6, 100001), 1 - np.logspace(-16, -1, 10001),
+                            0.2271 + np.linspace(-1e-3, 1e-3, 10001)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = _binary_entropy_bits(t) - (1.0 - t)
+            z = np.where(y > 0.0, y, math.nan) ** math.log(4.0)
+            p = z / (2.0 * (1.0 + np.sqrt(1.0 - z)))
+            assert np.all(_binary_entropy_bits(p[y > 0.0]) <= y[y > 0.0])
+            steps = []
+            for _ in range(_INVERSION_STEPS):
+                step = (y - _binary_entropy_bits(p)) / np.log2((1.0 - p) / p)
+                p = p + step
+                steps.append(np.nanmax(np.abs(step)))
+        assert steps[4] <= 1e-16 and steps[5] <= 1e-16
+
+    def test_axis_first_and_totals_checked(self):
+        for kind, (solver, _) in _FANS.items():
+            assert boundary_fan(kind, []) == [solver(TrajectorySpec.on_axis())]
+            for bad in ([0.0], [1.5], [math.nan]):
+                with pytest.raises(ValueError):
+                    boundary_fan(kind, bad)
+        with pytest.raises(KeyError):
+            boundary_fan(BoundaryKind.JUMP_BOUNDARY, [0.6])
 
 
 class TestEqualEndpoints:

@@ -22,11 +22,12 @@ from xdeficit import (
     pre_entropy,
     quaternary_entropy,
 )
-from xdeficit.boundaries import _DEFLATION_BAND, _halfpi_curvature
+from xdeficit.boundaries import _DEFLATION_BAND, _halfpi_curvature, curves_intersection
 from xdeficit.core import (
     _LEAST_SUBNORMAL,
     EDGE_TOL,
     _jump_gap,
+    curvature_curve,
     post_entropy_curvature,
     post_entropy_grid,
     post_entropy_slope,
@@ -758,6 +759,52 @@ class TestCurvature:
                 ref = mp_reference.curvature(p.q1, p.q2, theta)
                 err = abs(post_entropy_curvature(p, theta) - ref) / max(1.0, abs(ref))
                 assert err <= bound, (p, theta, ref)
+
+
+# the angles of the array curvature's gate: beside 0, mid angles, beside pi/2
+# and pi/2 itself, where the half-pi fan reads it
+CURVATURE_ANGLES = (1e-12, 1e-4, 0.3, 1.0, HALF_PI - 1e-8, HALF_PI)
+
+
+def curvature_states(n: int, seed: int) -> list[StateParams]:
+    """The states of ``slope_states`` (seeded ones, the edges, the corners,
+    1e-12 from them, the totals 1/2 + eps) and the curve intersection."""
+    return slope_states(n, seed) + [curves_intersection()]
+
+
+def curvature_curve_ulps(states, theta: float) -> float:
+    """Largest |curvature_curve - post_entropy_curvature| over ``states`` at
+    ``theta``, in ulps relative with a floor of 1."""
+    got = curvature_curve(np.array([p.q1 for p in states]), np.array([p.q2 for p in states]), theta)
+    ref = np.array([post_entropy_curvature(p, theta) for p in states])
+    return float(np.max(np.abs(got - ref) / (np.finfo(float).eps * np.maximum(1.0, np.abs(ref)))))
+
+
+class TestCurvatureCurve:
+    def test_equals_the_scalar_form(self):
+        # the same operations on the same cos, sin and h, summed in the same
+        # order; only numpy's log and log1p may round otherwise: within 4
+        # ulps everywhere, (1/2, 1/2) at pi/2 included
+        states = curvature_states(1200, seed=43)
+        for theta in CURVATURE_ANGLES:
+            assert curvature_curve_ulps(states, theta) <= 4.0, theta
+
+    def test_broadcasts_row_by_row(self):
+        q = triangle_samples(40, seed=45)
+        theta = np.array(CURVATURE_ANGLES)
+        grid = curvature_curve(q[:, :1], q[:, 1:], theta)
+        assert grid.shape == (40, len(theta))
+        for k, th in enumerate(CURVATURE_ANGLES):
+            assert np.array_equal(grid[:, k], curvature_curve(q[:, 0], q[:, 1], th))
+        # scalars give a 0-d result, the value of a one-state row
+        one = curvature_curve(0.3, 0.2, 1.0)
+        assert np.ndim(one) == 0
+        assert one == curvature_curve(np.array([0.3]), np.array([0.2]), 1.0)[0]
+
+    def test_nan_in_nan_out(self):
+        got = curvature_curve(np.array([math.nan, 0.3, 0.3]), np.array([0.1, math.nan, 0.2]),
+                              np.array([0.0, 0.0, math.nan]))
+        assert np.isnan(got).all()
 
 
 def direct_scalar_slope(p: StateParams, theta: float) -> float:
