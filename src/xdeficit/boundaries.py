@@ -3,8 +3,9 @@
 All boundaries are found along straight scan paths: the Cartesian axis
 q2 = 0 or a diagonal q1 + q2 = const.  Every root, in q1 or in the total,
 is solved to the one tolerance ``Q1_TOL``: a single path's by
-``shape.find_root``, a bracketed Brent solver, and a fan of diagonal paths
-at once by array solves (below).
+``shape.find_root``, Chandrupatla's bracketed method, and a fan of diagonal
+paths at once by array solves (below), one of them ``shape.find_roots``,
+the same rule on arrays of brackets.
 
 * The equal-endpoint and half-pi boundaries are each one bracket over the
   whole path (``_bracket_root``): each residual changes sign at most once
@@ -20,8 +21,8 @@ at once by array solves (below).
   per-path solve.  The equal-endpoint roots take one inversion of the
   binary entropy: on a diagonal S(0) depends on the total alone and
   S(pi/2) on the radius alone.  The half-pi roots take one
-  ``_bracket_roots`` solve, Chandrupatla's bracketed method on all the
-  paths' brackets together, of the array S'' ``core.curvature_curve``.
+  ``shape.find_roots`` solve, on all the paths' brackets together, of the
+  array S'' ``core.curvature_curve``.
   Every root lies within ``Q1_TOL`` of the per-path one, which stays the
   per-path API and the tests' reference.
 * Their intersection p*, on the total t*, is one more bracket, in the
@@ -72,7 +73,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -88,7 +88,7 @@ from .core import (
     post_entropy_curvature,
     post_entropy_slope,
 )
-from .shape import _SPARE_STEPS, ENDPOINT_MARGIN, HALF_PI, REFINE_TOL, find_root
+from .shape import ENDPOINT_MARGIN, HALF_PI, REFINE_TOL, find_root, find_roots
 
 # Tolerance of every boundary root, in q1 and in the total of the curve intersection.
 Q1_TOL = 1e-9
@@ -219,54 +219,6 @@ def _bracket_root(f, lo: float, hi: float, xtol: float = Q1_TOL) -> float | None
     return find_root(f, lo, hi, fa, fb, xtol)
 
 
-def _bracket_roots(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(root, |f(root)|) of each lane k on [lo[k], hi[k]]: the array twin of :func:`_bracket_root`.
-
-    ``f(x, lanes)`` evaluates lane lanes[j] at x[j], and changes sign at
-    most once on each lane's interval.  Both are NaN on a lane where
-    ``_bracket_root`` returns None: an end is NaN, or both ends have one
-    sign, a zero counting as non-negative.  Chandrupatla's bracketed
-    method (*Adv. Eng. Software* 28, 1997) runs on every lane at once, from
-    a first secant step: inverse quadratic steps where they fit the last
-    three points, bisection elsewhere, each step at least Q1_TOL / 2 from
-    the bracket's ends, and bisection alone once the steps outnumber
-    bisection's by ``shape._SPARE_STEPS``.  Each lane stops once its
-    bracket is at most ``Q1_TOL`` wide, and keeps it while the others step
-    on; it returns that bracket's secant point, as ``shape.find_root``
-    does, and |f| there is one more evaluation of the solved lanes.
-    """
-    f1, f2 = np.split(f(np.concatenate((lo, hi)), np.tile(np.arange(len(lo)), 2)), 2)
-    lanes = np.flatnonzero(((f1 < 0.0) & (f2 >= 0.0)) | ((f1 >= 0.0) & (f2 < 0.0)))
-    # x1 is the newest point, [x1, x2] the bracket and x3 the point it dropped
-    x1, x2, f1, f2 = lo[lanes], hi[lanes], f1[lanes], f2[lanes]
-    t = f1 / (f1 - f2)  # the secant step; x3 is set by the first step
-    steps = math.ceil(math.log2(max(np.max(np.abs(x2 - x1), initial=0.0), Q1_TOL) / Q1_TOL)) + _SPARE_STEPS
-    with np.errstate(all="ignore"):  # the quadratic step of lanes that bisect
-        for step in itertools.count():
-            d = x1 - x2
-            width = np.abs(d)
-            done = width <= Q1_TOL
-            if done.all():
-                break
-            if step:
-                xi, fd1, fd3 = d / (x3 - x2), f1 - f2, f3 - f2
-                phi = fd1 / fd3
-                fits = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & (step < steps)
-                t = np.where(fits, f1 / fd3 * (f3 / fd1 + (1.0 - 1.0 / xi) * f2 / (fd3 - fd1)), 0.5)
-            # a lane whose bracket is done steps to its newest point, and keeps it
-            margin = 0.5 * Q1_TOL / width
-            xt = x1 - np.where(done, 0.0, np.minimum(np.maximum(t, margin), 1.0 - margin)) * d
-            ft = f(xt, lanes)
-            kept = (ft < 0.0) == (f1 < 0.0)  # x1 leaves the bracket
-            x3, f3, x2, f2 = (np.where(kept, x1, x2), np.where(kept, f1, f2),
-                              np.where(kept, x2, x1), np.where(kept, f2, f1))
-            x1, f1 = xt, ft
-    roots, residuals = np.full((2, len(lo)), math.nan)
-    roots[lanes] = x1 + f1 * d / (f2 - f1)
-    residuals[lanes] = np.abs(f(roots[lanes], lanes))
-    return roots, residuals
-
-
 def _path_boundary(traj: TrajectorySpec, kind: BoundaryKind, residual,
                    lo: float, hi: float) -> BoundaryPoint | None:
     root = _bracket_root(lambda q1: residual(traj.state(q1)), lo, hi)
@@ -310,12 +262,19 @@ def solve_equal_endpoints(traj: TrajectorySpec) -> BoundaryPoint | None:
 
 
 def solve_halfpi_boundary(traj: TrajectorySpec) -> BoundaryPoint | None:
-    """Root of the theta = pi/2 curvature along the path."""
+    """Root of the theta = pi/2 curvature along the path.
+
+    None where the curvature does not change sign between the path's ends,
+    each nudged 1e-9 inward, and on a diagonal too short for the two nudges
+    (a total of about 4e-9 and below), which holds no root.
+    """
     lo, hi = traj.q1_range()
     # nudge off degenerate radii at range ends (origin, corners, midpoint of
     # the hypotenuse)
-    return _path_boundary(traj, BoundaryKind.HALFPI_BIFURCATION, _halfpi_curvature,
-                          lo + 1e-9, hi - 1e-9)
+    lo, hi = lo + 1e-9, hi - 1e-9
+    if lo >= hi:
+        return None
+    return _path_boundary(traj, BoundaryKind.HALFPI_BIFURCATION, _halfpi_curvature, lo, hi)
 
 
 def _binary_entropy_bits(x: np.ndarray) -> np.ndarray:
@@ -355,7 +314,7 @@ def _halfpi_roots(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(q1, |S''(pi/2)|) at the half-pi root of each diagonal q1 + q2 = t[k],
     both NaN where the path has none.
 
-    One :func:`_bracket_roots` solve of ``core.curvature_curve`` at pi/2
+    One ``shape.find_roots`` solve of ``core.curvature_curve`` at pi/2
     over the per-path brackets [t/2 + 1e-9, t - 1e-9]
     (:func:`solve_halfpi_boundary`).  The radius rises with q1 along a
     diagonal, so it is degenerate between the two ends of a bracket only if
@@ -366,7 +325,8 @@ def _halfpi_roots(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = np.hypot(1.0 - (ends + (t - ends)), ends - (t - ends))
     inside = ((r >= RADIUS_DEGENERACY_TOL) & (r <= 1.0 - RADIUS_DEGENERACY_TOL)).all(axis=0)
     lo = np.where(inside, ends[0], math.nan)
-    return _bracket_roots(lambda q1, k: curvature_curve(q1, t[k] - q1, HALF_PI), lo, ends[1])
+    q1 = find_roots(lambda q1, k: curvature_curve(q1, t[k] - q1, HALF_PI), lo, ends[1], Q1_TOL)
+    return q1, np.abs(curvature_curve(q1, t - q1, HALF_PI))
 
 
 _FANS = {BoundaryKind.EQUAL_ENDPOINTS: (solve_equal_endpoints, _equal_endpoint_roots),
@@ -382,7 +342,7 @@ def boundary_fan(kind: BoundaryKind, totals: Iterable[float]) -> list[BoundaryPo
     on the same paths, each within ``Q1_TOL`` in q1 of the per-path root.
     The diagonals are solved as one array problem: the equal-endpoint roots
     by one inversion of the binary entropy (``_equal_endpoint_roots``), the
-    half-pi roots by one :func:`_bracket_roots` solve of
+    half-pi roots by one ``shape.find_roots`` solve of
     ``core.curvature_curve`` (``_halfpi_roots``), and each residual is
     |residual| at the root from the same arrays.  Totals lie in (0, 1]
     (ValueError otherwise); another kind raises KeyError.

@@ -11,7 +11,10 @@ Classification reads the sign of the closed-form slope dS/dtheta
 one extremum, which :func:`find_root`, the bracketed root solver that the
 boundary solves share, refines as a root of that slope.  An extremum within
 the margin of an end lies outside every bracket and merges with the
-endpoint.  Slopes smaller than ``SLOPE_FLOOR`` carry no sign.
+endpoint.  Slopes smaller than ``SLOPE_FLOOR`` carry no sign.  This module
+owns the one bracketed root rule, Chandrupatla's method with a halving
+schedule: :func:`find_root` on one bracket, and :func:`find_roots` on
+arrays of brackets, step for step, for the boundaries' array fans.
 
 Every classification is one slope row, :func:`_slope_row`, and one tail,
 :func:`_row_extrema`, which brackets the row and refines the brackets it
@@ -20,13 +23,14 @@ minimum's bracket alone; the deficit reads the row it is given (the sweep
 and the trajectory profiles keep the rows their walk sampled), so no row
 is computed twice.  The boundary solves take no slope row: they find
 their minima by walks of the deflated slope (``boundaries``), and of this
-module they use :func:`find_root` and the constants alone.
+module they use the two root solvers and the constants alone.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,7 +58,7 @@ ENDPOINT_MARGIN = 1e-4
 
 _EPS = np.finfo(float).eps
 
-# Evaluations find_root may spend beyond what bisection would need.
+# Evaluations find_root and find_roots may spend beyond what bisection would need.
 _SPARE_STEPS = 3
 
 # Tolerance (radians) to which every extremum and tracked angle is refined.
@@ -98,16 +102,21 @@ class ShapeReport:
 def find_root(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
     """Root of f in the bracket [a, b], where fa = f(a) and fb = f(b) differ in sign.
 
-    Brent's method: inverse quadratic or secant steps, with a bisection step
-    whenever an interpolated step makes too little progress, and also
-    whenever the bracket has fallen behind the halving schedule of plain
-    bisection with ``_SPARE_STEPS`` evaluations to spare.  It therefore never
-    needs more than that many evaluations beyond bisection, and far fewer on
-    smooth functions.  It stops only once the bracket is at most ``xtol``
-    wide and returns the secant point of that last bracket, which lies
-    inside it: the result is within ``xtol`` of a root, and on a smooth f
-    far closer.  Raises ValueError when [a, b] brackets no sign change or f
-    returns NaN.
+    Chandrupatla's method (*Adv. Eng. Software* 28, 1997), the rule that
+    :func:`find_roots` applies to arrays of brackets, step for step.  The
+    first step is the secant step.  Each later step is an inverse quadratic
+    step through the last three points where Chandrupatla's test on them
+    shows that it fits, and a bisection step elsewhere, and also wherever the
+    bracket has fallen behind the halving schedule of plain bisection with
+    ``_SPARE_STEPS`` evaluations to spare.  It therefore never needs more
+    than that many evaluations beyond bisection, and far fewer on smooth
+    functions.  Every step lands at least ``xtol / 2`` inside the bracket.
+    It stops once the bracket is at most ``xtol`` wide, and returns the
+    secant point of that last bracket, which lies inside it: the result is
+    within ``xtol`` of a root, and on a smooth f far closer.  An end or a
+    step where f is 0 is returned as it is.  Raises ValueError when [a, b]
+    brackets no sign change, f returns NaN, or ``xtol`` lies below the
+    float resolution of the bracket.
     """
     if fa == 0.0:
         return a
@@ -117,51 +126,87 @@ def find_root(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float
         raise ValueError(f"f({a}) = {fa} and f({b}) = {fb} do not bracket a root")
     if not xtol > 4.0 * _EPS * max(abs(a), abs(b)):
         raise ValueError(f"xtol {xtol} is below the float resolution of [{a}, {b}]")
-    tol = 0.5 * xtol
-    # after the k-th evaluation the bracket must be at most xtol * 2**(n - k),
-    # n being bisection's count plus the spare steps; a step that could miss
-    # that bound bisects
-    allowed = xtol * 2.0 ** (max(0, math.ceil(math.log2(abs(b - a) / xtol))) + _SPARE_STEPS)
-    # b is the best estimate, c the far end of the bracket [b, c], a the previous b
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        m = 0.5 * (c - b)
-        if fb == 0.0:
-            return b
-        if abs(m) <= tol:
-            # the secant through the final bracket: no evaluation, and inside it
-            return b - fb * (c - b) / (fc - fb)
+    # x1 is the newest point, [x1, x2] the bracket and x3 the point it dropped
+    x1, x2, f1, f2 = a, b, fa, fb
+    t = f1 / (f1 - f2)  # the secant step; x3 is set by the first step
+    # the k-th step bisects a bracket wider than xtol * 2**(n - k), n being
+    # the spare steps plus bisection's count, ceil(log2(width / xtol)): with
+    # width / xtol = m * 2**e and 1/2 <= m < 1, that is e, or e - 1 where m = 1/2
+    m, e = math.frexp(abs(x1 - x2) / xtol)
+    allowed = math.ldexp(xtol, e - (m == 0.5) + _SPARE_STEPS)
+    for step in itertools.count():
+        d = x1 - x2
+        width = abs(d)
+        if width <= xtol or f1 == 0.0:
+            return x1 + f1 * d / (f2 - f1)
         allowed *= 0.5
-        if abs(e) < tol or abs(fa) <= abs(fb) or 2.0 * abs(m) > allowed:
-            d = e = m
+        if step:
+            # f1 and f3 each differ in sign from f2, and phi = 1 where f3 = f1
+            # fails the test: the quadratic step divides by no zero
+            xi, fd1, fd3 = d / (x3 - x2), f1 - f2, f3 - f2
+            phi = fd1 / fd3
+            fits = width <= allowed and phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi
+            t = f1 / fd3 * (f3 / fd1 + (1.0 - 1.0 / xi) * f2 / (fd3 - fd1)) if fits else 0.5
+        margin = 0.5 * xtol / width
+        xt = x1 - min(max(t, margin), 1.0 - margin) * d
+        ft = f(xt)
+        if math.isnan(ft):
+            raise ValueError(f"f({xt}) is NaN inside the bracket")
+        if (ft < 0.0) == (f1 < 0.0):  # x1 leaves the bracket
+            x3, f3 = x1, f1
         else:
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
-        if math.isnan(fb):
-            raise ValueError(f"f({b}) is NaN inside the bracket")
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = xt, ft
+
+
+def find_roots(f, lo: np.ndarray, hi: np.ndarray, xtol: float) -> np.ndarray:
+    """Root of each lane k on [lo[k], hi[k]]: :func:`find_root` on arrays of brackets.
+
+    ``f(x, lanes)`` evaluates lane lanes[j] at x[j].  A lane brackets a root
+    where exactly one of its two end values is negative, a zero counting as
+    non-negative, and neither is NaN; its root is NaN otherwise, and also
+    where f is NaN inside the bracket (where find_root raises).  Every lane
+    runs the rule of :func:`find_root`, step for step and at once, and its
+    root is ``==`` to find_root's on the same bracket and values of f; a
+    lane stops with find_root, and keeps its bracket while the others step
+    on.  The ends
+    take one call of f, each step one more.  Raises ValueError where
+    ``xtol`` lies below the float resolution of a lane's bracket.
+    """
+    fl, fh = np.split(f(np.concatenate((lo, hi)), np.tile(np.arange(len(lo)), 2)), 2)
+    lanes = np.flatnonzero(((fl < 0.0) & (fh >= 0.0)) | ((fl >= 0.0) & (fh < 0.0)))
+    x1, x2, f1, f2 = lo[lanes], hi[lanes], fl[lanes], fh[lanes]
+    # a zero end is the root, as find_root returns it: start from it
+    x1, x2, f1, f2 = np.where(f2 == 0.0, (x2, x1, f2, f1), (x1, x2, f1, f2))
+    if np.any(xtol <= 4.0 * _EPS * np.maximum(np.abs(x1), np.abs(x2))):
+        raise ValueError(f"xtol {xtol} is below the float resolution of a bracket")
+    t = f1 / (f1 - f2)
+    with np.errstate(all="ignore"):  # stopped lanes, and the quadratic step of lanes that bisect
+        m, e = np.frexp(np.abs(x1 - x2) / xtol)
+        allowed = np.ldexp(xtol, e - (m == 0.5) + _SPARE_STEPS)
+        for step in itertools.count():
+            d = x1 - x2
+            width = np.abs(d)
+            done = (width <= xtol) | (f1 == 0.0) | np.isnan(f1)
+            if done.all():
+                break
+            allowed *= 0.5
+            if step:
+                xi, fd1, fd3 = d / (x3 - x2), f1 - f2, f3 - f2
+                phi = fd1 / fd3
+                fits = (width <= allowed) & (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
+                t = np.where(fits, f1 / fd3 * (f3 / fd1 + (1.0 - 1.0 / xi) * f2 / (fd3 - fd1)), 0.5)
+            # a lane that stopped steps to its newest point, and keeps it
+            margin = 0.5 * xtol / width
+            xt = x1 - np.where(done, 0.0, np.minimum(np.maximum(t, margin), 1.0 - margin)) * d
+            ft = f(xt, lanes)
+            kept = (ft < 0.0) == (f1 < 0.0)  # x1 leaves the bracket
+            x3, f3, x2, f2 = (np.where(kept, x1, x2), np.where(kept, f1, f2),
+                              np.where(kept, x2, x1), np.where(kept, f2, f1))
+            x1, f1 = xt, ft
+    roots = np.full(len(lo), math.nan)
+    roots[lanes] = x1 + f1 * d / (f2 - f1)
+    return roots
 
 
 def _extremum_brackets(slopes: np.ndarray) -> list[tuple[int, int]]:

@@ -40,7 +40,6 @@ from xdeficit.boundaries import (
     RADIUS_DEGENERACY_TOL,
     _binary_entropy_bits,
     _bracket_root,
-    _bracket_roots,
     _deflated_slope,
     _halfpi_curvature,
     _jump_gap,
@@ -54,7 +53,7 @@ from xdeficit.core import (
     post_entropy_curvature,
     post_entropy_grid,
 )
-from xdeficit.shape import ENDPOINT_MARGIN, REFINE_TOL, SLOPE_FLOOR
+from xdeficit.shape import ENDPOINT_MARGIN, REFINE_TOL, SLOPE_FLOOR, find_roots
 from xdeficit.shape import find_root as _bisect
 
 HALF_PI = math.pi / 2
@@ -421,6 +420,8 @@ class TestCornerResiduals:
 
 
 class TestBracketRoots:
+    """The lane rule of ``shape.find_roots``, the array solver of the half-pi fan."""
+
     @staticmethod
     def _lane(f, k):
         return lambda x: float(f(np.array([x]), np.array([k]))[0])
@@ -431,12 +432,12 @@ class TestBracketRoots:
         lo = np.array([0.0, math.nan, 0.6, 0.5, 0.0, 0.25])
         hi = np.array([1.0, 1.0, 1.0, 1.0, 0.5, 0.5])
         f = lambda x, k: x - 0.5
-        roots, residuals = _bracket_roots(f, lo, hi)
+        roots = find_roots(f, lo, hi, Q1_TOL)
         for k in range(len(lo)):
             ref = _bracket_root(self._lane(f, k), lo[k], hi[k])
-            assert (ref is None) == math.isnan(roots[k]) == math.isnan(residuals[k]), k
+            assert (ref is None) == math.isnan(roots[k]), k
             if ref is not None:
-                assert abs(roots[k] - ref) <= Q1_TOL and residuals[k] == abs(roots[k] - 0.5)
+                assert roots[k] == ref, k
 
     @pytest.mark.parametrize("name", ["smooth", "steep", "flat", "step"])
     def test_roots_to_the_tolerance(self, name):
@@ -453,16 +454,15 @@ class TestBracketRoots:
             calls.append(len(x))
             return g(x, k)
 
-        roots, residuals = _bracket_roots(f, np.zeros(6), np.ones(6))
+        roots = find_roots(f, np.zeros(6), np.ones(6), Q1_TOL)
         assert np.all(np.abs(roots - r) <= Q1_TOL)
-        assert np.array_equal(residuals, np.abs(g(roots, np.arange(6))))
-        # bisection's 30 halvings of [0, 1] to Q1_TOL, 3 spare steps, then
-        # bisection alone: the ends, at most twice that, and the residuals
-        assert len(calls) <= 2 + 2 * 33
+        # the ends, then at most bisection's 30 halvings of [0, 1] to Q1_TOL
+        # and the 3 spare steps
+        assert len(calls) <= 1 + 33
 
     def test_empty(self):
-        roots, residuals = _bracket_roots(lambda x, k: x, np.array([]), np.array([]))
-        assert roots.size == residuals.size == 0
+        roots = find_roots(lambda x, k: x, np.array([]), np.array([]), Q1_TOL)
+        assert roots.size == 0
 
 
 class TestBoundaryFan:
@@ -556,6 +556,13 @@ class TestHalfPiBoundary:
         bp = solve_halfpi_boundary(TrajectorySpec(0.75))
         m = bp.p.swapped()
         assert abs(_halfpi_curvature(m)) == pytest.approx(bp.residual, abs=1e-15)
+
+    @pytest.mark.parametrize("total", [1e-12, 1.5e-9, 2e-9])
+    def test_tiny_total_has_no_root(self, total):
+        # the path is shorter than the two 1e-9 nudges off its ends; the
+        # fan keeps no point there either
+        assert solve_halfpi_boundary(TrajectorySpec(total)) is None
+        assert boundary_fan(BoundaryKind.HALFPI_BIFURCATION, [total])[1:] == []
 
 
 class TestZeroBoundaryAxis:
@@ -1181,6 +1188,16 @@ class TestSolveCost:
         calls = self._count(monkeypatch, boundaries_module, "_minimizer_near", [boundaries_module])
         return lambda: sum(deriv is _deflated_slope and theta0 == HALF_PI
                            for deriv, _, theta0 in calls)
+
+    @pytest.mark.parametrize("solver,residual,bound", [
+        (solve_halfpi_boundary, "post_entropy_curvature", 12),
+        (solve_equal_endpoints, "_equal_endpoints_gap", 11),
+    ], ids=["halfpi", "equal_endpoints"])
+    def test_axis_root_evaluations(self, monkeypatch, solver, residual, bound):
+        # the two ends, the steps of find_root and the residual at the root
+        calls = self._count(monkeypatch, boundaries_module, residual, [boundaries_module])
+        assert solver(TrajectorySpec.on_axis()) is not None
+        assert len(calls) <= bound
 
     def test_jump_angle_table_classifications(self, monkeypatch):
         # one continued fan: the window start of its first total only, and no slope row

@@ -32,6 +32,7 @@ from xdeficit.shape import (
     _angle_table,
     _extremum_brackets,
     find_root,
+    find_roots,
     needs_refinement,
 )
 
@@ -311,6 +312,74 @@ class TestFindRoot:
         assert _bracket_width(seen) <= self.XTOL
         assert abs(x) <= self.XTOL
         assert len(seen) - 2 <= bisection + _SPARE_STEPS
+
+    # pure-arithmetic functions of x with one sign change, at r, and a
+    # parameter c, so that a float and an array lane round alike: a simple
+    # and a triple root, a rational, a step, and a step with a plateau of zeros
+    FAMILY = [
+        lambda x, r, c: (x - r) * (1.0 + c * x * x),
+        lambda x, r, c: (x - r) * (x - r) * (x - r),
+        lambda x, r, c: (x - r) / (c + x * x),
+        lambda x, r, c: (x >= r) - 0.5,
+        lambda x, r, c: (x >= r) - 0.5 + (x >= r + c) - 0.5,
+    ]
+
+    def test_array_lanes_equal_the_scalar_solve(self):
+        rng = np.random.default_rng(40)
+        n = 200
+        kind = rng.integers(0, len(self.FAMILY), n)
+        r, c = rng.uniform(-1.0, 1.0, n), rng.uniform(0.01, 0.3, n)
+        sign = rng.choice([-1.0, 1.0], n)
+        lo, hi = r - rng.uniform(1e-3, 2.0, n), r + rng.uniform(1e-3, 2.0, n)
+        swap = rng.random(n) < 0.3  # brackets given high end first
+        lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
+        # a plateau lane with its upper end on the zeros, and its mirror
+        # with its lower end there: each end is its lane's root
+        kind[:2], sign[:2] = 4, (1.0, -1.0)
+        lo[:2], hi[:2] = (r[0] - 1.0, r[1] + 0.5 * c[1]), (r[0] + 0.5 * c[0], r[1] + 1.0)
+
+        def lane(k):
+            fn, rk, ck, sk = self.FAMILY[kind[k]], r.item(k), c.item(k), sign.item(k)
+            return lambda x: sk * fn(x, rk, ck)
+
+        def f(x, lanes):
+            out = np.empty_like(x)
+            for i, fn in enumerate(self.FAMILY):
+                m = kind[lanes] == i
+                out[m] = sign[lanes[m]] * fn(x[m], r[lanes[m]], c[lanes[m]])
+            return out
+
+        roots = find_roots(f, lo, hi, self.XTOL)
+        for k in range(n):
+            g, a, b = lane(k), lo.item(k), hi.item(k)
+            fa, fb = g(a), g(b)
+            # a zero end counts as non-negative: beside a positive end it
+            # brackets nothing, and the lane's root is NaN
+            ref = find_root(g, a, b, fa, fb, self.XTOL) if (fa < 0.0) != (fb < 0.0) else math.nan
+            assert roots[k] == ref or math.isnan(roots[k]) and math.isnan(ref), k
+        assert roots[0] == hi[0] and roots[1] == lo[1]
+
+    @pytest.mark.parametrize("name", ["cube", "tenth power", "steep tanh"])
+    def test_array_lanes_keep_the_halving_schedule(self, name):
+        # every lane within bisection's count plus the spare steps, on the
+        # multiple root, the regula falsi stall and a step-like function
+        fn, root, brackets = {
+            "cube": (lambda x: x**3, 0.0, [(-1.0, 2.0), (2.0, -1.0), (-0.5, 2.0), (-3.0, 1.0)]),
+            "tenth power": (lambda x: x**10 - 0.5**10, 0.5, [(0.0, 1.3), (1.3, 0.0), (0.2, 1.3), (0.45, 2.0)]),
+            "steep tanh": (lambda x: np.tanh(1e6 * (x - 0.3)), 0.3, [(0.0, 1.0), (1.0, 0.0), (0.29, 0.5), (-1.0, 2.0)]),
+        }[name]
+        points = [set() for _ in brackets]  # the distinct points of each lane
+
+        def f(x, lanes):
+            for k, v in zip(lanes.tolist(), x.tolist()):
+                points[k].add(v)
+            return fn(x)
+
+        lo, hi = np.array(brackets).T
+        roots = find_roots(f, lo, hi, self.XTOL)
+        for k, (a, b) in enumerate(brackets):
+            assert abs(roots[k] - root) <= self.XTOL
+            assert len(points[k]) - 2 <= math.ceil(math.log2(abs(b - a) / self.XTOL)) + _SPARE_STEPS
 
     def test_returns_an_end_where_f_is_zero(self):
         def never(x):

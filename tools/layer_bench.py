@@ -17,6 +17,14 @@ per-path fans are taken as ``trace_boundaries`` took them before the array
 fans: the axis root, then the non-degenerate root of each diagonal, from the
 per-path solvers of ``boundaries._FANS``.
 
+The untimed first call of each layer also counts, under the key
+``evaluations``, the calls of the scalar closed forms
+``post_entropy_slope``, ``post_entropy_curvature`` and ``_jump_gap``, of
+the array S'' ``curvature_curve`` (the only function the array root solver
+evaluates), and the evaluations that ``shape.find_root`` makes between its
+two given ends.  These counts are deterministic: they repeat exactly from
+run to run, and compare two checkouts free of the box's noise.
+
 Every call's result is checked against values pinned below, so that a
 timing never reports a wrong run: the point counts exactly, and the sums
 of q1 and of the jump angles to 1e-7.  A mismatch exits with status 1
@@ -28,6 +36,8 @@ within one run, or through the probe ratios.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import json
 import os
 import platform
@@ -48,6 +58,9 @@ from xdeficit.boundaries import (  # noqa: E402
     jump_curve,
 )
 from xdeficit.diagram import trace_boundaries  # noqa: E402
+
+# the functions whose calls are counted, under every module name that calls them
+COUNTED = ("post_entropy_slope", "post_entropy_curvature", "_jump_gap", "curvature_curve")
 
 # (point counts, sum of q1, sum of jump angles) of each layer's result
 PINS = {
@@ -115,6 +128,35 @@ def _layers():
     }
 
 
+@contextlib.contextmanager
+def _counting():
+    """Count the calls of ``COUNTED`` and the evaluations inside ``find_root``
+    while the block runs, under every xdeficit module's name for them."""
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    def solver(fn):
+        return lambda f, *args: fn(counted("find_root.evaluations", f), *args)
+
+    saved = []
+    for module in [m for name, m in sys.modules.items() if name.startswith("xdeficit.")]:
+        for name in (*COUNTED, "find_root"):
+            if hasattr(module, name):
+                fn = getattr(module, name)
+                saved.append((module, name, fn))
+                setattr(module, name, solver(fn) if name == "find_root" else counted(name, fn))
+    try:
+        yield counts
+    finally:
+        for module, name, fn in saved:
+            setattr(module, name, fn)
+
+
 def _timed(fn) -> float:
     start = time.perf_counter()
     fn()
@@ -128,10 +170,14 @@ def main(argv: list[str]) -> int:
     if k < 1:
         parser.error("-k must be at least 1")
     fns = _layers()
-    layers, failures = {}, []
-    # one untimed call per layer warms it up and gives the checked result
+    layers, evaluations, failures = {}, {}, []
+    # one untimed call per layer warms it up, gives the checked result and
+    # counts the evaluations
     for name, fn in fns.items():
-        counts, q1_sum, angle_sum = _summary(fn())
+        with _counting() as calls:
+            result = fn()
+        evaluations[name] = {key: calls[key] for key in (*COUNTED, "find_root.evaluations")}
+        counts, q1_sum, angle_sum = _summary(result)
         pin = PINS[name]
         ok = counts == pin[0] and abs(q1_sum - pin[1]) <= 1e-7 and abs(angle_sum - pin[2]) <= 1e-7
         if not ok:
@@ -166,6 +212,7 @@ def main(argv: list[str]) -> int:
         "probes": probes,
         "layers": layers,
         "ratios_of_medians": ratios,
+        "evaluations": evaluations,
         "failures": failures,
     }
     print(json.dumps(out, indent=1))
