@@ -37,18 +37,20 @@ the same rule on arrays of brackets.
   signed at pi/2, so theta* is tracked up to pi/2 itself.  The birth drives
   the fold value S'(theta_i) to a sign change, theta_i being the
   inflection, a root of d2S/dtheta2.  Toward total 1/2 the window closes
-  on the axis point (0.5, 0), and neither solve reaches it: on the totals
-  1/2 + eps with eps at most ``_JUMP_REACH`` (the jump) or
-  ``_BIRTH_REACH`` (the birth) the per-path solve raises
-  ConvergenceError.  Toward t* the jump angle closes on pi/2, and within
-  ``_JUMP_TOP_REACH`` below t* the per-path jump raises where it finds no
-  root.
+  on the axis point (0.5, 0): on the total 1/2 + eps, eps up to 1e-5, the
+  birth lies only 1.3e-4 eps to 4.4e-4 eps above the jump in q2.  So both
+  solve to a tolerance scaled to the window, min(Q1_TOL,
+  ``_WINDOW_SCALE`` eps) in q1 (``_window_tol``), down to the bottom
+  eps = 4.4e-11, where that tolerance meets the float resolution of q1;
+  at and below it they raise ConvergenceError naming it.  Toward t* the
+  jump angle closes on pi/2, and within ``_JUMP_TOP_REACH`` below t* the
+  per-path jump raises where it finds no root.
 * The jump boundary as a whole is :func:`jump_curve`: its two analytic
-  ends, (0.5, 0) and p*, which stand in for the totals within the two
-  reaches, and between them one jump solve per total, each continued from
-  the last one.  The jump-angle table (:func:`jump_angle_table`) and the
-  traced jump polyline (``diagram.trace_boundaries``) are that one curve on
-  their own totals.
+  ends, (0.5, 0) and p*, which stand in for the totals at the bottom and
+  within the top reach, and between them one jump solve per total, each
+  continued from the last one.  The jump-angle table
+  (:func:`jump_angle_table`) and the traced jump polyline
+  (``diagram.trace_boundaries``) are that one curve on their own totals.
 
 Every d2S/dtheta2 here, in the fold, in the half-pi residual S''(pi/2), in
 the deflated slope beside pi/2 and at theta = 0 on the axes, is the one
@@ -88,17 +90,11 @@ from .core import (
     post_entropy_curvature,
     post_entropy_slope,
 )
-from .shape import ENDPOINT_MARGIN, HALF_PI, REFINE_TOL, find_root, find_roots
+from .shape import ENDPOINT_MARGIN, HALF_PI, REFINE_TOL, ROOT_RESOLUTION, find_root, find_roots
 
 # Tolerance of every boundary root, in q1 and in the total of the curve intersection.
 Q1_TOL = 1e-9
 CORNER_TOL = 1e-9
-
-# Radii r = hypot(1 - q1 - q2, q1 - q2) closer than this to 0 (the midpoint
-# of the hypotenuse) or to 1 (the corners and the origin) are degenerate for
-# the half-pi residual, which is NaN on them: a path end there brackets
-# nothing.
-RADIUS_DEGENERACY_TOL = 1e-9
 
 # Step cap of the Newton solves of the jump gap and the fold.
 _NEWTON_STEPS = 30
@@ -122,13 +118,16 @@ _INTERSECTION_TOTALS = (0.70, 0.80)
 # returns None on every total from t* - 1e-8 up.
 _JUMP_OFFSET = 1e-4
 
-# Reach of the per-path jump and birth solves: on totals 1/2 + eps with eps
-# at or below it they raise ConvergenceError.  Each is twice the largest eps
-# on which the solve without this rule failed (None or raised) in a scan of
-# 2000 log-spaced eps in [1e-6, 1e-3], rounded up: 4.78e-6 for the jump and
-# 1.46e-6 for the birth.
-_JUMP_REACH = 1e-5
-_BIRTH_REACH = 3e-6
+# Scale of the root tolerance of the jump and the birth on the total
+# 1/2 + eps, min(Q1_TOL, _WINDOW_SCALE * eps) in q1 (``_window_tol``).  No
+# Newton step is shorter than that tolerance, and a step that overshoots
+# the birth lands where the minimum has vanished, so the tolerance must lie
+# well below the birth-jump separation.  That falls with eps: 4.42e-4 eps
+# in q2 at eps = 1e-5, 2.52e-4 eps at 1e-7, 1.64e-4 eps at 1e-9 and
+# 1.27e-4 eps at the bottom, 4.4e-11.  The scale is a tenth of the least,
+# rounded down to a power of ten; 1e-4, a safety factor of ~1.5, fails on
+# eps <= 6.3e-9.
+_WINDOW_SCALE = 1e-5
 
 # Top reach of the per-path jump solve: on totals t* - d with d at or below
 # it the solve may find no root, and then raises ConvergenceError naming
@@ -209,9 +208,9 @@ class JumpRecord:
 def _bracket_root(f, lo: float, hi: float, xtol: float = Q1_TOL) -> float | None:
     """Root on [lo, hi] of ``f``, which changes sign at most once there, or None.
 
-    The two ends bracket the root if there is one.  None when either end is
-    NaN (a degenerate radius) or both ends have the same sign, a zero
-    counting as non-negative.
+    The two ends bracket the root if there is one, and ``shape.find_root``
+    solves it to ``xtol``.  None when either end is NaN or both ends have
+    the same sign, a zero counting as non-negative.
     """
     fa, fb = f(lo), f(hi)
     if math.isnan(fa) or math.isnan(fb) or (fa < 0.0) == (fb < 0.0):
@@ -238,10 +237,8 @@ def _equal_endpoints_gap(p: StateParams) -> float:
 
 
 def _halfpi_curvature(p: StateParams) -> float:
-    # S''(pi/2) in bits, NaN on the degenerate radii
-    r = math.hypot(1.0 - (p.q1 + p.q2), p.q1 - p.q2)
-    degenerate = not RADIUS_DEGENERACY_TOL <= r <= 1.0 - RADIUS_DEGENERACY_TOL
-    return math.nan if degenerate else post_entropy_curvature(p, HALF_PI)
+    # S''(pi/2) in bits
+    return post_entropy_curvature(p, HALF_PI)
 
 
 def solve_equal_endpoints(traj: TrajectorySpec) -> BoundaryPoint | None:
@@ -316,16 +313,13 @@ def _halfpi_roots(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     One ``shape.find_roots`` solve of ``core.curvature_curve`` at pi/2
     over the per-path brackets [t/2 + 1e-9, t - 1e-9]
-    (:func:`solve_halfpi_boundary`).  The radius rises with q1 along a
-    diagonal, so it is degenerate between the two ends of a bracket only if
-    it is at one of them: such a lane brackets nothing, as the NaN of
-    ``_halfpi_curvature`` makes it per path.
+    (:func:`solve_halfpi_boundary`).  The pair form of S''(pi/2) is finite
+    on every radius, 0 and 1 included, so every lane is solved as its path
+    is; a path too short for the two nudges, whose ends cross, brackets no
+    root on either.
     """
-    ends = np.stack((0.5 * t + 1e-9, t - 1e-9))
-    r = np.hypot(1.0 - (ends + (t - ends)), ends - (t - ends))
-    inside = ((r >= RADIUS_DEGENERACY_TOL) & (r <= 1.0 - RADIUS_DEGENERACY_TOL)).all(axis=0)
-    lo = np.where(inside, ends[0], math.nan)
-    q1 = find_roots(lambda q1, k: curvature_curve(q1, t[k] - q1, HALF_PI), lo, ends[1], Q1_TOL)
+    q1 = find_roots(lambda q1, k: curvature_curve(q1, t[k] - q1, HALF_PI),
+                    0.5 * t + 1e-9, t - 1e-9, Q1_TOL)
     return q1, np.abs(curvature_curve(q1, t - q1, HALF_PI))
 
 
@@ -415,15 +409,14 @@ def _minimizer_near(deriv, p: StateParams, theta0: float) -> float:
     :func:`_deflated_slope` is, and S' is not, since it vanishes at pi/2 for
     every state.  NaN when the bracket holds a maximum instead (deriv
     positive, then negative), when the walk reaches pi/2 still falling (the
-    minimum has merged into that endpoint), or when it reaches
-    ``ENDPOINT_MARGIN`` above 0: an extremum closer to 0 merges into that
-    endpoint, the rule of the shape classification, though the scalar S'
-    keeps its sign below it.  With ``_deflated_slope`` as deriv
+    minimum has merged into that endpoint), or when it reaches 1e-12 rad
+    above 0, the least angle at which the pair-form slope is checked to keep
+    its sign (against 60 digits, in CI).  With ``_deflated_slope`` as deriv
     this tracks the interior minimum of the entropy curve, which carries at
     most one; with ``post_entropy_curvature`` it tracks the inflection at
     which dS/dtheta is least.
     """
-    lo_end, hi_end = ENDPOINT_MARGIN, HALF_PI
+    lo_end, hi_end = 1e-12, HALF_PI
     deriv = functools.partial(deriv, p)
     w = min(_WALK_WIDTH, 0.5 * theta0)
     a, b = max(theta0 - w, lo_end), min(theta0 + w, hi_end)
@@ -466,6 +459,18 @@ def _window_minimum(traj: TrajectorySpec, offset: float) -> tuple[float, float] 
     return None if math.isnan(theta) else (q1, theta)
 
 
+def _window_tol(total: float) -> float:
+    """Root tolerance in q1 of the jump and the birth on the path of ``total``.
+
+    min(Q1_TOL, _WINDOW_SCALE (total - 1/2)), or 0 where that is at or
+    below the float resolution ``shape.ROOT_RESOLUTION`` q1 = 4 eps q1 of
+    ``shape.find_root`` on q1 <= total: at and below the bottom
+    total - 1/2 = 4 eps total / _WINDOW_SCALE, 4.4e-11.
+    """
+    tol = min(Q1_TOL, _WINDOW_SCALE * (total - 0.5))
+    return tol if tol > ROOT_RESOLUTION * total else 0.0
+
+
 def _tracked_root(traj: TrajectorySpec, deriv, value, theta0: float, q: float,
                   what: str) -> tuple[float, float, float] | None:
     """Root in q1 of a function of q1 along the path, read at a tracked angle.
@@ -473,21 +478,30 @@ def _tracked_root(traj: TrajectorySpec, deriv, value, theta0: float, q: float,
     f(q1) = value(p, t) at the path state p, t being the root of
     ``deriv(p, .)`` that :func:`_minimizer_near` finds warm-started from the
     last one, from ``theta0`` on; f is NaN off (lo, hi] of the path and
-    where t is lost.  Newton steps from q, q -= f(q) / slope(q), run until f
-    changes sign, and ``shape.find_root`` polishes the last step's bracket
-    to ``Q1_TOL``.  By the envelope theorem the slope, the q1-derivative of
-    f, is that of ``value`` at the fixed t of the last evaluation of f,
-    taken as a central difference.  A step that lands where f is NaN
-    (outside its domain) is halved, and no step is shorter than Q1_TOL, so
-    a one-sided approach still crosses the root.
+    where t is lost.  Everything runs to one tolerance, tol =
+    min(Q1_TOL, ``_WINDOW_SCALE`` (total - 1/2)) (``_window_tol``), below
+    the birth-jump separation near total 1/2.  Newton steps from q,
+    q -= f(q) / slope(q), run until f changes sign, and ``shape.find_root``
+    polishes the last step's bracket to tol.  By the envelope theorem the
+    slope, the q1-derivative of f, is that of ``value`` at the fixed t of
+    the last evaluation of f, taken as a central difference.  A step that
+    lands where f is NaN (outside its domain) is halved, and no step is
+    shorter than tol, so a one-sided approach still crosses the root.
 
     Returns (root, |f(root)|, t at the root), or None when the step halves
-    below Q1_TOL, that is when f's domain ends before f changes sign.
-    Raises ConvergenceError, naming ``what``, when t is lost at q (also when
-    q lies off the path) or at the root, or when f keeps its sign over a
-    fixed number of steps.
+    below tol, that is when f's domain ends before f changes sign.  Raises
+    ConvergenceError, naming ``what``: up front at and below the bottom,
+    total - 1/2 <= 4 eps total / ``_WINDOW_SCALE`` = 4.4e-11, where tol
+    meets the float resolution of q1; when t is lost at q (also when q lies
+    off the path) or at the root; or when f keeps its sign over a fixed
+    number of steps.
     """
     lo, hi = traj.q1_range()
+    tol = _window_tol(traj.total)
+    if not tol:
+        bottom = ROOT_RESOLUTION * traj.total / _WINDOW_SCALE
+        raise ConvergenceError(f"{what}: total within the bottom {bottom:.2g} of 1/2, where"
+                               " the root tolerance reaches the float resolution of q1")
     theta = theta0
 
     def f(q1: float) -> float:
@@ -510,15 +524,15 @@ def _tracked_root(traj: TrajectorySpec, deriv, value, theta0: float, q: float,
         a, b = max(q - _FD_STEP, lo), min(q + _FD_STEP, hi)
         slope = (value(traj.state(b), theta) - value(traj.state(a), theta)) / (b - a)
         step = -fq / slope
-        step = math.copysign(max(abs(step), Q1_TOL), step)
+        step = math.copysign(max(abs(step), tol), step)
         f_new = f(q + step)
         while math.isnan(f_new):
             step *= 0.5
-            if abs(step) < Q1_TOL:
+            if abs(step) < tol:
                 return None
             f_new = f(q + step)
         if (f_new < 0.0) != (fq < 0.0):
-            q = find_root(f, q, q + step, fq, f_new, Q1_TOL)
+            q = find_root(f, q, q + step, fq, f_new, tol)
             break
         q, fq = q + step, f_new
     else:
@@ -571,24 +585,26 @@ def solve_jump_boundary(traj: TrajectorySpec) -> JumpRecord | None:
     the jump angle approaches pi/2, and the offset leaves the Newton steps
     room there.
 
+    The root lies within min(``Q1_TOL``, ``_WINDOW_SCALE`` (t - 1/2)) in
+    q1 of the true one, ``Q1_TOL`` = 1e-9 from t = 1/2 + 1e-4 up: near
+    total 1/2 the tolerance shrinks with the window (:func:`_tracked_root`).
+
     Returns None only where the path carries no jump root: on a total
     t <= 1/2, and on t >= t*, where the interior minimum merges into pi/2
     at the half-pi root with the gap still negative.  Raises
     ConvergenceError after a fixed number of Newton steps, when the
     interior minimum is lost at the start or at the root, and wherever the
     solve finds no root on 1/2 < t < t* (it computes t* on that exit only).
-    The message names the reach when t lies within one: the bottom reach
-    1/2 < t <= 1/2 + ``_JUMP_REACH`` = 1/2 + 1e-5, where the solve raises
-    without trying, and the top reach t* - ``_JUMP_TOP_REACH`` <= t < t*,
-    t* - 6e-15, where it may find no root.  :func:`jump_curve` anchors at
-    (0.5, 0) and p* instead.
+    The message names the bottom on 1/2 < t <= 1/2 + 4.4e-11, where the
+    tolerance meets the float resolution of q1 and the solve raises before
+    its Newton steps, and names the top reach on
+    t* - ``_JUMP_TOP_REACH`` <= t < t*, t* - 6e-15, where it may find no
+    root.  :func:`jump_curve` anchors at (0.5, 0) and p* instead.
     """
     if traj.axis:
         raise ValueError("the jump boundary on the axis is the weight-1/2 point")
     if traj.total <= 0.5:
         return None
-    if traj.total <= 0.5 + _JUMP_REACH:
-        raise ConvergenceError(f"jump on {traj}: total within the reach {_JUMP_REACH} of 1/2")
     start = _window_minimum(traj, _JUMP_OFFSET)
     rec = None if start is None else _jump_root(traj, *start)
     if rec is None:
@@ -617,30 +633,26 @@ def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
     below ``ENDPOINT_MARGIN`` merges with the endpoint.  The tracked solve
     (:func:`_tracked_root`) then drives g from negative to a sign change,
     finding theta_i as the root of S'', the closed form
-    ``core.post_entropy_curvature``.  The stored residual is |S'(theta_i)|
-    at the root.
+    ``core.post_entropy_curvature``, down to 1e-12 rad.  The root lies
+    within min(``Q1_TOL``, ``_WINDOW_SCALE`` (t - 1/2)) in q1 of the true
+    one, as the jump's does.  The stored residual is |S'(theta_i)| at the
+    root.
 
     Returns None on the axis, on a path with total <= 1/2, and on a path
-    that carries no window.  Raises ConvergenceError when the inflection is
-    lost at the start, before g changes sign or at the root, or after a
-    fixed number of Newton steps.
-
-    The solve's reach is 1/2 + ``_BIRTH_REACH`` = 1/2 + 3e-6: on a total
-    1/2 < t <= 1/2 + 3e-6 it raises ConvergenceError naming the reach.
-    Closer to 1/2 the fold lies within ~2e-5 rad of ``ENDPOINT_MARGIN`` and
-    the walk from pi/2 stops on a minimum that sits at rounding level
-    beside that margin.  A birth curve is anchored at (0.5, 0) instead of
-    solved that close to 1/2.
+    that carries no window.  Raises ConvergenceError on
+    1/2 < t <= 1/2 + 4.4e-11, naming that bottom, where the tolerance meets
+    the float resolution of q1; when the inflection is lost at the start,
+    before g changes sign or at the root; or after a fixed number of Newton
+    steps.
     """
     if traj.axis or traj.total <= 0.5:
         return None  # on the axis extrema appear by endpoint bifurcation instead
-    if traj.total <= 0.5 + _BIRTH_REACH:
-        raise ConvergenceError(f"birth on {traj}: total within the reach {_BIRTH_REACH} of 1/2")
     window = _window_minimum(traj, Q1_TOL)
     if window is None:
         return None
     start, theta_min = window
     p = traj.state(start)
+    # ENDPOINT_MARGIN, not 1e-12: on 0.681 that finds a rounding-level maximum at 2.3e-12 rad
     seed = _bracket_root(functools.partial(_deflated_slope, p), ENDPOINT_MARGIN,
                          theta_min - 1e-6, REFINE_TOL)
     if seed is None:
@@ -687,13 +699,13 @@ def jump_curve(totals: Iterable[float]) -> list[JumpRecord]:
 
     The axis record (0.5, 0), where the hop shrinks to zero and the theta = 0
     axis curvature vanishes, with residual |S''(0)|; then one record on each
-    path q1 + q2 = t of the totals t with
-    1/2 + ``_JUMP_REACH`` < t < t* - ``_JUMP_TOP_REACH``, in their order;
-    then the intersection p* of the equal-endpoint and half-pi curves
-    (:func:`curves_intersection`, on the total t*), where the hop spans the
-    whole quarter turn, with residual |S(0) - S(pi/2)|.  The two end
-    records are analytic, and stand in for the totals within the per-path
-    solve's two reaches, of 1/2 and of t* (:func:`solve_jump_boundary`).
+    path q1 + q2 = t of the totals t above the per-path solve's bottom,
+    1/2 + 4.4e-11 (``_window_tol``), and below t* - ``_JUMP_TOP_REACH``, in
+    their order; then the intersection p* of the equal-endpoint and half-pi
+    curves (:func:`curves_intersection`, on the total t*), where the hop
+    spans the whole quarter turn, with residual |S(0) - S(pi/2)|.  The two
+    end records are analytic, and stand in for the totals at or below the
+    bottom and within the top reach of t* (:func:`solve_jump_boundary`).
     The jump-angle table and the traced jump polyline are both this curve.
 
     The totals between the ends are solved by natural-parameter
@@ -708,8 +720,8 @@ def jump_curve(totals: Iterable[float]) -> list[JumpRecord]:
     prediction lies off the path, the interior minimum is lost at the
     prediction or at the root, it vanishes before the gap changes sign, or
     the Newton steps reach their cap.  Every kept total lies between the
-    two reaches, where the per-path solve returns a record or raises
-    ConvergenceError, and never None.
+    bottom and the top reach, where the per-path solve returns a record or
+    raises ConvergenceError, and never None.
     """
     p_star = curves_intersection()
     t_star = p_star.q1 + p_star.q2
@@ -722,7 +734,7 @@ def jump_curve(totals: Iterable[float]) -> list[JumpRecord]:
     records = [JumpRecord(boundary=axis, jump_angle=0.0)]
     roots = []  # (total, q1, jump angle) of the last two roots
     for t in totals:
-        if not 0.5 + _JUMP_REACH < t < t_star - _JUMP_TOP_REACH:
+        if not (_window_tol(t) and t < t_star - _JUMP_TOP_REACH):
             continue
         traj = TrajectorySpec(t)
         rec = None

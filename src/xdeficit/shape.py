@@ -56,7 +56,9 @@ SLOPE_FLOOR = 1e-12
 # ~1e-7 rad of 0; at this margin their rounding is ~1e-12, ``SLOPE_FLOOR``.
 ENDPOINT_MARGIN = 1e-4
 
-_EPS = np.finfo(float).eps
+# find_root and find_roots resolve a bracket to no xtol at or below this
+# times the bracket's largest |end|
+ROOT_RESOLUTION = 4.0 * np.finfo(float).eps
 
 # Evaluations find_root and find_roots may spend beyond what bisection would need.
 _SPARE_STEPS = 3
@@ -124,7 +126,7 @@ def find_root(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float
         return b
     if not (fa < 0.0 < fb or fb < 0.0 < fa):
         raise ValueError(f"f({a}) = {fa} and f({b}) = {fb} do not bracket a root")
-    if not xtol > 4.0 * _EPS * max(abs(a), abs(b)):
+    if not xtol > ROOT_RESOLUTION * max(abs(a), abs(b)):
         raise ValueError(f"xtol {xtol} is below the float resolution of [{a}, {b}]")
     # x1 is the newest point, [x1, x2] the bracket and x3 the point it dropped
     x1, x2, f1, f2 = a, b, fa, fb
@@ -178,7 +180,7 @@ def find_roots(f, lo: np.ndarray, hi: np.ndarray, xtol: float) -> np.ndarray:
     x1, x2, f1, f2 = lo[lanes], hi[lanes], fl[lanes], fh[lanes]
     # a zero end is the root, as find_root returns it: start from it
     x1, x2, f1, f2 = np.where(f2 == 0.0, (x2, x1, f2, f1), (x1, x2, f1, f2))
-    if np.any(xtol <= 4.0 * _EPS * np.maximum(np.abs(x1), np.abs(x2))):
+    if np.any(xtol <= ROOT_RESOLUTION * np.maximum(np.abs(x1), np.abs(x2))):
         raise ValueError(f"xtol {xtol} is below the float resolution of a bracket")
     t = f1 / (f1 - f2)
     with np.errstate(all="ignore"):  # stopped lanes, and the quadratic step of lanes that bisect

@@ -111,14 +111,15 @@ def curves_intersection(q1_0: float, total_0: float) -> tuple[float, float]:
     return float(q1), float(total - q1)
 
 
-def birth_point(total, q1_0, theta0):
+def birth_point(total, q1_0, theta0, dps: int = DPS):
     """(q1, theta) solving {dS/dtheta = 0, d2S/dtheta2 = 0} on q1 + q2 = total.
 
     The fold of dS/dtheta at which an extremum pair is born out of an
-    inflection: a 40-digit Newton solve in (q1, theta) seeded at
-    (q1_0, theta0).  The values come back as mpmath numbers.
+    inflection: a Newton solve in (q1, theta) at ``dps`` digits, 40 by
+    default, seeded at (q1_0, theta0).  The values come back as mpmath
+    numbers.
     """
-    with mp.workdps(DPS):
+    with mp.workdps(dps):
         total = mp.mpf(str(total))
 
         def equations(q1, theta):

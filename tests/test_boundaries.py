@@ -6,7 +6,7 @@ import pytest
 import mp_reference
 from conftest import triangle_samples
 from test_acceptance import REFERENCE_TABLE, TABLE_TOTALS
-from test_core import axis_curvature_nats
+from test_core import axis_curvature_nats, slope_error_at
 import xdeficit.boundaries as boundaries_module
 import xdeficit.diagram as diagram_module
 import xdeficit.shape as shape_module
@@ -30,14 +30,12 @@ from xdeficit import (
     zero_boundary_axis,
 )
 from xdeficit.boundaries import (
-    _BIRTH_REACH,
     _FANS,
     _INVERSION_STEPS,
-    _JUMP_REACH,
     _JUMP_TOP_REACH,
+    _WINDOW_SCALE,
     CORNER_TOL,
     Q1_TOL,
-    RADIUS_DEGENERACY_TOL,
     _binary_entropy_bits,
     _bracket_root,
     _deflated_slope,
@@ -46,6 +44,7 @@ from xdeficit.boundaries import (
     _jump_root,
     _minimizer_near,
     _window_minimum,
+    _window_tol,
     boundary_fan,
     jump_curve,
 )
@@ -53,7 +52,7 @@ from xdeficit.core import (
     post_entropy_curvature,
     post_entropy_grid,
 )
-from xdeficit.shape import ENDPOINT_MARGIN, REFINE_TOL, SLOPE_FLOOR, find_roots
+from xdeficit.shape import ENDPOINT_MARGIN, REFINE_TOL, ROOT_RESOLUTION, SLOPE_FLOOR, find_roots
 from xdeficit.shape import find_root as _bisect
 
 HALF_PI = math.pi / 2
@@ -62,20 +61,29 @@ HALF_PI = math.pi / 2
 # TestBimodalityBirth::test_table_totals_stable pins as references
 BIRTH_Q1_TOL = 1e-5
 
+# radii r within this of 0 and 1, where the r-form of halfpi_curvature_grid
+# is 0/0 or takes log(0); the package's pair form is finite there
+SAMPLER_RADIUS_MASK = 1e-9
+
+# the bottom of the per-path jump and birth on the totals 1/2 + eps: the eps
+# at which the tolerance _WINDOW_SCALE * eps meets the float resolution
+# ROOT_RESOLUTION * q1 of find_root, at q1 ~ 1/2
+BOTTOM = 0.5 * ROOT_RESOLUTION / _WINDOW_SCALE
+
 
 def halfpi_curvature_grid(q1, q2):
     """S''(pi/2) in natural-log units over (q1, q2) arrays broadcast together.
 
     A closed form of its own, in the radius r = hypot(1 - q1 - q2, q1 - q2),
-    and NaN where ``_halfpi_curvature`` is: the array sampler of the sign
-    scans below, fast enough for the 41M samples of their CI step, which a
-    scalar kernel is not.  ``TestHalfPiSampler`` pins it to
-    ``_halfpi_curvature``.
+    and NaN within ``SAMPLER_RADIUS_MASK`` of r = 0 and 1: the array
+    sampler of the sign scans below, fast enough for the 41M samples of
+    their CI step, which a scalar kernel is not.  ``TestHalfPiSampler`` pins
+    it to ``_halfpi_curvature``.
     """
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
     r = np.hypot(1.0 - (q1 + q2), q1 - q2)
-    ok = (r >= RADIUS_DEGENERACY_TOL) & (r <= 1.0 - RADIUS_DEGENERACY_TOL)
+    ok = (r >= SAMPLER_RADIUS_MASK) & (r <= 1.0 - SAMPLER_RADIUS_MASK)
     r = np.where(ok, r, 0.5)  # keeps the masked lanes free of 0/0 and log(0)
     a = 1.0 - (q1 + q2)
     b = 1.0 - 2.0 * (q1 + q2)
@@ -296,13 +304,15 @@ def continued_fan_deviation(totals):
     against the per-path solve.
 
     Asserts that the fan holds one record, and no None, on each total t of
-    ``totals`` with 1/2 + ``_JUMP_REACH`` < t < t* - ``_JUMP_TOP_REACH``,
-    t* the total of the curve intersection, in their order, and that the
-    per-path solve returns a record on each of them.  Returns the number of per-path fallbacks the
-    fan took and the largest differences in q1 and in jump angle.
+    ``totals`` above the bottom of the per-path solve (``_window_tol``) and
+    below t* - ``_JUMP_TOP_REACH``, t* the total of the curve intersection,
+    in their order, and that the per-path solve returns a record on each of
+    them.  Returns the number of per-path fallbacks the fan took and the
+    largest differences in q1 and in jump angle.
     """
     p_star = curves_intersection()
-    kept = [t for t in totals if 0.5 + _JUMP_REACH < t < p_star.q1 + p_star.q2 - _JUMP_TOP_REACH]
+    t_star = p_star.q1 + p_star.q2
+    kept = [t for t in totals if _window_tol(t) and t < t_star - _JUMP_TOP_REACH]
     reference = [solve_jump_boundary(TrajectorySpec(t)) for t in kept]
     fallbacks = []
     per_path = boundaries_module.solve_jump_boundary
@@ -375,21 +385,24 @@ def jump_gap_states(seed):
 class TestHalfPiSampler:
     def test_matches_the_kernel(self):
         # the sampler is in nats, the kernel in bits; relative with a floor of
-        # 1, on seeded states, beside the edges and near the degenerate
-        # radii.  Toward the midpoint (1/2, 1/2) of the hypotenuse, where
-        # r -> 0, the sampler's first term cancels and loses ~1e-17 / r,
-        # which the kernel does not (checked against mpmath in test_core)
+        # 1, on seeded states, beside the edges and near the radii 0 and 1.
+        # Toward the midpoint (1/2, 1/2) of the hypotenuse, where r -> 0,
+        # the sampler's first term cancels and loses ~1e-17 / r, which the
+        # kernel does not (checked against mpmath in test_core).  On the
+        # sampler's masked radii the kernel must be finite
         rng = np.random.default_rng(18)
         q = triangle_samples(2000, 18)
         d = 10.0 ** rng.uniform(-12, -3, 300)
         x = rng.random(300)
         q = np.vstack([q, np.c_[x * (1 - d), d], np.c_[x * (1 - d), (1 - x) * (1 - d)],
-                       np.c_[0.5 + d * (x - 0.5), 0.5 - d * x]])
+                       np.c_[0.5 + d * (x - 0.5), 0.5 - d * x],
+                       [(0.5, 0.5), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]])
         grid = halfpi_curvature_grid(q[:, 0], q[:, 1])
+        assert np.isnan(grid).sum() >= 4
         for (q1, q2), ref in zip(q, grid):
             val = _halfpi_curvature(StateParams(q1, q2)) * math.log(2.0)
             if math.isnan(ref):
-                assert math.isnan(val), (q1, q2)
+                assert math.isfinite(val), (q1, q2)
             else:
                 r = math.hypot(1.0 - (q1 + q2), q1 - q2)
                 assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref)) + 1e-16 / r, (q1, q2)
@@ -685,24 +698,32 @@ class TestJumpBoundary:
         assert abs(rec.jump_angle - float(theta)) <= 1e-8
         assert curvature > 0
 
-    @pytest.mark.parametrize("total", [0.5 + 2e-5, 0.5 + 1e-4])
-    def test_beside_the_reach_matches_80_digit_solve(self, total):
-        # 2 and 10 times the reach _JUMP_REACH = 1e-5 above 1/2, where the
-        # 40-digit solve is not good to 1e-10 in q1.  The angle errs by its
-        # error at the reported state (see the test below) plus the error in
-        # q1 times dtheta*/dq1, here 1.2e4 and 4.7e3, taken as a central
-        # difference of 40-digit minimizers 1e-9 in q1 apart
+    @pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-5, 2e-5, 1e-4],
+                             ids=lambda eps: repr(0.5 + eps))
+    def test_beside_the_reach_matches_80_digit_solve(self, eps):
+        # down to 1/2 + 1e-9 above the bottom, where the 40-digit solve is not
+        # good to 1e-10 in q1: the root within its tolerance
+        # min(Q1_TOL, _WINDOW_SCALE eps), and 1e-10 (measured 1.1e-16,
+        # 1.1e-16, 1.2e-14, 3.7e-14 and 2.1e-13).  At the reported state the
+        # angle errs from the minimizer by REFINE_TOL plus the shift of the
+        # root that the slope's derived rounding bound (test_core) allows
+        # over S'' there; it errs besides by the error in q1 times
+        # dtheta*/dq1 (2.8e6, 2.3e5, 1.8e4, 1.2e4 and 4.7e3), a central
+        # difference of 40-digit minimizers _WINDOW_SCALE eps apart in q1,
+        # well inside the window of the minimum
         pytest.importorskip("mpmath")
+        total = 0.5 + eps
         rec = solve_jump_boundary(TrajectorySpec(total))
-        p = rec.boundary.p
-        q1, theta, curvature = mp_reference.jump_point(total, p.q1, rec.jump_angle, dps=80)
+        p, angle = rec.boundary.p, rec.jump_angle
+        q1, theta, curvature = mp_reference.jump_point(total, p.q1, angle, dps=80)
         q1, theta = float(q1), float(theta)
-        assert abs(p.q1 - q1) <= 1e-10
-        h = 1e-9
+        assert abs(p.q1 - q1) <= min(1e-10, _WINDOW_SCALE * eps)
+        h = 0.5 * _WINDOW_SCALE * eps
         dtheta_dq1 = (mp_reference.slope_root(q1 + h, total - q1 - h, theta)
                       - mp_reference.slope_root(q1 - h, total - q1 + h, theta)) / (2 * h)
-        at_state = REFINE_TOL + SLOPE_FLOOR / post_entropy_curvature(p, rec.jump_angle)
-        assert abs(rec.jump_angle - theta) <= abs(dtheta_dq1) * abs(p.q1 - q1) + at_state
+        _, a_part, rounding = slope_error_at(p, angle)
+        at_state = REFINE_TOL + (rounding + a_part) / post_entropy_curvature(p, angle)
+        assert abs(angle - theta) <= abs(dtheta_dq1) * abs(p.q1 - q1) + at_state
         assert curvature > 0
 
     @pytest.mark.parametrize("total", [0.5002, 3001 / 6000, 0.5005, 0.5 + 2e-5, 0.5 + 1e-4])
@@ -890,6 +911,26 @@ class TestBimodalityBirth:
         assert abs(float(theta) - theta0) <= 1e-3
         assert abs(bp.p.q1 - float(q1)) <= 1e-10
 
+    @pytest.mark.parametrize("eps,theta0", [(1e-9, 2.144e-6), (1e-7, 2.683e-5), (1e-5, 3.612e-4)])
+    def test_down_to_the_bottom_matches_80_digit_fold(self, eps, theta0):
+        # the birth within its tolerance min(Q1_TOL, _WINDOW_SCALE eps) of an
+        # 80-digit fold solve (measured 0, 1.1e-16 and 1.6e-15); theta0 as
+        # in test_matches_40_digit_fold, to four digits
+        pytest.importorskip("mpmath")
+        total = 0.5 + eps
+        bp = bimodality_birth(TrajectorySpec(total))
+        q1, theta = mp_reference.birth_point(total, bp.p.q1, theta0, dps=80)
+        assert abs(float(theta) - theta0) <= 1e-3 * theta0
+        assert abs(bp.p.q1 - float(q1)) <= min(Q1_TOL, _WINDOW_SCALE * eps)
+
+    def test_every_total_of_its_run_at_resolution_1000(self):
+        # one run of 315 births from 0.501; the seed bracket keeps its low
+        # end at ENDPOINT_MARGIN, as on 0.681 a bracket from 1e-12 finds a
+        # maximum at 2.3e-12 rad and the inflection is lost at the start
+        births = {k: bimodality_birth(TrajectorySpec(k / 1000)) for k in range(501, 1000)}
+        ks = [k for k, bp in births.items() if bp is not None]
+        assert ks == list(range(501, 816)) and 681 in ks
+
     @pytest.mark.parametrize("total", [0.5001, 0.50005])
     def test_near_half_total(self, total):
         # on 0.5001 the window is 5e-6 wide in q1 and the pair is born
@@ -956,11 +997,14 @@ class TestOrderingOnTrajectory:
         death = solve_halfpi_boundary(traj).p.q1
         assert birth < jump < death
 
-    @pytest.mark.parametrize("total", [0.5003, 0.501, 0.51])
+    @pytest.mark.parametrize("total", [0.5 + 1e-9, 0.5 + 1e-7, 0.5 + 1e-5, 0.5003, 0.501, 0.51])
     def test_birth_before_jump_near_half(self, total):
+        # by ten times the tolerance scale at least, the premise of that
+        # scale (measured 16.4 times at 1/2 + 1e-9)
         traj = TrajectorySpec(total)
         birth = bimodality_birth(traj).p.q1
-        assert birth < solve_jump_boundary(traj).boundary.p.q1
+        jump = solve_jump_boundary(traj).boundary.p.q1
+        assert birth < jump - 10.0 * _WINDOW_SCALE * (total - 0.5)
 
 
 class TestCurvesIntersection:
@@ -1064,19 +1108,21 @@ class TestJumpCurve:
             assert rec.boundary.kind is BoundaryKind.JUMP_BOUNDARY
 
     def test_no_none_toward_either_end(self):
-        # 0.5 + k * 1e-6 for k <= 2000, whose first ten totals lie within
-        # _JUMP_REACH of 1/2 and are left to the axis anchor, and the 201
-        # totals t* - d with d log-spaced in [1e-14, 1e-4]
+        # 0.5 + k * 1e-6 for k <= 2000, all above the bottom, the 201 totals
+        # t* - d with d log-spaced in [1e-14, 1e-4], and 0.5 + eps with eps
+        # log-spaced in [1e-13, 1e-9], whose totals at or below the bottom
+        # are left to the axis anchor
         p_star = curves_intersection()
         t_star = p_star.q1 + p_star.q2
         for totals in ([0.5 + k * 1e-6 for k in range(1, 2001)],
-                       (t_star - np.logspace(-4, -14, 201)).tolist()):
-            kept = [t for t in totals if 0.5 + _JUMP_REACH < t < t_star - _JUMP_TOP_REACH]
+                       (t_star - np.logspace(-4, -14, 201)).tolist(),
+                       (0.5 + np.logspace(-13, -9, 41)).tolist()):
+            kept = [t for t in totals if _window_tol(t) and t < t_star - _JUMP_TOP_REACH]
             curve = jump_curve(totals)
             assert None not in curve and len(curve) == len(kept) + 2
             first = curve[1].boundary.p
             assert first.q1 + first.q2 == pytest.approx(kept[0], abs=1e-15)
-            assert kept[0] > 0.5 + _JUMP_REACH
+            assert kept[0] - 0.5 > BOTTOM
 
     def test_table_and_trace_share_the_anchors(self):
         table = jump_angle_table()
@@ -1089,34 +1135,45 @@ class TestJumpCurve:
 REACH_SCAN = np.logspace(-13, -3, 300).tolist()
 
 
+def bottom_scan(solver, eps_values):
+    """``solver``, the per-path jump or birth, on the totals 1/2 + eps.
+
+    Asserts that it returns a record on every total above the bottom, where
+    _WINDOW_SCALE eps exceeds find_root's float resolution ROOT_RESOLUTION
+    q1 at q1 = total, and raises ConvergenceError naming the bottom, never
+    ValueError, on every total at or below it.  Returns the records of the
+    totals above the bottom, in order, and the number at or below it.
+    """
+    records, below = [], 0
+    for eps in eps_values:
+        traj = TrajectorySpec(0.5 + eps)
+        if _WINDOW_SCALE * (traj.total - 0.5) > ROOT_RESOLUTION * traj.total:
+            records.append(solver(traj))
+            assert records[-1] is not None, eps
+        else:
+            with pytest.raises(ConvergenceError, match=f"bottom {BOTTOM:.2g} of 1/2"):
+                solver(traj)
+            below += 1
+    return records, below
+
+
 class TestReach:
-    """The per-path jump and birth raise on the totals within their reach of 1/2."""
+    """The per-path jump and birth solve down to their bottom near 1/2 and raise at and below it."""
 
-    @pytest.mark.parametrize(
-        "solver,reach", [(solve_jump_boundary, _JUMP_REACH), (bimodality_birth, _BIRTH_REACH)],
-        ids=["jump", "birth"],
-    )
-    def test_raise_below_the_reach_and_solve_above(self, solver, reach):
-        # at the parent, without the guard, the jump returned None on 210 of
-        # these totals and the birth None on 5 and raised on 207
-        above = 0
-        for eps in REACH_SCAN:
-            traj = TrajectorySpec(0.5 + eps)
-            if traj.total <= 0.5 + reach:
-                with pytest.raises(ConvergenceError, match=f"reach {reach}"):
-                    solver(traj)
-            else:
-                assert solver(traj) is not None, eps
-                above += 1
-        assert 0 < above < len(REACH_SCAN)
+    @pytest.mark.parametrize("solver", [solve_jump_boundary, bimodality_birth],
+                             ids=["jump", "birth"])
+    def test_raise_below_the_reach_and_solve_above(self, solver):
+        # 220 of the 300 eps lie above the bottom 4.4e-11, every one solved
+        records, below = bottom_scan(solver, REACH_SCAN)
+        assert 0 < below < len(REACH_SCAN) and len(records) + below == len(REACH_SCAN)
 
-    @pytest.mark.parametrize(
-        "solver,reach", [(solve_jump_boundary, _JUMP_REACH), (bimodality_birth, _BIRTH_REACH)],
-        ids=["jump", "birth"],
-    )
-    def test_total_at_the_reach_raises_and_half_is_none(self, solver, reach):
-        with pytest.raises(ConvergenceError, match="within the reach"):
-            solver(TrajectorySpec(0.5 + reach))
+    @pytest.mark.parametrize("solver", [solve_jump_boundary, bimodality_birth],
+                             ids=["jump", "birth"])
+    def test_total_at_the_reach_raises_and_half_is_none(self, solver):
+        # the eps a ten-thousandth below and above the bottom, whose totals
+        # lie 80 ulps of 1/2 apart
+        records, below = bottom_scan(solver, [BOTTOM * (1 - 1e-4), BOTTOM * (1 + 1e-4)])
+        assert below == 1 and len(records) == 1
         assert solver(TrajectorySpec(0.5)) is None
 
 

@@ -1057,9 +1057,16 @@ class TestDiagnostics:
         val = _halfpi_curvature(StateParams(0.67515, 0.0))
         assert val == pytest.approx(0.0, abs=1e-4)
 
-    def test_halfpi_degenerate_radius_markers(self):
-        assert math.isnan(_halfpi_curvature(StateParams(0.5, 0.5)))  # r = 0
-        assert math.isnan(_halfpi_curvature(StateParams(0.0, 0.0)))  # r = 1
+    def test_halfpi_curvature_on_the_radii_0_and_1(self):
+        # the pair form is finite on the radius 0, at (1/2, 1/2), and 1, at
+        # the origin and the corner, and beside them, where the r-form of
+        # the curvature is 0/0: within 1e-11 (relative, floor 1) of 30 digits
+        pytest.importorskip("mpmath")
+        d = 1e-12
+        for q1, q2 in [(0.5, 0.5), (0.5 - d, 0.5), (0.0, 0.0), (d, 0.0), (1.0, 0.0), (1.0 - d, 0.0)]:
+            val = _halfpi_curvature(StateParams(q1, q2))
+            ref = mp_reference.curvature(q1, q2, HALF_PI)
+            assert abs(val - ref) <= 1e-11 * max(1.0, abs(ref)), (q1, q2)
 
     def test_diagnostics_fields(self):
         assert axis_curvature_nats(0.25) == pytest.approx(0.5375278407684164, abs=1e-12)
