@@ -27,7 +27,7 @@ the same rule on arrays of brackets.
   per-path API and the tests' reference.
 * Their intersection p*, on the total t*, is one more bracket, in the
   total of the path (:func:`curves_intersection`).
-* The jump boundary and the bimodality birth are Newton-type solves on the
+* The per-path jump and the bimodality birth are Newton-type solves on the
   scalar closed forms of ``core``, and take no slope row.  They share one
   tracked Newton solve (``_tracked_root``) and one start
   (``_window_minimum``) near the upper end of the interior-minimum window.
@@ -47,8 +47,13 @@ the same rule on arrays of brackets.
   per-path jump raises where it finds no root.
 * The jump boundary as a whole is :func:`jump_curve`: its two analytic
   ends, (0.5, 0) and p*, which stand in for the totals at the bottom and
-  within the top reach, and between them one jump solve per total, each
-  continued from the last one.  The jump-angle table
+  within the top reach, and between them one root per total, continued
+  from the last two: a secant predictor, then Newton's method on the 2x2
+  system {S' = 0, S(0) - S(theta) = 0} in (q1, theta), its Jacobian from
+  S'', the closed form dG/dq1 (``core._jump_gap_dq1``) and a difference
+  of S' in q1, each root certified by a sign change of the tracked gap
+  within half its tolerance (``_corrected_jump``).  The per-path solve
+  stands in wherever that corrector fails.  The jump-angle table
   (:func:`jump_angle_table`) and the traced jump polyline
   (``diagram.trace_boundaries``) are that one curve on their own totals.
 
@@ -84,6 +89,7 @@ import numpy as np
 from .core import (
     StateParams,
     _jump_gap,
+    _jump_gap_dq1,
     curvature_curve,
     endpoint_entropy_halfpi,
     endpoint_entropy_zero,
@@ -96,7 +102,8 @@ from .shape import ENDPOINT_MARGIN, HALF_PI, REFINE_TOL, ROOT_RESOLUTION, find_r
 Q1_TOL = 1e-9
 CORNER_TOL = 1e-9
 
-# Step cap of the Newton solves of the jump gap and the fold.
+# Step cap of the Newton solves of the jump gap and the fold, and of the
+# continued jump curve's corrector.
 _NEWTON_STEPS = 30
 
 # Newton steps of the binary entropy inversion of the equal-endpoint fan: on
@@ -104,8 +111,8 @@ _NEWTON_STEPS = 30
 # the sixth is the margin (tests/test_boundaries.py scans the totals).
 _INVERSION_STEPS = 6
 
-# Step in q1 of the central difference that gives ``_tracked_root`` its
-# envelope slope.
+# Step in q1 of the central differences that give ``_tracked_root`` its
+# envelope slope and ``_corrected_jump`` its dS'/dq1.
 _FD_STEP = 1e-6
 
 # Totals that bracket the intersection of the equal-endpoint and half-pi curves.
@@ -209,9 +216,12 @@ def _bracket_root(f, lo: float, hi: float, xtol: float = Q1_TOL) -> float | None
     """Root on [lo, hi] of ``f``, which changes sign at most once there, or None.
 
     The two ends bracket the root if there is one, and ``shape.find_root``
-    solves it to ``xtol``.  None when either end is NaN or both ends have
-    the same sign, a zero counting as non-negative.
+    solves it to ``xtol``.  None when the ends do not satisfy lo < hi, as
+    ``shape.find_roots`` takes crossing ends, when either end is NaN, or
+    when both ends have the same sign, a zero counting as non-negative.
     """
+    if not lo < hi:
+        return None
     fa, fb = f(lo), f(hi)
     if math.isnan(fa) or math.isnan(fb) or (fa < 0.0) == (fb < 0.0):
         return None
@@ -543,32 +553,6 @@ def _tracked_root(traj: TrajectorySpec, deriv, value, theta0: float, q: float,
     return q, abs(fq), theta
 
 
-def _jump_root(traj: TrajectorySpec, q: float, theta0: float) -> JumpRecord | None:
-    """The jump record of a diagonal path, solved from q1 = q with theta*
-    tracked from ``theta0``: the tail of :func:`solve_jump_boundary` and of
-    each continued total of :func:`jump_curve`.
-
-    The tracked solve (:func:`_tracked_root`) drives the gap
-    g(q1) = S(0) - S(theta*) from q to a sign change.  It finds theta* as
-    the root of the deflated slope (:func:`_deflated_slope`), so theta* is
-    followed up to pi/2 itself: just below the intersection of the
-    equal-endpoint and half-pi curves the root lies above the window start,
-    with theta* within ~4 sqrt(t* - total) of pi/2.  The gap at the root is
-    the stored residual, and the theta* it tracks there is the jump angle.
-
-    Returns None when the minimum vanishes, into 0 or into pi/2, before the
-    gap changes sign.  Raises ConvergenceError when the interior minimum is
-    lost at q (also when q lies off the path) or at the root, or after a
-    fixed number of Newton steps.
-    """
-    solved = _tracked_root(traj, _deflated_slope, _jump_gap, theta0, q, f"jump gap on {traj}")
-    if solved is None:
-        return None
-    root, residual, angle = solved
-    bp = BoundaryPoint(p=traj.state(root), kind=BoundaryKind.JUMP_BOUNDARY, residual=residual)
-    return JumpRecord(boundary=bp, jump_angle=angle)
-
-
 def solve_jump_boundary(traj: TrajectorySpec) -> JumpRecord | None:
     """Boundary where the optimal angle hops from 0 to the interior minimizer.
 
@@ -579,11 +563,13 @@ def solve_jump_boundary(traj: TrajectorySpec) -> JumpRecord | None:
     at the minimizer that the walk of the deflated slope down from pi/2
     finds there (:func:`_window_minimum`); it computes no slope row.  From
     that start, Newton steps in q1 drive g to a sign change from either sign
-    (:func:`_jump_root`), with theta* tracked up to pi/2.  A gap negative at
-    the start means the root lies above it: just below the curve
+    (:func:`_tracked_root`), with theta* tracked as the root of the deflated
+    slope (:func:`_deflated_slope`), so up to pi/2 itself.  A gap negative
+    at the start means the root lies above it: just below the curve
     intersection t* it lies between the start and the half-pi root, where
-    the jump angle approaches pi/2, and the offset leaves the Newton steps
-    room there.
+    the jump angle approaches pi/2 like ~4 sqrt(t* - total), and the offset
+    leaves the Newton steps room there.  The gap at the root is the stored
+    residual, and the theta* tracked there is the jump angle.
 
     The root lies within min(``Q1_TOL``, ``_WINDOW_SCALE`` (t - 1/2)) in
     q1 of the true one, ``Q1_TOL`` = 1e-9 from t = 1/2 + 1e-4 up: near
@@ -606,15 +592,19 @@ def solve_jump_boundary(traj: TrajectorySpec) -> JumpRecord | None:
     if traj.total <= 0.5:
         return None
     start = _window_minimum(traj, _JUMP_OFFSET)
-    rec = None if start is None else _jump_root(traj, *start)
-    if rec is None:
+    solved = None if start is None else _tracked_root(
+        traj, _deflated_slope, _jump_gap, start[1], start[0], f"jump gap on {traj}")
+    if solved is None:
         p_star = curves_intersection()
         t_star = p_star.q1 + p_star.q2
         if traj.total < t_star:
             near = t_star - traj.total <= _JUMP_TOP_REACH
             where = f"within the top reach {_JUMP_TOP_REACH} of" if near else "below"
             raise ConvergenceError(f"jump on {traj}: no root found {where} t* = {t_star!r}")
-    return rec
+        return None
+    root, residual, angle = solved
+    bp = BoundaryPoint(p=traj.state(root), kind=BoundaryKind.JUMP_BOUNDARY, residual=residual)
+    return JumpRecord(boundary=bp, jump_angle=angle)
 
 
 def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
@@ -630,7 +620,9 @@ def bimodality_birth(traj: TrajectorySpec) -> BoundaryPoint | None:
     window.  The maximum is the root of the deflated slope on
     [``ENDPOINT_MARGIN``, theta_min - 1e-6] where it changes sign there,
     and seeds the inflection; half of theta_min seeds it where a maximum
-    below ``ENDPOINT_MARGIN`` merges with the endpoint.  The tracked solve
+    below ``ENDPOINT_MARGIN`` merges with the endpoint, and where that
+    bracket is empty, theta_min - 1e-6 <= ``ENDPOINT_MARGIN`` (totals
+    within ~3e-8 of 1/2).  The tracked solve
     (:func:`_tracked_root`) then drives g from negative to a sign change,
     finding theta_i as the root of S'', the closed form
     ``core.post_entropy_curvature``, down to 1e-12 rad.  The root lies
@@ -694,6 +686,72 @@ def curves_intersection() -> StateParams:
     return on_equal_endpoints(root)
 
 
+def _corrected_jump(traj: TrajectorySpec, q: float, theta: float) -> JumpRecord | None:
+    """The jump record of a diagonal path by Newton's method in (q1, theta)
+    from (q, theta), or None where it is not certified.
+
+    The corrector of :func:`jump_curve`: Newton steps on the 2x2 system
+    {S'(theta) = 0, G = S(0) - S(theta) = 0} along the path, whose
+    Jacobian in (theta, q1) is [[S'', dS'/dq1], [-S', dG/dq1]].  S' is
+    read as cos(theta) times the deflated slope (:func:`_deflated_slope`),
+    which keeps its digits beside pi/2, where S' itself is a difference of
+    rounded terms that vanish; S'' is ``core.post_entropy_curvature``,
+    dG/dq1 > 0 the closed form ``core._jump_gap_dq1``, and dS'/dq1 a
+    central difference at ``_FD_STEP``, clamped to the path as
+    :func:`_tracked_root` clamps its slope.  The steps end at the first
+    iterate after a step of at most tol = ``_window_tol(total)`` in q1 at
+    which the Newton step in theta alone, S'/S'', is at most
+    ``REFINE_TOL``, and that iterate must have S'' > 0: theta is the
+    interior minimizer there to that tolerance.  One last Newton step in q1
+    alone, G/(dG/dq1), gives the root; where it moves q1, the angle moves
+    to the minimizer there and G is read again.  The minimizer beside the
+    last iterate is one Newton step in theta from its angle, with S' linear
+    in q1 through dS'/dq1.  The gap at the root is the stored residual.
+    The record is accepted only if the tracked gap
+    g(q1) = G(q1, theta*(q1)), which rises with q1, changes sign between
+    the root and the point tol/2 away toward which g falls, that end read
+    at its own minimizer: then the root lies within tol/2 of the true one.
+    None when a step leaves the path (lo, hi] or the angles (0, pi/2),
+    including the spurious line S' = 0 at pi/2, after ``_NEWTON_STEPS``
+    steps, or when a test fails.
+    """
+    lo, hi = traj.q1_range()
+    tol = _window_tol(traj.total)
+    slope_at = lambda p, theta: _deflated_slope(p, theta) * math.cos(theta)
+    converged = False
+    for _ in range(_NEWTON_STEPS):
+        if not (lo < q <= hi and 0.0 < theta < HALF_PI):
+            return None
+        p = traj.state(q)
+        slope, gap, curv = slope_at(p, theta), _jump_gap(p, theta), post_entropy_curvature(p, theta)
+        if converged and abs(slope) <= REFINE_TOL * abs(curv):
+            break
+        a, b = max(q - _FD_STEP, lo), min(q + _FD_STEP, hi)
+        dslope = (post_entropy_slope(traj.state(b), theta)
+                  - post_entropy_slope(traj.state(a), theta)) / (b - a)
+        dgap = _jump_gap_dq1(p, theta)
+        det = curv * dgap + slope * dslope
+        if not (dgap > 0.0 and det):
+            return None
+        dq = -(curv * gap + slope * slope) / det
+        q, theta = q + dq, theta + (dslope * gap - slope * dgap) / det
+        converged = abs(dq) <= tol
+    else:
+        return None
+    root = q - gap / dgap
+    if not (curv > 0.0 and lo < root - 0.5 * tol and root + 0.5 * tol <= hi):
+        return None
+    minimizer = lambda x, q=q, theta=theta: theta - (slope + dslope * (x - q)) / curv
+    if root != q:
+        theta, p = minimizer(root), traj.state(root)
+        gap = _jump_gap(p, theta)
+    end = root - math.copysign(0.5 * tol, gap)
+    if not (gap < 0.0) != (_jump_gap(traj.state(end), minimizer(end)) < 0.0):
+        return None
+    bp = BoundaryPoint(p=p, kind=BoundaryKind.JUMP_BOUNDARY, residual=abs(gap))
+    return JumpRecord(boundary=bp, jump_angle=theta)
+
+
 def jump_curve(totals: Iterable[float]) -> list[JumpRecord]:
     """The jump boundary from its axis end to the curve intersection, with its jump angles.
 
@@ -710,18 +768,20 @@ def jump_curve(totals: Iterable[float]) -> list[JumpRecord]:
 
     The totals between the ends are solved by natural-parameter
     continuation in the total (Allgower and Georg, *Introduction to
-    Numerical Continuation Methods*).  The predictor puts q1 on the secant
-    through the last two jump roots in (t, q1), or, after a single root,
-    holds q2 at its value there, and seeds theta* with the last jump angle.
-    The corrector is the per-path solve's Newton walk from that point
-    (:func:`_jump_root`), with no window start and no half-pi solve.  The
+    Numerical Continuation Methods*, 2003), one predictor-corrector step
+    per total.  The predictor is the secant in (t, q1, theta) through the
+    last two records, the axis anchor (1/2, 1/2, 0) standing in for the
+    first of them until there are two; the first total starts instead from
+    the per-path solve's window start (:func:`_window_minimum`).  The
+    corrector is Newton's method in (q1, theta) on the 2x2 system
+    {S' = 0, S(0) - S(theta) = 0} (:func:`_corrected_jump`), certified by
+    the sign change of the tracked gap within the root tolerance.  The
     per-path :func:`solve_jump_boundary` stands in, and what it raises
-    stands, on the first total and wherever the corrector fails: the
-    prediction lies off the path, the interior minimum is lost at the
-    prediction or at the root, it vanishes before the gap changes sign, or
-    the Newton steps reach their cap.  Every kept total lies between the
-    bottom and the top reach, where the per-path solve returns a record or
-    raises ConvergenceError, and never None.
+    stands, wherever the corrector returns no certified record: the path
+    has no window start, a step leaves the path or (0, pi/2), the Newton
+    steps reach their cap, or a test at the root fails.  Every kept total
+    lies between the bottom and the top reach, where the per-path solve
+    returns a record or raises ConvergenceError, and never None.
     """
     p_star = curves_intersection()
     t_star = p_star.q1 + p_star.q2
@@ -732,24 +792,23 @@ def jump_curve(totals: Iterable[float]) -> list[JumpRecord]:
         p=p_star, kind=BoundaryKind.JUMP_BOUNDARY, residual=abs(_equal_endpoints_gap(p_star))
     )
     records = [JumpRecord(boundary=axis, jump_angle=0.0)]
-    roots = []  # (total, q1, jump angle) of the last two roots
+    # (total, q1, jump angle) of the last two records, the axis anchor first
+    last = [(0.5, 0.5, 0.0)]
     for t in totals:
         if not (_window_tol(t) and t < t_star - _JUMP_TOP_REACH):
             continue
         traj = TrajectorySpec(t)
-        rec = None
-        if roots:
-            t1, q1, theta = roots[-1]
-            # dq1/dt on the secant, or 1 (q2 held) after a single root
-            slope = (q1 - roots[0][1]) / (t1 - roots[0][0]) if len(roots) == 2 else 1.0
-            try:
-                rec = _jump_root(traj, q1 + slope * (t - t1), theta)
-            except ConvergenceError:
-                pass
+        if len(last) == 2:
+            (t0, q0, a0), (t1, q1, a1) = last
+            x = (t - t1) / (t1 - t0) if t1 != t0 else 0.0  # a repeated total: no secant
+            start = (q1 + x * (q1 - q0), a1 + x * (a1 - a0))
+        else:
+            start = _window_minimum(traj, _JUMP_OFFSET)
+        rec = None if start is None else _corrected_jump(traj, *start)
         if rec is None:
             rec = solve_jump_boundary(traj)
         records.append(rec)
-        roots = [*roots[-1:], (t, rec.boundary.p.q1, rec.jump_angle)]
+        last = [last[-1], (t, rec.boundary.p.q1, rec.jump_angle)]
     return [*records, JumpRecord(boundary=star, jump_angle=HALF_PI)]
 
 
@@ -761,9 +820,10 @@ def jump_angle_table() -> list[JumpRecord]:
 
     Seven records, :func:`jump_curve` on the five totals of
     ``_TABLE_TOTALS``: the axis limit (0.5, 0) where the hop shrinks to
-    zero, the five totals solved as one continued fan, and the intersection
-    limit where the hop spans the whole quarter turn.  Raises
-    ConvergenceError where the per-path solve raises, on the first total or
-    where it stands in for a failed continuation step.
+    zero, the five totals solved as one continued fan, each by the Newton
+    corrector in (q1, theta) from the secant through the last two records,
+    and the intersection limit where the hop spans the whole quarter turn.
+    Raises ConvergenceError where the per-path solve raises, wherever it
+    stands in for a corrector that fails.
     """
     return jump_curve(_TABLE_TOTALS)

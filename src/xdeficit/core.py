@@ -443,6 +443,36 @@ def _jump_gap(p: StateParams, theta: float) -> float:
     return out / (4.0 * math.log(2.0))
 
 
+def _jump_gap_dq1(p: StateParams, theta: float) -> float:
+    """d/dq1 of ``_jump_gap`` along the diagonal q1 + q2 = const, in bits per unit q1, theta in [0, pi/2].
+
+    Along a diagonal t = q1 + q2 stays fixed, and with it a, b and S(0);
+    only c = q1 - q2 moves, dc/dq1 = 2, and it enters the eigenvalues
+    L / 4 and l / 4 of each pair of :func:`post_entropy_slope` through
+    c^2 alone, as (c sin theta)^2 under the radius, L - l = 2 rad.  The
+    1/ln 2 terms of a pair cancel, so
+    dG/dq1 = (c sin^2 theta / (2 ln 2)) sum over the pairs of ln(L / l) / rad,
+    each ln(L / l) taken as log1p(2 rad / l), with l the pair's product over
+    L.  A pair with rad = 0 (then c sin theta = 0, and with it the result)
+    or l = 0 adds nothing: at theta = 0 that is the limit, and only at the
+    corners (1, 0), (0, 1) and the origin, where a pair's l vanishes for
+    every theta, does the true derivative diverge.
+    """
+    t, c = p.q1 + p.q2, p.q1 - p.q2
+    a, b = 1.0 - t, 1.0 - 2.0 * t
+    st, sh = math.sin(theta), math.sin(0.5 * theta)
+    h, cst2, mixed = 2.0 * sh * sh, (c * st) ** 2, 4.0 * p.q1 * p.q2
+    out = 0.0
+    for w in (2.0 - h, h):
+        u = t + b * w
+        rad = math.sqrt(u * u + cst2)
+        small = 2.0 * a * t * w * w + mixed * st * st
+        if rad > 0.0 and small > 0.0:
+            small /= t + a * w + rad
+            out += math.log1p(2.0 * rad / small) / rad
+    return c * st * st * out / (2.0 * math.log(2.0))
+
+
 def post_entropy(p: StateParams, theta) -> float | np.ndarray:
     """Entropy in bits of the measurement-averaged state at angle theta.
 

@@ -209,10 +209,12 @@ def trace_boundaries(resolution: int = 100) -> list[BoundaryCurve]:
     solve per curve, each within ``Q1_TOL`` of the per-path solve, and the
     corner (1, 0).  The jump boundary is
     ``boundaries.jump_curve`` on the fan's totals, one root on each total
-    between its two analytic ends: it is traced below the intersection
-    point only, where the interior phase exists, and from 1/2 + 1e-5 up,
-    the jump solve's reach, below which the axis end stands in.  A total
-    there that it cannot solve raises ConvergenceError.
+    between its two analytic ends, continued by a Newton corrector in
+    (q1, theta) from the last two: it is traced below the intersection
+    point only, where the interior phase exists, and from 1/2 + 4.4e-11
+    up, the bottom of the per-path jump solve
+    (``boundaries._window_tol``), below which the axis end stands in.  A
+    total there that it cannot solve raises ConvergenceError.
     ``resolution`` must be an integer (TypeError otherwise).
     """
     if resolution < 100:

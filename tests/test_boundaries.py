@@ -38,11 +38,13 @@ from xdeficit.boundaries import (
     Q1_TOL,
     _binary_entropy_bits,
     _bracket_root,
+    _corrected_jump,
     _deflated_slope,
     _halfpi_curvature,
     _jump_gap,
-    _jump_root,
+    _jump_gap_dq1,
     _minimizer_near,
+    _tracked_root,
     _window_minimum,
     _window_tol,
     boundary_fan,
@@ -51,6 +53,7 @@ from xdeficit.boundaries import (
 from xdeficit.core import (
     post_entropy_curvature,
     post_entropy_grid,
+    post_entropy_slope,
 )
 from xdeficit.shape import ENDPOINT_MARGIN, REFINE_TOL, ROOT_RESOLUTION, SLOPE_FLOOR, find_roots
 from xdeficit.shape import find_root as _bisect
@@ -293,6 +296,28 @@ def deflated_slope_error(states):
     return worst
 
 
+def assert_matches_per_path(rec, ref):
+    """A jump record of ``jump_curve`` against the per-path record ``ref`` on its path.
+
+    q1 within the root tolerance tol = ``_window_tol`` of the total, and the
+    jump angle within REFINE_TOL + |dtheta*/dq1| tol, theta* the interior
+    minimizer.  |dtheta*/dq1| tol is taken as the spread of the minimizers
+    at the per-path root -+ tol/2 (``_minimizer_near``, each within
+    REFINE_TOL), plus their two REFINE_TOL; where the minimum has merged
+    into pi/2 at the upper end, within tol/2 of the root just below t*,
+    that end's minimizer is pi/2.
+    """
+    p, total = ref.boundary.p, ref.boundary.p.q1 + ref.boundary.p.q2
+    tol = _window_tol(total)
+    traj = TrajectorySpec(total)
+    assert rec.boundary.p.q1 + rec.boundary.p.q2 == pytest.approx(total, abs=1e-15)
+    assert abs(rec.boundary.p.q1 - p.q1) <= tol, total
+    ends = [_minimizer_near(_deflated_slope, traj.state(p.q1 + d), ref.jump_angle)
+            for d in (-0.5 * tol, 0.5 * tol)]
+    spread = abs(ends[0] - (HALF_PI if math.isnan(ends[1]) else ends[1]))
+    assert abs(rec.jump_angle - ref.jump_angle) <= 3 * REFINE_TOL + spread, total
+
+
 def jump_fan_deviation(resolution):
     """The continued jump fan of ``trace_boundaries`` against the per-path solve,
     on its totals k/resolution: :func:`continued_fan_deviation`."""
@@ -307,8 +332,9 @@ def continued_fan_deviation(totals):
     ``totals`` above the bottom of the per-path solve (``_window_tol``) and
     below t* - ``_JUMP_TOP_REACH``, t* the total of the curve intersection,
     in their order, and that the per-path solve returns a record on each of
-    them.  Returns the number of per-path fallbacks the fan took and the
-    largest differences in q1 and in jump angle.
+    them, each fan record matching it (:func:`assert_matches_per_path`).
+    Returns the number of per-path fallbacks the fan took and the largest
+    differences in q1 and in jump angle.
     """
     p_star = curves_intersection()
     t_star = p_star.q1 + p_star.q2
@@ -324,6 +350,8 @@ def continued_fan_deviation(totals):
     assert None not in fan and None not in reference
     assert [rec.boundary.p.q1 + rec.boundary.p.q2 for rec in fan] == pytest.approx(kept, abs=1e-15)
     pairs = list(zip(fan, reference))
+    for rec, ref in pairs:
+        assert_matches_per_path(rec, ref)
     return (
         len(fallbacks),
         max(abs(a.boundary.p.q1 - b.boundary.p.q1) for a, b in pairs),
@@ -748,14 +776,14 @@ class TestJumpBoundary:
     def test_start_off_the_path_raises(self):
         # q1 = 0.3 lies below the path's lower end, total/2 = 0.375
         with pytest.raises(ConvergenceError, match="q1 = 0.3"):
-            _jump_root(TrajectorySpec(0.75), 0.3, 1.0)
+            _tracked_root(TrajectorySpec(0.75), _deflated_slope, _jump_gap, 1.0, 0.3, "jump gap")
 
     def test_continued_fan_matches_per_path(self):
         # every jump total of trace_boundaries(1000): the same None pattern,
-        # q1 within the root tolerance and the angle within the 1e-7 rad of
-        # C04/C05 against the 40-digit reference
+        # no per-path fallback, q1 within the root tolerance and the angle
+        # within the 1e-7 rad of C04/C05 against the 40-digit reference
         fallbacks, dq1, dangle = jump_fan_deviation(1000)
-        assert fallbacks == 1
+        assert fallbacks == 0
         assert dq1 <= Q1_TOL
         assert dangle <= 1e-7
 
@@ -789,6 +817,48 @@ class TestJumpBoundary:
                         scale += (0 if l0 > 0 else abs(l * mp.log(l))) + abs(mp.log(l) + 1) * abs(d)
                 bound = 32 * 2.0**-53 * scale / (4 * mp.log(2))
                 assert abs(_jump_gap(StateParams(q1, q2), theta) - ref) <= bound, (q1, q2, theta)
+
+    def test_gap_q1_slope_matches_60_digit_derivative(self):
+        # dG/dq1 along the diagonal against a 60-digit derivative of S(0) -
+        # S(theta) in q1 at fixed total, one-sided into the triangle on the
+        # axis contact q2 = 0.  The closed form is
+        # c sin^2 / (2 ln 2) sum of T = log1p(2 rad / l) / rad over the
+        # pairs.  To first order it errs by the rounding of T and of the
+        # prefactor, and by the errors of rad and l that T carries with the
+        # weights |dT/drad| and |dT/dl|.  rad = hypot(u, c sin) errs by the
+        # rounding of u = t + b w, whose terms may cancel, so at most in
+        # proportion to t + |b| w + rad, and l, a sum of non-negative terms
+        # over another, in proportion to itself.  No path from the inputs to
+        # one of these passes more than 32 rounded operations, each within
+        # u = 2^-53, so 32 u M bounds the error, M being the sum of those
+        # magnitudes and weights
+        mp = pytest.importorskip("mpmath")
+        states = jump_gap_states(43)
+        # the axis contact on the table totals, and beside (0.5, 0)
+        states += [(total, 0.0, theta) for total, (_, theta) in zip(TABLE_TOTALS, REFERENCE_TABLE[1:-1])]
+        for eps in (1e-9, 1e-6, 1e-3):
+            theta = 0.1 * math.sqrt(eps)
+            states += [(0.5 + eps, 0.0, theta), (0.5 + eps - 0.03 * eps, 0.03 * eps, theta)]
+        for q1, q2, theta in states:
+            with mp.workdps(60):
+                x1, x2, x = mp.mpf(q1), mp.mpf(q2), mp.mpf(theta)
+                total = x1 + x2
+                gap = lambda y: (mp_reference.entropy(y, total - y, 0)
+                                 - mp_reference.entropy(y, total - y, x))
+                ref = mp.diff(gap, x1, direction=-1 if q2 == 0.0 else 0)
+                c, a, b = x1 - x2, 1 - total, 1 - 2 * total
+                st, scale = mp.sin(x), 0
+                for w in (1 + mp.cos(x), 1 - mp.cos(x)):
+                    u = total + b * w
+                    rad = mp.sqrt(u * u + (c * st) ** 2)
+                    small = (2 * a * total * w * w + 4 * x1 * x2 * st * st) / (total + a * w + rad)
+                    y = 2 * rad / small
+                    term = mp.log1p(y) / rad
+                    d_rad = (y / (1 + y) - mp.log1p(y)) / rad**2
+                    d_small = y / (rad * small * (1 + y))
+                    scale += term + abs(d_rad) * (total + abs(b) * w + rad) + d_small * small
+                bound = 32 * 2.0**-53 * abs(c) * st**2 / (2 * mp.log(2)) * scale
+                assert abs(_jump_gap_dq1(StateParams(q1, q2), theta) - ref) <= bound, (q1, q2, theta)
 
     def test_jump_ties_endpoint_and_interior(self):
         rec = solve_jump_boundary(TrajectorySpec(0.75))
@@ -922,6 +992,30 @@ class TestBimodalityBirth:
         q1, theta = mp_reference.birth_point(total, bp.p.q1, theta0, dps=80)
         assert abs(float(theta) - theta0) <= 1e-3 * theta0
         assert abs(bp.p.q1 - float(q1)) <= min(Q1_TOL, _WINDOW_SCALE * eps)
+
+    def test_seed_bracket_below_the_margin_is_half_the_minimum(self, monkeypatch):
+        # on 0.5 + 1e-9 the minimum theta_min = 1.6e-5 lies below
+        # ENDPOINT_MARGIN, so the maximum's bracket [ENDPOINT_MARGIN,
+        # theta_min - 1e-6] has crossing ends and brackets nothing: the
+        # inflection walk starts from theta_min / 2, not from a root between
+        # the crossed ends (which is theta_min itself)
+        traj = TrajectorySpec(0.5 + 1e-9)
+        _, theta_min = _window_minimum(traj, Q1_TOL)
+        assert theta_min - 1e-6 < ENDPOINT_MARGIN
+        seeds = []
+        tracked = boundaries_module._tracked_root
+        monkeypatch.setattr(boundaries_module, "_tracked_root",
+                            lambda traj, deriv, value, theta0, q, what:
+                            (seeds.append(theta0), tracked(traj, deriv, value, theta0, q, what))[1])
+        assert bimodality_birth(traj) is not None
+        assert seeds == [0.5 * theta_min]
+
+    def test_bracket_with_crossing_ends_is_none(self):
+        # as find_roots takes a lane whose ends cross
+        f = lambda x: x - 0.5
+        assert _bracket_root(f, 0.0, 1.0) == pytest.approx(0.5, abs=Q1_TOL)
+        assert _bracket_root(f, 1.0, 0.0) is None
+        assert _bracket_root(f, 0.5, 0.5) is None
 
     def test_every_total_of_its_run_at_resolution_1000(self):
         # one run of 315 births from 0.501; the seed bracket keeps its low
@@ -1072,9 +1166,19 @@ class TestJumpAngleTable:
             assert abs(rec.boundary.p.q1 - float(q1)) <= 1e-9, total
             assert abs(rec.jump_angle - float(theta)) <= 1e-9, total
 
+    def test_rows_within_an_ulp_of_40_digit_solve(self):
+        # each corrector ends on one Newton step in q1 alone, so the rows keep
+        # the digits of the per-path solve's polished roots (measured: all
+        # five the float nearest the 40-digit root; 2.3 ulps off on 0.75
+        # without that step, which moves table1's printed deviation there)
+        pytest.importorskip("mpmath")
+        for total, rec in zip(TABLE_TOTALS, jump_angle_table()[1:-1]):
+            q1, _, _ = mp_reference.jump_point(total, rec.boundary.p.q1, rec.jump_angle)
+            assert abs(rec.boundary.p.q1 - float(q1)) <= math.ulp(float(q1)), total
+
     def test_rows_match_the_per_path_solve(self, monkeypatch):
         # the five rows are one continued fan over the table totals, which
-        # runs the per-path solve on its first total only
+        # runs the per-path solve on none of them
         assert boundaries_module._TABLE_TOTALS == TABLE_TOTALS
         reference = [solve_jump_boundary(TrajectorySpec(t)) for t in TABLE_TOTALS]
         fallbacks = []
@@ -1085,10 +1189,69 @@ class TestJumpAngleTable:
             lambda traj: (fallbacks.append(traj), per_path(traj))[1],
         )
         rows = jump_angle_table()[1:-1]
-        assert fallbacks == [TrajectorySpec(TABLE_TOTALS[0])]
+        assert fallbacks == []
         for total, rec, ref in zip(TABLE_TOTALS, rows, reference):
             assert abs(rec.boundary.p.q1 - ref.boundary.p.q1) <= 1e-12, total
             assert abs(rec.jump_angle - ref.jump_angle) <= 1e-9, total
+
+
+class TestCorrectedJump:
+    """The Newton corrector in (q1, theta) of ``jump_curve`` on one path."""
+
+    @pytest.mark.parametrize("total", TABLE_TOTALS)
+    def test_from_the_per_path_root_matches_it(self, total):
+        ref = solve_jump_boundary(TrajectorySpec(total))
+        rec = _corrected_jump(TrajectorySpec(total), ref.boundary.p.q1, ref.jump_angle)
+        assert_matches_per_path(rec, ref)
+        assert rec.boundary.kind is BoundaryKind.JUMP_BOUNDARY
+        assert rec.boundary.residual == abs(_jump_gap(rec.boundary.p, rec.jump_angle))
+
+    @pytest.mark.parametrize("total", [0.6, 0.7, 0.75])
+    def test_from_the_interior_maximum_is_none(self, total):
+        # at the jump root, the slope's other root below the minimum, where
+        # S'' < 0: no certified record, so the per-path solve stands in
+        traj = TrajectorySpec(total)
+        ref = solve_jump_boundary(traj)
+        p, theta_min = ref.boundary.p, ref.jump_angle
+        theta_max = _bisect(lambda x: post_entropy_slope(p, x), 1e-3, 0.5 * theta_min,
+                            post_entropy_slope(p, 1e-3), post_entropy_slope(p, 0.5 * theta_min),
+                            REFINE_TOL)
+        assert post_entropy_curvature(p, theta_max) < 0
+        assert _corrected_jump(traj, p.q1, theta_max) is None
+
+    def test_start_off_the_path_is_none(self):
+        # q1 = 0.3 lies below the path's lower end, total/2 = 0.375
+        assert _corrected_jump(TrajectorySpec(0.75), 0.3, 1.0) is None
+
+    def test_stalled_steps_are_not_certified(self, monkeypatch):
+        # with dG/dq1 a million times too large the steps in q1 shrink below
+        # the tolerance 1e-7 short of the root, at its minimizer: the gap
+        # keeps its sign within tol/2 of where they stop, so no record
+        traj = TrajectorySpec(0.7)
+        q = solve_jump_boundary(traj).boundary.p.q1 + 1e-7
+        theta = _minimizer_near(_deflated_slope, traj.state(q), 0.6)
+        slope = boundaries_module._jump_gap_dq1
+        monkeypatch.setattr(boundaries_module, "_jump_gap_dq1", lambda p, t: 1e6 * slope(p, t))
+        assert _corrected_jump(traj, q, theta) is None
+
+    def test_angles_beside_half_pi(self):
+        # on t* - d, d log-spaced in [1e-10, 1e-8], the jump angle lies within
+        # 2e-4 rad of pi/2, where S' is a difference of rounded terms that
+        # vanish; read as cos(theta) D, the angles stay within 1e-8 rad of the
+        # per-path solve (measured 2.4e-10; S' itself gives 7.3e-7)
+        p_star = curves_intersection()
+        t_star = p_star.q1 + p_star.q2
+        fallbacks, _, dangle = continued_fan_deviation((t_star - np.logspace(-8, -10, 21)).tolist())
+        assert fallbacks == 0
+        assert dangle <= 1e-8
+
+    def test_step_cap_is_none(self, monkeypatch):
+        # from the window start, the corrector on 0.6 needs 8 steps
+        traj = TrajectorySpec(0.6)
+        start = _window_minimum(traj, boundaries_module._JUMP_OFFSET)
+        assert_matches_per_path(_corrected_jump(traj, *start), solve_jump_boundary(traj))
+        monkeypatch.setattr(boundaries_module, "_NEWTON_STEPS", 7)
+        assert _corrected_jump(traj, *start) is None
 
 
 class TestJumpCurve:
@@ -1099,8 +1262,8 @@ class TestJumpCurve:
         assert p_star.q1 + p_star.q2 < 0.77
         assert axis.boundary.p == StateParams(0.5, 0.0) and axis.jump_angle == 0.0
         assert axis.boundary.residual == abs(post_entropy_curvature(StateParams(0.5, 0.0), 0.0))
-        # the first kept total runs the per-path solve
-        assert mid == solve_jump_boundary(TrajectorySpec(0.6))
+        # the first kept total, corrected from its window start
+        assert_matches_per_path(mid, solve_jump_boundary(TrajectorySpec(0.6)))
         assert star.boundary.p == p_star and star.jump_angle == HALF_PI
         gap = endpoint_entropy_zero(p_star) - endpoint_entropy_halfpi(p_star)
         assert star.boundary.residual == abs(gap)
@@ -1123,6 +1286,15 @@ class TestJumpCurve:
             first = curve[1].boundary.p
             assert first.q1 + first.q2 == pytest.approx(kept[0], abs=1e-15)
             assert kept[0] - 0.5 > BOTTOM
+
+    def test_repeated_totals(self):
+        # a repeated total has no secant through the last two records; each
+        # record still matches the per-path solve
+        curve = jump_curve([0.6, 0.6, 0.7, 0.7])
+        assert len(curve) == 6
+        for rec in curve[1:-1]:
+            p = rec.boundary.p
+            assert_matches_per_path(rec, solve_jump_boundary(TrajectorySpec(p.q1 + p.q2)))
 
     def test_table_and_trace_share_the_anchors(self):
         table = jump_angle_table()
@@ -1213,7 +1385,7 @@ class TestTopReach:
             assert len(curve) == 3 + (t_star - d < t_star - _JUMP_TOP_REACH), d
 
     def test_no_root_below_the_top_reach_raises(self, monkeypatch):
-        monkeypatch.setattr(boundaries_module, "_jump_root", lambda traj, q, theta0: None)
+        monkeypatch.setattr(boundaries_module, "_tracked_root", lambda *args: None)
         with pytest.raises(ConvergenceError, match="no root found below t"):
             solve_jump_boundary(TrajectorySpec(0.6))
         assert solve_jump_boundary(TrajectorySpec(0.8)) is None
@@ -1298,9 +1470,10 @@ class TestSolveCost:
             else:
                 assert result is None
 
-    def test_trace_one_probe_one_fallback(self, monkeypatch):
-        # the continued jump fan: only its first total runs the per-path
-        # solve and its window start; the 25 others start from the last root
+    def test_trace_one_probe_no_fallback(self, monkeypatch):
+        # the continued jump fan: only its first total takes the window start,
+        # the 25 others start from the last two records, and none runs the
+        # per-path solve
         rows, walks = self._slope_rows(monkeypatch), self._window_walks(monkeypatch)
         fallbacks = self._count(
             monkeypatch, boundaries_module, "solve_jump_boundary", [boundaries_module]
@@ -1308,11 +1481,22 @@ class TestSolveCost:
         trace_boundaries(100)
         assert len(rows) == 0
         assert walks() == 1
-        assert len(fallbacks) == 1
+        assert len(fallbacks) == 0
+
+    def test_continued_curve_evaluations(self, monkeypatch):
+        # jump_curve on k/100 (26 totals), window start included: at most a
+        # third of the 1059 S' and 0.6 of the 254 gap evaluations that the
+        # nested corrector (a tracked per-path solve from each prediction)
+        # took; measured 306 and 148
+        slopes = self._count(monkeypatch, boundaries_module, "post_entropy_slope", [boundaries_module])
+        gaps = self._count(monkeypatch, boundaries_module, "_jump_gap", [boundaries_module])
+        jump_curve([k / 100 for k in range(1, 100)])
+        assert len(slopes) <= 1059 // 3
+        assert len(gaps) <= 0.6 * 254
 
     def test_fan_falls_back_where_the_gap_is_nan(self, monkeypatch):
-        # the first gap evaluation on total 0.6 (the continued solve's, at
-        # its prediction) is NaN: the per-path solve stands in there
+        # the first gap evaluation on total 0.6 (the corrector's, at its
+        # prediction) is NaN: the per-path solve stands in there alone
         target = 0.6
         totals = [k / 100 for k in range(51, 77)]
         expected = solve_jump_boundary(TrajectorySpec(target))
@@ -1331,7 +1515,7 @@ class TestSolveCost:
         )
         records = jump_curve(totals)[1:-1]
         assert len(forced) == 1
-        assert [traj.total for traj, in fallbacks] == [totals[0], target]
+        assert [traj.total for traj, in fallbacks] == [target]
         assert records[totals.index(target)] == expected
 
     def test_intersection_scans(self, monkeypatch):

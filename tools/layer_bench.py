@@ -10,20 +10,25 @@ xdeficit, a fixed pure-Python loop and a fixed loop of numpy calls on
 100-element arrays, timed in the same run.  The layers are the
 equal-endpoint and half-pi fans (both kinds together), per path and as
 array solves, on the totals k/100 and k/1000; their two axis roots, which
-both fans solve per path; ``jump_curve`` on k/100; ``jump_angle_table()``;
-and ``trace_boundaries`` at 100 and 1000.  ``ratios_of_medians`` compares
-the fans, whole and without their axis roots (the diagonal fans).  The
-per-path fans are taken as ``trace_boundaries`` took them before the array
-fans: the axis root, then the non-degenerate root of each diagonal, from the
-per-path solvers of ``boundaries._FANS``.
+both fans solve per path; ``jump_curve`` on k/100 and k/1000;
+``jump_angle_table()``; and ``trace_boundaries`` at 100 and 1000.
+``ratios_of_medians`` compares the fans, whole and without their axis
+roots (the diagonal fans).  The per-path fans are taken as
+``trace_boundaries`` took them before the array fans: the axis root, then
+the non-degenerate root of each diagonal, from the per-path solvers of
+``boundaries._FANS``.
 
 The untimed first call of each layer also counts, under the key
 ``evaluations``, the calls of the scalar closed forms
-``post_entropy_slope``, ``post_entropy_curvature`` and ``_jump_gap``, of
-the array S'' ``curvature_curve`` (the only function the array root solver
-evaluates), and the evaluations that ``shape.find_root`` makes between its
-two given ends.  These counts are deterministic: they repeat exactly from
-run to run, and compare two checkouts free of the box's noise.
+``post_entropy_slope``, ``post_entropy_curvature``, ``_jump_gap`` and
+``_jump_gap_dq1`` (dG/dq1 of the jump curve's Newton corrector), of the
+array S'' ``curvature_curve`` (the only function the array root solver
+evaluates), the evaluations that ``shape.find_root`` makes between its two
+given ends, and the calls of the per-path ``solve_jump_boundary``, which
+``jump_curve`` makes only where its corrector falls back.  A name that a
+checkout lacks counts 0.  These counts are deterministic: they repeat
+exactly from run to run, and compare two checkouts free of the box's
+noise.
 
 Every call's result is checked against values pinned below, so that a
 timing never reports a wrong run: the point counts exactly, and the sums
@@ -60,7 +65,8 @@ from xdeficit.boundaries import (  # noqa: E402
 from xdeficit.diagram import trace_boundaries  # noqa: E402
 
 # the functions whose calls are counted, under every module name that calls them
-COUNTED = ("post_entropy_slope", "post_entropy_curvature", "_jump_gap", "curvature_curve")
+COUNTED = ("post_entropy_slope", "post_entropy_curvature", "_jump_gap", "_jump_gap_dq1",
+           "curvature_curve", "solve_jump_boundary")
 
 # (point counts, sum of q1, sum of jump angles) of each layer's result
 PINS = {
@@ -70,6 +76,7 @@ PINS = {
     "fans.array.k1000": ((385, 325), 567.4431543375, 0.0),
     "fans.axis_roots": ((1, 1), 1.2906927741, 0.0),
     "jump_curve.k100": ((28,), 17.3373660886, 12.7263732759),
+    "jump_curve.k1000": ((271,), 167.8000875443, 119.6738382080),
     "jump_angle_table": ((7,), 4.4014863613, 4.0123137737),
     "trace_boundaries.100": ((10, 40, 40, 34, 34, 28, 28, 1, 1, 1, 1), 79.8797883176, 0.0),
     "trace_boundaries.1000": ((10, 386, 386, 326, 326, 271, 271, 1, 1, 1, 1), 758.3047883176, 0.0),
@@ -122,6 +129,7 @@ def _layers():
         "fans.array.k1000": lambda: _fans(k1000, array=True),
         "fans.axis_roots": lambda: [[s(TrajectorySpec.on_axis())] for s, _ in _FANS.values()],
         "jump_curve.k100": lambda: jump_curve(k100),
+        "jump_curve.k1000": lambda: jump_curve(k1000),
         "jump_angle_table": jump_angle_table,
         "trace_boundaries.100": lambda: trace_boundaries(100),
         "trace_boundaries.1000": lambda: trace_boundaries(1000),
